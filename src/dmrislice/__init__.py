@@ -7,7 +7,7 @@ representation. Ships diffusion-tensor scalar maps and a phantom-driven
 evaluation harness.
 """
 
-from .dti import TensorVolume, eig_sym3, fa_map, fit_dti, md_map
+from .dti import TensorVolume, dti_scalars, eig_sym3, fit_dti
 from .evaluate import EvalReport, mse_region, run_experiment
 from .inference import (
     GapSpec,
@@ -53,9 +53,9 @@ __all__ = [
     "blend_latents",
     "bspline_prefilter",
     "denormalize_slice",
+    "dti_scalars",
     "eig_sym3",
     "EvalReport",
-    "fa_map",
     "fibonacci_directions",
     "fit_dti",
     "fit_sh",
@@ -69,7 +69,6 @@ __all__ = [
     "InterpMethod",
     "kernel_eval",
     "make_phantom",
-    "md_map",
     "mse_region",
     "normalize_slice",
     "PhantomData",

@@ -18,7 +18,7 @@ from .errors import DmrisliceError, ParseError
 from .evaluate import ALL_METHODS, run_experiment
 from .inference import GapSpec, infer_gap_sh, infer_gap_signal
 from .interp import KINDS, interp_missing_slices
-from .dti import fa_map, fit_dti, md_map
+from .dti import dti_scalars, fit_dti
 from .nifti import read_nifti, write_nifti
 from .phantom import PhantomSpec, make_phantom
 from .sh import fit_sh, project_sh, read_sh, sh_roundtrip_error, write_sh
@@ -127,10 +127,12 @@ def cmd_fit_dti(args):
     tensors = fit_dti(data.dwi, data.b0, data.gtab, mask=_mask_arg(args))
     if args.out_tensor:
         write_nifti(tensors.to_volume(), args.out_tensor)
-    if args.out_fa:
-        write_nifti(fa_map(tensors), args.out_fa)
-    if args.out_md:
-        write_nifti(md_map(tensors), args.out_md)
+    if args.out_fa or args.out_md:
+        fa, md = dti_scalars(tensors)
+        if args.out_fa:
+            write_nifti(fa, args.out_fa)
+        if args.out_md:
+            write_nifti(md, args.out_md)
     return 0
 
 

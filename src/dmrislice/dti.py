@@ -7,6 +7,7 @@ Tensors are stored as 6 values per voxel in lower-triangular order
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -126,6 +127,71 @@ def fit_dti(
     )
 
 
+def _minor(u, v):
+    """2x2 minor of two rows (B_ij, (B^2)_ij)."""
+    return u[0] * v[1] - v[0] * u[1]
+
+
+def _eigvals_sym3(d6: np.ndarray):
+    """Eigenvalues of symmetric 3x3 matrices given as (..., 6) arrays.
+
+    Trigonometric (Cardano) closed form of Hasan et al., "Analytical
+    computation of the eigenvalues and eigenvectors in DT-MRI" (JMR 2001),
+    on the entries directly. Returns the eigenvalues (..., 3) in descending
+    order, the mask of isotropic matrices (all eigenvalues exactly
+    q = trace / 3) and the matrix scale that the eigenvector tolerances use.
+    """
+    dxx, dyy, dzz, dxy, dxz, dyz = np.moveaxis(d6, -1, 0)
+    q = (dxx + dyy + dzz) / 3.0
+    off2 = dxy**2 + dxz**2 + dyz**2
+    p2 = (dxx - q) ** 2 + (dyy - q) ** 2 + (dzz - q) ** 2 + 2.0 * off2
+    p = np.sqrt(p2 / 6.0)
+    scale = np.maximum(np.abs(q), np.sqrt(p2))
+    isotropic = p <= 1e-14 * np.maximum(scale, 1e-300)
+
+    # B = (A - q I) / p is traceless with tr(B^2) = 6; its eigenvalues are
+    # 2 cos(phi + 2 pi k / 3) with cos(3 phi) = det(B) / 2.
+    p_safe = np.where(isotropic, 1.0, p)
+    b11, b22, b33 = (dxx - q) / p_safe, (dyy - q) / p_safe, (dzz - q) / p_safe
+    b12, b13, b23 = dxy / p_safe, dxz / p_safe, dyz / p_safe
+    det_b = (
+        b11 * (b22 * b33 - b23 * b23)
+        - b12 * (b12 * b33 - b23 * b13)
+        + b13 * (b12 * b23 - b22 * b13)
+    )
+    # sin(3 phi) comes from the discriminant 108 sin^2(3 phi) =
+    # prod_{i<j} (l_i - l_j)^2, not from arccos(det(B) / 2), which loses half
+    # the digits of a nearly equal pair of eigenvalues. The discriminant is
+    # the Gram determinant of I, B, B^2 (Parlett 2002), expanded by
+    # Cauchy-Binet into a sum of squared 3x3 minors of the rows
+    # (delta_ij, B_ij, (B^2)_ij); off-diagonal rows count twice.
+    diag = (
+        (b11, b11 * b11 + b12 * b12 + b13 * b13),
+        (b22, b12 * b12 + b22 * b22 + b23 * b23),
+        (b33, b13 * b13 + b23 * b23 + b33 * b33),
+    )
+    off = (
+        (b12, b11 * b12 + b12 * b22 + b13 * b23),
+        (b13, b11 * b13 + b12 * b23 + b13 * b33),
+        (b23, b12 * b13 + b22 * b23 + b23 * b33),
+    )
+    disc = 12.0 * sum(_minor(u, v) ** 2 for u, v in combinations(off, 2))
+    for o in off:
+        m = [_minor(d, o) for d in diag]
+        disc += 2.0 * sum((m[j] - m[i]) ** 2 for i, j in combinations(range(3), 2))
+    m12, m13, m23 = (_minor(u, v) for u, v in combinations(diag, 2))
+    disc += (m23 - m13 + m12) ** 2
+    phi = np.arctan2(np.sqrt(disc), np.sqrt(27.0) * det_b) / 3.0
+
+    lam1 = q + 2.0 * p * np.cos(phi)
+    lam3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    lam2 = 3.0 * q - lam1 - lam3
+    lam1 = np.where(isotropic, q, lam1)
+    lam2 = np.where(isotropic, q, lam2)
+    lam3 = np.where(isotropic, q, lam3)
+    return np.stack([lam1, lam2, lam3], axis=-1), isotropic, scale
+
+
 def eig_sym3(tensor) -> tuple[np.ndarray, np.ndarray]:
     """Analytic eigendecomposition of symmetric 3x3 matrices.
 
@@ -139,35 +205,8 @@ def eig_sym3(tensor) -> tuple[np.ndarray, np.ndarray]:
     d6 = np.atleast_2d(d6)
     if d6.shape[-1] != 6:
         raise ShapeError(f"expected trailing dimension 6, got {d6.shape}")
-    a = _d6_to_matrix(d6)
-
-    q = np.trace(a, axis1=-2, axis2=-1) / 3.0
-    off2 = d6[..., 3] ** 2 + d6[..., 4] ** 2 + d6[..., 5] ** 2
-    p2 = (
-        (d6[..., 0] - q) ** 2
-        + (d6[..., 1] - q) ** 2
-        + (d6[..., 2] - q) ** 2
-        + 2.0 * off2
-    )
-    p = np.sqrt(p2 / 6.0)
-    scale = np.maximum(np.abs(q), np.sqrt(p2))
-    isotropic = p <= 1e-14 * np.maximum(scale, 1e-300)
-
-    p_safe = np.where(isotropic, 1.0, p)
-    b = (a - q[..., None, None] * np.eye(3)) / p_safe[..., None, None]
-    det_b = np.linalg.det(b)
-    r = np.clip(det_b / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-
-    lam1 = q + 2.0 * p * np.cos(phi)
-    lam3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    lam2 = 3.0 * q - lam1 - lam3
-    lam1 = np.where(isotropic, q, lam1)
-    lam2 = np.where(isotropic, q, lam2)
-    lam3 = np.where(isotropic, q, lam3)
-    eigvals = np.stack([lam1, lam2, lam3], axis=-1)
-
-    vecs = _eigenvectors(a, eigvals, isotropic, scale)
+    eigvals, isotropic, scale = _eigvals_sym3(d6)
+    vecs = _eigenvectors(_d6_to_matrix(d6), eigvals, isotropic, scale)
     if scalar_input:
         return eigvals[0], vecs[0]
     return eigvals, vecs
@@ -231,27 +270,20 @@ def _eigenvectors(a, eigvals, isotropic, scale):
     return np.where(isotropic[..., None, None], ident, vecs)
 
 
-def _clamped_eigvals(t: TensorVolume) -> np.ndarray:
-    eigvals, _ = eig_sym3(t.d6)
-    return np.maximum(eigvals, 0.0)
+def dti_scalars(t: TensorVolume) -> tuple[Volume4D, Volume4D]:
+    """Fractional anisotropy and mean diffusivity from one eigenvalue pass.
 
-
-def fa_map(t: TensorVolume) -> Volume4D:
-    """Fractional anisotropy from eigenvalues clamped to be non-negative.
-
+    Eigenvalues are clamped to be non-negative.
     FA = sqrt(1/2) sqrt((l1-l2)^2 + (l2-l3)^2 + (l3-l1)^2) / sqrt(l1^2+l2^2+l3^2),
-    defined as 0 where all eigenvalues vanish.
+    defined as 0 where all eigenvalues vanish; MD is their mean.
     """
-    lam = _clamped_eigvals(t)
+    lam = np.maximum(_eigvals_sym3(t.d6)[0], 0.0)
     l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
     num = np.sqrt(0.5) * np.sqrt((l1 - l2) ** 2 + (l2 - l3) ** 2 + (l3 - l1) ** 2)
     den = np.sqrt(l1 * l1 + l2 * l2 + l3 * l3)
     fa = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    return Volume4D(fa[..., None], spacing=t.spacing, affine=t.affine, intent="scalar")
-
-
-def md_map(t: TensorVolume) -> Volume4D:
-    """Mean diffusivity: average of the (clamped) eigenvalues."""
-    lam = _clamped_eigvals(t)
     md = lam.mean(axis=-1)
-    return Volume4D(md[..., None], spacing=t.spacing, affine=t.affine, intent="scalar")
+    return tuple(
+        Volume4D(m[..., None], spacing=t.spacing, affine=t.affine, intent="scalar")
+        for m in (fa, md)
+    )

@@ -2,15 +2,20 @@
 
 For each gap and method the harness reconstructs the missing slices,
 scores the signal error against the held-out ground truth on a shared
-[0, 1] intensity scale, rebuilds the volume, refits the diffusion tensor and
-scores FA/MD per tissue region on the reconstructed slices. The SH
+[0, 1] intensity scale, fits diffusion tensors to the reconstructed slices and
+scores FA/MD per tissue region on them against the ground-truth maps. The SH
 fit-project error of the ground-truth slices is reported alongside as the
 representability lower bound. Paired Wilcoxon signed-rank tests compare
 methods across gap positions.
 
 All tensor fits (ground truth and reconstructions) use the voxelwise mean of
 the b0 volumes as the single unweighted measurement, so every method differs
-only in how the missing slices were filled.
+only in how the missing slices were filled. The log-linear tensor fit is
+voxelwise, so each cell fits only its gap slab (the N reconstructed slices):
+the scored voxels get the same tensors as in a fit of the whole volume with
+the slab put back, up to floating-point rounding, and nothing outside the
+slab is ever scored. The ground-truth maps, the b0 mean and the full-volume SH
+fit are built once per experiment and shared read-only by every cell.
 """
 
 from __future__ import annotations
@@ -26,14 +31,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .dti import fa_map, fit_dti, md_map
+from .dti import dti_scalars, fit_dti
 from .errors import DegenerateSample, EmptyMask, ModelMissing, ShapeError
 from .inference import GapSpec, infer_gap_sh, infer_gap_signal
 from .interp import interp_missing_slices
 from .phantom import LABELS, PhantomData
 from .sh import fit_sh, project_sh, project_sh_slice, sh_basis_matrix
 from .stats import wilcoxon_signed_rank
-from .volume import SliceImage, Volume4D, replace_slices
+from .volume import SliceImage, Volume4D
 
 CLASSICAL_METHODS = ("linear", "cubic", "bspline5")
 MODEL_METHODS = ("ae-signal", "ae-sh4")
@@ -127,18 +132,39 @@ def _normalized_mse(est: np.ndarray, gt: np.ndarray, span: float) -> float:
     return float(np.mean(diff * diff))
 
 
-def _estimate_slices(data: PhantomData, method, gap: GapSpec, models, lmax, sh_cache):
-    """Returns (dwi slice estimates, b0 slice estimates) for one cell."""
+@dataclass(frozen=True)
+class _Shared:
+    """Per-experiment inputs every cell reads; built once, never written."""
+
+    span: float  # range of the ground-truth signal, the signal_mse scale
+    b0_mean: Volume4D
+    fa_gt: Volume4D
+    md_gt: Volume4D
+    sh_coeffs: Volume4D | None  # full-volume SH fit, when sh-linear runs
+
+
+def _shared_inputs(data: PhantomData, methods, lmax: int) -> _Shared:
+    values = data.dwi.data
     b0_mean = Volume4D(data.b0.data.mean(axis=3, keepdims=True), intent="dwi")
+    fa_gt, md_gt = dti_scalars(fit_dti(data.dwi, b0_mean, data.gtab))
+    sh_coeffs = None
+    if "sh-linear" in methods:
+        sh_coeffs = fit_sh(data.dwi, data.gtab, lmax=lmax).volume
+    span = float(values.max() - values.min()) or 1.0
+    return _Shared(span, b0_mean, fa_gt, md_gt, sh_coeffs)
+
+
+def _estimate_slices(data: PhantomData, shared: _Shared, method, gap: GapSpec, models, lmax):
+    """Returns (dwi slice estimates, b0 slice estimates) for one cell."""
+    b0_mean = shared.b0_mean
     if method in CLASSICAL_METHODS:
         dwi_slices = interp_missing_slices(data.dwi, gap.gap_start, gap.n_missing, method)
         b0_slices = interp_missing_slices(b0_mean, gap.gap_start, gap.n_missing, method)
         return dwi_slices, b0_slices
     if method == "sh-linear":
-        if "sh" not in sh_cache:
-            sh_cache["sh"] = fit_sh(data.dwi, data.gtab, lmax=lmax)
-        sh_vol = sh_cache["sh"].volume
-        coeff_slices = interp_missing_slices(sh_vol, gap.gap_start, gap.n_missing, "linear")
+        coeff_slices = interp_missing_slices(
+            shared.sh_coeffs, gap.gap_start, gap.n_missing, "linear"
+        )
         basis = sh_basis_matrix(data.gtab.bvecs, lmax)
         dwi_slices = [SliceImage(project_sh_slice(s.data, basis)) for s in coeff_slices]
         b0_slices = interp_missing_slices(b0_mean, gap.gap_start, gap.n_missing, "linear")
@@ -162,35 +188,24 @@ def _gap_subvolume(vol: Volume4D, gap: GapSpec) -> Volume4D:
     return vol.with_data(vol.data[:, :, gap.gap_start : gap.gap_start + gap.n_missing, :])
 
 
-def _dti_maps(dwi: Volume4D, b0: Volume4D, gtab):
-    tensors = fit_dti(dwi, b0, gtab)
-    return fa_map(tensors), md_map(tensors)
-
-
-def _evaluate_cell(data, method, gap, models, lmax, span, gt_maps, sh_cache):
+def _evaluate_cell(data, shared: _Shared, method, gap, models, lmax):
     start = time.perf_counter()
-    dwi_slices, b0_slices = _estimate_slices(data, method, gap, models, lmax, sh_cache)
+    dwi_slices, b0_slices = _estimate_slices(data, shared, method, gap, models, lmax)
 
-    gt_slices = data.dwi.data[:, :, gap.gap_start : gap.gap_start + gap.n_missing, :]
+    gt_slices = _gap_subvolume(data.dwi, gap).data
     est_stack = np.stack([s.data for s in dwi_slices], axis=2)
-    signal_mse = _normalized_mse(est_stack, gt_slices, span)
+    signal_mse = _normalized_mse(est_stack, gt_slices, shared.span)
 
-    b0_mean = Volume4D(data.b0.data.mean(axis=3, keepdims=True), intent="dwi")
-    dwi_est = replace_slices(data.dwi, gap.gap_start, dwi_slices)
-    b0_est = replace_slices(b0_mean, gap.gap_start, b0_slices)
-    fa_est, md_est = _dti_maps(dwi_est, b0_est, data.gtab)
-    fa_gt, md_gt = gt_maps
-
+    b0_stack = np.stack([s.data for s in b0_slices], axis=2)
+    fa_est, md_est = dti_scalars(fit_dti(Volume4D(est_stack), Volume4D(b0_stack), data.gtab))
+    fa_gt = _gap_subvolume(shared.fa_gt, gap)
+    md_gt = _gap_subvolume(shared.md_gt, gap)
     labels_gap = _gap_subvolume(data.labels, gap)
     fa_cell = {}
     md_cell = {}
     for region, label in REGION_LABELS.items():
-        fa_cell[region] = mse_region(
-            _gap_subvolume(fa_est, gap), _gap_subvolume(fa_gt, gap), labels_gap, label
-        )
-        md_cell[region] = mse_region(
-            _gap_subvolume(md_est, gap), _gap_subvolume(md_gt, gap), labels_gap, label
-        )
+        fa_cell[region] = mse_region(fa_est, fa_gt, labels_gap, label)
+        md_cell[region] = mse_region(md_est, md_gt, labels_gap, label)
     runtime = time.perf_counter() - start
     return signal_mse, fa_cell, md_cell, runtime
 
@@ -230,13 +245,7 @@ def run_experiment(
     if folds < 1 or folds > len(gaps):
         raise ShapeError(f"folds must lie in [1, {len(gaps)}], got {folds}")
 
-    values = data.dwi.data
-    span = float(values.max() - values.min()) or 1.0
-    gt_maps = _dti_maps(
-        data.dwi,
-        Volume4D(data.b0.data.mean(axis=3, keepdims=True), intent="dwi"),
-        data.gtab,
-    )
+    shared = _shared_inputs(data, methods, lmax)
 
     config = {
         "methods": methods,
@@ -249,28 +258,23 @@ def run_experiment(
     }
     report = EvalReport(config=config)
 
-    def run_cell(n, method, gap_start, local_models, sh_cache):
+    def run_cell(job, local_models):
+        n, method, gap_start = job
         gap = GapSpec(gap_start=gap_start, n_missing=n)
-        return _evaluate_cell(data, method, gap, local_models, lmax, span, gt_maps, sh_cache)
+        return _evaluate_cell(data, shared, method, gap, local_models, lmax)
 
-    cells = {}
     jobs = [(n, m, g) for n in n_values for m in methods for g in gaps]
     if threads is not None and threads > 1:
         def worker(job):
-            n, method, gap_start = job
             local = (
                 {k: v.clone() for k, v in models.items()} if models else None
             )
-            return job, run_cell(n, method, gap_start, local, {})
+            return run_cell(job, local)
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for job, result in pool.map(worker, jobs):
-                cells[job] = result
+            cells = dict(zip(jobs, pool.map(worker, jobs)))
     else:
-        sh_cache = {}
-        for job in jobs:
-            n, method, gap_start = job
-            cells[job] = run_cell(n, method, gap_start, models, sh_cache)
+        cells = {job: run_cell(job, models) for job in jobs}
 
     for n in n_values:
         n_key = str(n)
@@ -307,7 +311,7 @@ def run_experiment(
             report.timing[n_key][method] = float(np.sum(runtimes))
 
         bound_vals = [
-            _sh_bound_for_gap(data, GapSpec(gap_start=g, n_missing=n), lmax, span)
+            _sh_bound_for_gap(data, GapSpec(gap_start=g, n_missing=n), lmax, shared.span)
             for g in gaps
         ]
         report.sh_bound[n_key] = {

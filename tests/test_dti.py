@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmrislice.dti import eig_sym3, fa_map, fit_dti, md_map, TensorVolume
+from dmrislice.dti import _eigvals_sym3, dti_scalars, eig_sym3, fit_dti, TensorVolume
 from dmrislice.errors import Underdetermined
 from dmrislice.phantom import fibonacci_directions
 from dmrislice.volume import GradientTable, Volume4D
@@ -120,35 +120,69 @@ def test_eigensolver_trace_consistency():
     assert np.abs(lam.sum(axis=1) - trace).max() < 1e-12 * max(1.0, np.abs(trace).max())
 
 
+def test_eigvals_only_matches_numpy_on_random_tensors():
+    rng = np.random.default_rng(4)
+    d6 = rng.standard_normal((500, 6))
+    lam = _eigvals_sym3(d6)[0]
+    ref = np.linalg.eigvalsh(d6[:, [[0, 3, 4], [3, 1, 5], [4, 5, 2]]])[:, ::-1]
+    for i in range(d6.shape[0]):
+        assert np.allclose(lam[i], ref[i], atol=1e-10 * max(1.0, np.abs(ref[i]).max()))
+
+
+def test_eigvals_only_degenerate_limits():
+    iso = np.array([[2.0, 2.0, 2.0, 0, 0, 0], [1e-3, 1e-3, 1e-3, 0, 0, 0], [0.7, 0.7, 0.7, 0, 0, 0]])
+    q = (iso[:, 0] + iso[:, 1] + iso[:, 2]) / 3.0
+    assert np.array_equal(_eigvals_sym3(iso)[0], np.repeat(q[:, None], 3, axis=1))
+    assert np.array_equal(_eigvals_sym3(np.zeros((4, 6)))[0], np.zeros((4, 3)))
+    stick = _eigvals_sym3(np.array([1.0, 0, 0, 0, 0, 0]))[0]
+    assert np.abs(stick - [1.0, 0.0, 0.0]).max() < 1e-9
+
+
+def test_eig_sym3_takes_its_eigenvalues_from_the_eigenvalue_pass():
+    rng = np.random.default_rng(5)
+    d6 = rng.standard_normal((3, 4, 6)) * 1e-3
+    d6[0, 0, :3] = 1e-3
+    d6[0, 0, 3:] = 0.0
+    assert np.array_equal(eig_sym3(d6)[0], _eigvals_sym3(d6)[0])
+
+
 def _tensor_volume_from_eigs(lam):
     d6 = np.zeros((1, 1, 1, 6))
     d6[0, 0, 0, :3] = lam
     return TensorVolume(d6=d6, s0=np.ones((1, 1, 1)))
 
 
+def fa_of(lam):
+    return dti_scalars(_tensor_volume_from_eigs(lam))[0].data.ravel()[0]
+
+
+def md_of(lam):
+    return dti_scalars(_tensor_volume_from_eigs(lam))[1].data.ravel()[0]
+
+
 def test_fa_values():
-    assert fa_map(_tensor_volume_from_eigs([1e-3, 1e-3, 1e-3])).data.ravel()[0] == pytest.approx(0.0, abs=1e-12)
-    # trig eigenvalues are ~1e-9 accurate at the doubly degenerate stick limit
-    assert fa_map(_tensor_volume_from_eigs([1.0, 0.0, 0.0])).data.ravel()[0] == pytest.approx(1.0, abs=1e-8)
-    fa = fa_map(_tensor_volume_from_eigs(WM_EIG)).data.ravel()[0]
+    assert fa_of([1e-3, 1e-3, 1e-3]) == pytest.approx(0.0, abs=1e-12)
+    # the doubly degenerate stick limit
+    assert fa_of([1.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-8)
+    fa = fa_of(WM_EIG)
     assert fa == pytest.approx(WM_FA, abs=1e-12)
     assert fa == pytest.approx(0.7990, abs=1e-4)
-    assert fa_map(_tensor_volume_from_eigs([0.0, 0.0, 0.0])).data.ravel()[0] == 0.0
+    assert fa_of([0.0, 0.0, 0.0]) == 0.0
 
 
 def test_md_values():
-    md = md_map(_tensor_volume_from_eigs(WM_EIG)).data.ravel()[0]
+    md = md_of(WM_EIG)
     assert md == pytest.approx(WM_EIG.mean(), abs=1e-12)
     assert md == pytest.approx(0.76667e-3, abs=1e-7)
-    assert md_map(_tensor_volume_from_eigs([0, 0, 0])).data.ravel()[0] == 0.0
-    assert md_map(_tensor_volume_from_eigs([1.0, 1.0, 1.0])).data.ravel()[0] == pytest.approx(1.0)
+    assert md_of([0, 0, 0]) == 0.0
+    assert md_of([1.0, 1.0, 1.0]) == pytest.approx(1.0)
 
 
 def test_fa_bounded_on_noisy_fits():
     rng = np.random.default_rng(2)
     d6 = rng.standard_normal((4, 4, 2, 6)) * 1e-3
     t = TensorVolume(d6=d6, s0=np.ones((4, 4, 2)))
-    fa = fa_map(t).data
+    fa = dti_scalars(t)[0].data
     assert fa.min() >= 0.0 and fa.max() <= 1.0 + 1e-12
 
 
@@ -170,5 +204,6 @@ def test_rotation_equivariance_of_fa_md():
     dwi_0, _, _ = _setup_fit(np.array([1.7e-3, 0.3e-3, 0.3e-3, 0, 0, 0]))
     t_r = fit_dti(dwi_r, b0, g)
     t_0 = fit_dti(dwi_0, b0, g)
-    assert np.abs(fa_map(t_r).data - fa_map(t_0).data).max() < 1e-8
-    assert np.abs(md_map(t_r).data - md_map(t_0).data).max() < 1e-8
+    (fa_r, md_r), (fa_0, md_0) = dti_scalars(t_r), dti_scalars(t_0)
+    assert np.abs(fa_r.data - fa_0.data).max() < 1e-8
+    assert np.abs(md_r.data - md_0.data).max() < 1e-8

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import dmrislice.evaluate as evaluate
+from dmrislice.dti import eig_sym3, fit_dti
 from dmrislice.errors import EmptyMask, ModelMissing, ShapeError
-from dmrislice.evaluate import mse_region, run_experiment
+from dmrislice.evaluate import REGION_LABELS, mse_region, run_experiment
+from dmrislice.interp import interp_missing_slices
 from dmrislice.phantom import PhantomSpec, make_phantom
-from dmrislice.volume import Volume4D
+from dmrislice.volume import Volume4D, replace_slices
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +172,62 @@ def test_wilcoxon_cells_present_with_five_gaps(noisy_phantom):
     block = report.wilcoxon["1"]
     entry = block["fa"]["wm"]["linear_vs_cubic"]
     assert entry["p"] is None or 0.0 < entry["p"] <= 1.0
+
+
+def _whole_volume_fa_md(data, method, gap_start, n):
+    """Reference scoring: fill the gap, refit the whole volume, then score
+    FA/MD on the gap slab only."""
+    b0_mean = Volume4D(data.b0.data.mean(axis=3, keepdims=True))
+
+    def maps(dwi, b0):
+        lam = np.maximum(eig_sym3(fit_dti(dwi, b0, data.gtab).d6)[0], 0.0)
+        l1, l2, l3 = np.moveaxis(lam, -1, 0)
+        num = np.sqrt(0.5) * np.sqrt((l1 - l2) ** 2 + (l2 - l3) ** 2 + (l3 - l1) ** 2)
+        den = np.sqrt(l1 * l1 + l2 * l2 + l3 * l3)
+        fa = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+        return {"fa_mse": fa, "md_mse": lam.mean(axis=-1)}
+
+    def filled(vol):
+        return replace_slices(vol, gap_start, interp_missing_slices(vol, gap_start, n, method))
+
+    gt = maps(data.dwi, b0_mean)
+    est = maps(filled(data.dwi), filled(b0_mean))
+    z = slice(gap_start, gap_start + n)
+    labels = Volume4D(data.labels.data[:, :, z], intent="labels")
+    return {
+        metric: {
+            region: mse_region(
+                Volume4D(est[metric][:, :, z]), Volume4D(gt[metric][:, :, z]), labels, label
+            )
+            for region, label in REGION_LABELS.items()
+        }
+        for metric in est
+    }
+
+
+def test_gap_slab_fit_matches_whole_volume_fit(noisy_phantom):
+    methods, gaps, n_values = ("linear", "cubic", "bspline5"), (2, 5, 8), (1, 2)
+    report = run_experiment(noisy_phantom, methods=methods, gaps=gaps, n_values=n_values)
+    for n in n_values:
+        for method in methods:
+            cell = report.results[str(n)][method]
+            for k, gap_start in enumerate(gaps):
+                ref = _whole_volume_fa_md(noisy_phantom, method, gap_start, n)
+                for metric, per_region in ref.items():
+                    for region, expected in per_region.items():
+                        got = cell[metric][region]["per_gap"][k]
+                        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def test_sh_linear_fits_the_full_volume_once(noisy_phantom, monkeypatch):
+    full_fits = []
+    fit_sh = evaluate.fit_sh
+
+    def counting_fit_sh(dwi, *args, **kwargs):
+        if dwi.dims == noisy_phantom.dwi.dims:
+            full_fits.append(dwi)
+        return fit_sh(dwi, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "fit_sh", counting_fit_sh)
+    run_experiment(noisy_phantom, methods=("sh-linear",), gaps=(3, 7), n_values=(1,), threads=2)
+    assert len(full_fits) == 1

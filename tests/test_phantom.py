@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmrislice.dti import fa_map, fit_dti, md_map
+from dmrislice.dti import dti_scalars, fit_dti
 from dmrislice.phantom import (
     LABELS,
     PhantomSpec,
@@ -40,7 +40,7 @@ def test_phantom_determinism():
 def test_noiseless_fit_recovers_wm_fa():
     data = make_phantom(PhantomSpec())
     t = fit_dti(data.dwi, data.b0, data.gtab)
-    fa = fa_map(t).data[..., 0]
+    fa = dti_scalars(t)[0].data[..., 0]
     wm = data.labels.labels_array() == LABELS["wm"]
     assert np.abs(fa[wm] - WM_FA).max() < 1e-6
 
@@ -48,7 +48,7 @@ def test_noiseless_fit_recovers_wm_fa():
 def test_noiseless_fit_recovers_csf_md():
     data = make_phantom(PhantomSpec())
     t = fit_dti(data.dwi, data.b0, data.gtab)
-    md = md_map(t).data[..., 0]
+    md = dti_scalars(t)[1].data[..., 0]
     csf = data.labels.labels_array() == LABELS["csf"]
     assert np.abs(md[csf] - 3.0e-3).max() < 1e-10
 
