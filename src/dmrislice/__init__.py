@@ -9,20 +9,8 @@ evaluation harness.
 
 from .dti import TensorVolume, dti_scalars, eig_sym3, fit_dti
 from .evaluate import EvalReport, mse_region, run_experiment
-from .inference import (
-    GapSpec,
-    blend_latents,
-    histogram_match,
-    infer_gap_sh,
-    infer_gap_signal,
-)
-from .interp import (
-    InterpMethod,
-    bspline_prefilter,
-    interp_fill,
-    interp_missing_slices,
-    kernel_eval,
-)
+from .inference import blend_latents, histogram_match, infer_gap_sh, infer_gap_signal
+from .interp import bspline_prefilter, interp_missing_slices, kernel_eval
 from .nifti import read_nifti, write_nifti
 from .phantom import PhantomData, PhantomSpec, fibonacci_directions, make_phantom
 from .sh import (
@@ -37,6 +25,7 @@ from .sh import (
 )
 from .stats import wilcoxon_signed_rank
 from .volume import (
+    GapSpec,
     GradientTable,
     SliceImage,
     Volume4D,
@@ -64,9 +53,7 @@ __all__ = [
     "histogram_match",
     "infer_gap_sh",
     "infer_gap_signal",
-    "interp_fill",
     "interp_missing_slices",
-    "InterpMethod",
     "kernel_eval",
     "make_phantom",
     "mse_region",

@@ -2,7 +2,7 @@
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .model import Autoencoder, ModelConfig, build_model
-from .optim import Adam, adam_step
+from .optim import Adam
 from .train import (
     Checkpoint,
     SliceSample,
@@ -17,7 +17,6 @@ from .train import (
 
 __all__ = [
     "Adam",
-    "adam_step",
     "Autoencoder",
     "averaged_dwi_slices",
     "build_model",

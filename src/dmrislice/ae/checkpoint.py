@@ -3,7 +3,8 @@
 File layout: 5-byte magic "DSAE1", a little-endian uint32 header length, a
 JSON header holding the model config and the tensor manifest (names and
 shapes, parameters first then batch-norm running statistics), followed by the
-raw little-endian float32 tensor payloads in manifest order. Saving casts
+raw little-endian float32 tensor payloads in manifest order, and nothing after
+them; loading raises ParseError on any departure from this layout. Saving casts
 float64 state to float32, so save -> load -> save is byte-identical.
 """
 
@@ -11,11 +12,12 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
 from ..errors import IoError, ParseError
-from .model import Autoencoder, config_from_dict, config_to_dict
+from .model import Autoencoder, ModelConfig
 
 MAGIC = b"DSAE1"
 
@@ -27,7 +29,7 @@ def _manifest(model: Autoencoder):
 def save_checkpoint(model: Autoencoder, path) -> None:
     tensors = _manifest(model)
     header = {
-        "config": config_to_dict(model.cfg),
+        "config": asdict(model.cfg),
         "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in tensors],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -62,25 +64,39 @@ def load_checkpoint(path) -> Autoencoder:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: unreadable header: {exc}", offset=len(MAGIC) + 4) from exc
 
-    model = Autoencoder(config_from_dict(header["config"]))
+    if not isinstance(header, dict) or header.keys() != {"config", "tensors"}:
+        raise ParseError(f"{path}: header must be an object with 'config' and 'tensors'")
+    model = Autoencoder(_read_config(header["config"], path))
     tensors = _manifest(model)
     manifest = header["tensors"]
-    if len(manifest) != len(tensors):
-        raise ParseError(
-            f"{path}: manifest lists {len(manifest)} tensors, model has {len(tensors)}"
-        )
+    if not isinstance(manifest, list) or len(manifest) != len(tensors):
+        raise ParseError(f"{path}: manifest must list the model's {len(tensors)} tensors")
     offset = header_end
-    for entry, (name, arr) in zip(manifest, tensors):
-        shape = tuple(entry["shape"])
-        if entry["name"] != name or shape != arr.shape:
-            raise ParseError(
-                f"{path}: tensor {entry['name']} {shape} does not match model "
-                f"{name} {arr.shape}"
-            )
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4
+    for i, (entry, (name, arr)) in enumerate(zip(manifest, tensors)):
+        expected = {"name": name, "shape": list(arr.shape)}
+        if entry != expected:
+            raise ParseError(f"{path}: manifest entry {i} is {entry!r}, model has {expected}")
+        nbytes = arr.size * 4
         if len(buf) < offset + nbytes:
             raise ParseError(f"{path}: truncated tensor data", offset=len(buf))
-        values = np.frombuffer(buf, dtype="<f4", count=nbytes // 4, offset=offset)
-        arr[...] = values.reshape(shape).astype(np.float64)
+        values = np.frombuffer(buf, dtype="<f4", count=arr.size, offset=offset)
+        arr[...] = values.reshape(arr.shape).astype(np.float64)
         offset += nbytes
+    if offset != len(buf):
+        raise ParseError(f"{path}: {len(buf) - offset} bytes after the last tensor", offset=offset)
     return model
+
+
+def _read_config(cfg, path) -> ModelConfig:
+    """The model config: exactly the ModelConfig fields, each with the JSON
+    type of its default (an int is accepted for a float field)."""
+    defaults = asdict(ModelConfig())
+    if not isinstance(cfg, dict) or cfg.keys() != defaults.keys():
+        raise ParseError(f"{path}: config must hold exactly the keys {sorted(defaults)}")
+    for key, default in defaults.items():
+        value = cfg[key]
+        if type(default) is float and type(value) is int and abs(value) <= 2**53:
+            cfg[key] = value = float(value)
+        if type(value) is not type(default):
+            raise ParseError(f"{path}: config {key} must be {type(default).__name__}: {value!r}")
+    return ModelConfig(**cfg)

@@ -38,9 +38,6 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
-    def param_items(self):
-        return list(self.params.items())
-
 
 class Conv2D(Layer):
     """3x3 (zero-padded, size-preserving) or 1x1 convolution.

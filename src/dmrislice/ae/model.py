@@ -45,6 +45,8 @@ class ModelConfig:
             raise ShapeError(f"unknown upsample mode {self.upsample!r}")
         if self.input_channels < 1 or self.latent_maps < 1 or self.base_width < 1:
             raise ShapeError("channel counts must be positive")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def latent_size(self) -> int:
@@ -213,28 +215,3 @@ def build_model(cfg: ModelConfig) -> Autoencoder:
     """Construct an autoencoder with He-uniform seeded initialization."""
     return Autoencoder(cfg)
 
-
-def config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "input_channels": cfg.input_channels,
-        "latent_maps": cfg.latent_maps,
-        "input_size": cfg.input_size,
-        "base_width": cfg.base_width,
-        "upsample": cfg.upsample,
-        "bn_momentum": cfg.bn_momentum,
-        "bn_eps": cfg.bn_eps,
-        "seed": cfg.seed,
-    }
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    return ModelConfig(
-        input_channels=int(d["input_channels"]),
-        latent_maps=int(d["latent_maps"]),
-        input_size=int(d["input_size"]),
-        base_width=int(d["base_width"]),
-        upsample=str(d["upsample"]),
-        bn_momentum=float(d["bn_momentum"]),
-        bn_eps=float(d["bn_eps"]),
-        seed=int(d["seed"]),
-    )

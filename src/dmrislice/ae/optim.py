@@ -33,11 +33,3 @@ class Adam:
             v += (1.0 - b2) * g * g
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-
-def adam_step(param, grad, m, v, t, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-7):
-    """One functional Adam update for a single tensor; returns (p, m, v)."""
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

@@ -9,12 +9,13 @@ falls back to a slice-level split.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InsufficientData, ShapeError
-from ..volume import SliceImage, Volume4D, normalize_slice
+from ..errors import InsufficientData, IoError, ShapeError
+from ..volume import SliceImage, Volume4D, center_crop_pad, normalize_slice
 from .model import Autoencoder, ModelConfig, build_model
 from .optim import Adam
 
@@ -130,21 +131,9 @@ def fit_to_size(samples: list[SliceSample], size: int) -> list[SliceSample]:
     """Center-crop or zero-pad normalized samples to a square model grid."""
     out = []
     for s in samples:
-        c, h, w = s.data.shape
-        if (h, w) == (size, size):
-            out.append(s)
-            continue
-        data = np.zeros((c, size, size))
-        src_h0 = max(0, (h - size) // 2)
-        src_w0 = max(0, (w - size) // 2)
-        dst_h0 = max(0, (size - h) // 2)
-        dst_w0 = max(0, (size - w) // 2)
-        ch = min(h, size)
-        cw = min(w, size)
-        data[:, dst_h0 : dst_h0 + ch, dst_w0 : dst_w0 + cw] = s.data[
-            :, src_h0 : src_h0 + ch, src_w0 : src_w0 + cw
-        ]
-        out.append(SliceSample(data=data, subject=s.subject))
+        if s.data.shape[1:] != (size, size):
+            s = SliceSample(data=center_crop_pad(s.data, size)[0], subject=s.subject)
+        out.append(s)
     return out
 
 
@@ -178,6 +167,16 @@ def _eval_mse(model: Autoencoder, batch: np.ndarray) -> float:
     y, _ = model.forward(batch, train=False)
     d = y - batch
     return float(np.mean(d * d))
+
+
+def _open_log(path):
+    """The CSV training-log file; an in-memory stand-in when there is no path."""
+    if path is None:
+        return io.StringIO()
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def train(
@@ -216,27 +215,28 @@ def train(
     best = None
     best_epoch = 0
     n_batches = len(train_idx) // cfg.batch_size
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_idx))
-        epoch_losses = []
-        for b in range(n_batches):
-            batch = train_data[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-            mse, grads = model.loss_and_grads(batch)
-            opt.step(params, grads)
-            epoch_losses.append(mse)
-        train_mse = float(np.mean(epoch_losses))
-        val_mse = _eval_mse(model, val_data)
-        history.append((epoch, train_mse, val_mse))
-        if best is None or val_mse < best[0]:
-            best = (val_mse, model.state_snapshot())
-            best_epoch = epoch
+    with _open_log(log_path) as fh:
+        # One flushed row per epoch, so a killed run keeps its log.
+        log = csv.writer(fh)
+        log.writerow(["epoch", "train_mse", "val_mse"])
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(train_idx))
+            epoch_losses = []
+            for b in range(n_batches):
+                batch = train_data[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
+                mse, grads = model.loss_and_grads(batch)
+                opt.step(params, grads)
+                epoch_losses.append(mse)
+            train_mse = float(np.mean(epoch_losses))
+            val_mse = _eval_mse(model, val_data)
+            history.append((epoch, train_mse, val_mse))
+            log.writerow(history[-1])
+            fh.flush()
+            if best is None or val_mse < best[0]:
+                best = (val_mse, model.state_snapshot())
+                best_epoch = epoch
 
     model.load_snapshot(best[1])
-    if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_mse", "val_mse"])
-            writer.writerows(history)
     return Checkpoint(model=model, history=history, best_epoch=best_epoch)
 
 

@@ -16,14 +16,14 @@ import sys
 from . import ae
 from .errors import DmrisliceError, ParseError
 from .evaluate import ALL_METHODS, run_experiment
-from .inference import GapSpec, infer_gap_sh, infer_gap_signal
+from .inference import infer_gap_sh, infer_gap_signal
 from .interp import KINDS, interp_missing_slices
 from .dti import dti_scalars, fit_dti
 from .nifti import read_nifti, write_nifti
 from .phantom import PhantomSpec, make_phantom
 from .sh import fit_sh, project_sh, read_sh, sh_roundtrip_error, write_sh
 from .study import load_study, write_study
-from .volume import Volume4D, read_gradient_table, replace_slices, select_shell
+from .volume import GapSpec, Volume4D, b0_mean, read_gradient_table, replace_slices, select_shell
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -138,7 +138,8 @@ def cmd_fit_dti(args):
 
 def cmd_interp(args):
     vol = read_nifti(args.input)
-    slices = interp_missing_slices(vol, args.gap_start, args.n, args.method)
+    gap = GapSpec(gap_start=args.gap_start, n_missing=args.n)
+    slices = interp_missing_slices(vol, gap, args.method)
     os.makedirs(args.out, exist_ok=True)
     for k, s in enumerate(slices):
         out = Volume4D(s.data[:, :, None, :], spacing=vol.spacing, affine=vol.affine)
@@ -225,8 +226,7 @@ def cmd_infer(args):
         b0_slices = None
         if args.b0_model:
             b0_model = ae.load_checkpoint(args.b0_model)
-            b0_mean = Volume4D(data.b0.data.mean(axis=3, keepdims=True), intent="dwi")
-            b0_slices = infer_gap_signal(b0_model, b0_mean, gap)
+            b0_slices = infer_gap_signal(b0_model, b0_mean(data.b0), gap)
     else:
         if not args.b0_model:
             raise DmrisliceError("--domain sh4 requires --b0-model")
@@ -321,7 +321,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--shell-tol", dest="shell_tol", type=float, default=50.0,
                    help="b-value tolerance for shell selection (s/mm^2)")
-    p.add_argument("--threads", type=int, default=None, help="worker thread cap")
     p.add_argument("--verbose", action="store_true", help="chatty output")
     p.add_argument("--config", default=None, help="TOML-style key=value config file")
 
@@ -431,6 +430,7 @@ def build_parser() -> _Parser:
     p.add_argument("--signal-model", default=None)
     p.add_argument("--sh-model", default=None)
     p.add_argument("--b0-model", dest="b0_model", default=None)
+    p.add_argument("--threads", type=int, default=None, help="worker thread cap")
     p.add_argument("--out", required=True, help="report directory")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
@@ -464,7 +464,8 @@ def dispatch(argv) -> int:
             print(f"dmrislice: config error: {exc}", file=sys.stderr)
             return USAGE_ERROR
 
-    if args.threads is not None and args.threads < 1:
+    threads = getattr(args, "threads", None)  # only evaluate has --threads
+    if threads is not None and threads < 1:
         print("dmrislice: --threads must be >= 1", file=sys.stderr)
         return USAGE_ERROR
 

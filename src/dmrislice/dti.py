@@ -42,10 +42,6 @@ class TensorVolume:
     def dims(self) -> tuple[int, int, int]:
         return self.d6.shape[:3]
 
-    def as_matrices(self) -> np.ndarray:
-        """Dense symmetric matrices, shape (X, Y, Z, 3, 3)."""
-        return _d6_to_matrix(self.d6)
-
     def to_volume(self) -> Volume4D:
         return Volume4D(self.d6, spacing=self.spacing, affine=self.affine, intent="scalar")
 

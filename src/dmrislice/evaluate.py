@@ -33,12 +33,12 @@ import numpy as np
 
 from .dti import dti_scalars, fit_dti
 from .errors import DegenerateSample, EmptyMask, ModelMissing, ShapeError
-from .inference import GapSpec, infer_gap_sh, infer_gap_signal
+from .inference import infer_gap_sh, infer_gap_signal
 from .interp import interp_missing_slices
 from .phantom import LABELS, PhantomData
 from .sh import fit_sh, project_sh, project_sh_slice, sh_basis_matrix
 from .stats import wilcoxon_signed_rank
-from .volume import SliceImage, Volume4D
+from .volume import GapSpec, SliceImage, Volume4D, b0_mean
 
 CLASSICAL_METHODS = ("linear", "cubic", "bspline5")
 MODEL_METHODS = ("ae-signal", "ae-sh4")
@@ -145,35 +145,32 @@ class _Shared:
 
 def _shared_inputs(data: PhantomData, methods, lmax: int) -> _Shared:
     values = data.dwi.data
-    b0_mean = Volume4D(data.b0.data.mean(axis=3, keepdims=True), intent="dwi")
-    fa_gt, md_gt = dti_scalars(fit_dti(data.dwi, b0_mean, data.gtab))
+    b0 = b0_mean(data.b0)
+    fa_gt, md_gt = dti_scalars(fit_dti(data.dwi, b0, data.gtab))
     sh_coeffs = None
     if "sh-linear" in methods:
         sh_coeffs = fit_sh(data.dwi, data.gtab, lmax=lmax).volume
     span = float(values.max() - values.min()) or 1.0
-    return _Shared(span, b0_mean, fa_gt, md_gt, sh_coeffs)
+    return _Shared(span, b0, fa_gt, md_gt, sh_coeffs)
 
 
 def _estimate_slices(data: PhantomData, shared: _Shared, method, gap: GapSpec, models, lmax):
     """Returns (dwi slice estimates, b0 slice estimates) for one cell."""
-    b0_mean = shared.b0_mean
     if method in CLASSICAL_METHODS:
-        dwi_slices = interp_missing_slices(data.dwi, gap.gap_start, gap.n_missing, method)
-        b0_slices = interp_missing_slices(b0_mean, gap.gap_start, gap.n_missing, method)
+        dwi_slices = interp_missing_slices(data.dwi, gap, method)
+        b0_slices = interp_missing_slices(shared.b0_mean, gap, method)
         return dwi_slices, b0_slices
     if method == "sh-linear":
-        coeff_slices = interp_missing_slices(
-            shared.sh_coeffs, gap.gap_start, gap.n_missing, "linear"
-        )
+        coeff_slices = interp_missing_slices(shared.sh_coeffs, gap, "linear")
         basis = sh_basis_matrix(data.gtab.bvecs, lmax)
         dwi_slices = [SliceImage(project_sh_slice(s.data, basis)) for s in coeff_slices]
-        b0_slices = interp_missing_slices(b0_mean, gap.gap_start, gap.n_missing, "linear")
+        b0_slices = interp_missing_slices(shared.b0_mean, gap, "linear")
         return dwi_slices, b0_slices
     if method == "ae-signal":
         if models is None or "signal" not in models or "b0" not in models:
             raise ModelMissing("ae-signal needs 'signal' and 'b0' models")
         dwi_slices = infer_gap_signal(models["signal"], data.dwi, gap)
-        b0_slices = infer_gap_signal(models["b0"], b0_mean, gap)
+        b0_slices = infer_gap_signal(models["b0"], shared.b0_mean, gap)
         return dwi_slices, b0_slices
     if method == "ae-sh4":
         if models is None or "sh4" not in models or "b0" not in models:

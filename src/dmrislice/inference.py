@@ -9,41 +9,20 @@ average of the two unnormalized neighbor slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ae.model import Autoencoder
-from .errors import BoundaryGap, ShapeError
+from .errors import ShapeError
 from .sh import fit_sh, project_sh_slice, sh_basis_matrix
-from .volume import GradientTable, SliceImage, Volume4D, normalize_slice
-
-
-@dataclass(frozen=True)
-class GapSpec:
-    """N consecutive missing slices starting at gap_start."""
-
-    gap_start: int
-    n_missing: int
-
-    def __post_init__(self):
-        if self.n_missing not in (1, 2):
-            raise ShapeError(f"n_missing must be 1 or 2, got {self.n_missing}")
-        if self.gap_start < 1:
-            raise BoundaryGap("gap must leave a neighbor slice below it")
-
-    @property
-    def weights(self) -> list[tuple[float, float]]:
-        """Per missing slice: (weight of previous, weight of next) neighbor."""
-        n = self.n_missing
-        return [((n - k) / (n + 1), (k + 1) / (n + 1)) for k in range(n)]
-
-    def validate_for(self, z_dim: int) -> None:
-        if self.gap_start + self.n_missing > z_dim - 1:
-            raise BoundaryGap(
-                f"gap [{self.gap_start}, {self.gap_start + self.n_missing}) needs "
-                f"neighbors on both sides of a {z_dim}-slice volume"
-            )
+from .volume import (
+    GapSpec,
+    GradientTable,
+    SliceImage,
+    Volume4D,
+    b0_mean,
+    center_crop_pad,
+    normalize_slice,
+)
 
 
 def blend_latents(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
@@ -94,40 +73,14 @@ def histogram_match(source, reference):
     return out
 
 
-def center_crop_pad(data: np.ndarray, size: int) -> tuple[np.ndarray, tuple]:
-    """Center-crop or zero-pad a (W, H, C) slice to (size, size, C)."""
-    w, h, c = data.shape
-    out = np.zeros((size, size, c))
-    src_w0 = max(0, (w - size) // 2)
-    src_h0 = max(0, (h - size) // 2)
-    dst_w0 = max(0, (size - w) // 2)
-    dst_h0 = max(0, (size - h) // 2)
-    cw = min(w, size)
-    ch = min(h, size)
-    out[dst_w0 : dst_w0 + cw, dst_h0 : dst_h0 + ch] = data[
-        src_w0 : src_w0 + cw, src_h0 : src_h0 + ch
-    ]
-    return out, (w, h, src_w0, src_h0, dst_w0, dst_h0, cw, ch)
-
-
-def uncrop(data: np.ndarray, geometry: tuple) -> np.ndarray:
-    """Invert :func:`center_crop_pad`; padded borders come back as zeros."""
-    w, h, src_w0, src_h0, dst_w0, dst_h0, cw, ch = geometry
-    out = np.zeros((w, h, data.shape[2]))
-    out[src_w0 : src_w0 + cw, src_h0 : src_h0 + ch] = data[
-        dst_w0 : dst_w0 + cw, dst_h0 : dst_h0 + ch
-    ]
-    return out
-
-
 def _to_batches(data: np.ndarray, model: Autoencoder):
-    """Arrange a (W, H, C) slice for the model: (1, C, W, H) when channel
+    """Arrange a (C, W, H) slice for the model: (1, C, W, H) when channel
     counts match, else C single-channel items for a 1-channel model."""
-    c = data.shape[2]
+    c = data.shape[0]
     if model.cfg.input_channels == c:
-        return data.transpose(2, 0, 1)[None]
+        return data[None]
     if model.cfg.input_channels == 1:
-        return data.transpose(2, 0, 1)[:, None]
+        return data[:, None]
     raise ShapeError(
         f"model expects {model.cfg.input_channels} channels, slice has {c}"
     )
@@ -152,12 +105,12 @@ def infer_between_slices(
 
     prepared = []
     for s in (prev_slice, next_slice):
-        cropped, geometry = center_crop_pad(normalize_slice(s).data, size)
+        chw = normalize_slice(s).data.transpose(2, 0, 1)
+        cropped, (src, dst) = center_crop_pad(chw, size)
         prepared.append(_to_batches(cropped, model))
     z_prev = model.encode(prepared[0], train=False)
     z_next = model.encode(prepared[1], train=False)
 
-    w, h, src_w0, src_h0, dst_w0, dst_h0, cw, ch = geometry
     outputs = []
     for w_prev, w_next in gap.weights:
         blended = blend_latents(z_prev, z_next, w_prev)
@@ -166,12 +119,11 @@ def infer_between_slices(
         reference = w_prev * prev_slice.data + w_next * next_slice.data
         # Histogram-match over the model's real field of view (padding and
         # crop borders excluded); anything outside the crop falls back to the
-        # reference, the weighted neighbor average.
-        source_real = raw[dst_w0 : dst_w0 + cw, dst_h0 : dst_h0 + ch]
-        ref_real = reference[src_w0 : src_w0 + cw, src_h0 : src_h0 + ch]
-        matched = histogram_match(SliceImage(source_real), SliceImage(ref_real))
+        # reference, the weighted neighbor average. The crop windows cover
+        # (W, H), the leading axes of these (W, H, C) arrays.
+        matched = histogram_match(SliceImage(raw[dst]), SliceImage(reference[src]))
         out = reference.copy()
-        out[src_w0 : src_w0 + cw, src_h0 : src_h0 + ch] = matched.data
+        out[src] = matched.data
         outputs.append(SliceImage(out))
     return outputs
 
@@ -219,6 +171,5 @@ def infer_gap_sh(
     basis = sh_basis_matrix(g.bvecs, lmax)
     dwi_slices = [SliceImage(project_sh_slice(s.data, basis)) for s in inferred]
 
-    b0_mean = Volume4D(b0.data.mean(axis=3, keepdims=True), intent="dwi")
-    b0_slices = infer_gap_signal(model_b0, b0_mean, gap)
+    b0_slices = infer_gap_signal(model_b0, b0_mean(b0), gap)
     return dwi_slices, b0_slices

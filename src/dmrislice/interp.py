@@ -8,36 +8,18 @@ interpolation along z. All methods use whole-sample mirror boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BoundaryGap, ShapeError
-from .volume import SliceImage, Volume4D, replace_slices
+from .errors import ShapeError
+from .volume import GapSpec, SliceImage, Volume4D
 
 # Real poles of the z-transform of the sampled quintic B-spline,
 # i.e. the two roots of z^4 + 26 z^3 + 66 z^2 + 26 z + 1 inside the unit circle.
 BSPLINE5_POLES = (-0.4305753470999736, -0.043096288203264665)
 
-KINDS = ("linear", "cubic", "bspline5")
-
-
-@dataclass(frozen=True)
-class InterpMethod:
-    kind: str
-    boundary: str = "mirror"
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ShapeError(f"unknown interpolation kind {self.kind!r}")
-        if self.boundary != "mirror":
-            raise ShapeError(f"unsupported boundary {self.boundary!r}")
-
-
-def _as_method(method) -> InterpMethod:
-    if isinstance(method, InterpMethod):
-        return method
-    return InterpMethod(kind=str(method))
+# Tap offsets of each kernel, relative to the floor of the evaluation point.
+_TAPS = {"linear": (0, 1), "cubic": (-1, 0, 1, 2), "bspline5": (-2, -1, 0, 1, 2, 3)}
+KINDS = tuple(_TAPS)
 
 
 def keys_cubic(x: float) -> float:
@@ -65,29 +47,16 @@ def bspline5(x: float) -> float:
 
 
 def kernel_eval(method, t: float) -> np.ndarray:
-    """Tap weights at fractional offset t in [0, 1).
-
-    Taps are anchored at integer offsets relative to floor of the evaluation
-    point: 2 taps (0, 1) for linear, 4 taps (-1..2) for cubic, 6 taps (-2..3)
-    for bspline5 (to be applied to prefiltered coefficients).
-    """
-    kind = _as_method(method).kind
+    """Tap weights at fractional offset t in [0, 1), one per tap offset; the
+    bspline5 weights apply to prefiltered coefficients."""
+    if method not in KINDS:
+        raise ShapeError(f"unknown interpolation kind {method!r}")
     if not 0.0 <= t < 1.0 + 1e-12:
         raise ShapeError(f"fractional offset {t} outside [0, 1)")
-    if kind == "linear":
+    if method == "linear":
         return np.array([1.0 - t, t])
-    if kind == "cubic":
-        return np.array([keys_cubic(t - p) for p in (-1, 0, 1, 2)])
-    return np.array([bspline5(t - p) for p in (-2, -1, 0, 1, 2, 3)])
-
-
-def kernel_offsets(method) -> np.ndarray:
-    kind = _as_method(method).kind
-    if kind == "linear":
-        return np.array([0, 1])
-    if kind == "cubic":
-        return np.array([-1, 0, 1, 2])
-    return np.array([-2, -1, 0, 1, 2, 3])
+    kernel = keys_cubic if method == "cubic" else bspline5
+    return np.array([kernel(t - p) for p in _TAPS[method]])
 
 
 def _initial_causal(c: np.ndarray, z: float, tol: float = 1e-14) -> np.ndarray:
@@ -146,10 +115,10 @@ def _mirror_index(idx: int, n: int) -> int:
     return period - idx if idx >= n else idx
 
 
-def _eval_at(flat, n, base, t, method, offsets):
+def _eval_at(flat, n, base, t, method):
     weights = kernel_eval(method, t)
     acc = np.zeros(flat.shape[1])
-    for w, off in zip(weights, offsets):
+    for w, off in zip(weights, _TAPS[method]):
         if w == 0.0:
             continue
         acc += w * flat[_mirror_index(base + off, n)]
@@ -157,15 +126,14 @@ def _eval_at(flat, n, base, t, method, offsets):
 
 
 def _prepare_stack(samples, method):
-    m = _as_method(method)
     arr = np.asarray(samples, dtype=np.float64)
     n = arr.shape[0]
     if n < 2:
         raise ShapeError("need at least 2 slices along z")
     flat = arr.reshape(n, -1)
-    if m.kind == "bspline5":
+    if method == "bspline5":
         flat = bspline_prefilter(flat)
-    return m, arr, flat, n
+    return arr, flat, n
 
 
 def resample_z(samples: np.ndarray, positions, method) -> np.ndarray:
@@ -174,8 +142,7 @@ def resample_z(samples: np.ndarray, positions, method) -> np.ndarray:
     ``samples`` has shape (Z, ...); the output has shape (len(positions), ...).
     For bspline5 the stack is prefiltered along axis 0 first.
     """
-    m, arr, flat, n = _prepare_stack(samples, method)
-    offsets = kernel_offsets(m)
+    arr, flat, n = _prepare_stack(samples, method)
     out = np.empty((len(positions),) + arr.shape[1:], dtype=np.float64)
     for i, pos in enumerate(positions):
         base = int(np.floor(pos))
@@ -183,61 +150,29 @@ def resample_z(samples: np.ndarray, positions, method) -> np.ndarray:
         if t >= 1.0:  # numerical edge when pos is the next integer
             base += 1
             t = 0.0
-        out[i] = _eval_at(flat, n, base, t, m, offsets).reshape(arr.shape[1:])
+        out[i] = _eval_at(flat, n, base, t, method).reshape(arr.shape[1:])
     return out
 
 
-def gap_positions(gap_start: int, n_missing: int) -> list[float]:
-    """Fractional z positions of the missing slices on the remaining grid.
-
-    After removing the gap, the surviving neighbors are adjacent samples at
-    gap_start-1 and gap_start; missing slice k sits at fraction (k+1)/(N+1)
-    between them, so the nearer neighbor always dominates.
-    """
-    return [(gap_start - 1) + (k + 1) / (n_missing + 1) for k in range(n_missing)]
-
-
-def _check_gap(z_dim: int, gap_start: int, n_missing: int) -> None:
-    if n_missing not in (1, 2):
-        raise ShapeError(f"n_missing must be 1 or 2, got {n_missing}")
-    if gap_start < 1 or gap_start + n_missing > z_dim - 1:
-        raise BoundaryGap(
-            f"gap [{gap_start}, {gap_start + n_missing}) needs neighbors on both "
-            f"sides of a {z_dim}-slice volume"
-        )
-
-
-def interp_missing_slices(
-    v: Volume4D, gap_start: int, n_missing: int, method
-) -> list[SliceImage]:
+def interp_missing_slices(v: Volume4D, gap: GapSpec, method) -> list[SliceImage]:
     """Reconstruct N missing slices by 1-D interpolation along z.
 
     The slices inside the gap are treated as absent: interpolation runs
-    through the remaining slice samples at the fractional positions of the
-    gap (0.5 for N=1; exactly 1/3 and 2/3 for N=2, nearer neighbor heavier).
+    through the remaining slice samples, where the gap's neighbors are
+    adjacent, at the gap's fractional positions (see :attr:`GapSpec.weights`).
     """
-    _check_gap(v.dims[2], gap_start, n_missing)
-    keep = [z for z in range(v.dims[2]) if not gap_start <= z < gap_start + n_missing]
+    gap.validate_for(v.dims[2])
+    end = gap.gap_start + gap.n_missing
+    keep = [z for z in range(v.dims[2]) if not gap.gap_start <= z < end]
     remaining = np.moveaxis(v.data[:, :, keep, :], 2, 0)  # (Zr, X, Y, V)
-    m, arr, flat, n = _prepare_stack(remaining, method)
-    offsets = kernel_offsets(m)
-    base = gap_start - 1
+    arr, flat, n = _prepare_stack(remaining, method)
+    base = gap.gap_start - 1
     out = []
-    for k in range(n_missing):
-        if m.kind == "linear":
-            # Exact rational neighbor weights: (1/2, 1/2) for N=1 and
-            # (2/3, 1/3), (1/3, 2/3) for N=2, nearer neighbor heavier.
-            w_prev = (n_missing - k) / (n_missing + 1)
-            w_next = (k + 1) / (n_missing + 1)
+    for w_prev, w_next in gap.weights:
+        if method == "linear":
+            # The exact rational neighbor weights, not the kernel's 1 - t.
             est = w_prev * flat[base] + w_next * flat[base + 1]
         else:
-            t = (k + 1) / (n_missing + 1)
-            est = _eval_at(flat, n, base, t, m, offsets)
+            est = _eval_at(flat, n, base, w_next, method)
         out.append(SliceImage(est.reshape(arr.shape[1:])))
     return out
-
-
-def interp_fill(v: Volume4D, gap_start: int, n_missing: int, method) -> Volume4D:
-    """Volume with the gap slices replaced by interpolated estimates."""
-    slices = interp_missing_slices(v, gap_start, n_missing, method)
-    return replace_slices(v, gap_start, slices)

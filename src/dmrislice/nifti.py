@@ -3,7 +3,8 @@
 Supports little-endian, uncompressed files with scalar datatypes
 {uint8, int16, int32, float32, float64}. Data are returned in (x, y, z, v)
 order with x fastest on disk, scl_slope/scl_inter applied when the slope is
-nonzero. The writer always emits float32 with vox_offset 352.
+nonzero. Non-finite voxel values are rejected on reading. The writer always
+emits float32 with vox_offset 352.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import IoError, ParseError, UnsupportedFormat
+from .errors import IoError, ParseError, ShapeError, UnsupportedFormat
 from .volume import Volume4D
 
 HEADER_SIZE = 348
@@ -131,6 +132,12 @@ def read_nifti(path, intent: str | None = None) -> Volume4D:
     slope, inter = struct.unpack_from("<2f", buf, _OFF_SCL_SLOPE)
     if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
         data = data * slope + inter
+    bad = ~np.isfinite(data)
+    if bad.any():
+        first = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise ShapeError(
+            f"{path}: {np.count_nonzero(bad)} non-finite voxel values, the first at {first}"
+        )
 
     sform_code = struct.unpack_from("<h", buf, _OFF_SFORM_CODE)[0]
     qform_code = struct.unpack_from("<h", buf, _OFF_QFORM_CODE)[0]

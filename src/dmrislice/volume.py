@@ -2,6 +2,10 @@
 
 Volumes are stored as float64 arrays indexed (x, y, z, v). Instances are
 frozen after construction and safe to share across threads.
+
+Facts several stages share are owned here: the gap geometry and neighbor
+weights (:class:`GapSpec`), the crop/pad onto the model grid
+(:func:`center_crop_pad`) and the b0 mean of the tensor fits (:func:`b0_mean`).
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EmptyShell, ParseError, ShapeError
+from .errors import BoundaryGap, EmptyShell, ParseError, ShapeError
 
 # b-values at or below this (s/mm^2) are treated as unweighted (b0) images.
 B0_THRESHOLD = 50.0
@@ -259,3 +263,58 @@ def replace_slices(v: Volume4D, z_start: int, slices: list[SliceImage]) -> Volum
             )
         data[:, :, z, :] = s.data
     return v.with_data(data)
+
+
+def b0_mean(b0: Volume4D) -> Volume4D:
+    """Voxelwise mean of the b0 volumes, as a single-volume DWI."""
+    return Volume4D(b0.data.mean(axis=3, keepdims=True), intent="dwi")
+
+
+@dataclass(frozen=True)
+class GapSpec:
+    """N consecutive missing slices starting at gap_start."""
+
+    gap_start: int
+    n_missing: int
+
+    def __post_init__(self):
+        if self.n_missing not in (1, 2):
+            raise ShapeError(f"n_missing must be 1 or 2, got {self.n_missing}")
+        if self.gap_start < 1:
+            raise BoundaryGap("gap must leave a neighbor slice below it")
+
+    @property
+    def weights(self) -> list[tuple[float, float]]:
+        """Per missing slice: (weight of previous, weight of next) neighbor.
+
+        Slice k sits at fraction (k+1)/(N+1) between the neighbors, so the
+        nearer one weighs more: (2/3, 1/3) and (1/3, 2/3) for N=2.
+        """
+        n = self.n_missing
+        return [((n - k) / (n + 1), (k + 1) / (n + 1)) for k in range(n)]
+
+    def validate_for(self, z_dim: int) -> None:
+        if self.gap_start + self.n_missing > z_dim - 1:
+            raise BoundaryGap(
+                f"gap [{self.gap_start}, {self.gap_start + self.n_missing}) needs "
+                f"neighbors on both sides of a {z_dim}-slice volume"
+            )
+
+
+def center_crop_pad(data: np.ndarray, size: int) -> tuple[np.ndarray, tuple]:
+    """Center-crop or zero-pad the last two axes of ``data`` to (size, size).
+
+    Returns the result and the (source, destination) windows, each a pair of
+    slices over those two axes: ``out[..., *dst] == data[..., *src]``.
+    """
+    src, dst = [], []
+    for n in data.shape[-2:]:
+        keep = min(n, size)
+        src0 = max(0, (n - size) // 2)
+        dst0 = max(0, (size - n) // 2)
+        src.append(slice(src0, src0 + keep))
+        dst.append(slice(dst0, dst0 + keep))
+    src, dst = tuple(src), tuple(dst)
+    out = np.zeros(data.shape[:-2] + (size, size))
+    out[(...,) + dst] = data[(...,) + src]
+    return out, (src, dst)

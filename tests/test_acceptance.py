@@ -176,10 +176,10 @@ def test_criterion_04_interpolation_exactness():
     rng = np.random.default_rng(4)
     v = rng.standard_normal((6, 6, 8, 3))
     vol = Volume4D(v)
-    mid = interp_missing_slices(vol, 3, 1, "linear")[0].data
+    mid = interp_missing_slices(vol, GapSpec(3, 1), "linear")[0].data
     exact_n1 = np.array_equal(mid, (v[:, :, 2, :] + v[:, :, 4, :]) / 2.0)
 
-    two = interp_missing_slices(vol, 3, 2, "linear")
+    two = interp_missing_slices(vol, GapSpec(3, 2), "linear")
     exact_n2 = np.array_equal(
         two[0].data, (2 / 3) * v[:, :, 2, :] + (1 / 3) * v[:, :, 5, :]
     ) and np.array_equal(two[1].data, (1 / 3) * v[:, :, 2, :] + (2 / 3) * v[:, :, 5, :])

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from dmrislice.ae import ModelConfig, build_model, save_checkpoint
 from dmrislice.cli import dispatch, parse_config_file
-from dmrislice.nifti import read_nifti
+from dmrislice.nifti import read_nifti, write_nifti
 from dmrislice.sh import read_sh
+from dmrislice.volume import Volume4D
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +176,39 @@ def test_usage_errors_exit_1(capsys):
 def test_data_errors_exit_2(tmp_path):
     code = dispatch(["evaluate", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "r")])
     assert code == 2
+
+
+def test_corrupt_checkpoint_exits_2(study_dir, tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes() + b"\x00")  # a byte after the last tensor
+    code = dispatch(
+        ["infer", "--data", str(study_dir), "--model", str(ckpt), "--gap-start", "3",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+
+
+def test_non_finite_input_exits_2(tmp_path):
+    data = np.ones((4, 4, 5, 1))
+    data[1, 2, 3, 0] = np.nan
+    path = tmp_path / "nan.nii"
+    write_nifti(Volume4D(data), path)
+    code = dispatch(
+        ["interp", "--input", str(path), "--gap-start", "2", "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+
+
+def test_threads_only_on_evaluate(study_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["sh-bound", "--data", str(study_dir), "--threads", "2"])
+    assert exc.value.code == 1
+    assert dispatch(["sh-bound", "--data", str(study_dir)]) == 0
+    code = dispatch(
+        ["evaluate", "--data", str(study_dir), "--threads", "0", "--out", str(tmp_path / "r")]
+    )
+    assert code == 1
 
 
 def test_help_exits_zero():

@@ -9,7 +9,7 @@ from dmrislice.errors import EmptyMask, ModelMissing, ShapeError
 from dmrislice.evaluate import REGION_LABELS, mse_region, run_experiment
 from dmrislice.interp import interp_missing_slices
 from dmrislice.phantom import PhantomSpec, make_phantom
-from dmrislice.volume import Volume4D, replace_slices
+from dmrislice.volume import GapSpec, Volume4D, replace_slices
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +188,8 @@ def _whole_volume_fa_md(data, method, gap_start, n):
         return {"fa_mse": fa, "md_mse": lam.mean(axis=-1)}
 
     def filled(vol):
-        return replace_slices(vol, gap_start, interp_missing_slices(vol, gap_start, n, method))
+        slices = interp_missing_slices(vol, GapSpec(gap_start, n), method)
+        return replace_slices(vol, gap_start, slices)
 
     gt = maps(data.dwi, b0_mean)
     est = maps(filled(data.dwi), filled(b0_mean))

@@ -6,15 +6,13 @@ from dmrislice.errors import BoundaryGap, ShapeError
 from dmrislice.inference import (
     GapSpec,
     blend_latents,
-    center_crop_pad,
     histogram_match,
     infer_between_slices,
     infer_gap_sh,
     infer_gap_signal,
-    uncrop,
 )
 from dmrislice.phantom import PhantomSpec, make_phantom
-from dmrislice.volume import SliceImage, Volume4D
+from dmrislice.volume import SliceImage, Volume4D, center_crop_pad
 
 MODEL16 = ModelConfig(input_channels=1, latent_maps=2, input_size=16, base_width=1, seed=0)
 
@@ -103,16 +101,17 @@ def test_histogram_match_rank_preserving():
 def test_crop_pad_roundtrip():
     rng = np.random.default_rng(6)
     for w, h in ((10, 14), (20, 24), (16, 16)):
-        data = rng.random((w, h, 2))
-        cropped, geom = center_crop_pad(data, 16)
-        assert cropped.shape == (16, 16, 2)
-        restored = uncrop(cropped, geom)
+        data = rng.random((2, w, h))
+        cropped, (src, dst) = center_crop_pad(data, 16)
+        assert cropped.shape == (2, 16, 16)
+        restored = np.zeros_like(data)
+        restored[(...,) + src] = cropped[(...,) + dst]
         # within the overlap region the values survive
         mask = np.zeros((w, h), dtype=bool)
         w0 = max(0, (w - 16) // 2)
         h0 = max(0, (h - 16) // 2)
         mask[w0 : w0 + min(w, 16), h0 : h0 + min(h, 16)] = True
-        assert np.array_equal(restored[mask], data[mask])
+        assert np.array_equal(restored[:, mask], data[:, mask])
 
 
 @pytest.fixture(scope="module")

@@ -8,13 +8,11 @@ from dmrislice.interp import (
     BSPLINE5_POLES,
     bspline5,
     bspline_prefilter,
-    gap_positions,
-    interp_fill,
     interp_missing_slices,
     kernel_eval,
     resample_z,
 )
-from dmrislice.volume import Volume4D
+from dmrislice.volume import GapSpec, Volume4D, replace_slices
 
 
 def dense_prefilter_oracle(x):
@@ -87,7 +85,7 @@ def test_interpolation_condition_all_methods():
 def test_linear_midpoint():
     vol = np.zeros((3, 3, 3, 1))
     vol[:, :, 2, :] = 2.0
-    out = interp_missing_slices(Volume4D(vol), 1, 1, "linear")
+    out = interp_missing_slices(Volume4D(vol), GapSpec(1, 1), "linear")
     assert np.allclose(out[0].data, 1.0)
 
 
@@ -96,14 +94,19 @@ def test_linear_two_slice_weights_exact():
     a, b = 7.0, 1.0  # neighbors below (z=1) and above (z=4)
     vol[:, :, 1, :] = a
     vol[:, :, 4, :] = b
-    out = interp_missing_slices(Volume4D(vol), 2, 2, "linear")
+    out = interp_missing_slices(Volume4D(vol), GapSpec(2, 2), "linear")
     assert np.allclose(out[0].data, (2 * a + b) / 3.0)
     assert np.allclose(out[1].data, (a + 2 * b) / 3.0)
 
 
+def gap_positions(gap: GapSpec) -> list[float]:
+    """Fractional positions of the missing slices on the remaining grid."""
+    return [(gap.gap_start - 1) + w_next for _, w_next in gap.weights]
+
+
 def test_gap_positions():
-    assert gap_positions(3, 1) == [2.5]
-    assert gap_positions(3, 2) == [2 + 1 / 3, 2 + 2 / 3]
+    assert gap_positions(GapSpec(3, 1)) == [2.5]
+    assert gap_positions(GapSpec(3, 2)) == [2 + 1 / 3, 2 + 2 / 3]
 
 
 def test_cubic_reproduces_quadratic_profiles():
@@ -115,7 +118,7 @@ def test_cubic_reproduces_quadratic_profiles():
     z = np.arange(24, dtype=float)
     stack = coef[0][None] + coef[1][None] * z[:, None, None] + coef[2][None] * z[:, None, None] ** 2
     vol = Volume4D(np.moveaxis(stack, 0, 2)[:, :, :, None])
-    out = interp_missing_slices(vol, 11, 1, "cubic")
+    out = interp_missing_slices(vol, GapSpec(11, 1), "cubic")
     # with one slice removed the 4 cubic taps sit at -1.5, -0.5, +0.5, +1.5
     # slice spacings around the target: evaluate the polynomial there directly
     zs = np.array([zz for zz in range(24) if zz != 11], dtype=float)
@@ -155,26 +158,27 @@ def test_linearity_of_interpolation():
     w = rng.standard_normal((2, 2, 8, 1))
     alpha = 2.75
     for kind in ("linear", "cubic", "bspline5"):
-        a = interp_missing_slices(Volume4D(alpha * v + w), 3, 1, kind)[0].data
-        b = interp_missing_slices(Volume4D(v), 3, 1, kind)[0].data
-        c = interp_missing_slices(Volume4D(w), 3, 1, kind)[0].data
+        gap = GapSpec(3, 1)
+        a = interp_missing_slices(Volume4D(alpha * v + w), gap, kind)[0].data
+        b = interp_missing_slices(Volume4D(v), gap, kind)[0].data
+        c = interp_missing_slices(Volume4D(w), gap, kind)[0].data
         assert np.abs(a - (alpha * b + c)).max() < 1e-10
 
 
 def test_boundary_gap_rejected():
     vol = Volume4D(np.zeros((2, 2, 5, 1)))
     with pytest.raises(BoundaryGap):
-        interp_missing_slices(vol, 0, 1, "linear")
+        interp_missing_slices(vol, GapSpec(0, 1), "linear")
     with pytest.raises(BoundaryGap):
-        interp_missing_slices(vol, 4, 1, "linear")
+        interp_missing_slices(vol, GapSpec(4, 1), "linear")
     with pytest.raises(BoundaryGap):
-        interp_missing_slices(vol, 3, 2, "linear")
+        interp_missing_slices(vol, GapSpec(3, 2), "linear")
 
 
 def test_interp_fill_replaces_gap_only():
     rng = np.random.default_rng(6)
     vol = Volume4D(rng.standard_normal((3, 3, 7, 2)))
-    filled = interp_fill(vol, 3, 1, "linear")
+    filled = replace_slices(vol, 3, interp_missing_slices(vol, GapSpec(3, 1), "linear"))
     keep = [z for z in range(7) if z != 3]
     assert np.array_equal(filled.data[:, :, keep, :], vol.data[:, :, keep, :])
     assert not np.array_equal(filled.data[:, :, 3, :], vol.data[:, :, 3, :])

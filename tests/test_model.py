@@ -1,15 +1,21 @@
+import json
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dmrislice.ae import (
     Adam,
     ModelConfig,
-    adam_step,
     build_model,
     load_checkpoint,
     save_checkpoint,
 )
-from dmrislice.errors import ParseError, ShapeError
+from dmrislice.errors import DmrisliceError, ParseError, ShapeError
 from gradcheck import check_model_gradients
 
 TINY = ModelConfig(input_channels=1, latent_maps=2, input_size=16, base_width=1, seed=3)
@@ -141,11 +147,9 @@ def test_composed_gradients_transposed_decoder():
 
 def test_adam_first_step_closed_form():
     # With g=1 on the first step, m_hat = 1, v_hat = 1: update = lr / (1 + eps).
-    p = np.array([1.0])
-    m = np.zeros(1)
-    v = np.zeros(1)
-    p2, m2, v2 = adam_step(p, np.ones(1), m, v, t=1, lr=5e-5)
-    assert p2[0] == pytest.approx(1.0 - 5e-5 / (1.0 + 1e-7), abs=1e-15)
+    p = [np.array([1.0])]
+    Adam(lr=5e-5).step(p, [np.ones(1)])
+    assert p[0][0] == pytest.approx(1.0 - 5e-5 / (1.0 + 1e-7), abs=1e-15)
 
 
 def test_adam_zero_gradient_keeps_parameters():
@@ -203,6 +207,148 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(ParseError):
         load_checkpoint(p)
+
+
+def rewrite_header(path, edit):
+    """Replace a checkpoint's JSON header by ``edit(header)``, keeping the tensors."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 5)
+    blob = json.dumps(edit(json.loads(raw[9 : 9 + n]))).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + n :])
+
+
+def edit_config(**changes):
+    def edit(header):
+        for key, value in changes.items():
+            if value is None:
+                del header["config"][key]
+            else:
+                header["config"][key] = value
+        return header
+
+    return edit
+
+
+def edit_entry(entry):
+    def edit(header):
+        header["tensors"][0] = entry(header["tensors"][0])
+        return header
+
+    return edit
+
+
+def assert_rejected(tmp_path, edit):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(build_model(TINY), p)
+    rewrite_header(p, edit)
+    with pytest.raises(ParseError):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda h: [h], lambda h: {"tensors": h["tensors"]}, lambda h: {**h, "extra": 1}],
+    ids=["list", "no-config", "extra-key"],
+)
+def test_checkpoint_header_must_be_config_and_tensors(tmp_path, edit):
+    assert_rejected(tmp_path, edit)
+
+
+@pytest.mark.parametrize(
+    "edit", [edit_config(seed=None), edit_config(dtype="float32")], ids=["no-seed", "extra-field"]
+)
+def test_checkpoint_config_keys_must_be_the_model_config_fields(tmp_path, edit):
+    assert_rejected(tmp_path, edit)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        edit_config(input_size="16"),
+        edit_config(base_width=True),
+        edit_config(input_channels=1.0),
+        edit_config(upsample=0),
+        edit_config(bn_eps="1e-3"),
+    ],
+    ids=["str-for-int", "bool-for-int", "float-for-int", "int-for-str", "str-for-float"],
+)
+def test_checkpoint_config_values_must_have_the_field_json_type(tmp_path, edit):
+    assert_rejected(tmp_path, edit)
+
+
+def test_checkpoint_config_accepts_an_int_for_a_float_field(tmp_path):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(build_model(TINY), p)
+    rewrite_header(p, edit_config(bn_momentum=1))
+    momentum = load_checkpoint(p).cfg.bn_momentum
+    assert momentum == 1.0 and type(momentum) is float
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        edit_entry(lambda e: e["name"]),
+        edit_entry(lambda e: {"name": e["name"]}),
+        edit_entry(lambda e: {**e, "shape": [str(d) for d in e["shape"]]}),
+        edit_entry(lambda e: {**e, "dtype": "<f4"}),
+        lambda h: {**h, "tensors": {"layer00.w": h["tensors"][0]}},
+    ],
+    ids=["string", "no-shape", "str-dims", "extra-key", "not-a-list"],
+)
+def test_checkpoint_malformed_manifest_entry_rejected(tmp_path, edit):
+    assert_rejected(tmp_path, edit)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(build_model(TINY), p)
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(ParseError):
+        load_checkpoint(p)
+
+
+def _tiny_checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "x.ckpt")
+        save_checkpoint(build_model(TINY), p)
+        with open(p, "rb") as fh:
+            return fh.read()
+
+
+TINY_BYTES = _tiny_checkpoint_bytes()
+(_HEADER_LEN,) = struct.unpack_from("<I", TINY_BYTES, 5)
+# Half the mutations land in the magic, length or JSON header, where almost
+# every loader check lives; the rest anywhere in the file.
+_POSITION = st.one_of(
+    st.integers(0, 9 + _HEADER_LEN - 1), st.integers(0, len(TINY_BYTES) - 1)
+)
+_VARIANT = st.one_of(
+    st.tuples(st.just("mutate"), st.lists(st.tuples(_POSITION, st.integers(0, 255)), min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0, len(TINY_BYTES) - 1)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_VARIANT)
+def test_checkpoint_fuzz_loads_or_raises_dmrislice_error(variant):
+    kind, arg = variant
+    raw = bytearray(TINY_BYTES)
+    if kind == "mutate":
+        for pos, value in arg:
+            raw[pos] = value
+    elif kind == "truncate":
+        del raw[arg:]
+    else:
+        raw += arg
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "x.ckpt")
+        with open(p, "wb") as fh:
+            fh.write(raw)
+        try:
+            load_checkpoint(p)
+        except DmrisliceError:
+            pass
 
 
 def test_wrong_channel_checkpoint_raises_at_use(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmrislice.errors import ParseError, UnsupportedFormat
+from dmrislice.errors import ParseError, ShapeError, UnsupportedFormat
 from dmrislice.nifti import HEADER_SIZE, VOX_OFFSET, read_nifti, write_nifti
 from dmrislice.volume import Volume4D
 
@@ -70,6 +70,17 @@ def test_scl_slope_applied(tmp_path):
     p.write_bytes(bytes(raw))
     v = read_nifti(p)
     assert np.all(v.data == 7.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_voxels_rejected(tmp_path, bad):
+    p = tmp_path / "t.nii"
+    values = np.ones((3, 2, 2, 2), dtype=np.float32)
+    values[1, 0, 1, 0] = bad
+    values[2, 1, 1, 1] = bad
+    synth_nifti(p, (3, 2, 2, 2), 16, "<f4", values)
+    with pytest.raises(ShapeError, match=r"2 non-finite voxel values, the first at \(1, 0, 1, 0\)"):
+        read_nifti(p)
 
 
 def test_write_header_constants(tmp_path):

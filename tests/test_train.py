@@ -1,4 +1,5 @@
 import csv
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,27 @@ def test_training_log_csv(phantom16, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "train_mse", "val_mse"]
     assert len(rows) == 1 + len(ckpt.history)
+
+
+def test_training_log_keeps_the_rows_of_a_killed_run(phantom16, tmp_path, monkeypatch):
+    train_module = sys.modules["dmrislice.ae.train"]
+    real_eval = train_module._eval_mse
+    calls = []
+
+    def eval_then_die(model, batch):
+        calls.append(1)
+        if len(calls) == 3:  # epoch 2
+            raise RuntimeError("killed")
+        return real_eval(model, batch)
+
+    monkeypatch.setattr(train_module, "_eval_mse", eval_then_die)
+    log = tmp_path / "log.csv"
+    with pytest.raises(RuntimeError, match="killed"):
+        train(small_dataset(phantom16), quick_cfg(epochs=5), TINY_MODEL, log_path=log)
+    with open(log) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["epoch", "train_mse", "val_mse"]
+    assert len(rows) == 1 + 2
 
 
 def test_subject_split_avoids_leakage(phantom16):
