@@ -11,13 +11,14 @@ float64 state to float32, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
 import numpy as np
 
 from ..errors import IoError, ParseError
-from .model import Autoencoder, ModelConfig
+from .model import Autoencoder, ModelConfig, tensor_manifest
 
 MAGIC = b"DSAE1"
 
@@ -66,24 +67,29 @@ def load_checkpoint(path) -> Autoencoder:
 
     if not isinstance(header, dict) or header.keys() != {"config", "tensors"}:
         raise ParseError(f"{path}: header must be an object with 'config' and 'tensors'")
-    model = Autoencoder(_read_config(header["config"], path))
-    tensors = _manifest(model)
+    cfg = _read_config(header["config"], path)
+    # Check the manifest and the file size against the config before the
+    # model is built, so a corrupt config allocates nothing.
+    expected = tensor_manifest(cfg)
     manifest = header["tensors"]
-    if not isinstance(manifest, list) or len(manifest) != len(tensors):
-        raise ParseError(f"{path}: manifest must list the model's {len(tensors)} tensors")
+    if not isinstance(manifest, list) or len(manifest) != len(expected):
+        raise ParseError(f"{path}: manifest must list the model's {len(expected)} tensors")
+    for i, (entry, (name, shape)) in enumerate(zip(manifest, expected)):
+        want = {"name": name, "shape": list(shape)}
+        if entry != want:
+            raise ParseError(f"{path}: manifest entry {i} is {entry!r}, model has {want}")
+    data_end = header_end + 4 * sum(math.prod(shape) for _, shape in expected)
+    if len(buf) < data_end:
+        raise ParseError(f"{path}: truncated tensor data", offset=len(buf))
+    if len(buf) > data_end:
+        raise ParseError(f"{path}: {len(buf) - data_end} bytes after the last tensor", offset=data_end)
+
+    model = Autoencoder(cfg)
     offset = header_end
-    for i, (entry, (name, arr)) in enumerate(zip(manifest, tensors)):
-        expected = {"name": name, "shape": list(arr.shape)}
-        if entry != expected:
-            raise ParseError(f"{path}: manifest entry {i} is {entry!r}, model has {expected}")
-        nbytes = arr.size * 4
-        if len(buf) < offset + nbytes:
-            raise ParseError(f"{path}: truncated tensor data", offset=len(buf))
+    for _, arr in _manifest(model):
         values = np.frombuffer(buf, dtype="<f4", count=arr.size, offset=offset)
         arr[...] = values.reshape(arr.shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(buf):
-        raise ParseError(f"{path}: {len(buf) - offset} bytes after the last tensor", offset=offset)
+        offset += arr.size * 4
     return model
 
 

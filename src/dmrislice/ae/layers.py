@@ -3,6 +3,15 @@
 All arrays are float64 NCHW. Each layer owns its parameters and, after a
 backward call, the matching gradients. Layers cache whatever the backward
 pass needs; a forward call invalidates the previous cache.
+
+Convolutions are im2col GEMMs over tiles of the batch. Each tile's column
+block, ``(c*k*k, n*h*w)`` with rows ordered like ``w.reshape(o, -1)``, holds
+about ``_TILE_BYTES`` so that it stays in cache while one GEMM consumes it; a
+single item whose columns exceed the budget forms a tile of its own. A
+convolution layer caches only its zero-padded input: the weight gradient
+rebuilds each tile's column block from it and sums ``dy_tile @ cols_tile.T``
+over the tiles, and the input gradient is the forward kernel applied to
+``dy`` with the flipped, channel-transposed weights.
 """
 
 from __future__ import annotations
@@ -11,17 +20,57 @@ import numpy as np
 
 from ..errors import ShapeError
 
+_TILE_BYTES = 1 << 20
+
+
+def _column_tiles(xp, k):
+    """Yields ``(batch slice, column block)`` over the padded input ``xp``.
+
+    The block of a tile of n items is ``(c*k*k, n*h*w)``: row ``(c, i, j)``
+    holds ``xp[:, c, i:i+h, j:j+w]`` of every item. All tiles share one
+    buffer, so a block is only valid until the next one is yielded.
+    """
+    b, c, hp, wp = xp.shape
+    h, w = hp - k + 1, wp - k + 1
+    per_item = c * k * k * h * w
+    n_max = min(b, max(1, _TILE_BYTES // (per_item * xp.itemsize)))
+    buf = np.empty(n_max * per_item, dtype=xp.dtype)
+    for start in range(0, b, n_max):
+        n = min(n_max, b - start)
+        cols = buf[: n * per_item].reshape(c, k, k, n, h, w)
+        tile = xp[start : start + n].transpose(1, 0, 2, 3)
+        for i in range(k):
+            for j in range(k):
+                cols[:, i, j] = tile[:, :, i : i + h, j : j + w]
+        yield slice(start, start + n), cols.reshape(c * k * k, n * h * w)
+
 
 def _conv_correlate(x, w, bias, pad):
-    """'Same'-size 2-D correlation: y[b,o] = sum_c x[b,c] * w[o,c] + bias[o]."""
-    k = w.shape[2]
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    y = np.einsum("bchwij,ocij->bohw", cols, w, optimize=True)
+    """'Same'-size 2-D correlation: y[b,o] = sum_c x[b,c] * w[o,c] + bias[o].
+
+    Returns ``y`` and the zero-padded input, which is what the weight
+    gradient needs.
+    """
+    o, k = w.shape[0], w.shape[2]
+    b, _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    w2 = w.reshape(o, -1)
+    y = np.empty((b, o, h, wd))
+    for items, cols in _column_tiles(xp, k):
+        y[items] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
     if bias is not None:
         y += bias[:, None, None]
-    return y, cols
+    return y, xp
+
+
+def _conv_weight_grad(xp, dy, k):
+    """Gradient of the correlation w.r.t. its ``(o, c, k, k)`` weights, from
+    the padded input and the output gradient."""
+    o = dy.shape[1]
+    dw = np.zeros((o, xp.shape[1] * k * k))
+    for items, cols in _column_tiles(xp, k):
+        dw += dy[items].transpose(1, 0, 2, 3).reshape(o, -1) @ cols.T
+    return dw.reshape(o, -1, k, k)
 
 
 class Layer:
@@ -31,6 +80,12 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
+
+    @staticmethod
+    def tensor_shapes(*args) -> tuple[dict, dict]:
+        """Parameter and buffer shapes, by name in creation order, of the
+        layer these constructor arguments build."""
+        return {}, {}
 
     def forward(self, x, train=False):
         raise NotImplementedError
@@ -46,27 +101,34 @@ class Conv2D(Layer):
     are built without one because the normalization would cancel it.
     """
 
+    @staticmethod
+    def tensor_shapes(c_in, c_out, ksize, rng=None, bias=False):
+        params = {"w": (c_out, c_in, ksize, ksize)}
+        if bias:
+            params["b"] = (c_out,)
+        return params, {}
+
     def __init__(self, c_in, c_out, ksize, rng, bias=False):
         super().__init__()
         self.c_in, self.c_out, self.ksize = c_in, c_out, ksize
         self.pad = ksize // 2
+        shapes, _ = self.tensor_shapes(c_in, c_out, ksize, bias=bias)
         fan_in = c_in * ksize * ksize
         limit = np.sqrt(6.0 / fan_in)  # He-uniform
-        self.params["w"] = rng.uniform(-limit, limit, size=(c_out, c_in, ksize, ksize))
+        self.params["w"] = rng.uniform(-limit, limit, size=shapes["w"])
         if bias:
-            self.params["b"] = np.zeros(c_out)
-        self._cols = None
+            self.params["b"] = np.zeros(shapes["b"])
+        self._padded = None
 
     def forward(self, x, train=False):
         if x.shape[1] != self.c_in:
             raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[1]}")
-        y, cols = _conv_correlate(x, self.params["w"], self.params.get("b"), self.pad)
-        self._cols = cols
+        y, self._padded = _conv_correlate(x, self.params["w"], self.params.get("b"), self.pad)
         return y
 
     def backward(self, dy):
         w = self.params["w"]
-        self.grads["w"] = np.einsum("bchwij,bohw->ocij", self._cols, dy, optimize=True)
+        self.grads["w"] = _conv_weight_grad(self._padded, dy, self.ksize)
         if "b" in self.params:
             self.grads["b"] = dy.sum(axis=(0, 2, 3))
         # Gradient w.r.t. input: correlate dy with the spatially flipped,
@@ -79,15 +141,20 @@ class Conv2D(Layer):
 class ConvTranspose2D(Layer):
     """3x3 stride-2 transposed convolution doubling the spatial size."""
 
+    @staticmethod
+    def tensor_shapes(c_in, c_out, rng=None, bias=False):
+        return Conv2D.tensor_shapes(c_in, c_out, 3, bias=bias)
+
     def __init__(self, c_in, c_out, rng, bias=False):
         super().__init__()
         self.c_in, self.c_out = c_in, c_out
+        shapes, _ = self.tensor_shapes(c_in, c_out, bias=bias)
         fan_in = c_in * 9
         limit = np.sqrt(6.0 / fan_in)
-        self.params["w"] = rng.uniform(-limit, limit, size=(c_out, c_in, 3, 3))
+        self.params["w"] = rng.uniform(-limit, limit, size=shapes["w"])
         if bias:
-            self.params["b"] = np.zeros(c_out)
-        self._stuffed_cols = None
+            self.params["b"] = np.zeros(shapes["b"])
+        self._padded = None
 
     def _stuff(self, x):
         b, c, h, w = x.shape
@@ -101,12 +168,11 @@ class ConvTranspose2D(Layer):
         # Transposed conv == zero-stuff then convolve (flipped-kernel correlate).
         z = self._stuff(x)
         w_flip = self.params["w"][:, :, ::-1, ::-1]
-        y, cols = _conv_correlate(z, w_flip, self.params.get("b"), pad=1)
-        self._stuffed_cols = cols
+        y, self._padded = _conv_correlate(z, w_flip, self.params.get("b"), pad=1)
         return y
 
     def backward(self, dy):
-        dw_flip = np.einsum("bchwij,bohw->ocij", self._stuffed_cols, dy, optimize=True)
+        dw_flip = _conv_weight_grad(self._padded, dy, 3)
         self.grads["w"] = dw_flip[:, :, ::-1, ::-1]
         if "b" in self.params:
             self.grads["b"] = dy.sum(axis=(0, 2, 3))
@@ -119,15 +185,21 @@ class ConvTranspose2D(Layer):
 class BatchNorm2D(Layer):
     """Per-channel batch normalization with running statistics."""
 
+    @staticmethod
+    def tensor_shapes(channels, momentum=0.99, eps=1e-3):
+        one = (channels,)
+        return {"gamma": one, "beta": one}, {"running_mean": one, "running_var": one}
+
     def __init__(self, channels, momentum=0.99, eps=1e-3):
         super().__init__()
         self.channels = channels
         self.momentum = momentum
         self.eps = eps
-        self.params["gamma"] = np.ones(channels)
-        self.params["beta"] = np.zeros(channels)
-        self.buffers["running_mean"] = np.zeros(channels)
-        self.buffers["running_var"] = np.ones(channels)
+        params, buffers = self.tensor_shapes(channels)
+        self.params["gamma"] = np.ones(params["gamma"])
+        self.params["beta"] = np.zeros(params["beta"])
+        self.buffers["running_mean"] = np.zeros(buffers["running_mean"])
+        self.buffers["running_var"] = np.ones(buffers["running_var"])
         self._cache = None
 
     def forward(self, x, train=False):

@@ -65,44 +65,73 @@ class ModelConfig:
         return tuple(self.base_width * (2**i) for i in range(N_POOLINGS, -1, -1))
 
 
+def _architecture(cfg: ModelConfig, rng):
+    """Encoder and decoder as lists of (layer class, constructor arguments).
+
+    This is the one description of the network: the constructor builds the
+    layers from it and :func:`tensor_manifest` reads their tensor shapes from
+    it. ``rng`` is passed to the seeded layers in construction order.
+    """
+    encoder: list = []
+    decoder: list = []
+
+    def block(layers, c_in, c_out):
+        layers.append((Conv2D, (c_in, c_out, 3, rng)))
+        layers.append((BatchNorm2D, (c_out, cfg.bn_momentum, cfg.bn_eps)))
+        layers.append((ELU, ()))
+
+    c = cfg.input_channels
+    for width in cfg.encoder_widths:
+        block(encoder, c, width)
+        block(encoder, width, width)
+        encoder.append((AvgPool2x2, ()))
+        c = width
+    for width in cfg.extra_widths:
+        block(encoder, c, width)
+        c = width
+
+    widths = cfg.decoder_widths  # e.g. (512, 256, 128, 64, 32)
+    block(decoder, cfg.latent_maps, widths[0])
+    c = widths[0]
+    for width in widths[1:]:
+        if cfg.upsample == "nearest":
+            decoder.append((NearestUpsample2x2, ()))
+            decoder.append((Conv2D, (c, width, 3, rng)))
+        else:
+            decoder.append((ConvTranspose2D, (c, width, rng)))
+        decoder.append((BatchNorm2D, (width, cfg.bn_momentum, cfg.bn_eps)))
+        decoder.append((ELU, ()))
+        c = width
+    decoder.append((Conv2D, (c, cfg.input_channels, 1, rng, True)))
+    decoder.append((Sigmoid, ()))
+    return encoder, decoder
+
+
+def _tensor_name(index: int, name: str) -> str:
+    return f"layer{index:02d}.{name}"
+
+
+def tensor_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, then every buffer, of the model
+    built from ``cfg``, in the order of ``parameters()`` and
+    ``named_buffers()``; nothing is allocated."""
+    encoder, decoder = _architecture(cfg, None)
+    params, buffers = [], []
+    for i, (cls, args) in enumerate(encoder + decoder):
+        p, b = cls.tensor_shapes(*args)
+        params += [(_tensor_name(i, name), shape) for name, shape in p.items()]
+        buffers += [(_tensor_name(i, name), shape) for name, shape in b.items()]
+    return params + buffers
+
+
 class Autoencoder:
     """Holds the ordered layer stacks and provides encode/decode/forward."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
-        self.encoder: list = []
-        self.decoder: list = []
-
-        def block(layers, c_in, c_out, rng):
-            layers.append(Conv2D(c_in, c_out, 3, rng))
-            layers.append(BatchNorm2D(c_out, cfg.bn_momentum, cfg.bn_eps))
-            layers.append(ELU())
-
-        c = cfg.input_channels
-        for width in cfg.encoder_widths:
-            block(self.encoder, c, width, rng)
-            block(self.encoder, width, width, rng)
-            self.encoder.append(AvgPool2x2())
-            c = width
-        for width in cfg.extra_widths:
-            block(self.encoder, c, width, rng)
-            c = width
-
-        widths = cfg.decoder_widths  # e.g. (512, 256, 128, 64, 32)
-        block(self.decoder, cfg.latent_maps, widths[0], rng)
-        c = widths[0]
-        for width in widths[1:]:
-            if cfg.upsample == "nearest":
-                self.decoder.append(NearestUpsample2x2())
-                self.decoder.append(Conv2D(c, width, 3, rng))
-            else:
-                self.decoder.append(ConvTranspose2D(c, width, rng))
-            self.decoder.append(BatchNorm2D(width, cfg.bn_momentum, cfg.bn_eps))
-            self.decoder.append(ELU())
-            c = width
-        self.decoder.append(Conv2D(c, cfg.input_channels, 1, rng, bias=True))
-        self.decoder.append(Sigmoid())
+        encoder, decoder = _architecture(cfg, np.random.default_rng(cfg.seed))
+        self.encoder = [cls(*args) for cls, args in encoder]
+        self.decoder = [cls(*args) for cls, args in decoder]
 
     # -- plumbing ----------------------------------------------------------
     def _layers(self):
@@ -113,7 +142,7 @@ class Autoencoder:
         out = []
         for i, layer in enumerate(self._layers()):
             for name, arr in layer.params.items():
-                out.append((f"layer{i:02d}.{name}", arr))
+                out.append((_tensor_name(i, name), arr))
         return out
 
     def gradients(self):
@@ -136,7 +165,7 @@ class Autoencoder:
         out = []
         for i, layer in enumerate(self._layers()):
             for name, arr in layer.buffers.items():
-                out.append((f"layer{i:02d}.{name}", arr))
+                out.append((_tensor_name(i, name), arr))
         return out
 
     def state_snapshot(self):

@@ -23,7 +23,15 @@ from .nifti import read_nifti, write_nifti
 from .phantom import PhantomSpec, make_phantom
 from .sh import fit_sh, project_sh, read_sh, sh_roundtrip_error, write_sh
 from .study import load_study, write_study
-from .volume import GapSpec, Volume4D, b0_mean, read_gradient_table, replace_slices, select_shell
+from .volume import (
+    GapSpec,
+    Volume4D,
+    b0_mean,
+    read_gradient_table,
+    read_text_lines,
+    replace_slices,
+    select_shell,
+)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -41,12 +49,7 @@ def parse_config_file(path) -> dict:
     Values may be numbers, booleans, quoted strings, or bare words.
     """
     options = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text_lines(path), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -455,12 +458,14 @@ def dispatch(argv) -> int:
         return USAGE_ERROR
 
     if args.config:
-        explicit = _explicit_dests(argv)
-        dests = set(vars(args))
         try:
             config = parse_config_file(args.config)
-            _apply_config(args, dests, config, explicit)
-        except ParseError as exc:
+        except ParseError as exc:  # malformed input: a data error
+            print(f"dmrislice: config error: {exc}", file=sys.stderr)
+            return DATA_ERROR
+        try:
+            _apply_config(args, set(vars(args)), config, _explicit_dests(argv))
+        except ParseError as exc:  # an unknown key, like an unknown flag
             print(f"dmrislice: config error: {exc}", file=sys.stderr)
             return USAGE_ERROR
 

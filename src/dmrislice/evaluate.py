@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .dti import dti_scalars, fit_dti
 from .errors import DegenerateSample, EmptyMask, ModelMissing, ShapeError
 from .inference import infer_gap_sh, infer_gap_signal
@@ -228,8 +230,12 @@ def run_experiment(
 
     ``models`` maps {'signal', 'sh4', 'b0'} to Autoencoder instances for the
     model-based methods. Cells run in a thread pool when ``threads`` exceeds
-    one (each cell gets its own model clones); report assembly is always in
-    fixed order, so the output is identical either way. ``folds`` > 1 adds a
+    one (each pool thread clones the models once, on its first cell); report
+    assembly is always in fixed order, so the output is identical either way.
+    Serial or pooled, every cell runs with one BLAS thread, so the pool's
+    threads do not oversubscribe the cores and ``threads`` never changes what
+    a cell computes; the setting is process-wide while the cells run and the
+    previous count is restored afterwards. ``folds`` > 1 adds a
     per-fold breakdown (gap positions split round-robin), the desk-scale
     stand-in for subject-level cross-validation.
     """
@@ -261,17 +267,19 @@ def run_experiment(
         return _evaluate_cell(data, shared, method, gap, local_models, lmax)
 
     jobs = [(n, m, g) for n in n_values for m in methods for g in gaps]
-    if threads is not None and threads > 1:
-        def worker(job):
-            local = (
-                {k: v.clone() for k, v in models.items()} if models else None
-            )
-            return run_cell(job, local)
+    with one_blas_thread():
+        if threads is not None and threads > 1:
+            local = threading.local()
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = dict(zip(jobs, pool.map(worker, jobs)))
-    else:
-        cells = {job: run_cell(job, models) for job in jobs}
+            def worker(job):
+                if models and not hasattr(local, "models"):
+                    local.models = {k: v.clone() for k, v in models.items()}
+                return run_cell(job, getattr(local, "models", None))
+
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                cells = dict(zip(jobs, pool.map(worker, jobs)))
+        else:
+            cells = {job: run_cell(job, models) for job in jobs}
 
     for n in n_values:
         n_key = str(n)

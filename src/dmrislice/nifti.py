@@ -114,11 +114,13 @@ def read_nifti(path, intent: str | None = None) -> Volume4D:
     pixdim = struct.unpack_from("<8f", buf, _OFF_PIXDIM)
     spacing = tuple(float(p) if p > 0 else 1.0 for p in pixdim[1:4])
 
-    vox_offset = int(round(struct.unpack_from("<f", buf, _OFF_VOX_OFFSET)[0]))
-    if vox_offset < HEADER_SIZE:
+    vox_offset = struct.unpack_from("<f", buf, _OFF_VOX_OFFSET)[0]
+    if not vox_offset >= HEADER_SIZE or vox_offset > len(buf):
         raise ParseError(
-            f"{path}: vox_offset {vox_offset} overlaps the header", offset=_OFF_VOX_OFFSET
+            f"{path}: vox_offset {vox_offset} lies outside the data section",
+            offset=_OFF_VOX_OFFSET,
         )
+    vox_offset = int(round(vox_offset))
     count = nx * ny * nz * nv
     needed = vox_offset + count * dtype.itemsize
     if len(buf) < needed:

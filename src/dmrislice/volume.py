@@ -192,21 +192,31 @@ def select_shell(
     return sub, GradientTable(g.bvals[keep], g.bvecs[keep])
 
 
-def _parse_numeric_rows(path) -> list[list[float]]:
+def read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; an unreadable or undecodable file is
+    a ParseError."""
     try:
-        with open(path, "r") as fh:
-            lines = fh.readlines()
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _parse_numeric_rows(path) -> list[list[float]]:
     rows = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text_lines(path), start=1):
         tokens = line.split()
         if not tokens:
             continue
         try:
-            rows.append([float(t) for t in tokens])
+            row = [float(t) for t in tokens]
         except ValueError as exc:
             raise ParseError(f"non-numeric token in {path}", offset=lineno) from exc
+        if not np.all(np.isfinite(row)):
+            raise ParseError(f"non-finite value in {path}", offset=lineno)
+        rows.append(row)
     return rows
 
 

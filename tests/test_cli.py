@@ -1,10 +1,15 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import mutation
 from dmrislice.ae import ModelConfig, build_model, save_checkpoint
 from dmrislice.cli import dispatch, parse_config_file
+from dmrislice.errors import DmrisliceError
 from dmrislice.nifti import read_nifti, write_nifti
 from dmrislice.sh import read_sh
 from dmrislice.volume import Volume4D
@@ -200,6 +205,40 @@ def test_non_finite_input_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "bval,bvec",
+    [
+        (b"0 1000\x80\n", b"0 1\n0 0\n0 0\n"),
+        (b"0 1000\n", b"0 nan\n0 0\n0 0\n"),
+        (b"0 1000\n", b"0 1\n0 0\n"),
+        (b"0 1000 x\n", b"0 1\n0 0\n0 0\n"),
+    ],
+    ids=["not-utf8", "nan", "two-rows", "non-numeric"],
+)
+def test_corrupt_gradient_table_exits_2(tmp_path, bval, bvec):
+    write_nifti(Volume4D(np.ones((4, 4, 3, 2))), tmp_path / "dwi.nii")
+    (tmp_path / "x.bval").write_bytes(bval)
+    (tmp_path / "x.bvec").write_bytes(bvec)
+    code = dispatch(
+        ["fit-sh", "--dwi", str(tmp_path / "dwi.nii"), "--bval", str(tmp_path / "x.bval"),
+         "--bvec", str(tmp_path / "x.bvec"), "--out", str(tmp_path / "sh.nii")]
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text", [b"seed = 7\nmethods\n", b"seed = \n", b"seed = 7 \xff\n"],
+    ids=["no-equals", "empty-value", "not-utf8"],
+)
+def test_corrupt_config_file_exits_2(study_dir, tmp_path, text):
+    cfg = tmp_path / "c.toml"
+    cfg.write_bytes(text)
+    code = dispatch(
+        ["evaluate", "--data", str(study_dir), "--config", str(cfg), "--out", str(tmp_path / "r")]
+    )
+    assert code == 2
+
+
 def test_threads_only_on_evaluate(study_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         dispatch(["sh-bound", "--data", str(study_dir), "--threads", "2"])
@@ -241,6 +280,28 @@ name = 'quoted'
         "sigma": 0.5,
         "name": "quoted",
     }
+
+
+CONFIG = b"""# comment line
+methods = "linear,cubic"
+gaps = '2,3'   # trailing comment
+seed = 7
+verbose = true
+sigma = 0.5
+"""
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation.variants(CONFIG, hot=len(CONFIG), alphabet=b"=#\"' \n-_.0123456789eE"))
+def test_config_fuzz_parses_or_raises_dmrislice_error(variant):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "c.toml")
+        with open(p, "wb") as fh:
+            fh.write(mutation.apply(CONFIG, variant))
+        try:
+            parse_config_file(p)
+        except DmrisliceError:
+            pass
 
 
 def test_config_flags_override_file(study_dir, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dmrislice.evaluate as evaluate
+from dmrislice.ae import Autoencoder, ModelConfig, build_model
 from dmrislice.dti import eig_sym3, fit_dti
 from dmrislice.errors import EmptyMask, ModelMissing, ShapeError
 from dmrislice.evaluate import REGION_LABELS, mse_region, run_experiment
@@ -134,13 +135,28 @@ def test_determinism_modulo_timing(noisy_phantom):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_threaded_equals_serial(noisy_phantom):
-    kw = dict(methods=("linear", "cubic"), gaps=(3, 5, 7), n_values=(1,))
+def test_threaded_equals_serial(noisy_phantom, monkeypatch):
+    models = {
+        "signal": build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=0)),
+        "b0": build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=1)),
+        "sh4": build_model(
+            ModelConfig(input_channels=15, latent_maps=2, input_size=16, base_width=1, seed=2)
+        ),
+    }
+    kw = dict(
+        methods=("linear", "cubic", "ae-signal", "ae-sh4"), gaps=(3, 5, 7), n_values=(1, 2),
+        models=models,
+    )
     serial = run_experiment(noisy_phantom, **kw).to_dict()
+    clones = []
+    clone = Autoencoder.clone
+    monkeypatch.setattr(Autoencoder, "clone", lambda self: clones.append(self) or clone(self))
     threaded = run_experiment(noisy_phantom, threads=3, **kw).to_dict()
     serial.pop("timing")
     threaded.pop("timing")
     assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
+    # Each pool thread clones each model once, not once per cell.
+    assert 0 < len(clones) <= 3 * len(models)
 
 
 def test_report_files(noisy_phantom, tmp_path):

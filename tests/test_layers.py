@@ -9,6 +9,7 @@ from dmrislice.ae.layers import (
     ConvTranspose2D,
     NearestUpsample2x2,
     Sigmoid,
+    _column_tiles,
 )
 from gradcheck import check_layer_gradients
 
@@ -118,3 +119,99 @@ def test_elu_values():
     y = layer.forward(x)
     expected = np.where(x > 0, x, np.expm1(x))
     assert np.allclose(y, expected, atol=1e-15)
+
+
+# -- the tiled im2col kernel against the whole-batch einsum formula ----------
+
+
+def einsum_correlate(x, w, bias, pad):
+    """The earlier kernel: one einsum over a sliding-window view of the whole
+    padded batch. Returns the output and the window view."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    y = np.einsum("bchwij,ocij->bohw", cols, w, optimize=True)
+    if bias is not None:
+        y += bias[:, None, None]
+    return y, cols
+
+
+def einsum_conv(w, bias, x, dy):
+    """Forward output, input gradient and weight gradient of a same-size conv."""
+    pad = w.shape[2] // 2
+    y, cols = einsum_correlate(x, w, bias, pad)
+    dw = np.einsum("bchwij,bohw->ocij", cols, dy, optimize=True)
+    dx, _ = einsum_correlate(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None, pad)
+    return y, dx, dw
+
+
+def einsum_conv_transpose(w, bias, x, dy):
+    b, c, h, wd = x.shape
+    z = np.zeros((b, c, 2 * h, 2 * wd))
+    z[:, :, ::2, ::2] = x
+    y, cols = einsum_correlate(z, w[:, :, ::-1, ::-1], bias, 1)
+    dw = np.einsum("bchwij,bohw->ocij", cols, dy, optimize=True)[:, :, ::-1, ::-1]
+    dz, _ = einsum_correlate(dy, w.transpose(1, 0, 2, 3), None, 1)
+    return y, dz[:, :, ::2, ::2], dw
+
+
+def tile_sizes(batch, c, k, h, w):
+    xp = np.zeros((batch, c, h + k - 1, w + k - 1))
+    return [items.stop - items.start for items, _ in _column_tiles(xp, k)]
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+# (batch, c_in, c_out, ksize, size, items per tile); one 4x64x64 item's
+# 3x3 columns take 1.2 MB, over the tile budget.
+KERNEL_CASES = {
+    "batch-1": (1, 3, 4, 3, 8, [1]),
+    "ragged-tiles": (31, 4, 3, 3, 16, [14, 14, 3]),
+    "item-over-budget": (2, 4, 2, 3, 64, [1, 1]),
+    "1x1": (5, 3, 5, 1, 8, [5]),
+    "c_in-1": (3, 1, 4, 3, 8, [3]),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+def test_conv_matches_einsum_formula(case):
+    batch, c_in, c_out, k, size, tiles = case
+    assert tile_sizes(batch, c_in, k, size, size) == tiles
+    rng = np.random.default_rng(20)
+    conv = Conv2D(c_in, c_out, k, rng, bias=True)
+    conv.params["b"] = rng.standard_normal(c_out)
+    x = rng.standard_normal((batch, c_in, size, size))
+    dy = rng.standard_normal((batch, c_out, size, size))
+    y = conv.forward(x, train=True)
+    dx = conv.backward(dy)
+    want_y, want_dx, want_dw = einsum_conv(conv.params["w"], conv.params["b"], x, dy)
+    assert_close(y, want_y)
+    assert_close(dx, want_dx)
+    assert_close(conv.grads["w"], want_dw)
+
+
+TRANSPOSE_CASES = {
+    "batch-1": (1, 3, 4, 4, [1]),
+    "ragged-tiles": (31, 4, 3, 8, [14, 14, 3]),
+    "item-over-budget": (2, 4, 2, 32, [1, 1]),
+    "c_in-1": (3, 1, 4, 4, [3]),
+}
+
+
+@pytest.mark.parametrize("case", TRANSPOSE_CASES.values(), ids=TRANSPOSE_CASES.keys())
+def test_conv_transpose_matches_einsum_formula(case):
+    batch, c_in, c_out, size, tiles = case
+    assert tile_sizes(batch, c_in, 3, 2 * size, 2 * size) == tiles
+    rng = np.random.default_rng(21)
+    layer = ConvTranspose2D(c_in, c_out, rng, bias=True)
+    layer.params["b"] = rng.standard_normal(c_out)
+    x = rng.standard_normal((batch, c_in, size, size))
+    dy = rng.standard_normal((batch, c_out, 2 * size, 2 * size))
+    y = layer.forward(x, train=True)
+    dx = layer.backward(dy)
+    want_y, want_dx, want_dw = einsum_conv_transpose(layer.params["w"], layer.params["b"], x, dy)
+    assert_close(y, want_y)
+    assert_close(dx, want_dx)
+    assert_close(layer.grads["w"], want_dw)

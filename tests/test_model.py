@@ -2,11 +2,11 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from dmrislice.ae import (
     Adam,
@@ -15,7 +15,9 @@ from dmrislice.ae import (
     load_checkpoint,
     save_checkpoint,
 )
+from dmrislice.ae.model import tensor_manifest
 from dmrislice.errors import DmrisliceError, ParseError, ShapeError
+import mutation
 from gradcheck import check_model_gradients
 
 TINY = ModelConfig(input_channels=1, latent_maps=2, input_size=16, base_width=1, seed=3)
@@ -299,6 +301,30 @@ def test_checkpoint_malformed_manifest_entry_rejected(tmp_path, edit):
     assert_rejected(tmp_path, edit)
 
 
+@pytest.mark.parametrize("upsample", ["nearest", "transposed"])
+def test_tensor_manifest_matches_the_built_model(upsample):
+    cfg = ModelConfig(input_channels=3, latent_maps=2, input_size=16, base_width=2, upsample=upsample)
+    model = build_model(cfg)
+    built = [(name, arr.shape) for name, arr in model.parameters() + model.named_buffers()]
+    assert tensor_manifest(cfg) == built
+
+
+def test_corrupt_config_is_rejected_before_the_model_is_built(tmp_path):
+    # base_width 91 names a model of ~140M parameters; the manifest of the
+    # base_width 1 tensors must be found wrong without allocating it.
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(build_model(TINY), p)
+    rewrite_header(p, edit_config(base_width=91))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            load_checkpoint(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "x.ckpt"
     save_checkpoint(build_model(TINY), p)
@@ -317,34 +343,17 @@ def _tiny_checkpoint_bytes() -> bytes:
 
 TINY_BYTES = _tiny_checkpoint_bytes()
 (_HEADER_LEN,) = struct.unpack_from("<I", TINY_BYTES, 5)
+
+
 # Half the mutations land in the magic, length or JSON header, where almost
 # every loader check lives; the rest anywhere in the file.
-_POSITION = st.one_of(
-    st.integers(0, 9 + _HEADER_LEN - 1), st.integers(0, len(TINY_BYTES) - 1)
-)
-_VARIANT = st.one_of(
-    st.tuples(st.just("mutate"), st.lists(st.tuples(_POSITION, st.integers(0, 255)), min_size=1, max_size=4)),
-    st.tuples(st.just("truncate"), st.integers(0, len(TINY_BYTES) - 1)),
-    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
-)
-
-
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_VARIANT)
+@given(mutation.variants(TINY_BYTES, hot=9 + _HEADER_LEN))
 def test_checkpoint_fuzz_loads_or_raises_dmrislice_error(variant):
-    kind, arg = variant
-    raw = bytearray(TINY_BYTES)
-    if kind == "mutate":
-        for pos, value in arg:
-            raw[pos] = value
-    elif kind == "truncate":
-        del raw[arg:]
-    else:
-        raw += arg
     with tempfile.TemporaryDirectory() as tmp:
         p = os.path.join(tmp, "x.ckpt")
         with open(p, "wb") as fh:
-            fh.write(raw)
+            fh.write(mutation.apply(TINY_BYTES, variant))
         try:
             load_checkpoint(p)
         except DmrisliceError:

@@ -1,11 +1,14 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dmrislice.errors import ParseError, ShapeError, UnsupportedFormat
+import mutation
+from dmrislice.errors import DmrisliceError, ParseError, ShapeError, UnsupportedFormat
 from dmrislice.nifti import HEADER_SIZE, VOX_OFFSET, read_nifti, write_nifti
 from dmrislice.volume import Volume4D
 
@@ -154,3 +157,40 @@ def test_two_file_magic_rejected(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(UnsupportedFormat):
         read_nifti(p)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 1e30])
+def test_vox_offset_outside_the_file_rejected(tmp_path, value):
+    p = tmp_path / "t.nii"
+    synth_nifti(p, (2, 2, 1, 1), 16, "<f4", np.zeros((2, 2, 1, 1)))
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<f", raw, 108, value)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ParseError):
+        read_nifti(p)
+
+
+def _small_nifti_bytes() -> bytes:
+    rng = np.random.default_rng(3)
+    v = Volume4D(rng.uniform(0, 1, (3, 2, 2, 2)), spacing=(1.0, 1.5, 2.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "x.nii")
+        write_nifti(v, p)
+        with open(p, "rb") as fh:
+            return fh.read()
+
+
+SMALL_NIFTI = _small_nifti_bytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutation.variants(SMALL_NIFTI, hot=VOX_OFFSET))
+def test_nifti_fuzz_reads_or_raises_dmrislice_error(variant):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "x.nii")
+        with open(p, "wb") as fh:
+            fh.write(mutation.apply(SMALL_NIFTI, variant))
+        try:
+            read_nifti(p)
+        except DmrisliceError:
+            pass

@@ -1,9 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmrislice.errors import EmptyShell, ParseError, ShapeError
+import mutation
+from dmrislice.errors import DmrisliceError, EmptyShell, ParseError, ShapeError
 from dmrislice.volume import (
     GradientTable,
     SliceImage,
@@ -145,6 +149,35 @@ def test_read_gradient_table_shape_errors(tmp_path):
     bvec.write_text("0 1\n0 0\n")  # two rows only
     with pytest.raises(ParseError):
         read_gradient_table(bval, bvec)
+
+
+BVAL = b"0 1000 1000 2000\n"
+BVEC = b"0 1 0 0.6\n0 0 1 0.8\n0 0 0 0\n"
+NUMERIC = b"0123456789.-+eE \t\nnaif"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("bval"), mutation.variants(BVAL, hot=len(BVAL), alphabet=NUMERIC)),
+        st.tuples(st.just("bvec"), mutation.variants(BVEC, hot=len(BVEC), alphabet=NUMERIC)),
+    )
+)
+def test_gradient_table_fuzz_reads_or_raises_dmrislice_error(target):
+    which, variant = target
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"bval": BVAL, "bvec": BVEC}
+        files[which] = mutation.apply(files[which], variant)
+        paths = {}
+        for name, raw in files.items():
+            paths[name] = os.path.join(tmp, f"x.{name}")
+            with open(paths[name], "wb") as fh:
+                fh.write(raw)
+        try:
+            g = read_gradient_table(paths["bval"], paths["bvec"])
+        except DmrisliceError:
+            return
+        assert np.all(np.isfinite(g.bvals)) and np.all(np.isfinite(g.bvecs))
 
 
 def test_replace_slices():
