@@ -1,8 +1,12 @@
 """Neural-network layers with explicit forward and backward passes.
 
 All arrays are float64 NCHW. Each layer owns its parameters and, after a
-backward call, the matching gradients. Layers cache whatever the backward
-pass needs; a forward call invalidates the previous cache.
+backward call, the matching gradients. Only a ``train=True`` forward records
+state: the activations its backward pass needs and, in batch normalization,
+the running statistics. A ``train=False`` forward reads the parameters and
+buffers and writes nothing but the return value (it drops whatever an earlier
+training forward cached), so one model can serve inference on several threads
+at once, and ``backward`` after it raises a ``ShapeError``.
 
 Convolutions are im2col GEMMs over tiles of the batch. Each tile's column
 block, ``(c*k*k, n*h*w)`` with rows ordered like ``w.reshape(o, -1)``, holds
@@ -93,6 +97,12 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
+    def _trained(self, cache):
+        """The cache of the last forward, which must have run in train mode."""
+        if cache is None:
+            raise ShapeError(f"{type(self).__name__}.backward needs a train=True forward")
+        return cache
+
 
 class Conv2D(Layer):
     """3x3 (zero-padded, size-preserving) or 1x1 convolution.
@@ -123,12 +133,13 @@ class Conv2D(Layer):
     def forward(self, x, train=False):
         if x.shape[1] != self.c_in:
             raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[1]}")
-        y, self._padded = _conv_correlate(x, self.params["w"], self.params.get("b"), self.pad)
+        y, padded = _conv_correlate(x, self.params["w"], self.params.get("b"), self.pad)
+        self._padded = padded if train else None
         return y
 
     def backward(self, dy):
         w = self.params["w"]
-        self.grads["w"] = _conv_weight_grad(self._padded, dy, self.ksize)
+        self.grads["w"] = _conv_weight_grad(self._trained(self._padded), dy, self.ksize)
         if "b" in self.params:
             self.grads["b"] = dy.sum(axis=(0, 2, 3))
         # Gradient w.r.t. input: correlate dy with the spatially flipped,
@@ -168,11 +179,12 @@ class ConvTranspose2D(Layer):
         # Transposed conv == zero-stuff then convolve (flipped-kernel correlate).
         z = self._stuff(x)
         w_flip = self.params["w"][:, :, ::-1, ::-1]
-        y, self._padded = _conv_correlate(z, w_flip, self.params.get("b"), pad=1)
+        y, padded = _conv_correlate(z, w_flip, self.params.get("b"), pad=1)
+        self._padded = padded if train else None
         return y
 
     def backward(self, dy):
-        dw_flip = _conv_weight_grad(self._padded, dy, 3)
+        dw_flip = _conv_weight_grad(self._trained(self._padded), dy, 3)
         self.grads["w"] = dw_flip[:, :, ::-1, ::-1]
         if "b" in self.params:
             self.grads["b"] = dy.sum(axis=(0, 2, 3))
@@ -183,7 +195,12 @@ class ConvTranspose2D(Layer):
 
 
 class BatchNorm2D(Layer):
-    """Per-channel batch normalization with running statistics."""
+    """Per-channel batch normalization with running statistics.
+
+    Training normalizes with the batch statistics and updates the running
+    ones; inference is one per-channel affine map built from the running
+    statistics.
+    """
 
     @staticmethod
     def tensor_shapes(channels, momentum=0.99, eps=1e-3):
@@ -205,28 +222,30 @@ class BatchNorm2D(Layer):
     def forward(self, x, train=False):
         if x.shape[1] != self.channels:
             raise ShapeError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
-        if train:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            m = self.momentum
-            self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
-            self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
-        else:
-            mean = self.buffers["running_mean"]
-            var = self.buffers["running_var"]
+        gamma, beta = self.params["gamma"], self.params["beta"]
+        if not train:
+            self._cache = None
+            scale = gamma / np.sqrt(self.buffers["running_var"] + self.eps)
+            shift = beta - self.buffers["running_mean"] * scale
+            y = x * scale[:, None, None]
+            y += shift[:, None, None]
+            return y
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        m = self.momentum
+        self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
+        self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
-        self._cache = (xhat, inv_std, train, x.shape)
-        return self.params["gamma"][:, None, None] * xhat + self.params["beta"][:, None, None]
+        self._cache = (xhat, inv_std)
+        return gamma[:, None, None] * xhat + beta[:, None, None]
 
     def backward(self, dy):
-        xhat, inv_std, train, shape = self._cache
+        xhat, inv_std = self._trained(self._cache)
         self.grads["gamma"] = (dy * xhat).sum(axis=(0, 2, 3))
         self.grads["beta"] = dy.sum(axis=(0, 2, 3))
         dxhat = dy * self.params["gamma"][:, None, None]
-        if not train:
-            return dxhat * inv_std[:, None, None]
-        n = shape[0] * shape[2] * shape[3]
+        n = dy.shape[0] * dy.shape[2] * dy.shape[3]
         sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
         return (inv_std[:, None, None] / n) * (
@@ -238,29 +257,37 @@ class ELU(Layer):
     def __init__(self, alpha=1.0):
         super().__init__()
         self.alpha = alpha
-        self._cache = None
+        self._y = None
 
     def forward(self, x, train=False):
-        neg = self.alpha * np.expm1(np.minimum(x, 0.0))
-        y = np.where(x > 0, x, neg)
-        self._cache = (x > 0, neg)
+        # max(x, 0) + alpha*expm1(min(x, 0)): one branch is always exactly 0.
+        neg = np.minimum(x, 0.0)
+        np.expm1(neg, out=neg)
+        neg *= self.alpha
+        y = np.maximum(x, 0.0)
+        y += neg
+        self._y = y if train else None
         return y
 
     def backward(self, dy):
-        pos, neg = self._cache
-        return dy * np.where(pos, 1.0, neg + self.alpha)
+        # y > 0 exactly where x > 0, and there y' = 1; elsewhere y' = y + alpha.
+        y = self._trained(self._y)
+        return dy * np.where(y > 0, 1.0, y + self.alpha)
 
 
 class AvgPool2x2(Layer):
     def forward(self, x, train=False):
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ShapeError(f"average pooling needs even spatial dims, got {h}x{w}")
-        self._in_shape = x.shape
-        return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        # Summed in pairs along w, then the two rows: the order NumPy's mean
+        # over both window axes uses.
+        y = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
+        y += x[:, :, 1::2, ::2] + x[:, :, 1::2, 1::2]
+        y *= 0.25
+        return y
 
     def backward(self, dy):
-        b, c, h, w = self._in_shape
         up = np.repeat(np.repeat(dy, 2, axis=2), 2, axis=3)
         return up / 4.0
 
@@ -275,6 +302,10 @@ class NearestUpsample2x2(Layer):
 
 
 class Sigmoid(Layer):
+    def __init__(self):
+        super().__init__()
+        self._y = None
+
     def forward(self, x, train=False):
         # Stable two-branch logistic.
         y = np.empty_like(x)
@@ -282,8 +313,9 @@ class Sigmoid(Layer):
         y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         y[~pos] = ex / (1.0 + ex)
-        self._y = y
+        self._y = y if train else None
         return y
 
     def backward(self, dy):
-        return dy * self._y * (1.0 - self._y)
+        y = self._trained(self._y)
+        return dy * y * (1.0 - y)

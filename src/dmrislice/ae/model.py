@@ -180,11 +180,6 @@ class Autoencoder:
         for (name, current), new in zip(self.named_buffers(), buffers):
             current[...] = new
 
-    def clone(self) -> "Autoencoder":
-        other = Autoencoder(self.cfg)
-        other.load_snapshot(self.state_snapshot())
-        return other
-
     # -- computation -------------------------------------------------------
     def _check_input(self, x):
         if x.ndim != 4:

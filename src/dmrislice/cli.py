@@ -2,7 +2,8 @@
 
 Subcommands: fit-sh, project-sh, fit-dti, interp, train, infer, phantom,
 evaluate, sh-bound. A TOML-style ``key = value`` config file can supply any
-option; explicit flags always win and unknown keys are rejected. Exit codes:
+option; explicit flags always win, unknown keys are rejected, and a value goes
+through its option's type and choices as if it had been typed. Exit codes:
 0 success, 1 usage error, 2 data error.
 """
 
@@ -38,6 +39,18 @@ DATA_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits with the usage-error code, and keeps each option's action by
+    dest so that config-file values can be converted like typed ones."""
+
+    def __init__(self, *args, **kwargs):
+        self.options = {}  # dest -> action; the base constructor adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
@@ -76,12 +89,35 @@ def parse_config_file(path) -> dict:
     return options
 
 
-def _apply_config(args, parser_dests: set, config: dict, explicit: set):
+def _config_value(action, key, value):
+    """A config value as its option would hold it had it been typed: a flag
+    takes a boolean, any other option the value's text through the option's
+    type and choices. A value the option rejects is a ParseError."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ParseError(f"config key {key!r} takes true or false, got {value!r}")
+        return value
+    text = str(value)
+    if action.type is not None:
+        try:
+            value = action.type(text)
+        except ValueError:
+            raise ParseError(
+                f"config key {key!r}: invalid {action.type.__name__} value {text!r}"
+            ) from None
+    else:
+        value = text
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ParseError(f"config key {key!r}: {value!r} is not one of {choices}")
+    return value
+
+
+def _apply_config(args, options: dict, config: dict, explicit: set):
+    """Sets every config value whose option was not typed on the command line."""
     for key, value in config.items():
-        if key not in parser_dests:
-            raise ParseError(f"unknown config key {key!r}")
         if key not in explicit:
-            setattr(args, key, value)
+            setattr(args, key, _config_value(options[key], key, value))
 
 
 def _int_list(text: str) -> list[int]:
@@ -331,6 +367,7 @@ def _add_common(p):
 def build_parser() -> _Parser:
     parser = _Parser(prog="dmrislice", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.subcommands = sub.choices  # name -> subcommand parser
 
     p = sub.add_parser("fit-sh", parents=[], help="fit spherical harmonics to a DWI shell")
     p.add_argument("--dwi", required=True)
@@ -463,11 +500,21 @@ def dispatch(argv) -> int:
         except ParseError as exc:  # malformed input: a data error
             print(f"dmrislice: config error: {exc}", file=sys.stderr)
             return DATA_ERROR
-        try:
-            _apply_config(args, set(vars(args)), config, _explicit_dests(argv))
-        except ParseError as exc:  # an unknown key, like an unknown flag
-            print(f"dmrislice: config error: {exc}", file=sys.stderr)
+        options = {
+            dest: action
+            for dest, action in parser.subcommands[args.command].options.items()
+            if hasattr(args, dest)  # not --help
+        }
+        unknown = [key for key in config if key not in options]
+        if unknown:  # like an unknown flag
+            print(f"dmrislice: config error: unknown config key {unknown[0]!r}",
+                  file=sys.stderr)
             return USAGE_ERROR
+        try:
+            _apply_config(args, options, config, _explicit_dests(argv))
+        except ParseError as exc:  # a value its option rejects
+            print(f"dmrislice: config error: {exc}", file=sys.stderr)
+            return DATA_ERROR
 
     threads = getattr(args, "threads", None)  # only evaluate has --threads
     if threads is not None and threads < 1:

@@ -15,7 +15,9 @@ voxelwise, so each cell fits only its gap slab (the N reconstructed slices):
 the scored voxels get the same tensors as in a fit of the whole volume with
 the slab put back, up to floating-point rounding, and nothing outside the
 slab is ever scored. The ground-truth maps, the b0 mean and the full-volume SH
-fit are built once per experiment and shared read-only by every cell.
+fit are built once per experiment and shared read-only by every cell, and so
+are the autoencoders: inference keeps no layer state, so every pool thread
+runs the caller's models and none is cloned.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import csv
 import io
 import json
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -229,9 +230,12 @@ def run_experiment(
     """Run the full method x N x gap grid and assemble the report.
 
     ``models`` maps {'signal', 'sh4', 'b0'} to Autoencoder instances for the
-    model-based methods. Cells run in a thread pool when ``threads`` exceeds
-    one (each pool thread clones the models once, on its first cell); report
-    assembly is always in fixed order, so the output is identical either way.
+    model-based methods. They are shared, not copied: every cell, serial or
+    pooled, reads the caller's instances, which inference never writes to
+    (a ``train=False`` forward keeps no layer state), and they must not be
+    trained or otherwise mutated while the grid runs. Cells run in a thread
+    pool when ``threads`` exceeds one; report assembly is always in fixed
+    order, so the output is identical either way.
     Serial or pooled, every cell runs with one BLAS thread, so the pool's
     threads do not oversubscribe the cores and ``threads`` never changes what
     a cell computes; the setting is process-wide while the cells run and the
@@ -261,25 +265,18 @@ def run_experiment(
     }
     report = EvalReport(config=config)
 
-    def run_cell(job, local_models):
+    def run_cell(job):
         n, method, gap_start = job
         gap = GapSpec(gap_start=gap_start, n_missing=n)
-        return _evaluate_cell(data, shared, method, gap, local_models, lmax)
+        return _evaluate_cell(data, shared, method, gap, models, lmax)
 
     jobs = [(n, m, g) for n in n_values for m in methods for g in gaps]
     with one_blas_thread():
         if threads is not None and threads > 1:
-            local = threading.local()
-
-            def worker(job):
-                if models and not hasattr(local, "models"):
-                    local.models = {k: v.clone() for k, v in models.items()}
-                return run_cell(job, getattr(local, "models", None))
-
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                cells = dict(zip(jobs, pool.map(worker, jobs)))
+                cells = dict(zip(jobs, pool.map(run_cell, jobs)))
         else:
-            cells = {job: run_cell(job, models) for job in jobs}
+            cells = {job: run_cell(job) for job in jobs}
 
     for n in n_values:
         n_key = str(n)

@@ -1,10 +1,11 @@
 """Latent-space inference of missing slices.
 
-The two surviving neighbors are normalized, encoded separately, their latent
-feature maps blended with gap-position weights (equal for N=1; {2/3, 1/3} and
-{1/3, 2/3} for N=2, nearer neighbor heavier), decoded, and finally mapped
-back to input intensities by histogram matching against the same weighted
-average of the two unnormalized neighbor slices.
+The two surviving neighbors are normalized and encoded in one batch, their
+latent feature maps blended with gap-position weights (equal for N=1;
+{2/3, 1/3} and {1/3, 2/3} for N=2, nearer neighbor heavier), all N blends
+decoded in one batch, and each decoded slice finally mapped back to input
+intensities by histogram matching against the same weighted average of the
+two unnormalized neighbor slices.
 """
 
 from __future__ import annotations
@@ -108,14 +109,13 @@ def infer_between_slices(
         chw = normalize_slice(s).data.transpose(2, 0, 1)
         cropped, (src, dst) = center_crop_pad(chw, size)
         prepared.append(_to_batches(cropped, model))
-    z_prev = model.encode(prepared[0], train=False)
-    z_next = model.encode(prepared[1], train=False)
+    z_prev, z_next = np.split(model.encode(np.concatenate(prepared)), 2)
+    blended = [blend_latents(z_prev, z_next, w_prev) for w_prev, _ in gap.weights]
+    decoded = np.split(model.decode(np.concatenate(blended)), len(blended))
 
     outputs = []
-    for w_prev, w_next in gap.weights:
-        blended = blend_latents(z_prev, z_next, w_prev)
-        decoded = model.decode(blended, train=False)
-        raw = _from_batches(decoded, prev_slice.channels)
+    for (w_prev, w_next), batch in zip(gap.weights, decoded):
+        raw = _from_batches(batch, prev_slice.channels)
         reference = w_prev * prev_slice.data + w_next * next_slice.data
         # Histogram-match over the model's real field of view (padding and
         # crop borders excluded); anything outside the crop falls back to the

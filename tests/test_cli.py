@@ -327,6 +327,48 @@ def test_config_unknown_key_rejected(study_dir, tmp_path):
     assert code == 1
 
 
+# (subcommand, config text, exit code, part of the error message)
+CONFIG_VALUE_CASES = {
+    "bad-int": ("evaluate", 'threads = "abc"', 2, "config key 'threads': invalid int"),
+    "float-for-int": ("evaluate", "lmax = 4.0", 2, "config key 'lmax': invalid int"),
+    "bad-float": ("evaluate", "bvalue = fast", 2, "config key 'bvalue': invalid float"),
+    "bad-choice": ("phantom", 'noise = "loud"', 2, "config key 'noise': 'loud' is not"),
+    "non-boolean-flag": ("evaluate", "verbose = 1", 2, "config key 'verbose' takes"),
+    "zero-threads": ("evaluate", "threads = 0", 1, "--threads must be >= 1"),
+    "unknown-key": ("evaluate", "threads = 2\nfunc = 1", 1, "unknown config key 'func'"),
+    "help-key": ("evaluate", "help = true", 1, "unknown config key 'help'"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, text, code, message", CONFIG_VALUE_CASES.values(), ids=CONFIG_VALUE_CASES.keys()
+)
+def test_config_values_are_checked_like_typed_ones(
+    study_dir, tmp_path, capsys, command, text, code, message
+):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(text + "\n")
+    args = ["--data", str(study_dir)] if command == "evaluate" else []
+    out = tmp_path / "out"
+    assert dispatch([command, *args, "--config", str(cfg), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_take_their_option_type(study_dir, tmp_path):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text('threads = "2"\nlmax = "4"\nbvalue = 1000\ngaps = 2\nverbose = false\n')
+    out = tmp_path / "rep"
+    code = dispatch(
+        ["evaluate", "--data", str(study_dir), "--config", str(cfg),
+         "--methods", "linear", "--n", "1", "--out", str(out)]
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["gaps"] == [2]
+    assert report["config"]["lmax"] == 4
+
+
 def test_seeded_commands_deterministic(study_dir, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import dmrislice.evaluate as evaluate
-from dmrislice.ae import Autoencoder, ModelConfig, build_model
+from dmrislice.ae import ModelConfig, build_model
 from dmrislice.dti import eig_sym3, fit_dti
 from dmrislice.errors import EmptyMask, ModelMissing, ShapeError
 from dmrislice.evaluate import REGION_LABELS, mse_region, run_experiment
 from dmrislice.interp import interp_missing_slices
 from dmrislice.phantom import PhantomSpec, make_phantom
 from dmrislice.volume import GapSpec, Volume4D, replace_slices
+from layer_state import assert_state_unchanged, layer_state
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +136,7 @@ def test_determinism_modulo_timing(noisy_phantom):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_threaded_equals_serial(noisy_phantom, monkeypatch):
+def test_threaded_equals_serial(noisy_phantom):
     models = {
         "signal": build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=0)),
         "b0": build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=1)),
@@ -147,16 +148,26 @@ def test_threaded_equals_serial(noisy_phantom, monkeypatch):
         methods=("linear", "cubic", "ae-signal", "ae-sh4"), gaps=(3, 5, 7), n_values=(1, 2),
         models=models,
     )
+    encoded = []  # names of the passed-in models, per encode call
+    for name, model in models.items():
+        def encode(x, train=False, name=name, inner=model.encode):
+            encoded.append(name)
+            return inner(x, train=train)
+
+        model.encode = encode
+    before = {name: layer_state(model) for name, model in models.items()}
     serial = run_experiment(noisy_phantom, **kw).to_dict()
-    clones = []
-    clone = Autoencoder.clone
-    monkeypatch.setattr(Autoencoder, "clone", lambda self: clones.append(self) or clone(self))
+    serial_encoded = sorted(encoded)
+    encoded.clear()
     threaded = run_experiment(noisy_phantom, threads=3, **kw).to_dict()
     serial.pop("timing")
     threaded.pop("timing")
     assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
-    # Each pool thread clones each model once, not once per cell.
-    assert 0 < len(clones) <= 3 * len(models)
+    # Serial or pooled, every cell ran the caller's models and changed none.
+    assert sorted(encoded) == serial_encoded
+    assert set(encoded) == set(models)
+    for name, model in models.items():
+        assert_state_unchanged(model, before[name])
 
 
 def test_report_files(noisy_phantom, tmp_path):

@@ -12,7 +12,7 @@ from dmrislice.inference import (
     infer_gap_signal,
 )
 from dmrislice.phantom import PhantomSpec, make_phantom
-from dmrislice.volume import SliceImage, Volume4D, center_crop_pad
+from dmrislice.volume import SliceImage, Volume4D, center_crop_pad, normalize_slice
 
 MODEL16 = ModelConfig(input_channels=1, latent_maps=2, input_size=16, base_width=1, seed=0)
 
@@ -170,6 +170,75 @@ def test_infer_gap_signal_volume(model16):
     assert outs[0].data.shape == (16, 16, 3)
     with pytest.raises(BoundaryGap):
         infer_gap_signal(model16, vol, GapSpec(4, 2))
+
+
+def per_call_inference(model, prev_slice, next_slice, gap):
+    """The per-neighbour encode and per-slice decode reference: returns the
+    decoded batches and the histogram-matched slices."""
+    one_item = model.cfg.input_channels == prev_slice.channels
+    latents = []
+    for s in (prev_slice, next_slice):
+        chw = normalize_slice(s).data.transpose(2, 0, 1)
+        cropped, (src, dst) = center_crop_pad(chw, model.cfg.input_size)
+        latents.append(model.encode(cropped[None] if one_item else cropped[:, None]))
+    decoded, slices = [], []
+    for w_prev, w_next in gap.weights:
+        batch = model.decode(blend_latents(latents[0], latents[1], w_prev))
+        decoded.append(batch)
+        raw = np.moveaxis(batch[0] if one_item else batch[:, 0], 0, -1)
+        reference = w_prev * prev_slice.data + w_next * next_slice.data
+        out = reference.copy()
+        out[src] = histogram_match(raw[dst], reference[src])
+        slices.append(out)
+    return decoded, slices
+
+
+# (model channels, slice channels, n_missing, encode batch, decode batch);
+# the 18x14 slices are cropped in x and padded in y to the 16x16 model grid.
+BATCHING_CASES = {
+    "1ch-model-5ch-slice-N1": (1, 5, 1, 10, 5),
+    "1ch-model-5ch-slice-N2": (1, 5, 2, 10, 10),
+    "15ch-model-N1": (15, 15, 1, 2, 1),
+    "15ch-model-N2": (15, 15, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", BATCHING_CASES.values(), ids=BATCHING_CASES.keys())
+def test_one_encode_and_one_decode_match_per_call_inference(case):
+    model_c, slice_c, n, encode_items, decode_items = case
+    model = build_model(
+        ModelConfig(input_channels=model_c, latent_maps=2, input_size=16, base_width=1, seed=4)
+    )
+    rng = np.random.default_rng(15)
+    prev_slice, next_slice = (SliceImage(rng.random((18, 14, slice_c)) * 2.0) for _ in range(2))
+    gap = GapSpec(2, n)
+    truth = [
+        w_prev * prev_slice.data + w_next * next_slice.data
+        + 0.1 * rng.standard_normal(prev_slice.data.shape)
+        for w_prev, w_next in gap.weights
+    ]
+    want_decoded, want_slices = per_call_inference(model, prev_slice, next_slice, gap)
+
+    calls = []
+    for name in ("encode", "decode"):
+        def call(x, train=False, name=name, inner=getattr(model, name)):
+            out = inner(x, train=train)
+            calls.append((name, len(x), out))
+            return out
+
+        setattr(model, name, call)
+    got = infer_between_slices(model, prev_slice, next_slice, gap)
+
+    assert [(name, items) for name, items, _ in calls] == [
+        ("encode", encode_items), ("decode", decode_items)
+    ]
+    got_decoded = np.split(calls[1][2], n)
+    for got_batch, want_batch in zip(got_decoded, want_decoded):
+        np.testing.assert_allclose(got_batch, want_batch, rtol=1e-12, atol=0)
+    assert len(got) == n
+    for out, want, gt in zip(got, want_slices, truth):
+        mse, want_mse = np.mean((out.data - gt) ** 2), np.mean((want - gt) ** 2)
+        assert abs(mse - want_mse) <= 1e-12 * want_mse
 
 
 def test_infer_gap_sh_shapes():

@@ -11,6 +11,7 @@ from dmrislice.ae.layers import (
     Sigmoid,
     _column_tiles,
 )
+from dmrislice.errors import ShapeError
 from gradcheck import check_layer_gradients
 
 
@@ -38,12 +39,42 @@ def test_batchnorm_train_gradients(x):
     check_layer_gradients(BatchNorm2D(3), x, train=True, input_stride=5)
 
 
-def test_batchnorm_eval_gradients(x):
+def test_batchnorm_eval_affine_matches_formula(x):
     rng = np.random.default_rng(4)
     bn = BatchNorm2D(3)
-    bn.buffers["running_mean"] = rng.standard_normal(3) * 0.2
-    bn.buffers["running_var"] = np.abs(rng.standard_normal(3)) + 0.5
-    check_layer_gradients(bn, x, train=False, input_stride=5)
+    bn.params["gamma"] = rng.standard_normal(3)
+    bn.params["beta"] = rng.standard_normal(3)
+    mean = rng.standard_normal(3) * 0.2
+    var = np.abs(rng.standard_normal(3)) + 0.5
+    bn.buffers["running_mean"], bn.buffers["running_var"] = mean, var
+    c = (slice(None), None, None)
+    want = bn.params["gamma"][c] * (x - mean[c]) / np.sqrt(var[c] + bn.eps) + bn.params["beta"][c]
+    np.testing.assert_allclose(bn.forward(x, train=False), want, rtol=1e-12, atol=0)
+
+
+def caching_layers():
+    rng = np.random.default_rng(8)
+    return {
+        "Conv2D": Conv2D(3, 4, 3, rng),
+        "ConvTranspose2D": ConvTranspose2D(3, 4, rng),
+        "BatchNorm2D": BatchNorm2D(3),
+        "ELU": ELU(),
+        "Sigmoid": Sigmoid(),
+    }
+
+
+@pytest.mark.parametrize("name", caching_layers())
+def test_backward_after_an_inference_forward_raises(x, name):
+    layer = caching_layers()[name]
+    with pytest.raises(ShapeError, match=f"^{name}.backward needs a train=True forward$"):
+        layer.backward(np.ones_like(layer.forward(x, train=False)))
+    # An inference forward also drops what a training forward cached.
+    dy = np.ones_like(layer.forward(x, train=True))
+    layer.backward(dy)
+    layer.forward(x, train=True)
+    layer.forward(x, train=False)
+    with pytest.raises(ShapeError, match="needs a train=True forward"):
+        layer.backward(dy)
 
 
 def test_elu_gradients(x):
@@ -119,6 +150,28 @@ def test_elu_values():
     y = layer.forward(x)
     expected = np.where(x > 0, x, np.expm1(x))
     assert np.allclose(y, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3])
+def test_elu_matches_the_where_formula_bit_for_bit(alpha):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((4, 3, 8, 8)) * 3
+    x[0, 0, 0, :4] = [0.0, 1e-300, -1e-300, 5e-324]
+    dy = rng.standard_normal(x.shape)
+    layer = ELU(alpha)
+    y = layer.forward(x, train=True)
+    dx = layer.backward(dy)
+    neg = alpha * np.expm1(np.minimum(x, 0.0))
+    assert np.array_equal(y, np.where(x > 0, x, neg))
+    assert np.array_equal(dx, dy * np.where(x > 0, 1.0, neg + alpha))
+
+
+def test_avgpool_within_one_ulp_of_the_mean():
+    x = np.random.default_rng(10).standard_normal((5, 3, 16, 12)) * 100
+    b, c, h, w = x.shape
+    want = x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    got = AvgPool2x2().forward(x)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 # -- the tiled im2col kernel against the whole-batch einsum formula ----------

@@ -1,8 +1,11 @@
 import json
 import os
 import struct
+import sys
 import tempfile
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from dmrislice.ae.model import tensor_manifest
 from dmrislice.errors import DmrisliceError, ParseError, ShapeError
 import mutation
 from gradcheck import check_model_gradients
+from layer_state import assert_state_unchanged, layer_state
 
 TINY = ModelConfig(input_channels=1, latent_maps=2, input_size=16, base_width=1, seed=3)
 
@@ -88,6 +92,43 @@ def test_encode_decode_equals_forward():
     y2 = model.decode(z2, train=False)
     assert np.array_equal(z, z2)
     assert np.array_equal(y, y2)
+
+
+@pytest.mark.parametrize("upsample", ["nearest", "transposed"])
+def test_inference_writes_no_layer_state(upsample):
+    model = build_model(replace(TINY, upsample=upsample))
+    rng = np.random.default_rng(13)
+    model.loss_and_grads(rng.uniform(0, 1, (4, 1, 16, 16)))  # running stats, grads
+    x = rng.uniform(0, 1, (3, 1, 16, 16))
+    model.forward(x, train=False)  # drops the activations training cached
+    before = layer_state(model)
+    z = model.encode(x, train=False)
+    model.decode(z, train=False)
+    model.forward(x, train=False)
+    assert_state_unchanged(model, before)
+
+
+def test_two_threads_share_one_model():
+    model = build_model(ModelConfig(latent_maps=2, input_size=32, base_width=2, seed=4))
+    rng = np.random.default_rng(14)
+    inputs = [rng.uniform(0, 1, (3, 1, 32, 32)), rng.uniform(0, 1, (5, 1, 32, 32))]
+
+    def run(x):
+        return model.decode(model.encode(x, train=False), train=False)
+
+    serial = [run(x) for x in inputs]
+
+    def rounds(k):
+        return [np.array_equal(run(inputs[k]), serial[k]) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(rounds, range(2), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[True] * 20, [True] * 20]
 
 
 def test_decoder_is_function_of_latent_only():
