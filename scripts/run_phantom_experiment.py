@@ -19,7 +19,7 @@ import time
 from dmrislice import make_phantom
 from dmrislice.ae import ModelConfig, TrainConfig, save_checkpoint, train
 from dmrislice.ae.train import averaged_dwi_slices, slices_per_volume, stacked_slices
-from dmrislice.evaluate import run_experiment
+from dmrislice.evaluate import default_gaps, run_experiment
 from dmrislice.phantom import PhantomSpec
 from dmrislice.sh import fit_sh
 from dmrislice.study import write_study
@@ -110,11 +110,7 @@ def main():
     for name, ckpt in (("signal", sig), ("b0", b0), ("sh4", sh)):
         save_checkpoint(ckpt.model, os.path.join(args.out, f"{name}.ckpt"))
 
-    gaps = (
-        [int(t) for t in args.gaps.split(",")]
-        if args.gaps
-        else list(range(2, dims[2] - 3))[::2][:5]
-    )
+    gaps = [int(t) for t in args.gaps.split(",")] if args.gaps else default_gaps(dims[2])
     print(f"evaluating gaps {gaps} ...", flush=True)
     report = run_experiment(
         data,

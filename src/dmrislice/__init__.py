@@ -7,7 +7,7 @@ representation. Ships diffusion-tensor scalar maps and a phantom-driven
 evaluation harness.
 """
 
-from .dti import TensorVolume, dti_scalars, eig_sym3, fit_dti
+from .dti import TensorVolume, dti_scalars, fit_dti
 from .evaluate import EvalReport, mse_region, run_experiment
 from .inference import blend_latents, histogram_match, infer_gap_sh, infer_gap_signal
 from .interp import bspline_prefilter, interp_missing_slices, kernel_eval
@@ -29,7 +29,6 @@ from .volume import (
     GradientTable,
     SliceImage,
     Volume4D,
-    denormalize_slice,
     normalize_slice,
     read_gradient_table,
     replace_slices,
@@ -41,9 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "blend_latents",
     "bspline_prefilter",
-    "denormalize_slice",
     "dti_scalars",
-    "eig_sym3",
     "EvalReport",
     "fibonacci_directions",
     "fit_dti",

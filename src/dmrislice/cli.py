@@ -4,7 +4,8 @@ Subcommands: fit-sh, project-sh, fit-dti, interp, train, infer, phantom,
 evaluate, sh-bound. A TOML-style ``key = value`` config file can supply any
 option; explicit flags always win, unknown keys are rejected, and a value goes
 through its option's type and choices as if it had been typed. Exit codes:
-0 success, 1 usage error, 2 data error.
+0 success, 1 usage error, 2 data error (malformed input or an output path
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from . import ae
 from .errors import DmrisliceError, ParseError
-from .evaluate import ALL_METHODS, run_experiment
+from .evaluate import ALL_METHODS, default_gaps, run_experiment
 from .inference import infer_gap_sh, infer_gap_signal
 from .interp import KINDS, interp_missing_slices
 from .dti import dti_scalars, fit_dti
@@ -316,7 +317,7 @@ def cmd_evaluate(args):
         models["b0"] = ae.load_checkpoint(args.b0_model)
 
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
-    gaps = _int_list(args.gaps) if args.gaps else _default_gaps(data.dwi.dims[2])
+    gaps = _int_list(args.gaps) if args.gaps else default_gaps(data.dwi.dims[2])
     threads = args.threads if args.threads is not None else os.cpu_count()
     report = run_experiment(
         data,
@@ -335,13 +336,6 @@ def cmd_evaluate(args):
     return 0
 
 
-def _default_gaps(z_dim: int) -> list[int]:
-    # Interior gaps with room for N=2 plus both neighbors.
-    usable = range(2, z_dim - 3)
-    gaps = list(usable)[::2][:5]
-    return gaps or [z_dim // 2]
-
-
 def cmd_sh_bound(args):
     data = load_study(args.data, b_target=args.bvalue, shell_tol=args.shell_tol)
     mask = _mask_arg(args)
@@ -356,11 +350,16 @@ def cmd_sh_bound(args):
 
 # -- parser wiring ------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--shell-tol", dest="shell_tol", type=float, default=50.0,
-                   help="b-value tolerance for shell selection (s/mm^2)")
-    p.add_argument("--verbose", action="store_true", help="chatty output")
+def _add_common(p, *shared):
+    """Adds --config, and those of the shared options seed, shell_tol and
+    verbose that the subcommand reads."""
+    if "seed" in shared:
+        p.add_argument("--seed", type=int, default=0, help="random seed")
+    if "shell_tol" in shared:
+        p.add_argument("--shell-tol", dest="shell_tol", type=float, default=50.0,
+                       help="b-value tolerance for shell selection (s/mm^2)")
+    if "verbose" in shared:
+        p.add_argument("--verbose", action="store_true", help="chatty output")
     p.add_argument("--config", default=None, help="TOML-style key=value config file")
 
 
@@ -378,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bvalue", type=float, default=None, help="shell b-value (default max)")
     p.add_argument("--mask", default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "shell_tol", "verbose")
     p.set_defaults(func=cmd_fit_sh)
 
     p = sub.add_parser("project-sh", help="project SH coefficients onto directions")
@@ -386,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bval", required=True)
     p.add_argument("--bvec", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "verbose")
     p.set_defaults(func=cmd_project_sh)
 
     p = sub.add_parser("fit-dti", help="fit tensors and write FA/MD maps")
@@ -396,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-fa", default=None)
     p.add_argument("--out-md", default=None)
     p.add_argument("--out-tensor", default=None)
-    _add_common(p)
+    _add_common(p, "shell_tol")
     p.set_defaults(func=cmd_fit_dti)
 
     p = sub.add_parser("interp", help="classical interpolation of missing slices")
@@ -430,7 +429,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split-by", choices=("subject", "slice"), default="subject")
     p.add_argument("--log", default=None, help="training-log CSV path")
     p.add_argument("--out", required=True, help="checkpoint path")
-    _add_common(p)
+    _add_common(p, "seed", "shell_tol", "verbose")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="infer missing slices with a trained model")
@@ -443,7 +442,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--bvalue", type=float, default=None)
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_common(p, "shell_tol")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("phantom", help="generate a synthetic phantom study")
@@ -454,7 +453,7 @@ def build_parser() -> _Parser:
     p.add_argument("--noise", choices=("none", "gaussian", "rician"), default="none")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "seed", "verbose")
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("evaluate", help="run the slice-removal evaluation harness")
@@ -472,7 +471,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b0-model", dest="b0_model", default=None)
     p.add_argument("--threads", type=int, default=None, help="worker thread cap")
     p.add_argument("--out", required=True, help="report directory")
-    _add_common(p)
+    _add_common(p, "seed", "shell_tol", "verbose")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sh-bound", help="SH fit-project round-trip error")
@@ -481,7 +480,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bvalue", type=float, default=None)
     p.add_argument("--mask", default=None)
     p.add_argument("--out", default=None, help="optional JSON output")
-    _add_common(p)
+    _add_common(p, "shell_tol")
     p.set_defaults(func=cmd_sh_bound)
 
     return parser
@@ -523,7 +522,7 @@ def dispatch(argv) -> int:
 
     try:
         return args.func(args)
-    except DmrisliceError as exc:
+    except (DmrisliceError, OSError) as exc:  # bad input or an unwritable output
         print(f"dmrislice: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -46,18 +46,6 @@ class TensorVolume:
         return Volume4D(self.d6, spacing=self.spacing, affine=self.affine, intent="scalar")
 
 
-def _d6_to_matrix(d6: np.ndarray) -> np.ndarray:
-    dxx, dyy, dzz, dxy, dxz, dyz = np.moveaxis(d6, -1, 0)
-    mat = np.empty(d6.shape[:-1] + (3, 3))
-    mat[..., 0, 0] = dxx
-    mat[..., 1, 1] = dyy
-    mat[..., 2, 2] = dzz
-    mat[..., 0, 1] = mat[..., 1, 0] = dxy
-    mat[..., 0, 2] = mat[..., 2, 0] = dxz
-    mat[..., 1, 2] = mat[..., 2, 1] = dyz
-    return mat
-
-
 def design_matrix(bvals: np.ndarray, bvecs: np.ndarray) -> np.ndarray:
     """Rows [1, -b gx^2, -b gy^2, -b gz^2, -2b gx gy, -2b gx gz, -2b gy gz]
     so that X @ (ln S0, Dxx, Dyy, Dzz, Dxy, Dxz, Dyz) = ln S(b, g)."""
@@ -128,14 +116,13 @@ def _minor(u, v):
     return u[0] * v[1] - v[0] * u[1]
 
 
-def _eigvals_sym3(d6: np.ndarray):
+def _eigvals_sym3(d6: np.ndarray) -> np.ndarray:
     """Eigenvalues of symmetric 3x3 matrices given as (..., 6) arrays.
 
     Trigonometric (Cardano) closed form of Hasan et al., "Analytical
     computation of the eigenvalues and eigenvectors in DT-MRI" (JMR 2001),
     on the entries directly. Returns the eigenvalues (..., 3) in descending
-    order, the mask of isotropic matrices (all eigenvalues exactly
-    q = trace / 3) and the matrix scale that the eigenvector tolerances use.
+    order; isotropic matrices get exactly q = trace / 3 three times.
     """
     dxx, dyy, dzz, dxy, dxz, dyz = np.moveaxis(d6, -1, 0)
     q = (dxx + dyy + dzz) / 3.0
@@ -185,85 +172,7 @@ def _eigvals_sym3(d6: np.ndarray):
     lam1 = np.where(isotropic, q, lam1)
     lam2 = np.where(isotropic, q, lam2)
     lam3 = np.where(isotropic, q, lam3)
-    return np.stack([lam1, lam2, lam3], axis=-1), isotropic, scale
-
-
-def eig_sym3(tensor) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic eigendecomposition of symmetric 3x3 matrices.
-
-    Accepts (..., 6) arrays in (Dxx, Dyy, Dzz, Dxy, Dxz, Dyz) order. Returns
-    eigenvalues (..., 3) in descending order and orthonormal eigenvectors
-    (..., 3, 3) with column i belonging to eigenvalue i. Eigenvalues follow
-    the trigonometric (Cardano) closed form.
-    """
-    d6 = np.asarray(tensor, dtype=np.float64)
-    scalar_input = d6.ndim == 1
-    d6 = np.atleast_2d(d6)
-    if d6.shape[-1] != 6:
-        raise ShapeError(f"expected trailing dimension 6, got {d6.shape}")
-    eigvals, isotropic, scale = _eigvals_sym3(d6)
-    vecs = _eigenvectors(_d6_to_matrix(d6), eigvals, isotropic, scale)
-    if scalar_input:
-        return eigvals[0], vecs[0]
-    return eigvals, vecs
-
-
-def _null_direction(a, lam, scale):
-    """Best cross-product of rows of (A - lam I); zero norm means degenerate."""
-    m = a - lam[..., None, None] * np.eye(3)
-    c01 = np.cross(m[..., 0, :], m[..., 1, :])
-    c02 = np.cross(m[..., 0, :], m[..., 2, :])
-    c12 = np.cross(m[..., 1, :], m[..., 2, :])
-    cand = np.stack([c01, c02, c12], axis=-2)
-    norms = np.linalg.norm(cand, axis=-1)
-    best = np.argmax(norms, axis=-1)
-    idx = np.expand_dims(best, axis=(-2, -1))
-    vec = np.take_along_axis(cand, np.broadcast_to(idx, cand.shape[:-2] + (1, 3)), axis=-2)[
-        ..., 0, :
-    ]
-    best_norm = np.take_along_axis(norms, best[..., None], axis=-1)[..., 0]
-    ok = best_norm > 1e-12 * np.maximum(scale, 1e-300) ** 2
-    return vec, best_norm, ok
-
-
-def _any_perpendicular(v):
-    """A unit vector orthogonal to each unit vector in v."""
-    helper = np.zeros_like(v)
-    smallest = np.argmin(np.abs(v), axis=-1)
-    np.put_along_axis(helper, smallest[..., None], 1.0, axis=-1)
-    perp = np.cross(v, helper)
-    return perp / np.linalg.norm(perp, axis=-1, keepdims=True)
-
-
-def _eigenvectors(a, eigvals, isotropic, scale):
-    e1_raw, _, ok1 = _null_direction(a, eigvals[..., 0], scale)
-    e3_raw, _, ok3 = _null_direction(a, eigvals[..., 2], scale)
-
-    fallback = np.zeros(a.shape[:-2] + (3,))
-    fallback[..., 0] = 1.0
-    e1 = np.where(ok1[..., None], e1_raw, fallback)
-    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-    fallback_z = np.zeros_like(fallback)
-    fallback_z[..., 2] = 1.0
-    e3 = np.where(ok3[..., None], e3_raw, fallback_z)
-    e3 = e3 / np.linalg.norm(e3, axis=-1, keepdims=True)
-
-    # Repair the degenerate pairs: whichever side lost its cross product is
-    # reconstructed orthogonal to the well-defined side.
-    e1 = np.where((~ok1 & ok3)[..., None], _any_perpendicular(e3), e1)
-    e3 = np.where((~ok3 & ok1)[..., None], _any_perpendicular(e1), e3)
-    neither = ~ok1 & ~ok3
-    e1 = np.where(neither[..., None], fallback, e1)
-    e3 = np.where(neither[..., None], fallback_z, e3)
-
-    # Orthonormalize exactly: project e3 off e1, then e2 completes the frame.
-    e3 = e3 - np.sum(e3 * e1, axis=-1, keepdims=True) * e1
-    e3 = e3 / np.linalg.norm(e3, axis=-1, keepdims=True)
-    e2 = np.cross(e3, e1)
-
-    ident = np.broadcast_to(np.eye(3), a.shape).copy()
-    vecs = np.stack([e1, e2, e3], axis=-1)
-    return np.where(isotropic[..., None, None], ident, vecs)
+    return np.stack([lam1, lam2, lam3], axis=-1)
 
 
 def dti_scalars(t: TensorVolume) -> tuple[Volume4D, Volume4D]:
@@ -273,7 +182,7 @@ def dti_scalars(t: TensorVolume) -> tuple[Volume4D, Volume4D]:
     FA = sqrt(1/2) sqrt((l1-l2)^2 + (l2-l3)^2 + (l3-l1)^2) / sqrt(l1^2+l2^2+l3^2),
     defined as 0 where all eigenvalues vanish; MD is their mean.
     """
-    lam = np.maximum(_eigvals_sym3(t.d6)[0], 0.0)
+    lam = np.maximum(_eigvals_sym3(t.d6), 0.0)
     l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
     num = np.sqrt(0.5) * np.sqrt((l1 - l2) ** 2 + (l2 - l3) ** 2 + (l3 - l1) ** 2)
     den = np.sqrt(l1 * l1 + l2 * l2 + l3 * l3)

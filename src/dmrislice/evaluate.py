@@ -210,6 +210,13 @@ def _evaluate_cell(data, shared: _Shared, method, gap, models, lmax):
     return signal_mse, fa_cell, md_cell, runtime
 
 
+def default_gaps(z_dim: int) -> list[int]:
+    """Up to five interior gap starts, every other slice from z = 2, each with
+    room for N = 2 plus both neighbors; the middle slice when none fits."""
+    gaps = list(range(2, z_dim - 3))[::2][:5]
+    return gaps or [z_dim // 2]
+
+
 def _sh_bound_for_gap(data: PhantomData, gap: GapSpec, lmax: int, span: float) -> float:
     gt_gap = _gap_subvolume(data.dwi, gap)
     recon = project_sh(fit_sh(gt_gap, data.gtab, lmax=lmax), data.gtab.bvecs)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lpmv
 
-from .errors import EmptyMask, InvalidDirection, InvalidOrder, ShapeError
+from .errors import EmptyMask, InvalidDirection, InvalidOrder, ParseError, ShapeError
 from .nifti import read_nifti, write_nifti
-from .volume import GradientTable, Volume4D
+from .volume import GradientTable, Volume4D, read_text_lines
 
 SUPPORTED_LMAX = (0, 2, 4, 6, 8)
 
@@ -187,7 +187,6 @@ def sh_roundtrip_error(
     g: GradientTable,
     lmax: int = 4,
     mask: Volume4D | None = None,
-    lambda_reg: float = 0.0,
 ) -> float:
     """Mean squared fit-then-project error on [0, 1]-normalized intensities.
 
@@ -202,7 +201,7 @@ def sh_roundtrip_error(
     else:
         keep = np.ones(dwi.dims[:3], dtype=bool)
 
-    recon = project_sh(fit_sh(dwi, g, lmax=lmax, lambda_reg=lambda_reg, mask=mask), g.bvecs)
+    recon = project_sh(fit_sh(dwi, g, lmax=lmax, mask=mask), g.bvecs)
     values = dwi.data[keep]
     lo = values.min()
     hi = values.max()
@@ -226,15 +225,21 @@ def write_sh(sh: ShCoeffVolume, path) -> None:
 
 
 def read_sh(path) -> ShCoeffVolume:
-    """Load a coefficient NIfTI written by :func:`write_sh`."""
-    with open(_sidecar_path(path)) as fh:
-        sidecar = json.load(fh)
+    """Load a coefficient NIfTI written by :func:`write_sh`.
+
+    An unreadable or malformed JSON sidecar is a ParseError.
+    """
+    sidecar_path = _sidecar_path(path)
+    try:
+        sidecar = json.loads("".join(read_text_lines(sidecar_path)))
+        lmax = int(sidecar["lmax"])
+        lambda_reg = float(sidecar.get("lambda_reg", 0.0))
+        ill_conditioned = bool(sidecar.get("ill_conditioned", False))
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise ParseError(f"malformed SH sidecar {sidecar_path}: {exc!r}") from exc
     vol = read_nifti(path, intent="sh_coeffs")
     return ShCoeffVolume(
-        vol,
-        lmax=int(sidecar["lmax"]),
-        lambda_reg=float(sidecar.get("lambda_reg", 0.0)),
-        ill_conditioned=bool(sidecar.get("ill_conditioned", False)),
+        vol, lmax=lmax, lambda_reg=lambda_reg, ill_conditioned=ill_conditioned
     )
 
 

@@ -1,9 +1,10 @@
 """Study-directory layout: one DWI acquisition as files on disk.
 
 A study directory holds ``dwi.nii`` (b0 volumes and the diffusion shell
-together), FSL ``dwi.bval``/``dwi.bvec``, optionally ``labels.nii`` with
-tissue labels, and for phantoms the ground-truth ``tensors.nii``/``s0.nii``
-plus ``phantom.json``.
+together), FSL ``dwi.bval``/``dwi.bvec`` and optionally ``labels.nii`` with
+tissue labels. For phantoms :func:`write_study` also writes the ground-truth
+``tensors.nii``/``s0.nii`` and ``phantom.json`` for inspection;
+:func:`load_study` does not read them.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .dti import TensorVolume
 from .errors import EmptyShell, ParseError
 from .nifti import read_nifti, write_nifti
-from .phantom import PhantomData, PhantomSpec
+from .phantom import PhantomData
 from .volume import (
     B0_THRESHOLD,
     GradientTable,
@@ -60,9 +60,8 @@ def load_study(path, b_target: float | None = None, shell_tol: float = 50.0) -> 
     """Load a study directory back into memory.
 
     ``b_target`` selects the diffusion shell; by default the largest b-value
-    present is used. Ground-truth tensors and the phantom spec are loaded
-    when their files exist; without a labels file every voxel is tagged with
-    label 1 so mask-based slice filtering keeps everything.
+    present is used. Without a labels file every voxel is tagged with label 1
+    so mask-based slice filtering keeps everything.
     """
     dwi_path = os.path.join(path, "dwi.nii")
     combined = read_nifti(dwi_path, intent="dwi")
@@ -91,21 +90,4 @@ def load_study(path, b_target: float | None = None, shell_tol: float = 50.0) -> 
         labels = Volume4D(
             np.ones(combined.dims[:3] + (1,)), intent="labels"
         )
-
-    tensors = None
-    tensors_path = os.path.join(path, "tensors.nii")
-    s0_path = os.path.join(path, "s0.nii")
-    if os.path.exists(tensors_path) and os.path.exists(s0_path):
-        d6 = read_nifti(tensors_path).data
-        s0 = read_nifti(s0_path).data[..., 0]
-        tensors = TensorVolume(d6=d6, s0=s0)
-
-    spec = None
-    spec_path = os.path.join(path, "phantom.json")
-    if os.path.exists(spec_path):
-        with open(spec_path) as fh:
-            raw = json.load(fh)
-        raw["dims"] = tuple(raw["dims"])
-        spec = PhantomSpec(**raw)
-
-    return PhantomData(dwi=dwi, b0=b0, gtab=shell, labels=labels, tensors=tensors, spec=spec)
+    return PhantomData(dwi=dwi, b0=b0, gtab=shell, labels=labels)

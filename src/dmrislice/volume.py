@@ -109,14 +109,9 @@ class GradientTable:
 
 @dataclass(frozen=True)
 class SliceImage:
-    """A single in-plane slice of shape (width, height, channels).
-
-    ``norm_range`` records the per-channel (min, max) captured by
-    :func:`normalize_slice` so the original intensities can be restored.
-    """
+    """A single in-plane slice of shape (width, height, channels)."""
 
     data: np.ndarray
-    norm_range: np.ndarray | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -125,11 +120,6 @@ class SliceImage:
         if data.ndim != 3:
             raise ShapeError(f"slice data must be 2D or 3D, got ndim={data.ndim}")
         object.__setattr__(self, "data", data)
-        if self.norm_range is not None:
-            nr = np.asarray(self.norm_range, dtype=np.float64)
-            if nr.shape != (data.shape[2], 2):
-                raise ShapeError(f"norm_range must be (channels, 2), got {nr.shape}")
-            object.__setattr__(self, "norm_range", nr)
 
     @property
     def width(self) -> int:
@@ -145,33 +135,15 @@ class SliceImage:
 
 
 def normalize_slice(s: SliceImage) -> SliceImage:
-    """Min-max rescale each channel to [0, 1], recording the input range.
-
-    A constant channel maps to all zeros and records the degenerate range
-    (min, min).
-    """
+    """Min-max rescale each channel to [0, 1]; a constant channel maps to all
+    zeros."""
     data = s.data
     mn = data.min(axis=(0, 1))
-    mx = data.max(axis=(0, 1))
-    span = mx - mn
+    span = data.max(axis=(0, 1)) - mn
     out = np.zeros_like(data)
-    rng = np.empty((data.shape[2], 2))
     for c in range(data.shape[2]):
         if span[c] > 0:
             out[:, :, c] = (data[:, :, c] - mn[c]) / span[c]
-            rng[c] = (mn[c], mx[c])
-        else:
-            rng[c] = (mn[c], mn[c])
-    return SliceImage(out, norm_range=rng)
-
-
-def denormalize_slice(s: SliceImage) -> SliceImage:
-    """Invert :func:`normalize_slice` using the recorded per-channel range."""
-    if s.norm_range is None:
-        raise ShapeError("slice has no recorded normalization range")
-    mn = s.norm_range[:, 0]
-    mx = s.norm_range[:, 1]
-    out = s.data * (mx - mn) + mn
     return SliceImage(out)
 
 

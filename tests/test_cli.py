@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 import mutation
-from dmrislice.ae import ModelConfig, build_model, save_checkpoint
-from dmrislice.cli import dispatch, parse_config_file
+from dmrislice.ae import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from dmrislice.cli import build_parser, dispatch, parse_config_file
 from dmrislice.errors import DmrisliceError
 from dmrislice.nifti import read_nifti, write_nifti
-from dmrislice.sh import read_sh
+from dmrislice.sh import ShCoeffVolume, read_sh, write_sh
 from dmrislice.volume import Volume4D
 
 
@@ -248,6 +249,130 @@ def test_threads_only_on_evaluate(study_dir, tmp_path):
         ["evaluate", "--data", str(study_dir), "--threads", "0", "--out", str(tmp_path / "r")]
     )
     assert code == 1
+
+
+# Sidecar bytes (None: no sidecar file) that read_sh must reject.
+BAD_SIDECARS = {
+    "not-json": b"lmax = 4\n",
+    "no-lmax": b"{}",
+    "lmax-not-a-number": b'{"lmax": "x"}',
+    "not-an-object": b"[1]",
+    "not-utf8": b'{"lmax": 4, "basis": "\xff"}',
+    "missing": None,
+}
+
+
+def _write_sh_file(path):
+    coeffs = Volume4D(np.zeros((2, 2, 2, 15)), intent="sh_coeffs")
+    write_sh(ShCoeffVolume(coeffs, lmax=4), path)
+
+
+@pytest.mark.parametrize("sidecar", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
+def test_malformed_sh_sidecar_exits_2(study_dir, tmp_path, capsys, sidecar):
+    sh_path = tmp_path / "sh.nii"
+    _write_sh_file(sh_path)
+    if sidecar is None:
+        (tmp_path / "sh.json").unlink()
+    else:
+        (tmp_path / "sh.json").write_bytes(sidecar)
+    code = dispatch(
+        ["project-sh", "--sh", str(sh_path), "--bval", str(study_dir / "dwi.bval"),
+         "--bvec", str(study_dir / "dwi.bvec"), "--out", str(tmp_path / "proj.nii")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dmrislice: ") and "sh.json" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "proj.nii").exists()
+
+
+SIDECAR = b"""{
+  "basis": "modified_real_symmetric",
+  "ill_conditioned": false,
+  "lambda_reg": 0.006,
+  "lmax": 4
+}
+"""
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation.variants(SIDECAR, hot=len(SIDECAR), alphabet=b'{}[]":, -.0123456789eElmaxnul'))
+def test_sh_sidecar_fuzz_reads_or_raises_dmrislice_error(variant):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sh.nii")
+        _write_sh_file(path)
+        with open(os.path.join(tmp, "sh.json"), "wb") as fh:
+            fh.write(mutation.apply(SIDECAR, variant))
+        try:
+            read_sh(path)
+        except DmrisliceError:
+            pass
+
+
+@pytest.mark.parametrize("command", ["interp", "phantom", "sh-bound"])
+def test_unwritable_output_exits_2(study_dir, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file\n")
+    argv = {
+        "interp": ["interp", "--input", str(study_dir / "dwi.nii"), "--gap-start", "3",
+                   "--out", str(blocker / "out")],
+        "phantom": ["phantom", "--dims", "8,8,6", "--directions", "6",
+                    "--out", str(blocker / "study")],
+        "sh-bound": ["sh-bound", "--data", str(study_dir),
+                     "--out", str(tmp_path / "missing" / "bound.json")],
+    }[command]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dmrislice: ") and err.count("\n") == 1
+
+
+# The shared options each subcommand declares: exactly those it reads.
+SHARED_OPTIONS = {
+    "fit-sh": {"shell_tol", "verbose"},
+    "project-sh": {"verbose"},
+    "fit-dti": {"shell_tol"},
+    "interp": set(),
+    "train": {"seed", "shell_tol", "verbose"},
+    "infer": {"shell_tol"},
+    "phantom": {"seed", "verbose"},
+    "evaluate": {"seed", "shell_tol", "verbose"},
+    "sh-bound": {"shell_tol"},
+}
+
+
+def test_shared_options_only_where_read(tmp_path):
+    parser = build_parser()
+    assert parser.subcommands.keys() == SHARED_OPTIONS.keys()
+    for name, shared in SHARED_OPTIONS.items():
+        options = parser.subcommands[name].options
+        assert "config" in options
+        assert options.keys() & {"seed", "shell_tol", "verbose"} == shared, name
+    for argv in (["train", "--data", "s", "--net", "b0", "--out", "m.ckpt"],
+                 ["phantom", "--out", "s"],
+                 ["evaluate", "--data", "s", "--out", "r"]):
+        assert build_parser().parse_args(argv + ["--seed", "1"]).seed == 1
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["interp", "--input", "v.nii", "--gap-start", "3", "--out", "o",
+                  "--seed", "1"])
+    assert exc.value.code == 1
+    cfg = tmp_path / "c.toml"
+    cfg.write_text("seed = 1\n")
+    assert dispatch(["interp", "--input", "v.nii", "--gap-start", "3", "--out", "o",
+                     "--config", str(cfg)]) == 1
+
+
+def test_train_sweep_keeps_the_best_latent_width(study_dir, tmp_path, capsys):
+    ckpt = tmp_path / "sweep.ckpt"
+    code = dispatch(
+        ["train", "--data", str(study_dir), "--net", "b0", "--sweep-m", "2,4",
+         "--base-width", "1", "--epochs", "2", "--batch", "4", "--lr", "1e-3",
+         "--split-by", "slice", "--verbose", "--out", str(ckpt)]
+    )
+    assert code == 0
+    lines = re.findall(r"^M=(\d+): val_mse=(\S+)$", capsys.readouterr().out, re.M)
+    assert [int(m) for m, _ in lines] == [2, 4]
+    val_mse = {int(m): float(v) for m, v in lines}
+    assert val_mse[load_checkpoint(ckpt).cfg.latent_maps] == min(val_mse.values())
 
 
 def test_help_exits_zero():

@@ -5,7 +5,7 @@ import pytest
 
 import dmrislice.evaluate as evaluate
 from dmrislice.ae import ModelConfig, build_model
-from dmrislice.dti import eig_sym3, fit_dti
+from dmrislice.dti import _eigvals_sym3, fit_dti
 from dmrislice.errors import EmptyMask, ModelMissing, ShapeError
 from dmrislice.evaluate import REGION_LABELS, mse_region, run_experiment
 from dmrislice.interp import interp_missing_slices
@@ -207,7 +207,7 @@ def _whole_volume_fa_md(data, method, gap_start, n):
     b0_mean = Volume4D(data.b0.data.mean(axis=3, keepdims=True))
 
     def maps(dwi, b0):
-        lam = np.maximum(eig_sym3(fit_dti(dwi, b0, data.gtab).d6)[0], 0.0)
+        lam = np.maximum(_eigvals_sym3(fit_dti(dwi, b0, data.gtab).d6), 0.0)
         l1, l2, l3 = np.moveaxis(lam, -1, 0)
         num = np.sqrt(0.5) * np.sqrt((l1 - l2) ** 2 + (l2 - l3) ** 2 + (l3 - l1) ** 2)
         den = np.sqrt(l1 * l1 + l2 * l2 + l3 * l3)

@@ -12,7 +12,6 @@ from dmrislice.volume import (
     GradientTable,
     SliceImage,
     Volume4D,
-    denormalize_slice,
     normalize_slice,
     read_gradient_table,
     replace_slices,
@@ -51,22 +50,12 @@ def test_normalize_basic():
     s = SliceImage(np.array([[2.0], [4.0], [6.0]])[:, :, None].reshape(3, 1, 1))
     out = normalize_slice(s)
     assert np.allclose(out.data.ravel(), [0.0, 0.5, 1.0])
-    assert np.allclose(out.norm_range, [[2.0, 6.0]])
 
 
 def test_normalize_constant_channel():
     s = SliceImage(np.full((2, 1, 1), 5.0))
     out = normalize_slice(s)
     assert np.all(out.data == 0.0)
-    assert np.allclose(out.norm_range, [[5.0, 5.0]])
-    back = denormalize_slice(out)
-    assert np.all(back.data == 5.0)
-
-
-def test_denormalize_inverse():
-    s = SliceImage(np.array([0.0, 0.5, 1.0]).reshape(3, 1, 1), norm_range=[[2.0, 6.0]])
-    out = denormalize_slice(s)
-    assert np.allclose(out.data.ravel(), [2.0, 4.0, 6.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -78,11 +67,9 @@ def test_normalize_roundtrip_property(values):
     s = SliceImage(arr)
     normalized = normalize_slice(s)
     assert normalized.data.min() >= 0.0 and normalized.data.max() <= 1.0
-    restored = denormalize_slice(normalized)
     span = arr.max() - arr.min()
-    if span > 0:
-        scale = max(abs(arr.max()), abs(arr.min()), 1.0)
-        assert np.all(np.abs(restored.data - arr) <= 1e-6 * scale)
+    expected = (arr - arr.min()) / span if span > 0 else np.zeros_like(arr)
+    assert np.all(np.abs(normalized.data - expected) <= 1e-6)
 
 
 def test_select_shell_keeps_matching_volumes():
