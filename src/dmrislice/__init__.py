@@ -10,7 +10,7 @@ evaluation harness.
 from .dti import TensorVolume, dti_scalars, fit_dti
 from .evaluate import EvalReport, mse_region, run_experiment
 from .inference import blend_latents, histogram_match, infer_gap_sh, infer_gap_signal
-from .interp import bspline_prefilter, interp_missing_slices, kernel_eval
+from .interp import interp_missing_slices
 from .nifti import read_nifti, write_nifti
 from .phantom import PhantomData, PhantomSpec, fibonacci_directions, make_phantom
 from .sh import (
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "blend_latents",
-    "bspline_prefilter",
     "dti_scalars",
     "EvalReport",
     "fibonacci_directions",
@@ -51,7 +50,6 @@ __all__ = [
     "infer_gap_sh",
     "infer_gap_signal",
     "interp_missing_slices",
-    "kernel_eval",
     "make_phantom",
     "mse_region",
     "normalize_slice",

@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmrislice.errors import BoundaryGap
-from dmrislice.interp import (
-    BSPLINE5_POLES,
-    bspline5,
-    bspline_prefilter,
-    interp_missing_slices,
-    kernel_eval,
-    resample_z,
-)
+from dmrislice.interp import bspline5, interp_missing_slices, keys_cubic, kernel_eval, resample_z
 from dmrislice.volume import GapSpec, Volume4D, replace_slices
 
 
@@ -27,6 +20,21 @@ def dense_prefilter_oracle(x):
                 j = period - j
             a[i, j] += bspline5(i - j_virtual)
     return np.linalg.solve(a, x)
+
+
+def direct_kernel_oracle(samples, positions, method):
+    """Kernel taps applied directly to a mirror-extended stack (axis 0); for
+    bspline5 to the extension of dense_prefilter_oracle's coefficients."""
+    c = np.asarray(samples, dtype=float)
+    n = c.shape[0]
+    if method == "bspline5":
+        c = dense_prefilter_oracle(c.reshape(n, -1)).reshape(c.shape)
+    pad = 3  # the widest kernel support's half-width
+    ext = np.pad(c, [(pad, pad)] + [(0, 0)] * (c.ndim - 1), mode="reflect")
+    kernel = keys_cubic if method == "cubic" else bspline5
+    return np.stack(
+        [sum(kernel(p - k) * ext[k + pad] for k in range(-pad, n + pad)) for p in positions]
+    )
 
 
 def test_kernel_linear():
@@ -51,27 +59,24 @@ def test_partition_of_unity(t):
 
 
 def test_prefilter_constant():
-    out = bspline_prefilter(np.full(4, 5.0))
+    out = resample_z(np.full(4, 5.0), [0.0, 0.5, 1.25, 2.75, 3.0], "bspline5")
     assert np.allclose(out, 5.0, atol=1e-12)
 
 
 def test_prefilter_matches_dense_solve():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(16)
-    assert np.abs(bspline_prefilter(x) - dense_prefilter_oracle(x)).max() < 1e-8
+    positions = [0.3, 2.5, 7.75, 14.9]
+    expected = direct_kernel_oracle(x, positions, "bspline5")
+    assert np.abs(resample_z(x, positions, "bspline5") - expected).max() < 1e-8
 
 
 def test_prefilter_long_line_matches_dense_solve():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(400)
-    assert np.abs(bspline_prefilter(x) - dense_prefilter_oracle(x)).max() < 1e-8
-
-
-def test_poles_are_roots_of_sampled_kernel_transform():
-    # z-transform of sampled B5: (z^2 + 26 z + 66 + 26/z + 1/z^2) / 120.
-    roots = np.roots([1.0, 26.0, 66.0, 26.0, 1.0])
-    inside = sorted(r.real for r in roots if abs(r) < 1)
-    assert np.allclose(sorted(BSPLINE5_POLES), inside, atol=1e-12)
+    positions = [0.5, 1.25, 199.6, 398.75]
+    expected = direct_kernel_oracle(x, positions, "bspline5")
+    assert np.abs(resample_z(x, positions, "bspline5") - expected).max() < 1e-8
 
 
 def test_interpolation_condition_all_methods():
@@ -163,6 +168,30 @@ def test_linearity_of_interpolation():
         b = interp_missing_slices(Volume4D(v), gap, kind)[0].data
         c = interp_missing_slices(Volume4D(w), gap, kind)[0].data
         assert np.abs(a - (alpha * b + c)).max() < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["cubic", "bspline5"])
+def test_boundary_gaps_match_direct_kernel_oracle(kind):
+    # Gaps next to either end of the stack put taps in the mirror zone.
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((3, 2, 7, 2))
+    for n_missing in (1, 2):
+        for gap_start in range(1, 7 - n_missing):
+            gap = GapSpec(gap_start, n_missing)
+            out = interp_missing_slices(Volume4D(v), gap, kind)
+            kept = np.delete(v, range(gap_start, gap_start + n_missing), axis=2)
+            expected = direct_kernel_oracle(np.moveaxis(kept, 2, 0), gap_positions(gap), kind)
+            for got, want in zip(out, expected):
+                assert np.abs(got.data - want).max() < 1e-12
+
+
+def test_smallest_stack_gives_the_midpoint():
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal((2, 3, 3, 2))
+    midpoint = (v[:, :, 0, :] + v[:, :, 2, :]) / 2.0
+    for kind in ("linear", "cubic", "bspline5"):
+        out = interp_missing_slices(Volume4D(v), GapSpec(1, 1), kind)[0].data
+        assert np.abs(out - midpoint).max() < 1e-14
 
 
 def test_boundary_gap_rejected():
