@@ -5,7 +5,18 @@ JSON header holding the model config and the tensor manifest (names and
 shapes, parameters first then batch-norm running statistics), followed by the
 raw little-endian float32 tensor payloads in manifest order, and nothing after
 them; loading raises ParseError on any departure from this layout. Saving casts
-float64 state to float32, so save -> load -> save is byte-identical.
+float64 state to float32.
+
+A loaded model infers with a float32 body, where the stored values are exact,
+and a float64 closing 1x1 convolution and sigmoid (see
+:meth:`~dmrislice.ae.model.Autoencoder.astype`). Its outputs differ from those
+of the float64 model that was saved by about 1e-6 relative. Inference matches
+histograms by rank, so where that reorders two near-equal outputs a result
+moves further: report means on 64x64x16 phantoms moved by 1e-7 to 2e-5
+relative. Every array writes back out exactly, so save -> load -> save is
+byte-identical.
+``load_checkpoint(p).astype(np.float64)`` is the float64 model the checkpoint
+holds, for training or comparison.
 """
 
 from __future__ import annotations
@@ -84,11 +95,11 @@ def load_checkpoint(path) -> Autoencoder:
     if len(buf) > data_end:
         raise ParseError(f"{path}: {len(buf) - data_end} bytes after the last tensor", offset=data_end)
 
-    model = Autoencoder(cfg)
+    model = Autoencoder(cfg).astype(np.float32)
     offset = header_end
     for _, arr in _manifest(model):
         values = np.frombuffer(buf, dtype="<f4", count=arr.size, offset=offset)
-        arr[...] = values.reshape(arr.shape).astype(np.float64)
+        arr[...] = values.reshape(arr.shape)
         offset += arr.size * 4
     return model
 

@@ -1,12 +1,17 @@
 """Neural-network layers with explicit forward and backward passes.
 
-All arrays are float64 NCHW. Each layer owns its parameters and, after a
-backward call, the matching gradients. Only a ``train=True`` forward records
-state: the activations its backward pass needs and, in batch normalization,
-the running statistics. A ``train=False`` forward reads the parameters and
-buffers and writes nothing but the return value (it drops whatever an earlier
-training forward cached), so one model can serve inference on several threads
-at once, and ``backward`` after it raises a ``ShapeError``.
+All arrays are NCHW, and every layer computes in the dtype of its arrays:
+a model that :func:`~dmrislice.ae.model.build_model` builds or ``train``
+returns is float64 throughout, while a loaded checkpoint has a float32 body
+and a float64 closing 1x1 convolution, whose output NumPy promotes to
+float64 (see :meth:`~dmrislice.ae.model.Autoencoder.astype`). Each layer
+owns its parameters and, after a backward call, the matching gradients. Only
+a ``train=True`` forward records state: the activations its backward pass
+needs and, in batch normalization, the running statistics. A ``train=False``
+forward reads the parameters and buffers and writes nothing but the return
+value (it drops whatever an earlier training forward cached), so one model
+can serve inference on several threads at once, and ``backward`` after it
+raises a ``ShapeError``.
 
 Convolutions are im2col GEMMs over tiles of the batch. Each tile's column
 block, ``(c*k*k, n*h*w)`` with rows ordered like ``w.reshape(o, -1)``, holds
@@ -59,7 +64,7 @@ def _conv_correlate(x, w, bias, pad):
     b, _, h, wd = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     w2 = w.reshape(o, -1)
-    y = np.empty((b, o, h, wd))
+    y = np.empty((b, o, h, wd), dtype=np.result_type(xp, w))
     for items, cols in _column_tiles(xp, k):
         y[items] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
     if bias is not None:
@@ -137,11 +142,15 @@ class Conv2D(Layer):
         self._padded = padded if train else None
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
+        """Parameter gradients, and the input gradient unless ``need_dx`` is
+        false (then ``None``: the model's first layer has no use for it)."""
         w = self.params["w"]
         self.grads["w"] = _conv_weight_grad(self._trained(self._padded), dy, self.ksize)
         if "b" in self.params:
             self.grads["b"] = dy.sum(axis=(0, 2, 3))
+        if not need_dx:
+            return None
         # Gradient w.r.t. input: correlate dy with the spatially flipped,
         # channel-transposed kernel.
         w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -169,7 +178,7 @@ class ConvTranspose2D(Layer):
 
     def _stuff(self, x):
         b, c, h, w = x.shape
-        z = np.zeros((b, c, 2 * h, 2 * w))
+        z = np.zeros((b, c, 2 * h, 2 * w), dtype=x.dtype)
         z[:, :, ::2, ::2] = x
         return z
 

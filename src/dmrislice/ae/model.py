@@ -180,6 +180,29 @@ class Autoencoder:
         for (name, current), new in zip(self.named_buffers(), buffers):
             current[...] = new
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the body, which encode and decode compute in."""
+        return self.encoder[0].params["w"].dtype
+
+    def astype(self, dtype):
+        """Convert the body, every layer but the closing 1x1 convolution, to
+        ``dtype`` (float32 or float64) in place, and return the model.
+
+        The head keeps float64 weights, so the last activation and the
+        sigmoid are float64 whatever the body: a float32 sigmoid rounds
+        outputs near 1 into ties, which the rank-based histogram matching of
+        inference would then carry into the result.
+        """
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ShapeError(f"a model computes in float32 or float64, not {dtype}")
+        for layer in self._layers()[:-2]:
+            for tensors in (layer.params, layer.buffers):
+                for name, arr in tensors.items():
+                    tensors[name] = arr.astype(dtype, copy=False)
+        return self
+
     # -- computation -------------------------------------------------------
     def _check_input(self, x):
         if x.ndim != 4:
@@ -194,15 +217,21 @@ class Autoencoder:
                 f"got {x.shape[2]}x{x.shape[3]}"
             )
 
+    def _check_train(self, train):
+        if train and self.dtype != np.float64:
+            raise ShapeError(f"training needs a float64 model, this body is {self.dtype}")
+
     def encode(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
+        self._check_train(train)
+        x = np.asarray(x, dtype=self.dtype)
         self._check_input(x)
         for layer in self.encoder:
             x = layer.forward(x, train=train)
         return x
 
     def decode(self, z, train=False):
-        z = np.asarray(z, dtype=np.float64)
+        self._check_train(train)
+        z = np.asarray(z, dtype=self.dtype)
         if z.ndim != 4 or z.shape[1] != self.cfg.latent_maps:
             raise ShapeError(
                 f"latent must be (B, {self.cfg.latent_maps}, {self.cfg.latent_size}, "
@@ -230,8 +259,11 @@ class Autoencoder:
         diff = y - x
         mse = float(np.mean(diff * diff))
         grad = 2.0 * diff / diff.size
-        for layer in reversed(self._layers()):
+        first, *rest = self._layers()
+        for layer in reversed(rest):
             grad = layer.backward(grad)
+        # Nothing reads the gradient w.r.t. the batch itself.
+        first.backward(grad, need_dx=False)
         return mse, self.gradients()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dmrislice.evaluate as evaluate
-from dmrislice.ae import ModelConfig, build_model
+from dmrislice.ae import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from dmrislice.dti import _eigvals_sym3, fit_dti
 from dmrislice.errors import EmptyMask, ModelMissing, ShapeError
 from dmrislice.evaluate import REGION_LABELS, mse_region, run_experiment
@@ -136,14 +136,36 @@ def test_determinism_modulo_timing(noisy_phantom):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_threaded_equals_serial(noisy_phantom):
-    models = {
+def _grid_models():
+    return {
         "signal": build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=0)),
         "b0": build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=1)),
         "sh4": build_model(
             ModelConfig(input_channels=15, latent_maps=2, input_size=16, base_width=1, seed=2)
         ),
     }
+
+
+def test_threaded_equals_serial(noisy_phantom):
+    _check_threaded_equals_serial(noisy_phantom, _grid_models())
+
+
+def test_threaded_equals_serial_on_loaded_models(noisy_phantom, tmp_path):
+    # Loaded checkpoints run the ae cells with a float32 body.
+    models = {}
+    for name, model in _grid_models().items():
+        save_checkpoint(model, tmp_path / f"{name}.ckpt")
+        models[name] = load_checkpoint(tmp_path / f"{name}.ckpt")
+        assert models[name].dtype == np.float32
+    threaded = _check_threaded_equals_serial(noisy_phantom, models)
+    again = _check_threaded_equals_serial(noisy_phantom, models)
+    assert json.dumps(again, sort_keys=True) == json.dumps(threaded, sort_keys=True)
+
+
+def _check_threaded_equals_serial(noisy_phantom, models):
+    """Serial and threaded grids over the ae methods give the same report,
+    and every cell runs the caller's models without changing them; returns
+    the threaded report without its timing block."""
     kw = dict(
         methods=("linear", "cubic", "ae-signal", "ae-sh4"), gaps=(3, 5, 7), n_values=(1, 2),
         models=models,
@@ -168,6 +190,8 @@ def test_threaded_equals_serial(noisy_phantom):
     assert set(encoded) == set(models)
     for name, model in models.items():
         assert_state_unchanged(model, before[name])
+        del model.encode  # back to the class's encode
+    return threaded
 
 
 def test_report_files(noisy_phantom, tmp_path):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dmrislice.ae import ModelConfig, build_model
+from dmrislice.ae import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from dmrislice.errors import BoundaryGap, ShapeError
 from dmrislice.inference import (
     GapSpec,
@@ -160,6 +162,31 @@ def test_infer_swap_symmetry(model16):
     rev = infer_between_slices(model16, b, a, gap)
     assert np.abs(fwd[0].data - rev[1].data).max() < 1e-6
     assert np.abs(fwd[1].data - rev[0].data).max() < 1e-6
+
+
+def test_float64_head_keeps_saturated_outputs_distinct(tmp_path):
+    # A head bias of +16 puts every sigmoid output within ~1e-7 of 1, where
+    # float32 spacing would fold them into a few ties.
+    model = build_model(replace(MODEL16, base_width=2, seed=5))
+    model.decoder[-2].params["b"][:] = 16.0
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    wide = load_checkpoint(tmp_path / "m.ckpt").astype(np.float64)
+    assert loaded.dtype == np.float32
+    rng = np.random.default_rng(14)
+    z = rng.standard_normal((3, 2, 1, 1))
+    y, y_wide = loaded.decode(z), wide.decode(z)
+    assert np.all(y > 0.999)
+    for item, item_wide in zip(y, y_wide):
+        for c, c_wide in zip(item, item_wide):
+            assert len(np.unique(c)) == len(np.unique(c_wide))
+    a = SliceImage(rng.random((16, 16, 2)))
+    b = SliceImage(rng.random((16, 16, 2)) + 0.5)
+    gap = GapSpec(2, 2)
+    for out, out_wide in zip(
+        infer_between_slices(loaded, a, b, gap), infer_between_slices(wide, a, b, gap)
+    ):
+        assert np.linalg.norm(out.data - out_wide.data) <= 1e-5 * np.linalg.norm(out_wide.data)
 
 
 def test_infer_gap_signal_volume(model16):

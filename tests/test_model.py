@@ -170,6 +170,24 @@ def test_loss_zero_when_output_equals_input():
         assert np.allclose(g1, g2, atol=1e-12)
 
 
+def test_first_layer_input_gradient_skipped_with_identical_parameter_gradients():
+    x = np.random.default_rng(13).uniform(0, 1, (2, 1, 16, 16))
+    model = build_model(TINY)
+    mse, grads = model.loss_and_grads(x)
+    # The full backward, down to the gradient w.r.t. the batch.
+    full = build_model(TINY)
+    y, _ = full.forward(x, train=True)
+    diff = y - x
+    assert float(np.mean(diff * diff)) == mse
+    grad = 2.0 * diff / diff.size
+    for layer in reversed(full.encoder + full.decoder):
+        grad = layer.backward(grad)
+    assert grad.shape == x.shape
+    assert len(grads) == len(full.gradients())
+    for g, g_full in zip(grads, full.gradients()):
+        assert np.array_equal(g, g_full)
+
+
 def test_composed_gradients_tiny_model():
     model = build_model(TINY)
     x = np.random.default_rng(7).uniform(0.05, 0.95, (2, 1, 16, 16))
@@ -225,6 +243,68 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     y1, _ = loaded.forward(x)
     y2, _ = load_checkpoint(p2).forward(x)
     assert np.array_equal(y1, y2)
+
+
+def _saved_checkpoint(tmp_path):
+    """A TINY checkpoint with non-trivial running statistics, and the float64
+    model it was saved from."""
+    model = build_model(TINY)
+    model.forward(np.random.default_rng(9).uniform(0, 1, (2, 1, 16, 16)), train=True)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    return p, model
+
+
+def test_loaded_checkpoint_has_a_float32_body_and_a_float64_head(tmp_path):
+    p, _ = _saved_checkpoint(tmp_path)
+    model = load_checkpoint(p)
+    *body, head, sigmoid = model.encoder + model.decoder
+    assert model.dtype == np.float32
+    for layer in body:
+        for arr in list(layer.params.values()) + list(layer.buffers.values()):
+            assert arr.dtype == np.float32
+    assert [arr.dtype for arr in head.params.values()] == [np.float64, np.float64]
+    y, z = model.forward(np.random.default_rng(10).uniform(0, 1, (2, 1, 16, 16)))
+    assert z.dtype == np.float32 and y.dtype == np.float64
+    save_checkpoint(model, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == p.read_bytes()
+
+
+def test_float64_conversion_of_a_loaded_model_is_the_stored_float64_model(tmp_path):
+    p, saved = _saved_checkpoint(tmp_path)
+    # Every stored value widened to float64: what a float64 loader builds.
+    stored = build_model(TINY)
+    params, buffers = saved.state_snapshot()
+    stored.load_snapshot(
+        ([a.astype(np.float32) for a in params], [a.astype(np.float32) for a in buffers])
+    )
+    model = load_checkpoint(p).astype(np.float64)
+    assert model.dtype == np.float64
+    for (_, a), (_, b) in zip(
+        model.parameters() + model.named_buffers(), stored.parameters() + stored.named_buffers()
+    ):
+        assert a.dtype == np.float64 and np.array_equal(a, b)
+    x = np.random.default_rng(10).uniform(0, 1, (2, 1, 16, 16))
+    for got, want in zip(model.forward(x), stored.forward(x)):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    with pytest.raises(ShapeError):
+        model.astype(np.float16)
+
+
+def test_training_a_float32_body_raises(tmp_path):
+    p, _ = _saved_checkpoint(tmp_path)
+    model = load_checkpoint(p)
+    x = np.random.default_rng(10).uniform(0, 1, (2, 1, 16, 16))
+    before = layer_state(model)
+    with pytest.raises(ShapeError):
+        model.forward(x, train=True)
+    with pytest.raises(ShapeError):
+        model.decode(np.zeros((2, 2, 1, 1)), train=True)
+    with pytest.raises(ShapeError):
+        model.loss_and_grads(x)
+    assert_state_unchanged(model, before)
+    mse, grads = model.astype(np.float64).loss_and_grads(x)
+    assert np.isfinite(mse) and all(g.dtype == np.float64 for g in grads)
 
 
 def test_checkpoint_magic(tmp_path):
