@@ -263,25 +263,25 @@ class BatchNorm2D(Layer):
 
 
 class ELU(Layer):
-    def __init__(self, alpha=1.0):
+    """ELU with alpha 1."""
+
+    def __init__(self):
         super().__init__()
-        self.alpha = alpha
         self._y = None
 
     def forward(self, x, train=False):
-        # max(x, 0) + alpha*expm1(min(x, 0)): one branch is always exactly 0.
+        # max(x, 0) + expm1(min(x, 0)): one branch is always exactly 0.
         neg = np.minimum(x, 0.0)
         np.expm1(neg, out=neg)
-        neg *= self.alpha
         y = np.maximum(x, 0.0)
         y += neg
         self._y = y if train else None
         return y
 
     def backward(self, dy):
-        # y > 0 exactly where x > 0, and there y' = 1; elsewhere y' = y + alpha.
+        # y > 0 exactly where x > 0, and there y' = 1; elsewhere y' = y + 1.
         y = self._trained(self._y)
-        return dy * np.where(y > 0, 1.0, y + self.alpha)
+        return dy * np.where(y > 0, 1.0, y + 1.0)
 
 
 class AvgPool2x2(Layer):

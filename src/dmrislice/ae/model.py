@@ -152,15 +152,6 @@ class Autoencoder:
                 out.append(layer.grads[name])
         return out
 
-    def set_parameters(self, arrays):
-        params = self.parameters()
-        if len(arrays) != len(params):
-            raise ShapeError(f"expected {len(params)} tensors, got {len(arrays)}")
-        for (name, current), new in zip(params, arrays):
-            if current.shape != new.shape:
-                raise ShapeError(f"{name}: shape {new.shape} != {current.shape}")
-            current[...] = new
-
     def named_buffers(self):
         out = []
         for i, layer in enumerate(self._layers()):
@@ -175,9 +166,9 @@ class Autoencoder:
         )
 
     def load_snapshot(self, snapshot):
+        """Restore arrays taken by ``state_snapshot`` from this model."""
         params, buffers = snapshot
-        self.set_parameters(params)
-        for (name, current), new in zip(self.named_buffers(), buffers):
+        for (_, current), new in zip(self.parameters() + self.named_buffers(), params + buffers):
             current[...] = new
 
     @property

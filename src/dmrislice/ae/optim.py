@@ -5,14 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 
-class Adam:
-    """Standard Adam; moments are kept per parameter tensor."""
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-7
 
-    def __init__(self, lr=5e-5, beta1=0.9, beta2=0.999, eps=1e-7):
+
+class Adam:
+    """Standard Adam with beta1 0.9, beta2 0.999 and eps 1e-7; moments are
+    kept per parameter tensor."""
+
+    def __init__(self, lr=5e-5):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
@@ -23,7 +24,7 @@ class Adam:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
@@ -31,5 +32,5 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 

@@ -26,9 +26,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 200
     val_fraction: float = 0.15
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
     seed: int = 0
     split_by: str = "subject"  # subject | slice
 
@@ -208,7 +205,7 @@ def train(
     val_data = stack[val_idx]
 
     model = build_model(model_cfg)
-    opt = Adam(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam(lr=cfg.lr)
     params = [arr for _, arr in model.parameters()]
 
     history = []

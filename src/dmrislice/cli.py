@@ -114,13 +114,6 @@ def _config_value(action, key, value):
     return value
 
 
-def _apply_config(args, options: dict, config: dict, explicit: set):
-    """Sets every config value whose option was not typed on the command line."""
-    for key, value in config.items():
-        if key not in explicit:
-            setattr(args, key, _config_value(options[key], key, value))
-
-
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in str(text).replace(",", " ").split()]
 
@@ -326,7 +319,6 @@ def cmd_evaluate(args):
         n_values=_int_list(args.n),
         models=models or None,
         lmax=args.lmax,
-        seed=args.seed,
         threads=threads,
         folds=args.folds,
     )
@@ -471,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b0-model", dest="b0_model", default=None)
     p.add_argument("--threads", type=int, default=None, help="worker thread cap")
     p.add_argument("--out", required=True, help="report directory")
-    _add_common(p, "seed", "shell_tol", "verbose")
+    _add_common(p, "shell_tol", "verbose")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sh-bound", help="SH fit-project round-trip error")
@@ -510,10 +502,14 @@ def dispatch(argv) -> int:
                   file=sys.stderr)
             return USAGE_ERROR
         try:
-            _apply_config(args, options, config, _explicit_dests(argv))
+            values = {key: _config_value(options[key], key, v) for key, v in config.items()}
         except ParseError as exc:  # a value its option rejects
             print(f"dmrislice: config error: {exc}", file=sys.stderr)
             return DATA_ERROR
+        # Config values become the defaults and the command line is parsed
+        # again, so every option typed there, abbreviated or not, wins.
+        parser.subcommands[args.command].set_defaults(**values)
+        args = parser.parse_args(argv)
 
     threads = getattr(args, "threads", None)  # only evaluate has --threads
     if threads is not None and threads < 1:
@@ -525,15 +521,6 @@ def dispatch(argv) -> int:
     except (DmrisliceError, OSError) as exc:  # bad input or an unwritable output
         print(f"dmrislice: {exc}", file=sys.stderr)
         return DATA_ERROR
-
-
-def _explicit_dests(argv) -> set:
-    """Option dests the user actually typed (so config cannot override them)."""
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return explicit
 
 
 def main() -> None:

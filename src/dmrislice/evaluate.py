@@ -49,6 +49,31 @@ ALL_METHODS = CLASSICAL_METHODS + ("sh-linear",) + MODEL_METHODS
 
 REGION_LABELS = {"wm": LABELS["wm"], "cgm": LABELS["cgm"], "cc": LABELS["cc"]}
 
+# The scored series, as (metric, region), in report.csv row order: the
+# signal error over the whole gap slab, then FA and MD per tissue region.
+SIGNAL = ("signal", "all")
+SERIES = (SIGNAL,) + tuple((m, r) for m in ("fa", "md") for r in sorted(REGION_LABELS))
+
+
+def _results_cell(values: dict) -> dict:
+    """A method's results cell from its series -> per-gap scores: each series
+    as {"per_gap", "mean"}, held directly by ``signal_mse`` and per region by
+    ``fa_mse`` and ``md_mse``."""
+    cell = {}
+    for (metric, region), per_gap in values.items():
+        entry = {"per_gap": per_gap, "mean": float(np.mean(per_gap))}
+        if region == "all":
+            cell[f"{metric}_mse"] = entry
+        else:
+            cell.setdefault(f"{metric}_mse", {})[region] = entry
+    return cell
+
+
+def _series_entry(cell: dict, metric: str, region: str) -> dict:
+    """A series' {"per_gap", "mean"} entry in a cell made by _results_cell."""
+    entry = cell[f"{metric}_mse"]
+    return entry if region == "all" else entry[region]
+
 
 def mse_region(est: Volume4D, gt: Volume4D, mask: Volume4D, label: int) -> float:
     """Mean squared difference over voxels carrying the given label."""
@@ -91,35 +116,22 @@ class EvalReport:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n_missing", "method", "metric", "region", "gap", "value"])
+
+        def rows(n_key, method, metric, region, entry):
+            for gap, value in zip(self.config["gaps"], entry["per_gap"]):
+                writer.writerow([n_key, method, f"{metric}_mse", region, gap, value])
+            writer.writerow([n_key, method, f"{metric}_mse", region, "mean", entry["mean"]])
+
         for n_key in sorted(self.results):
-            for method in sorted(self.results[n_key]):
-                cell = self.results[n_key][method]
-                for gap, value in zip(
-                    self.config["gaps"], cell["signal_mse"]["per_gap"]
-                ):
-                    writer.writerow([n_key, method, "signal_mse", "all", gap, value])
-                writer.writerow(
-                    [n_key, method, "signal_mse", "all", "mean", cell["signal_mse"]["mean"]]
-                )
-                for metric in ("fa_mse", "md_mse"):
-                    for region in sorted(cell[metric]):
-                        entry = cell[metric][region]
-                        for gap, value in zip(self.config["gaps"], entry["per_gap"]):
-                            writer.writerow([n_key, method, metric, region, gap, value])
-                        writer.writerow([n_key, method, metric, region, "mean", entry["mean"]])
-            if n_key in self.sh_bound:
-                bound = self.sh_bound[n_key]
-                for gap, value in zip(self.config["gaps"], bound["per_gap"]):
-                    writer.writerow([n_key, "sh4-bound", "signal_mse", "all", gap, value])
-                writer.writerow([n_key, "sh4-bound", "signal_mse", "all", "mean", bound["mean"]])
-            for metric in sorted(self.wilcoxon.get(n_key, {})):
-                block = self.wilcoxon[n_key][metric]
-                for region in sorted(block):
-                    for pair in sorted(block[region]):
-                        entry = block[region][pair]
-                        writer.writerow(
-                            [n_key, pair, f"wilcoxon_p_{metric}", region, "", entry["p"]]
-                        )
+            for method, cell in sorted(self.results[n_key].items()):
+                for metric, region in SERIES:
+                    rows(n_key, method, metric, region, _series_entry(cell, metric, region))
+            rows(n_key, "sh4-bound", *SIGNAL, self.sh_bound[n_key])
+            for metric, region in sorted(SERIES):
+                tests = self.wilcoxon[n_key][metric][region]
+                for pair in sorted(tests):
+                    p = tests[pair]["p"]
+                    writer.writerow([n_key, pair, f"wilcoxon_p_{metric}", region, "", p])
         return buf.getvalue()
 
     def write(self, out_dir) -> None:
@@ -189,6 +201,7 @@ def _gap_subvolume(vol: Volume4D, gap: GapSpec) -> Volume4D:
 
 
 def _evaluate_cell(data, shared: _Shared, method, gap, models, lmax):
+    """The cell's score for each of SERIES, in that order, then its runtime."""
     start = time.perf_counter()
     dwi_slices, b0_slices = _estimate_slices(data, shared, method, gap, models, lmax)
 
@@ -198,16 +211,16 @@ def _evaluate_cell(data, shared: _Shared, method, gap, models, lmax):
 
     b0_stack = np.stack([s.data for s in b0_slices], axis=2)
     fa_est, md_est = dti_scalars(fit_dti(Volume4D(est_stack), Volume4D(b0_stack), data.gtab))
-    fa_gt = _gap_subvolume(shared.fa_gt, gap)
-    md_gt = _gap_subvolume(shared.md_gt, gap)
+    est = {"fa": fa_est, "md": md_est}
+    gt = {"fa": _gap_subvolume(shared.fa_gt, gap), "md": _gap_subvolume(shared.md_gt, gap)}
     labels_gap = _gap_subvolume(data.labels, gap)
-    fa_cell = {}
-    md_cell = {}
-    for region, label in REGION_LABELS.items():
-        fa_cell[region] = mse_region(fa_est, fa_gt, labels_gap, label)
-        md_cell[region] = mse_region(md_est, md_gt, labels_gap, label)
-    runtime = time.perf_counter() - start
-    return signal_mse, fa_cell, md_cell, runtime
+    scores = tuple(
+        signal_mse
+        if region == "all"
+        else mse_region(est[metric], gt[metric], labels_gap, REGION_LABELS[region])
+        for metric, region in SERIES
+    )
+    return scores + (time.perf_counter() - start,)
 
 
 def default_gaps(z_dim: int) -> list[int]:
@@ -230,7 +243,6 @@ def run_experiment(
     n_values=(1, 2),
     models=None,
     lmax: int = 4,
-    seed: int = 0,
     threads: int | None = None,
     folds: int = 1,
 ) -> EvalReport:
@@ -266,7 +278,6 @@ def run_experiment(
         "gaps": gaps,
         "n_values": n_values,
         "lmax": lmax,
-        "seed": seed,
         "folds": folds,
         "regions": sorted(REGION_LABELS),
     }
@@ -287,36 +298,12 @@ def run_experiment(
 
     for n in n_values:
         n_key = str(n)
-        report.results[n_key] = {}
-        report.timing[n_key] = {}
+        values = {}  # method -> series -> per-gap scores
+        report.results[n_key], report.timing[n_key] = {}, {}
         for method in methods:
-            per_gap_signal, per_gap_fa, per_gap_md, runtimes = [], [], [], []
-            for gap_start in gaps:
-                signal_mse, fa_cell, md_cell, runtime = cells[(n, method, gap_start)]
-                per_gap_signal.append(signal_mse)
-                per_gap_fa.append(fa_cell)
-                per_gap_md.append(md_cell)
-                runtimes.append(runtime)
-            cell = {
-                "signal_mse": {
-                    "per_gap": per_gap_signal,
-                    "mean": float(np.mean(per_gap_signal)),
-                },
-                "fa_mse": {},
-                "md_mse": {},
-            }
-            for region in REGION_LABELS:
-                fa_vals = [c[region] for c in per_gap_fa]
-                md_vals = [c[region] for c in per_gap_md]
-                cell["fa_mse"][region] = {
-                    "per_gap": fa_vals,
-                    "mean": float(np.mean(fa_vals)),
-                }
-                cell["md_mse"][region] = {
-                    "per_gap": md_vals,
-                    "mean": float(np.mean(md_vals)),
-                }
-            report.results[n_key][method] = cell
+            *columns, runtimes = map(list, zip(*(cells[(n, method, g)] for g in gaps)))
+            values[method] = dict(zip(SERIES, columns))
+            report.results[n_key][method] = _results_cell(values[method])
             report.timing[n_key][method] = float(np.sum(runtimes))
 
         bound_vals = [
@@ -328,62 +315,35 @@ def run_experiment(
             "mean": float(np.mean(bound_vals)),
         }
 
-        report.wilcoxon[n_key] = _wilcoxon_block(report.results[n_key], methods)
+        report.wilcoxon[n_key] = _wilcoxon_block(values, methods)
 
         if folds > 1:
-            fold_block = {}
-            for f in range(folds):
-                fold_gaps = gaps[f::folds]
-                fold_block[f"fold{f}"] = {
-                    "gaps": fold_gaps,
+            report.folds[n_key] = {
+                f"fold{f}": {
+                    "gaps": gaps[f::folds],
                     "signal_mse": {
-                        method: float(
-                            np.mean([cells[(n, method, g)][0] for g in fold_gaps])
-                        )
+                        method: float(np.mean(values[method][SIGNAL][f::folds]))
                         for method in methods
                     },
                 }
-            report.folds[n_key] = fold_block
+                for f in range(folds)
+            }
     return report
 
 
-def _wilcoxon_block(results_for_n: dict, methods) -> dict:
-    block = {"signal": {"all": {}}, "fa": {}, "md": {}}
-    for region in REGION_LABELS:
-        block["fa"][region] = {}
-        block["md"][region] = {}
-    for a, b in combinations(methods, 2):
-        pair = f"{a}_vs_{b}"
-        pairs = [
-            (
-                "signal",
-                "all",
-                results_for_n[a]["signal_mse"]["per_gap"],
-                results_for_n[b]["signal_mse"]["per_gap"],
-            )
-        ]
-        for region in REGION_LABELS:
-            pairs.append(
-                (
-                    "fa",
-                    region,
-                    results_for_n[a]["fa_mse"][region]["per_gap"],
-                    results_for_n[b]["fa_mse"][region]["per_gap"],
-                )
-            )
-            pairs.append(
-                (
-                    "md",
-                    region,
-                    results_for_n[a]["md_mse"][region]["per_gap"],
-                    results_for_n[b]["md_mse"][region]["per_gap"],
-                )
-            )
-        for metric, region, x, y in pairs:
+def _wilcoxon_block(values: dict, methods) -> dict:
+    """Paired tests of every method pair on each of SERIES, keyed
+    [metric][region][a_vs_b]; ``values`` maps method -> series -> per-gap scores."""
+    block = {}
+    for series in SERIES:
+        metric, region = series
+        tests = {}
+        block.setdefault(metric, {})[region] = tests
+        for a, b in combinations(methods, 2):
             try:
-                w, p = wilcoxon_signed_rank(x, y)
+                w, p = wilcoxon_signed_rank(values[a][series], values[b][series])
                 entry = {"W": w, "p": p}
             except DegenerateSample as exc:
                 entry = {"W": None, "p": None, "note": str(exc)}
-            block[metric][region][pair] = entry
+            tests[f"{a}_vs_{b}"] = entry
     return block

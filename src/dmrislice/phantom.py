@@ -18,7 +18,6 @@ from .errors import ShapeError
 from .volume import GradientTable, Volume4D
 
 LABELS = {"background": 0, "csf": 1, "cgm": 2, "wm": 3, "cc": 4}
-REGION_NAMES = {v: k for k, v in LABELS.items()}
 
 CSF_DIFFUSIVITY = 3.0e-3  # mm^2/s, isotropic
 CGM_DIFFUSIVITY = 0.8e-3  # mm^2/s, isotropic

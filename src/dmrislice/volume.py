@@ -122,14 +122,6 @@ class SliceImage:
         object.__setattr__(self, "data", data)
 
     @property
-    def width(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def channels(self) -> int:
         return self.data.shape[2]
 

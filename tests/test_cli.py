@@ -335,7 +335,7 @@ SHARED_OPTIONS = {
     "train": {"seed", "shell_tol", "verbose"},
     "infer": {"shell_tol"},
     "phantom": {"seed", "verbose"},
-    "evaluate": {"seed", "shell_tol", "verbose"},
+    "evaluate": {"shell_tol", "verbose"},
     "sh-bound": {"shell_tol"},
 }
 
@@ -348,8 +348,7 @@ def test_shared_options_only_where_read(tmp_path):
         assert "config" in options
         assert options.keys() & {"seed", "shell_tol", "verbose"} == shared, name
     for argv in (["train", "--data", "s", "--net", "b0", "--out", "m.ckpt"],
-                 ["phantom", "--out", "s"],
-                 ["evaluate", "--data", "s", "--out", "r"]):
+                 ["phantom", "--out", "s"]):
         assert build_parser().parse_args(argv + ["--seed", "1"]).seed == 1
     with pytest.raises(SystemExit) as exc:
         dispatch(["interp", "--input", "v.nii", "--gap-start", "3", "--out", "o",
@@ -443,6 +442,18 @@ def test_config_flags_override_file(study_dir, tmp_path):
     assert report["config"]["gaps"] == [2, 3]  # file fills the rest
 
 
+def test_config_does_not_override_an_abbreviated_flag(tmp_path):
+    write_nifti(Volume4D(np.ones((4, 4, 7, 1))), tmp_path / "v.nii")
+    cfg = tmp_path / "c.toml"
+    cfg.write_text("gap_start = 2\n")
+    out = tmp_path / "o"
+    code = dispatch(["interp", "--input", str(tmp_path / "v.nii"), "--gap", "4",
+                     "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    assert (out / "slice_004.nii").exists()
+    assert not (out / "slice_002.nii").exists()
+
+
 def test_config_unknown_key_rejected(study_dir, tmp_path):
     cfg = tmp_path / "c.toml"
     cfg.write_text("not_an_option = 1\n")
@@ -500,7 +511,7 @@ def test_seeded_commands_deterministic(study_dir, tmp_path):
     for out in (a, b):
         code = dispatch(
             ["evaluate", "--data", str(study_dir), "--methods", "linear",
-             "--gaps", "2,3", "--n", "1", "--seed", "5", "--out", str(out)]
+             "--gaps", "2,3", "--n", "1", "--out", str(out)]
         )
         assert code == 0
     ja = json.loads((a / "report.json").read_text())

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -202,6 +203,43 @@ def test_report_files(noisy_phantom, tmp_path):
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "n_missing,method,metric,region,gap,value"
     assert len(lines) > 10
+
+
+def test_report_csv_rows_match_report_json(noisy_phantom, tmp_path):
+    methods, gaps = ("linear", "cubic", "sh-linear"), (1, 3, 5, 7, 9)
+    run_experiment(noisy_phantom, methods=methods, gaps=gaps, n_values=(1, 2)).write(tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    with open(tmp_path / "report.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["n_missing", "method", "metric", "region", "gap", "value"]
+    got = [row[:5] + [float(row[5]) if row[5] else None] for row in rows]
+
+    def series_rows(n, method, metric, region, entry):
+        per_gap = [[n, method, metric, region, str(g), v] for g, v in zip(gaps, entry["per_gap"])]
+        return per_gap + [[n, method, metric, region, "mean", entry["mean"]]]
+
+    # Per N: each method's signal rows, then FA and MD with regions sorted;
+    # the sh4-bound rows; the Wilcoxon p rows by metric, region and pair.
+    pairs = sorted(f"{a}_vs_{b}" for k, a in enumerate(methods) for b in methods[k + 1:])
+    regions = {"fa": ["cc", "cgm", "wm"], "md": ["cc", "cgm", "wm"], "signal": ["all"]}
+    expected = []
+    for n in ("1", "2"):
+        for method in sorted(methods):
+            cell = report["results"][n][method]
+            expected += series_rows(n, method, "signal_mse", "all", cell["signal_mse"])
+            for metric in ("fa_mse", "md_mse"):
+                for region in regions["fa"]:
+                    expected += series_rows(n, method, metric, region, cell[metric][region])
+        expected += series_rows(n, "sh4-bound", "signal_mse", "all", report["sh_bound"][n])
+        for metric, metric_regions in regions.items():
+            assert sorted(report["wilcoxon"][n][metric]) == metric_regions
+            for region in metric_regions:
+                tests = report["wilcoxon"][n][metric][region]
+                assert sorted(tests) == pairs
+                for pair in pairs:
+                    expected.append([n, pair, f"wilcoxon_p_{metric}", region, "", tests[pair]["p"]])
+    assert got == expected
+    assert any(row[5] is not None for row in got if row[2].startswith("wilcoxon_p_"))
 
 
 def test_folds_breakdown(noisy_phantom):
