@@ -11,7 +11,7 @@ from .dti import TensorVolume, dti_scalars, fit_dti
 from .evaluate import EvalReport, mse_region, run_experiment
 from .inference import blend_latents, histogram_match, infer_gap_sh, infer_gap_signal
 from .interp import interp_missing_slices
-from .nifti import read_nifti, write_nifti
+from .nifti import read_labels, read_nifti, write_nifti
 from .phantom import PhantomData, PhantomSpec, fibonacci_directions, make_phantom
 from .sh import (
     ShBasisMatrix,
@@ -57,6 +57,7 @@ __all__ = [
     "PhantomSpec",
     "project_sh",
     "read_gradient_table",
+    "read_labels",
     "read_nifti",
     "read_sh",
     "replace_slices",

@@ -284,30 +284,38 @@ class ELU(Layer):
         return dy * np.where(y > 0, 1.0, y + 1.0)
 
 
+def _block_sum2x2(x):
+    """Sum of each 2x2 block of the last two axes, in pairs along w and then
+    the two rows: the order NumPy's mean over both window axes uses."""
+    y = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
+    y += x[:, :, 1::2, ::2] + x[:, :, 1::2, 1::2]
+    return y
+
+
+def _repeat2x2(x):
+    """Each value of the last two axes repeated into a 2x2 block."""
+    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+
 class AvgPool2x2(Layer):
     def forward(self, x, train=False):
         h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ShapeError(f"average pooling needs even spatial dims, got {h}x{w}")
-        # Summed in pairs along w, then the two rows: the order NumPy's mean
-        # over both window axes uses.
-        y = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
-        y += x[:, :, 1::2, ::2] + x[:, :, 1::2, 1::2]
+        y = _block_sum2x2(x)
         y *= 0.25
         return y
 
     def backward(self, dy):
-        up = np.repeat(np.repeat(dy, 2, axis=2), 2, axis=3)
-        return up / 4.0
+        return _repeat2x2(dy * 0.25)
 
 
 class NearestUpsample2x2(Layer):
     def forward(self, x, train=False):
-        return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+        return _repeat2x2(x)
 
     def backward(self, dy):
-        b, c, h, w = dy.shape
-        return dy.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+        return _block_sum2x2(dy)
 
 
 class Sigmoid(Layer):

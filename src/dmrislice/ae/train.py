@@ -60,41 +60,32 @@ class Checkpoint:
 MIN_MASK_FRACTION = 0.01
 
 
-def _slice_to_sample(data_whc: np.ndarray, subject: str) -> SliceSample:
-    normalized = normalize_slice(SliceImage(data_whc)).data
-    return SliceSample(data=normalized.transpose(2, 0, 1), subject=subject)
-
-
-def _mask_fraction(mask: Volume4D | None, z: int) -> float:
-    if mask is None:
-        return 1.0
-    plane = mask.data[:, :, z, 0]
-    return float(np.count_nonzero(plane)) / plane.size
+def stacked_slices(
+    vol: Volume4D, mask: Volume4D | None = None, subject: str = "s0"
+) -> list[SliceSample]:
+    """One multi-channel sample per z (all V values as channels), dropping
+    slices whose mask coverage falls below ``MIN_MASK_FRACTION``."""
+    samples = []
+    for z in range(vol.dims[2]):
+        if mask is not None:
+            plane = mask.data[:, :, z, 0]
+            if np.count_nonzero(plane) / plane.size < MIN_MASK_FRACTION:
+                continue
+        normalized = normalize_slice(SliceImage(vol.data[:, :, z, :])).data
+        samples.append(SliceSample(data=normalized.transpose(2, 0, 1), subject=subject))
+    return samples
 
 
 def slices_per_volume(
     vol: Volume4D, mask: Volume4D | None = None, subject: str = "s0"
 ) -> list[SliceSample]:
-    """One 1-channel sample per (volume index, z); low-coverage slices dropped."""
-    samples = []
-    for z in range(vol.dims[2]):
-        if _mask_fraction(mask, z) < MIN_MASK_FRACTION:
-            continue
-        for v in range(vol.n_volumes):
-            samples.append(_slice_to_sample(vol.data[:, :, z, v : v + 1], subject))
-    return samples
-
-
-def stacked_slices(
-    vol: Volume4D, mask: Volume4D | None = None, subject: str = "s0"
-) -> list[SliceSample]:
-    """One multi-channel sample per z (all V values as channels)."""
-    samples = []
-    for z in range(vol.dims[2]):
-        if _mask_fraction(mask, z) < MIN_MASK_FRACTION:
-            continue
-        samples.append(_slice_to_sample(vol.data[:, :, z, :], subject))
-    return samples
+    """One 1-channel sample per (z, volume index), z-major: the channels of
+    :func:`stacked_slices`, which normalizes each channel on its own."""
+    return [
+        SliceSample(data=channel[None], subject=subject)
+        for sample in stacked_slices(vol, mask, subject)
+        for channel in sample.data
+    ]
 
 
 def averaged_dwi_slices(
@@ -108,19 +99,16 @@ def averaged_dwi_slices(
     """Training samples from averages of n randomly selected DWI volumes.
 
     Each draw averages ``n_average`` distinct volumes (all of them when fewer
-    are available) and contributes one 1-channel sample per retained slice.
+    are available) and contributes the :func:`stacked_slices` of that
+    average, draw-major.
     """
     rng = np.random.default_rng(seed)
-    n_avail = dwi.n_volumes
-    take = min(n_average, n_avail)
+    take = min(n_average, dwi.n_volumes)
     samples = []
     for _ in range(n_samples):
-        chosen = rng.choice(n_avail, size=take, replace=False)
-        avg = dwi.data[:, :, :, chosen].mean(axis=3)
-        for z in range(dwi.dims[2]):
-            if _mask_fraction(mask, z) < MIN_MASK_FRACTION:
-                continue
-            samples.append(_slice_to_sample(avg[:, :, z, None], subject))
+        chosen = rng.choice(dwi.n_volumes, size=take, replace=False)
+        avg = Volume4D(dwi.data[:, :, :, chosen].mean(axis=3))
+        samples += stacked_slices(avg, mask, subject)
     return samples
 
 

@@ -21,7 +21,7 @@ from .evaluate import ALL_METHODS, default_gaps, run_experiment
 from .inference import infer_gap_sh, infer_gap_signal
 from .interp import KINDS, interp_missing_slices
 from .dti import dti_scalars, fit_dti
-from .nifti import read_nifti, write_nifti
+from .nifti import read_labels, read_nifti, write_nifti
 from .phantom import PhantomSpec, make_phantom
 from .sh import fit_sh, project_sh, read_sh, sh_roundtrip_error, write_sh
 from .study import load_study, write_study
@@ -119,15 +119,26 @@ def _int_list(text: str) -> list[int]:
 
 
 def _load_dwi_args(args):
-    vol = read_nifti(args.dwi, intent="dwi")
+    vol = read_nifti(args.dwi)
     gtab = read_gradient_table(args.bval, args.bvec)
     return vol, gtab
 
 
 def _mask_arg(args):
     if getattr(args, "mask", None):
-        return read_nifti(args.mask, intent="labels")
+        return read_labels(args.mask)
     return None
+
+
+def _write_slices(slices, vol: Volume4D, gap_start: int, out_dir, prefix="slice"):
+    """Writes each gap slice as a one-slice volume in ``vol``'s space: the
+    input spacing, and the affine's origin moved by z times its third column,
+    so the file lines up with slice z of ``vol``."""
+    for z, s in enumerate(slices, start=gap_start):
+        affine = vol.affine.copy()
+        affine[:3, 3] += z * affine[:3, 2]
+        out = Volume4D(s.data[:, :, None, :], spacing=vol.spacing, affine=affine)
+        write_nifti(out, os.path.join(out_dir, f"{prefix}_{z:03d}.nii"))
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -174,9 +185,7 @@ def cmd_interp(args):
     gap = GapSpec(gap_start=args.gap_start, n_missing=args.n)
     slices = interp_missing_slices(vol, gap, args.method)
     os.makedirs(args.out, exist_ok=True)
-    for k, s in enumerate(slices):
-        out = Volume4D(s.data[:, :, None, :], spacing=vol.spacing, affine=vol.affine)
-        write_nifti(out, os.path.join(args.out, f"slice_{args.gap_start + k:03d}.nii"))
+    _write_slices(slices, vol, args.gap_start, args.out)
     filled = replace_slices(vol, args.gap_start, slices)
     write_nifti(filled, os.path.join(args.out, "volume.nii"))
     return 0
@@ -233,7 +242,7 @@ def cmd_train(args):
     )
     if args.sweep_m:
         ckpt, sweep = ae.sweep_latent_size(
-            dataset, train_cfg, model_cfg, m_values=_int_list(args.sweep_m)
+            dataset, train_cfg, model_cfg, m_values=args.sweep_m
         )
         if args.verbose:
             for m, val in sorted(sweep.items()):
@@ -268,23 +277,17 @@ def cmd_infer(args):
             model, b0_model, data.dwi, data.b0, data.gtab, gap, lmax=args.lmax
         )
 
-    for k, s in enumerate(slices):
-        out = Volume4D(s.data[:, :, None, :])
-        write_nifti(out, os.path.join(args.out, f"slice_{gap.gap_start + k:03d}.nii"))
+    _write_slices(slices, data.dwi, gap.gap_start, args.out)
     filled = replace_slices(data.dwi, gap.gap_start, slices)
     write_nifti(filled, os.path.join(args.out, "volume.nii"))
     if b0_slices is not None:
-        for k, s in enumerate(b0_slices):
-            out = Volume4D(s.data[:, :, None, :])
-            write_nifti(
-                out, os.path.join(args.out, f"b0_slice_{gap.gap_start + k:03d}.nii")
-            )
+        _write_slices(b0_slices, data.b0, gap.gap_start, args.out, prefix="b0_slice")
     return 0
 
 
 def cmd_phantom(args):
     spec = PhantomSpec(
-        dims=tuple(_int_list(args.dims)),
+        dims=tuple(args.dims),
         b_value=args.bvalue or 1000.0,
         n_directions=args.directions,
         n_b0=args.b0,
@@ -310,13 +313,13 @@ def cmd_evaluate(args):
         models["b0"] = ae.load_checkpoint(args.b0_model)
 
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
-    gaps = _int_list(args.gaps) if args.gaps else default_gaps(data.dwi.dims[2])
+    gaps = args.gaps or default_gaps(data.dwi.dims[2])
     threads = args.threads if args.threads is not None else os.cpu_count()
     report = run_experiment(
         data,
         methods=methods,
         gaps=gaps,
-        n_values=_int_list(args.n),
+        n_values=args.n,
         models=models or None,
         lmax=args.lmax,
         threads=threads,
@@ -410,7 +413,8 @@ def build_parser() -> _Parser:
     p.add_argument("--reg", type=float, default=0.0)
     p.add_argument("--bvalue", type=float, default=None)
     p.add_argument("--m", type=int, default=32, help="latent feature maps")
-    p.add_argument("--sweep-m", default=None, help="comma list of M values to sweep")
+    p.add_argument("--sweep-m", type=_int_list, default=None,
+                   help="comma list of M values to sweep")
     p.add_argument("--base-width", type=int, default=32)
     p.add_argument("--input-size", type=int, default=0, help="0 = use slice size")
     p.add_argument("--upsample", choices=("nearest", "transposed"), default="nearest")
@@ -438,7 +442,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("phantom", help="generate a synthetic phantom study")
-    p.add_argument("--dims", default="64,64,16")
+    p.add_argument("--dims", type=_int_list, default="64,64,16")
     p.add_argument("--directions", type=int, default=88)
     p.add_argument("--b0", type=int, default=4)
     p.add_argument("--bvalue", type=float, default=1000.0)
@@ -452,8 +456,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="study directory")
     p.add_argument("--methods", default="linear,cubic,bspline5,sh-linear",
                    help=f"comma list from {ALL_METHODS}")
-    p.add_argument("--gaps", default=None, help="comma list of gap z-indices")
-    p.add_argument("--n", default="1,2", help="comma list of gap widths")
+    p.add_argument("--gaps", type=_int_list, default=None,
+                   help="comma list of gap z-indices")
+    p.add_argument("--n", type=_int_list, default="1,2", help="comma list of gap widths")
     p.add_argument("--folds", type=int, default=1,
                    help="per-fold breakdown over gap positions (default single split)")
     p.add_argument("--lmax", type=int, default=4)

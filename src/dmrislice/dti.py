@@ -43,7 +43,7 @@ class TensorVolume:
         return self.d6.shape[:3]
 
     def to_volume(self) -> Volume4D:
-        return Volume4D(self.d6, spacing=self.spacing, affine=self.affine, intent="scalar")
+        return Volume4D(self.d6, spacing=self.spacing, affine=self.affine)
 
 
 def design_matrix(bvals: np.ndarray, bvecs: np.ndarray) -> np.ndarray:
@@ -188,7 +188,4 @@ def dti_scalars(t: TensorVolume) -> tuple[Volume4D, Volume4D]:
     den = np.sqrt(l1 * l1 + l2 * l2 + l3 * l3)
     fa = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
     md = lam.mean(axis=-1)
-    return tuple(
-        Volume4D(m[..., None], spacing=t.spacing, affine=t.affine, intent="scalar")
-        for m in (fa, md)
-    )
+    return tuple(Volume4D(m, spacing=t.spacing, affine=t.affine) for m in (fa, md))

@@ -249,18 +249,17 @@ def run_experiment(
     """Run the full method x N x gap grid and assemble the report.
 
     ``models`` maps {'signal', 'sh4', 'b0'} to Autoencoder instances for the
-    model-based methods. They are shared, not copied: every cell, serial or
-    pooled, reads the caller's instances, which inference never writes to
-    (a ``train=False`` forward keeps no layer state), and they must not be
-    trained or otherwise mutated while the grid runs. Cells run in a thread
-    pool when ``threads`` exceeds one; report assembly is always in fixed
-    order, so the output is identical either way.
-    Serial or pooled, every cell runs with one BLAS thread, so the pool's
-    threads do not oversubscribe the cores and ``threads`` never changes what
-    a cell computes; the setting is process-wide while the cells run and the
-    previous count is restored afterwards. ``folds`` > 1 adds a
-    per-fold breakdown (gap positions split round-robin), the desk-scale
-    stand-in for subject-level cross-validation.
+    model-based methods. They are shared, not copied: every cell reads the
+    caller's instances, which inference never writes to (a ``train=False``
+    forward keeps no layer state), and they must not be trained or otherwise
+    mutated while the grid runs. Cells run in one thread pool of
+    ``max(1, threads or 1)`` workers; report assembly is always in fixed
+    order, so the worker count never changes the report. Every cell runs
+    with one BLAS thread, so the pool's threads do not oversubscribe the
+    cores and ``threads`` never changes what a cell computes; the setting is
+    process-wide while the cells run and the previous count is restored
+    afterwards. ``folds`` > 1 adds a per-fold breakdown (gap positions split
+    round-robin), the desk-scale stand-in for subject-level cross-validation.
     """
     methods = list(methods)
     gaps = [int(z) for z in gaps]
@@ -289,12 +288,8 @@ def run_experiment(
         return _evaluate_cell(data, shared, method, gap, models, lmax)
 
     jobs = [(n, m, g) for n in n_values for m in methods for g in gaps]
-    with one_blas_thread():
-        if threads is not None and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                cells = dict(zip(jobs, pool.map(run_cell, jobs)))
-        else:
-            cells = {job: run_cell(job) for job in jobs}
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
+        cells = dict(zip(jobs, pool.map(run_cell, jobs)))
 
     for n in n_values:
         n_key = str(n)

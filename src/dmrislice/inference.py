@@ -162,7 +162,7 @@ def infer_gap_sh(
     z_next = gap.gap_start + gap.n_missing
 
     neighbors = dwi.data[:, :, [z_prev, z_next], :]
-    sh = fit_sh(Volume4D(neighbors, intent="dwi"), g, lmax=lmax)
+    sh = fit_sh(Volume4D(neighbors), g, lmax=lmax)
     prev_sh = SliceImage(sh.volume.data[:, :, 0, :])
     next_sh = SliceImage(sh.volume.data[:, :, 1, :])
     inferred = infer_between_slices(model_sh, prev_sh, next_sh, gap)

@@ -3,8 +3,9 @@
 Supports little-endian, uncompressed files with scalar datatypes
 {uint8, int16, int32, float32, float64}. Data are returned in (x, y, z, v)
 order with x fastest on disk, scl_slope/scl_inter applied when the slope is
-nonzero. Non-finite voxel values are rejected on reading. The writer always
-emits float32 with vox_offset 352.
+nonzero. Non-finite voxel values are rejected on reading, and
+:func:`read_labels` also rejects label maps that are not non-negative
+integers. The writer always emits float32 with vox_offset 352.
 """
 
 from __future__ import annotations
@@ -64,12 +65,8 @@ def _quaternion_affine(header: bytes, spacing) -> np.ndarray:
     return affine
 
 
-def read_nifti(path, intent: str | None = None) -> Volume4D:
-    """Read an uncompressed single-file NIfTI-1 volume.
-
-    ``intent`` overrides the semantic tag; by default V==1 volumes are tagged
-    'scalar' and multi-volume files 'dwi'.
-    """
+def read_nifti(path) -> Volume4D:
+    """Read an uncompressed single-file NIfTI-1 volume."""
     try:
         with open(path, "rb") as fh:
             buf = fh.read()
@@ -150,10 +147,16 @@ def read_nifti(path, intent: str | None = None) -> Volume4D:
         affine = _quaternion_affine(buf, spacing)
     else:
         affine = np.diag([spacing[0], spacing[1], spacing[2], 1.0])
+    return Volume4D(data=data, spacing=spacing, affine=affine)
 
-    if intent is None:
-        intent = "scalar" if nv == 1 else "dwi"
-    return Volume4D(data=data, spacing=spacing, affine=affine, intent=intent)
+
+def read_labels(path) -> Volume4D:
+    """Read a label map or mask; its values must be non-negative integers."""
+    labels = read_nifti(path)
+    data = labels.data
+    if np.any(data < 0) or np.any(data != np.round(data)):
+        raise ShapeError(f"{path}: labels must be non-negative integers")
+    return labels
 
 
 def write_nifti(v: Volume4D, path) -> None:

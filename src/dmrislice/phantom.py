@@ -166,8 +166,8 @@ def make_phantom(spec: PhantomSpec) -> PhantomData:
     b0_data = _apply_noise(b0_data, spec, rng)
 
     gtab = GradientTable(np.full(spec.n_directions, spec.b_value), dirs)
-    dwi = Volume4D(signal, intent="dwi")
-    b0 = Volume4D(b0_data, intent="dwi")
-    labels_vol = Volume4D(labels.astype(np.float64)[..., None], intent="labels")
+    dwi = Volume4D(signal)
+    b0 = Volume4D(b0_data)
+    labels_vol = Volume4D(labels)
     tensors = TensorVolume(d6=d6, s0=s0)
     return PhantomData(dwi=dwi, b0=b0, gtab=gtab, labels=labels_vol, tensors=tensors, spec=spec)

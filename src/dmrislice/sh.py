@@ -157,7 +157,7 @@ def fit_sh(
     if mask is not None:
         keep = mask.data[..., 0] > 0
         coeffs = np.where(keep[..., None], coeffs, 0.0)
-    vol = Volume4D(coeffs, spacing=dwi.spacing, affine=dwi.affine, intent="sh_coeffs")
+    vol = Volume4D(coeffs, spacing=dwi.spacing, affine=dwi.affine)
     return ShCoeffVolume(vol, lmax=lmax, lambda_reg=lambda_reg, ill_conditioned=ill)
 
 
@@ -167,9 +167,7 @@ def project_sh(sh: ShCoeffVolume, directions) -> Volume4D:
     nx, ny, nz, nr = sh.volume.dims
     signal = sh.volume.data.reshape(-1, nr) @ basis.matrix.T
     signal = signal.reshape(nx, ny, nz, basis.n_directions)
-    return Volume4D(
-        signal, spacing=sh.volume.spacing, affine=sh.volume.affine, intent="dwi"
-    )
+    return Volume4D(signal, spacing=sh.volume.spacing, affine=sh.volume.affine)
 
 
 def project_sh_slice(coeff_slice: np.ndarray, basis: ShBasisMatrix) -> np.ndarray:
@@ -237,7 +235,7 @@ def read_sh(path) -> ShCoeffVolume:
         ill_conditioned = bool(sidecar.get("ill_conditioned", False))
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ParseError(f"malformed SH sidecar {sidecar_path}: {exc!r}") from exc
-    vol = read_nifti(path, intent="sh_coeffs")
+    vol = read_nifti(path)
     return ShCoeffVolume(
         vol, lmax=lmax, lambda_reg=lambda_reg, ill_conditioned=ill_conditioned
     )

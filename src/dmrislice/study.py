@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import EmptyShell, ParseError
-from .nifti import read_nifti, write_nifti
+from .nifti import read_labels, read_nifti, write_nifti
 from .phantom import PhantomData
 from .volume import (
     B0_THRESHOLD,
@@ -34,7 +34,7 @@ def write_study(data: PhantomData, out_dir) -> None:
     n_b0 = data.b0.n_volumes
     bvals = np.concatenate([np.zeros(n_b0), data.gtab.bvals])
     bvecs = np.vstack([np.zeros((n_b0, 3)), data.gtab.bvecs])
-    write_nifti(Volume4D(combined, intent="dwi"), os.path.join(out_dir, "dwi.nii"))
+    write_nifti(Volume4D(combined), os.path.join(out_dir, "dwi.nii"))
     write_gradient_table(
         GradientTable(bvals, bvecs),
         os.path.join(out_dir, "dwi.bval"),
@@ -42,14 +42,8 @@ def write_study(data: PhantomData, out_dir) -> None:
     )
     write_nifti(data.labels, os.path.join(out_dir, "labels.nii"))
     if data.tensors is not None:
-        write_nifti(
-            Volume4D(data.tensors.d6, intent="scalar"),
-            os.path.join(out_dir, "tensors.nii"),
-        )
-        write_nifti(
-            Volume4D(data.tensors.s0[..., None], intent="scalar"),
-            os.path.join(out_dir, "s0.nii"),
-        )
+        write_nifti(Volume4D(data.tensors.d6), os.path.join(out_dir, "tensors.nii"))
+        write_nifti(Volume4D(data.tensors.s0), os.path.join(out_dir, "s0.nii"))
     if data.spec is not None:
         with open(os.path.join(out_dir, "phantom.json"), "w") as fh:
             json.dump(asdict(data.spec), fh, indent=2, sort_keys=True)
@@ -64,7 +58,7 @@ def load_study(path, b_target: float | None = None, shell_tol: float = 50.0) -> 
     so mask-based slice filtering keeps everything.
     """
     dwi_path = os.path.join(path, "dwi.nii")
-    combined = read_nifti(dwi_path, intent="dwi")
+    combined = read_nifti(dwi_path)
     gtab = read_gradient_table(
         os.path.join(path, "dwi.bval"), os.path.join(path, "dwi.bvec")
     )
@@ -85,9 +79,7 @@ def load_study(path, b_target: float | None = None, shell_tol: float = 50.0) -> 
 
     labels_path = os.path.join(path, "labels.nii")
     if os.path.exists(labels_path):
-        labels = read_nifti(labels_path, intent="labels")
+        labels = read_labels(labels_path)
     else:
-        labels = Volume4D(
-            np.ones(combined.dims[:3] + (1,)), intent="labels"
-        )
+        labels = Volume4D(np.ones(combined.dims[:3]))
     return PhantomData(dwi=dwi, b0=b0, gtab=shell, labels=labels)

@@ -19,8 +19,6 @@ from .errors import BoundaryGap, EmptyShell, ParseError, ShapeError
 # b-values at or below this (s/mm^2) are treated as unweighted (b0) images.
 B0_THRESHOLD = 50.0
 
-INTENTS = ("dwi", "sh_coeffs", "scalar", "labels")
-
 
 @dataclass(frozen=True)
 class Volume4D:
@@ -29,7 +27,6 @@ class Volume4D:
     data: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     affine: np.ndarray = field(default_factory=lambda: np.eye(4))
-    intent: str = "dwi"
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -46,11 +43,6 @@ class Volume4D:
         if affine.shape != (4, 4):
             raise ShapeError(f"affine must be 4x4, got {affine.shape}")
         object.__setattr__(self, "affine", affine)
-        if self.intent not in INTENTS:
-            raise ShapeError(f"unknown intent {self.intent!r}")
-        if self.intent == "labels":
-            if data.size and (np.any(data < 0) or np.any(data != np.round(data))):
-                raise ShapeError("labels volume must hold non-negative integers")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -66,11 +58,11 @@ class Volume4D:
             raise ShapeError(f"slice index {z} outside [0, {self.data.shape[2]})")
         return SliceImage(self.data[:, :, z, :].copy())
 
-    def with_data(self, data: np.ndarray, intent: str | None = None) -> "Volume4D":
-        return replace(self, data=data, intent=intent or self.intent)
+    def with_data(self, data: np.ndarray) -> "Volume4D":
+        return replace(self, data=data)
 
     def labels_array(self) -> np.ndarray:
-        """Integer label map (X, Y, Z); only meaningful for intent='labels'."""
+        """Integer label map (X, Y, Z) of a label volume."""
         return np.round(self.data[..., 0]).astype(np.int64)
 
 
@@ -241,7 +233,7 @@ def replace_slices(v: Volume4D, z_start: int, slices: list[SliceImage]) -> Volum
 
 def b0_mean(b0: Volume4D) -> Volume4D:
     """Voxelwise mean of the b0 volumes, as a single-volume DWI."""
-    return Volume4D(b0.data.mean(axis=3, keepdims=True), intent="dwi")
+    return Volume4D(b0.data.mean(axis=3, keepdims=True))
 
 
 @dataclass(frozen=True)

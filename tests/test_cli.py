@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import tempfile
 
 import numpy as np
@@ -94,6 +95,53 @@ def test_interp_writes_slices_and_volume(study_dir, tmp_path):
     assert (out / "volume.nii").exists()
 
 
+# Spacing and an oblique affine with entries float32 cannot hold exactly.
+OBLIQUE_SPACING = (1.5, 1.25, 2.5)
+OBLIQUE_AFFINE = np.array(
+    [[0.0, -1.25, 0.3, 10.1], [1.5, 0.0, -0.2, -4.7], [0.0, 0.1, 2.5, 7.3], [0.0, 0.0, 0.0, 1.0]]
+)
+
+
+def _assert_slice_files_line_up(out, names_by_z):
+    """Each slice file keeps volume.nii's spacing, holds its slice z, and has
+    volume.nii's affine with the origin moved by z times the third column,
+    as float32 stores it."""
+    vol = read_nifti(out / "volume.nii")
+    for z, name in names_by_z:
+        s = read_nifti(out / name)
+        expected = vol.affine.copy()
+        expected[:3, 3] += z * expected[:3, 2]
+        assert not np.array_equal(expected, vol.affine)
+        assert np.array_equal(s.affine, expected.astype(np.float32)), name
+        assert s.spacing == vol.spacing == OBLIQUE_SPACING
+        if not name.startswith("b0"):
+            assert np.array_equal(s.data[:, :, 0], vol.data[:, :, z]), name
+
+
+def test_slice_files_line_up_with_their_volume(study_dir, tmp_path):
+    study = tmp_path / "study"
+    shutil.copytree(study_dir, study)
+    dwi = read_nifti(study_dir / "dwi.nii")
+    write_nifti(
+        Volume4D(dwi.data, spacing=OBLIQUE_SPACING, affine=OBLIQUE_AFFINE), study / "dwi.nii"
+    )
+
+    out = tmp_path / "interp"
+    assert dispatch(["interp", "--input", str(study / "dwi.nii"), "--gap-start", "3",
+                     "--n", "2", "--out", str(out)]) == 0
+    _assert_slice_files_line_up(out, [(3, "slice_003.nii"), (4, "slice_004.nii")])
+
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
+    out = tmp_path / "infer"
+    assert dispatch(["infer", "--data", str(study), "--model", str(ckpt), "--b0-model",
+                     str(ckpt), "--gap-start", "3", "--n", "2", "--out", str(out)]) == 0
+    _assert_slice_files_line_up(
+        out, [(3, "slice_003.nii"), (4, "slice_004.nii"),
+              (3, "b0_slice_003.nii"), (4, "b0_slice_004.nii")]
+    )
+
+
 def test_train_and_infer_signal(study_dir, tmp_path):
     ckpt = tmp_path / "m.ckpt"
     code = dispatch(
@@ -184,6 +232,22 @@ def test_data_errors_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [0.5, -1.0])
+def test_malformed_labels_and_masks_exit_2(study_dir, tmp_path, capsys, bad):
+    labels = read_nifti(study_dir / "labels.nii").data.copy()
+    labels[4, 5, 2, 0] = bad
+    mask = tmp_path / "mask.nii"
+    write_nifti(Volume4D(labels), mask)
+    assert dispatch(["sh-bound", "--data", str(study_dir), "--mask", str(mask)]) == 2
+    assert "labels must be non-negative integers" in capsys.readouterr().err
+
+    study = tmp_path / "study"
+    shutil.copytree(study_dir, study)
+    shutil.copy(mask, study / "labels.nii")
+    assert dispatch(["sh-bound", "--data", str(study)]) == 2
+    assert "labels must be non-negative integers" in capsys.readouterr().err
+
+
 def test_corrupt_checkpoint_exits_2(study_dir, tmp_path):
     ckpt = tmp_path / "m.ckpt"
     save_checkpoint(build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
@@ -263,7 +327,7 @@ BAD_SIDECARS = {
 
 
 def _write_sh_file(path):
-    coeffs = Volume4D(np.zeros((2, 2, 2, 15)), intent="sh_coeffs")
+    coeffs = Volume4D(np.zeros((2, 2, 2, 15)))
     write_sh(ShCoeffVolume(coeffs, lmax=4), path)
 
 
@@ -454,6 +518,33 @@ def test_config_does_not_override_an_abbreviated_flag(tmp_path):
     assert not (out / "slice_002.nii").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phantom", "--dims", "a,b", "--out", "s"],
+        ["evaluate", "--data", "s", "--gaps", "x", "--out", "r"],
+        ["evaluate", "--data", "s", "--n", "1,2.5", "--out", "r"],
+        ["train", "--data", "s", "--net", "b0", "--sweep-m", "2,x", "--out", "m.ckpt"],
+    ],
+    ids=["dims", "gaps", "n", "sweep-m"],
+)
+def test_bad_int_lists_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 1
+    assert "invalid _int_list value" in capsys.readouterr().err
+
+
+def test_int_list_options_parse_their_values():
+    parser = build_parser()
+    assert parser.parse_args(["phantom", "--out", "s"]).dims == [64, 64, 16]
+    args = parser.parse_args(["evaluate", "--data", "s", "--out", "r", "--gaps", "2, 4,6"])
+    assert (args.gaps, args.n) == ([2, 4, 6], [1, 2])
+    args = parser.parse_args(["train", "--data", "s", "--net", "b0", "--sweep-m", "2,4",
+                              "--out", "m.ckpt"])
+    assert args.sweep_m == [2, 4]
+
+
 def test_config_unknown_key_rejected(study_dir, tmp_path):
     cfg = tmp_path / "c.toml"
     cfg.write_text("not_an_option = 1\n")
@@ -469,6 +560,7 @@ CONFIG_VALUE_CASES = {
     "float-for-int": ("evaluate", "lmax = 4.0", 2, "config key 'lmax': invalid int"),
     "bad-float": ("evaluate", "bvalue = fast", 2, "config key 'bvalue': invalid float"),
     "bad-choice": ("phantom", 'noise = "loud"', 2, "config key 'noise': 'loud' is not"),
+    "bad-int-list": ("evaluate", 'gaps = "2,x"', 2, "config key 'gaps': invalid _int_list"),
     "non-boolean-flag": ("evaluate", "verbose = 1", 2, "config key 'verbose' takes"),
     "zero-threads": ("evaluate", "threads = 0", 1, "--threads must be >= 1"),
     "unknown-key": ("evaluate", "threads = 2\nfunc = 1", 1, "unknown config key 'func'"),

@@ -24,7 +24,7 @@ def noisy_phantom():
 
 def labels_volume(shape, label=1):
     data = np.full(shape + (1,), float(label))
-    return Volume4D(data, intent="labels")
+    return Volume4D(data)
 
 
 def test_mse_region_exact_cases():
@@ -52,7 +52,7 @@ def test_mse_region_ignores_other_labels():
     labels_data[0, 0] = 2  # voxels outside the region carry huge error
     est_data[0, 0] = 100.0
     assert (
-        mse_region(Volume4D(est_data), gt, Volume4D(labels_data, intent="labels"), 1)
+        mse_region(Volume4D(est_data), gt, Volume4D(labels_data), 1)
         == 0.0
     )
 
@@ -79,7 +79,7 @@ def test_constant_z_profile_gives_zero_error():
         data,
         dwi=data.dwi.with_data(flat_dwi),
         b0=data.b0.with_data(flat_b0),
-        labels=Volume4D(flat_labels, intent="labels"),
+        labels=Volume4D(flat_labels),
     )
     report = run_experiment(
         flat, methods=("linear", "cubic", "bspline5"), gaps=(2, 3), n_values=(1,)
@@ -283,7 +283,7 @@ def _whole_volume_fa_md(data, method, gap_start, n):
     gt = maps(data.dwi, b0_mean)
     est = maps(filled(data.dwi), filled(b0_mean))
     z = slice(gap_start, gap_start + n)
-    labels = Volume4D(data.labels.data[:, :, z], intent="labels")
+    labels = Volume4D(data.labels.data[:, :, z])
     return {
         metric: {
             region: mse_region(

@@ -120,7 +120,7 @@ def test_project_zero_and_constant():
     coeffs[..., 0] = 1.0
     from dmrislice.sh import ShCoeffVolume
 
-    sh2 = ShCoeffVolume(Volume4D(coeffs, intent="sh_coeffs"), lmax=4)
+    sh2 = ShCoeffVolume(Volume4D(coeffs), lmax=4)
     out2 = project_sh(sh2, dirs)
     assert np.allclose(out2.data, Y00, atol=1e-12)
 
@@ -157,7 +157,7 @@ def test_roundtrip_error_white_noise_matches_projection_residual():
 def test_roundtrip_error_empty_mask():
     g, dirs = shell_table(20)
     vol = Volume4D(np.random.default_rng(0).random((2, 2, 1, 20)))
-    mask = Volume4D(np.zeros((2, 2, 1, 1)), intent="labels")
+    mask = Volume4D(np.zeros((2, 2, 1, 1)))
     with pytest.raises(EmptyMask):
         sh_roundtrip_error(vol, g, lmax=4, mask=mask)
 

@@ -105,8 +105,42 @@ def test_subject_split_avoids_leakage(phantom16):
 
 def test_mask_fraction_filter(phantom16):
     # an all-background mask drops every slice
-    empty_mask = Volume4D(np.zeros(phantom16.b0.dims[:3] + (1,)), intent="labels")
+    empty_mask = Volume4D(np.zeros(phantom16.b0.dims[:3] + (1,)))
     assert slices_per_volume(phantom16.b0, mask=empty_mask) == []
+
+
+def _normalized(plane):
+    return (plane - plane.min()) / (plane.max() - plane.min())
+
+
+def test_slice_builders_keep_their_order_and_values():
+    rng = np.random.default_rng(7)
+    data = rng.random((6, 5, 4, 5))
+    mask = np.ones((6, 5, 4))
+    mask[:, :, 1] = 0  # below the coverage floor: z = 1 is dropped
+    kept = [0, 2, 3]
+    vol, mask_vol = Volume4D(data), Volume4D(mask)
+
+    # slices_per_volume: z-major, volume-minor
+    expected = [_normalized(data[:, :, z, v]) for z in kept for v in range(5)]
+    got = slices_per_volume(vol, mask=mask_vol, subject="x")
+    assert len(got) == len(expected)
+    for s, e in zip(got, expected):
+        assert s.data.shape == (1, 6, 5) and s.subject == "x"
+        assert np.array_equal(s.data[0], e)
+
+    # averaged_dwi_slices: draw-major, then z
+    draws = np.random.default_rng(3)
+    expected = []
+    for _ in range(3):
+        avg = data[:, :, :, draws.choice(5, size=2, replace=False)].mean(axis=3)
+        expected += [_normalized(avg[:, :, z]) for z in kept]
+    assert not np.array_equal(expected[0], expected[len(kept)])
+    got = averaged_dwi_slices(vol, n_average=2, n_samples=3, seed=3, mask=mask_vol)
+    assert len(got) == len(expected)
+    for s, e in zip(got, expected):
+        assert s.data.shape == (1, 6, 5)
+        assert np.array_equal(s.data[0], e)
 
 
 def test_slices_normalized(phantom16):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import mutation
 from dmrislice.errors import DmrisliceError, EmptyShell, ParseError, ShapeError
+from dmrislice.nifti import read_labels, write_nifti
 from dmrislice.volume import (
     GradientTable,
     SliceImage,
@@ -30,13 +31,14 @@ def test_volume_rejects_bad_spacing():
         Volume4D(np.zeros((2, 2, 2, 1)), spacing=(1.0, 0.0, 1.0))
 
 
-def test_labels_must_be_nonnegative_integers():
-    with pytest.raises(ShapeError):
-        Volume4D(np.full((2, 2, 2, 1), 0.5), intent="labels")
-    with pytest.raises(ShapeError):
-        Volume4D(np.full((2, 2, 2, 1), -1.0), intent="labels")
-    v = Volume4D(np.full((2, 2, 2, 1), 3.0), intent="labels")
-    assert v.labels_array().max() == 3
+def test_labels_must_be_nonnegative_integers(tmp_path):
+    path = tmp_path / "labels.nii"
+    for bad in (0.5, -1.0):
+        write_nifti(Volume4D(np.full((2, 2, 2, 1), bad)), path)
+        with pytest.raises(ShapeError):
+            read_labels(path)
+    write_nifti(Volume4D(np.full((2, 2, 2, 1), 3.0)), path)
+    assert read_labels(path).labels_array().max() == 3
 
 
 def test_gradient_table_renormalization_guard():
