@@ -17,6 +17,12 @@ relative. Every array writes back out exactly, so save -> load -> save is
 byte-identical.
 ``load_checkpoint(p).astype(np.float64)`` is the float64 model the checkpoint
 holds, for training or comparison.
+
+The config holds exactly the :class:`~dmrislice.ae.model.ModelConfig` fields,
+five integers. A header from before the upsampling mode and the batch-norm
+momentum and epsilon left the config has the same magic and tensor layout,
+but its three extra keys fail the key check: a ParseError (exit code 2 from
+the CLI), and the model has to be retrained.
 """
 
 from __future__ import annotations
@@ -106,14 +112,12 @@ def load_checkpoint(path) -> Autoencoder:
 
 def _read_config(cfg, path) -> ModelConfig:
     """The model config: exactly the ModelConfig fields, each with the JSON
-    type of its default (an int is accepted for a float field)."""
+    type of its default."""
     defaults = asdict(ModelConfig())
     if not isinstance(cfg, dict) or cfg.keys() != defaults.keys():
         raise ParseError(f"{path}: config must hold exactly the keys {sorted(defaults)}")
     for key, default in defaults.items():
         value = cfg[key]
-        if type(default) is float and type(value) is int and abs(value) <= 2**53:
-            cfg[key] = value = float(value)
         if type(value) is not type(default):
             raise ParseError(f"{path}: config {key} must be {type(default).__name__}: {value!r}")
     return ModelConfig(**cfg)

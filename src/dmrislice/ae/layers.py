@@ -31,6 +31,10 @@ from ..errors import ShapeError
 
 _TILE_BYTES = 1 << 20
 
+# Batch normalization: weight of the old running statistics in each update,
+# and the variance offset.
+BN_MOMENTUM, BN_EPS = 0.99, 1e-3
+
 
 def _column_tiles(xp, k):
     """Yields ``(batch slice, column block)`` over the padded input ``xp``.
@@ -158,51 +162,6 @@ class Conv2D(Layer):
         return dx
 
 
-class ConvTranspose2D(Layer):
-    """3x3 stride-2 transposed convolution doubling the spatial size."""
-
-    @staticmethod
-    def tensor_shapes(c_in, c_out, rng=None, bias=False):
-        return Conv2D.tensor_shapes(c_in, c_out, 3, bias=bias)
-
-    def __init__(self, c_in, c_out, rng, bias=False):
-        super().__init__()
-        self.c_in, self.c_out = c_in, c_out
-        shapes, _ = self.tensor_shapes(c_in, c_out, bias=bias)
-        fan_in = c_in * 9
-        limit = np.sqrt(6.0 / fan_in)
-        self.params["w"] = rng.uniform(-limit, limit, size=shapes["w"])
-        if bias:
-            self.params["b"] = np.zeros(shapes["b"])
-        self._padded = None
-
-    def _stuff(self, x):
-        b, c, h, w = x.shape
-        z = np.zeros((b, c, 2 * h, 2 * w), dtype=x.dtype)
-        z[:, :, ::2, ::2] = x
-        return z
-
-    def forward(self, x, train=False):
-        if x.shape[1] != self.c_in:
-            raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[1]}")
-        # Transposed conv == zero-stuff then convolve (flipped-kernel correlate).
-        z = self._stuff(x)
-        w_flip = self.params["w"][:, :, ::-1, ::-1]
-        y, padded = _conv_correlate(z, w_flip, self.params.get("b"), pad=1)
-        self._padded = padded if train else None
-        return y
-
-    def backward(self, dy):
-        dw_flip = _conv_weight_grad(self._trained(self._padded), dy, 3)
-        self.grads["w"] = dw_flip[:, :, ::-1, ::-1]
-        if "b" in self.params:
-            self.grads["b"] = dy.sum(axis=(0, 2, 3))
-        w_flip = self.params["w"][:, :, ::-1, ::-1]
-        back = w_flip[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # == w transposed
-        dz, _ = _conv_correlate(dy, back, None, pad=1)
-        return dz[:, :, ::2, ::2]
-
-
 class BatchNorm2D(Layer):
     """Per-channel batch normalization with running statistics.
 
@@ -212,15 +171,13 @@ class BatchNorm2D(Layer):
     """
 
     @staticmethod
-    def tensor_shapes(channels, momentum=0.99, eps=1e-3):
+    def tensor_shapes(channels):
         one = (channels,)
         return {"gamma": one, "beta": one}, {"running_mean": one, "running_var": one}
 
-    def __init__(self, channels, momentum=0.99, eps=1e-3):
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         params, buffers = self.tensor_shapes(channels)
         self.params["gamma"] = np.ones(params["gamma"])
         self.params["beta"] = np.zeros(params["beta"])
@@ -234,17 +191,17 @@ class BatchNorm2D(Layer):
         gamma, beta = self.params["gamma"], self.params["beta"]
         if not train:
             self._cache = None
-            scale = gamma / np.sqrt(self.buffers["running_var"] + self.eps)
+            scale = gamma / np.sqrt(self.buffers["running_var"] + BN_EPS)
             shift = beta - self.buffers["running_mean"] * scale
             y = x * scale[:, None, None]
             y += shift[:, None, None]
             return y
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        m = self.momentum
+        m = BN_MOMENTUM
         self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
         self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
         self._cache = (xhat, inv_std)
         return gamma[:, None, None] * xhat + beta[:, None, None]

@@ -1,8 +1,9 @@
 """The convolutional autoencoder: four two-conv encoder blocks with 2x2
 average pooling, three extra convolutions forming the latent feature maps,
-and a mirrored decoder using nearest-neighbor upsampling (a stride-2
-transposed-convolution variant is available but off by default), closed by a
-1x1 convolution with sigmoid output.
+and a mirrored decoder in which each block is a nearest-neighbor 2x2
+upsampling followed by a 3x3 convolution, closed by a 1x1 convolution with
+sigmoid output. Every convolution feeding an ELU goes through batch
+normalization with the fixed constants of :mod:`.layers`.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
-from .layers import (
-    ELU,
-    AvgPool2x2,
-    BatchNorm2D,
-    Conv2D,
-    ConvTranspose2D,
-    NearestUpsample2x2,
-    Sigmoid,
-)
+from .layers import ELU, AvgPool2x2, BatchNorm2D, Conv2D, NearestUpsample2x2, Sigmoid
 
 N_POOLINGS = 4
 
@@ -31,9 +24,6 @@ class ModelConfig:
     latent_maps: int = 32
     input_size: int = 128
     base_width: int = 32  # width of the first encoder block; 4 gives the /8 reduced model
-    upsample: str = "nearest"  # nearest | transposed
-    bn_momentum: float = 0.99
-    bn_eps: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +31,6 @@ class ModelConfig:
             raise ShapeError(
                 f"input_size must be a multiple of {2 ** N_POOLINGS}, got {self.input_size}"
             )
-        if self.upsample not in ("nearest", "transposed"):
-            raise ShapeError(f"unknown upsample mode {self.upsample!r}")
         if self.input_channels < 1 or self.latent_maps < 1 or self.base_width < 1:
             raise ShapeError("channel counts must be positive")
         if self.seed < 0:
@@ -77,7 +65,7 @@ def _architecture(cfg: ModelConfig, rng):
 
     def block(layers, c_in, c_out):
         layers.append((Conv2D, (c_in, c_out, 3, rng)))
-        layers.append((BatchNorm2D, (c_out, cfg.bn_momentum, cfg.bn_eps)))
+        layers.append((BatchNorm2D, (c_out,)))
         layers.append((ELU, ()))
 
     c = cfg.input_channels
@@ -94,13 +82,8 @@ def _architecture(cfg: ModelConfig, rng):
     block(decoder, cfg.latent_maps, widths[0])
     c = widths[0]
     for width in widths[1:]:
-        if cfg.upsample == "nearest":
-            decoder.append((NearestUpsample2x2, ()))
-            decoder.append((Conv2D, (c, width, 3, rng)))
-        else:
-            decoder.append((ConvTranspose2D, (c, width, rng)))
-        decoder.append((BatchNorm2D, (width, cfg.bn_momentum, cfg.bn_eps)))
-        decoder.append((ELU, ()))
+        decoder.append((NearestUpsample2x2, ()))
+        block(decoder, c, width)
         c = width
     decoder.append((Conv2D, (c, cfg.input_channels, 1, rng, True)))
     decoder.append((Sigmoid, ()))

@@ -30,6 +30,8 @@ class TrainConfig:
     split_by: str = "subject"  # subject | slice
 
     def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ShapeError(f"epochs {self.epochs} and batch_size {self.batch_size} must be >= 1")
         if self.lr <= 0:
             raise ShapeError("learning rate must be positive")
         if not 0 < self.val_fraction < 1:
@@ -102,6 +104,8 @@ def averaged_dwi_slices(
     are available) and contributes the :func:`stacked_slices` of that
     average, draw-major.
     """
+    if n_average < 1 or n_samples < 1:
+        raise ShapeError(f"n_average {n_average} and n_samples {n_samples} must be >= 1")
     rng = np.random.default_rng(seed)
     take = min(n_average, dwi.n_volumes)
     samples = []

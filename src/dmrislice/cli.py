@@ -124,9 +124,10 @@ def _load_dwi_args(args):
     return vol, gtab
 
 
-def _mask_arg(args):
-    if getattr(args, "mask", None):
-        return read_labels(args.mask)
+def _mask_arg(args, vol: Volume4D):
+    """The ``--mask`` file, which must lie on ``vol``'s voxel grid."""
+    if args.mask:
+        return read_labels(args.mask, vol.dims[:3])
     return None
 
 
@@ -148,7 +149,7 @@ def cmd_fit_sh(args):
     shell_vol, shell = select_shell(
         vol, gtab, args.bvalue or float(gtab.bvals.max()), tol=args.shell_tol
     )
-    sh = fit_sh(shell_vol, shell, lmax=args.lmax, lambda_reg=args.reg, mask=_mask_arg(args))
+    sh = fit_sh(shell_vol, shell, lmax=args.lmax, lambda_reg=args.reg, mask=_mask_arg(args, vol))
     write_sh(sh, args.out)
     if args.verbose:
         print(f"wrote {sh.n_coefficients}-coefficient SH volume to {args.out}")
@@ -168,7 +169,7 @@ def cmd_project_sh(args):
 
 def cmd_fit_dti(args):
     data = load_study(args.data, b_target=args.bvalue, shell_tol=args.shell_tol)
-    tensors = fit_dti(data.dwi, data.b0, data.gtab, mask=_mask_arg(args))
+    tensors = fit_dti(data.dwi, data.b0, data.gtab, mask=_mask_arg(args, data.dwi))
     if args.out_tensor:
         write_nifti(tensors.to_volume(), args.out_tensor)
     if args.out_fa or args.out_md:
@@ -223,15 +224,14 @@ def cmd_train(args):
     channels = dataset[0].data.shape[0]
     size = max(dataset[0].data.shape[1], dataset[0].data.shape[2])
     input_size = args.input_size or -(-size // 16) * 16  # next multiple of 16
-    dataset = ae.fit_to_size(dataset, input_size)
     model_cfg = ae.ModelConfig(
         input_channels=channels,
         latent_maps=args.m,
         input_size=input_size,
         base_width=args.base_width,
-        upsample=args.upsample,
         seed=args.seed,
     )
+    dataset = ae.fit_to_size(dataset, input_size)  # once the config has checked the size
     train_cfg = ae.TrainConfig(
         lr=args.lr,
         batch_size=args.batch,
@@ -333,7 +333,7 @@ def cmd_evaluate(args):
 
 def cmd_sh_bound(args):
     data = load_study(args.data, b_target=args.bvalue, shell_tol=args.shell_tol)
-    mask = _mask_arg(args)
+    mask = _mask_arg(args, data.dwi)
     err = sh_roundtrip_error(data.dwi, data.gtab, lmax=args.lmax, mask=mask)
     print(f"{err:.10g}")
     if args.out:
@@ -417,7 +417,6 @@ def build_parser() -> _Parser:
                    help="comma list of M values to sweep")
     p.add_argument("--base-width", type=int, default=32)
     p.add_argument("--input-size", type=int, default=0, help="0 = use slice size")
-    p.add_argument("--upsample", choices=("nearest", "transposed"), default="nearest")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=5e-5)

@@ -52,26 +52,17 @@ def _match_channel(source: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return mapped[src_inverse].reshape(source.shape)
 
 
-def histogram_match(source, reference):
-    """Map source intensities so their distribution matches the reference.
-
-    Works per channel. Accepts SliceImage or plain arrays; returns the same
-    kind as the source.
-    """
-    src_img = source if isinstance(source, SliceImage) else SliceImage(np.asarray(source))
-    ref_img = (
-        reference if isinstance(reference, SliceImage) else SliceImage(np.asarray(reference))
-    )
-    if src_img.channels != ref_img.channels:
+def histogram_match(source: SliceImage, reference: SliceImage) -> SliceImage:
+    """Map source intensities so their distribution matches the reference,
+    channel by channel."""
+    if source.channels != reference.channels:
         raise ShapeError(
-            f"channel mismatch: source {src_img.channels}, reference {ref_img.channels}"
+            f"channel mismatch: source {source.channels}, reference {reference.channels}"
         )
-    out = np.empty_like(src_img.data)
-    for c in range(src_img.channels):
-        out[:, :, c] = _match_channel(src_img.data[:, :, c], ref_img.data[:, :, c])
-    if isinstance(source, SliceImage):
-        return SliceImage(out)
-    return out
+    out = np.empty_like(source.data)
+    for c in range(source.channels):
+        out[:, :, c] = _match_channel(source.data[:, :, c], reference.data[:, :, c])
+    return SliceImage(out)
 
 
 def _to_batches(data: np.ndarray, model: Autoencoder):

@@ -100,15 +100,6 @@ def _weighted_sum(w: np.ndarray, slices) -> np.ndarray:
     return est
 
 
-def resample_z(samples: np.ndarray, positions, method) -> np.ndarray:
-    """Interpolate a z-stack (axis 0) at fractional positions.
-
-    ``samples`` has shape (Z, ...); the output has shape (len(positions), ...).
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    return np.stack([_weighted_sum(w, arr) for w in _z_weights(arr.shape[0], positions, method)])
-
-
 def interp_missing_slices(v: Volume4D, gap: GapSpec, method) -> list[SliceImage]:
     """Reconstruct N missing slices by 1-D interpolation along z.
 

@@ -5,7 +5,8 @@ Supports little-endian, uncompressed files with scalar datatypes
 order with x fastest on disk, scl_slope/scl_inter applied when the slope is
 nonzero. Non-finite voxel values are rejected on reading, and
 :func:`read_labels` also rejects label maps that are not non-negative
-integers. The writer always emits float32 with vox_offset 352.
+integers or do not lie on the data's voxel grid. The writer always emits
+float32 with vox_offset 352.
 """
 
 from __future__ import annotations
@@ -150,9 +151,14 @@ def read_nifti(path) -> Volume4D:
     return Volume4D(data=data, spacing=spacing, affine=affine)
 
 
-def read_labels(path) -> Volume4D:
-    """Read a label map or mask; its values must be non-negative integers."""
+def read_labels(path, dims) -> Volume4D:
+    """Read a label map or mask for the ``(X, Y, Z)`` voxel grid ``dims``; its
+    values must be non-negative integers."""
     labels = read_nifti(path)
+    if labels.dims[:3] != tuple(dims):
+        raise ShapeError(
+            f"{path}: labels lie on a {labels.dims[:3]} grid, the data on {tuple(dims)}"
+        )
     data = labels.data
     if np.any(data < 0) or np.any(data != np.round(data)):
         raise ShapeError(f"{path}: labels must be non-negative integers")

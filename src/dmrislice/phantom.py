@@ -39,6 +39,8 @@ class PhantomSpec:
     def __post_init__(self):
         if len(self.dims) != 3 or any(d < 4 for d in self.dims):
             raise ShapeError(f"phantom dims must be 3 values >= 4, got {self.dims}")
+        if self.n_b0 < 1:
+            raise ShapeError(f"a phantom needs at least one b0 volume, got {self.n_b0}")
         if self.noise not in ("none", "gaussian", "rician"):
             raise ShapeError(f"unknown noise model {self.noise!r}")
         if self.noise != "none" and self.noise_sigma <= 0:

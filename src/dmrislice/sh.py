@@ -113,6 +113,8 @@ class ShCoeffVolume:
                 f"coefficient count {self.volume.n_volumes} inconsistent with "
                 f"lmax={self.lmax} (expected {n_coefficients(self.lmax)})"
             )
+        if not self.lambda_reg >= 0:
+            raise ShapeError(f"lambda_reg must be non-negative, got {self.lambda_reg}")
 
     @property
     def n_coefficients(self) -> int:

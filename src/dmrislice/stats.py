@@ -4,7 +4,8 @@ The statistic W is the sum of ranks of the positive differences. For n <= 20
 usable pairs the two-sided p-value comes from the exact null distribution of
 W (all 2^n sign assignments, enumerated by dynamic programming on midranks);
 larger samples use the normal approximation with tie correction and a
-continuity correction.
+continuity correction. The sample size alone picks the path; both take the
+same midranks and W.
 """
 
 from __future__ import annotations
@@ -52,19 +53,17 @@ def _approx_two_sided_p(ranks: np.ndarray, w: float) -> float:
     return float(min(1.0, max(p, np.finfo(float).tiny)))
 
 
-def wilcoxon_signed_rank(x, y, method: str = "auto") -> tuple[float, float]:
+def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
     """Two-sided paired Wilcoxon signed-rank test.
 
     Returns (W, p) where W is the positive-rank sum. Zero differences are
-    discarded; fewer than 5 usable pairs raises DegenerateSample. ``method``
-    selects 'exact', 'approx', or 'auto' (exact up to n=20).
+    discarded; fewer than 5 usable pairs raises DegenerateSample. The p-value
+    is exact up to ``EXACT_LIMIT`` usable pairs and approximate above.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise ShapeError(f"paired samples differ in length: {x.shape} vs {y.shape}")
-    if method not in ("auto", "exact", "approx"):
-        raise ShapeError(f"unknown method {method!r}")
 
     d = x - y
     d = d[d != 0]
@@ -77,7 +76,7 @@ def wilcoxon_signed_rank(x, y, method: str = "auto") -> tuple[float, float]:
     ranks = rankdata(np.abs(d))
     w = float(ranks[d > 0].sum())
 
-    if method == "exact" or (method == "auto" and n <= EXACT_LIMIT):
+    if n <= EXACT_LIMIT:
         p = _exact_two_sided_p(ranks, w)
     else:
         p = _approx_two_sided_p(ranks, w)

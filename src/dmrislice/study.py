@@ -79,7 +79,7 @@ def load_study(path, b_target: float | None = None, shell_tol: float = 50.0) -> 
 
     labels_path = os.path.join(path, "labels.nii")
     if os.path.exists(labels_path):
-        labels = read_labels(labels_path)
+        labels = read_labels(labels_path, combined.dims[:3])
     else:
         labels = Volume4D(np.ones(combined.dims[:3]))
     return PhantomData(dwi=dwi, b0=b0, gtab=shell, labels=labels)

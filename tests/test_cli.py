@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import mutation
 from dmrislice.ae import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from dmrislice.cli import build_parser, dispatch, parse_config_file
-from dmrislice.errors import DmrisliceError
+from dmrislice.errors import DmrisliceError, ShapeError
 from dmrislice.nifti import read_nifti, write_nifti
 from dmrislice.sh import ShCoeffVolume, read_sh, write_sh
 from dmrislice.volume import Volume4D
@@ -257,6 +257,112 @@ def test_corrupt_checkpoint_exits_2(study_dir, tmp_path):
          "--out", str(tmp_path / "out")]
     )
     assert code == 2
+
+
+def test_checkpoint_with_the_removed_config_keys_exits_2(study_dir, tmp_path, capsys):
+    # The header config of checkpoints saved while the decoder mode and the
+    # batch-norm constants were model options: three keys more than today's.
+    ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
+    raw = ckpt.read_bytes()
+    n = int.from_bytes(raw[5:9], "little")
+    header = json.loads(raw[9 : 9 + n])
+    header["config"].update(upsample="nearest", bn_momentum=0.99, bn_eps=0.001)
+    blob = json.dumps(header, sort_keys=True).encode()
+    ckpt.write_bytes(raw[:5] + len(blob).to_bytes(4, "little") + blob + raw[9 + n :])
+    for argv in (
+        ["infer", "--data", str(study_dir), "--model", str(ckpt), "--gap-start", "3",
+         "--out", str(tmp_path / "out")],
+        ["evaluate", "--data", str(study_dir), "--methods", "ae-signal", "--gaps", "3",
+         "--n", "1", "--signal-model", str(ckpt), "--b0-model", str(ckpt),
+         "--out", str(tmp_path / "report")],
+    ):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "config must hold exactly the keys" in err and err.count("\n") == 1
+
+
+def test_removed_upsample_option_is_a_usage_error(study_dir, tmp_path):
+    argv = ["train", "--data", str(study_dir), "--net", "b0", "--out", str(tmp_path / "m.ckpt")]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv + ["--upsample", "nearest"])
+    assert exc.value.code == 1
+    cfg = tmp_path / "c.toml"
+    cfg.write_text("upsample = nearest\n")
+    assert dispatch(argv + ["--config", str(cfg)]) == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+TRAIN = ["train", "--net", "b0", "--m", "2", "--base-width", "1", "--epochs", "1",
+         "--batch", "4", "--split-by", "slice"]
+# Count and size options below 1; each must end as a data error.
+BAD_COUNTS = {
+    "epochs-0": [*TRAIN, "--epochs", "0"],
+    "batch-0": [*TRAIN, "--batch", "0"],
+    "batch-negative": [*TRAIN, "--batch", "-2"],
+    "avg-n-negative": [*TRAIN, "--net", "avg-b1000", "--avg-n", "-1"],
+    "avg-n-0": [*TRAIN, "--net", "avg-b1000", "--avg-n", "0"],
+    "avg-samples-0": [*TRAIN, "--net", "avg-b1000", "--avg-samples", "0"],
+    "input-size-negative": [*TRAIN, "--input-size", "-16"],
+    "b0-negative": ["phantom", "--dims", "8,8,6", "--directions", "6", "--b0", "-1"],
+    "b0-0": ["phantom", "--dims", "8,8,6", "--directions", "6", "--b0", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_counts_below_one_exit_2(study_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    data = ["--data", str(study_dir)] if argv[0] == "train" else []
+    assert dispatch([*argv, *data, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dmrislice: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fit-sh", "fit-dti", "sh-bound", "evaluate"])
+def test_labels_on_another_grid_exit_2(study_dir, tmp_path, capsys, command):
+    small = tmp_path / "labels.nii"
+    write_nifti(Volume4D(np.ones((8, 8, 4, 1))), small)
+    study = tmp_path / "study"
+    shutil.copytree(study_dir, study)
+    shutil.copy(small, study / "labels.nii")
+    out = tmp_path / "out"
+    argv = {
+        "train": [*TRAIN, "--data", str(study), "--out", str(out)],
+        "fit-sh": ["fit-sh", "--dwi", str(study_dir / "dwi.nii"),
+                   "--bval", str(study_dir / "dwi.bval"), "--bvec", str(study_dir / "dwi.bvec"),
+                   "--mask", str(small), "--out", str(out)],
+        "fit-dti": ["fit-dti", "--data", str(study_dir), "--mask", str(small),
+                    "--out-fa", str(out)],
+        "sh-bound": ["sh-bound", "--data", str(study_dir), "--mask", str(small),
+                     "--out", str(out)],
+        "evaluate": ["evaluate", "--data", str(study), "--methods", "linear", "--gaps", "3",
+                     "--n", "1", "--out", str(out)],
+    }[command]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "(8, 8, 4)" in err and "(16, 16, 8)" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_fit_sh_negative_reg_exits_2(study_dir, tmp_path, capsys):
+    out = tmp_path / "sh.nii"
+    code = dispatch(
+        ["fit-sh", "--dwi", str(study_dir / "dwi.nii"), "--bval", str(study_dir / "dwi.bval"),
+         "--bvec", str(study_dir / "dwi.bvec"), "--reg", "-1", "--out", str(out)]
+    )
+    assert code == 2
+    assert "lambda_reg must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sh_sidecar_with_negative_reg_is_refused(tmp_path):
+    sh_path = tmp_path / "sh.nii"
+    _write_sh_file(sh_path)
+    sidecar = tmp_path / "sh.json"
+    sidecar.write_text(sidecar.read_text().replace('"lambda_reg": 0.0', '"lambda_reg": -1.0'))
+    with pytest.raises(ShapeError, match="lambda_reg must be non-negative"):
+        read_sh(sh_path)
 
 
 def test_non_finite_input_exits_2(tmp_path):

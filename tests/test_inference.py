@@ -215,7 +215,7 @@ def per_call_inference(model, prev_slice, next_slice, gap):
         raw = np.moveaxis(batch[0] if one_item else batch[:, 0], 0, -1)
         reference = w_prev * prev_slice.data + w_next * next_slice.data
         out = reference.copy()
-        out[src] = histogram_match(raw[dst], reference[src])
+        out[src] = histogram_match(SliceImage(raw[dst]), SliceImage(reference[src])).data
         slices.append(out)
     return decoded, slices
 

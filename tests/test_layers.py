@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from dmrislice.ae.layers import (
+    BN_EPS,
     ELU,
     AvgPool2x2,
     BatchNorm2D,
     Conv2D,
-    ConvTranspose2D,
     NearestUpsample2x2,
     Sigmoid,
     _column_tiles,
@@ -30,11 +30,6 @@ def test_conv1x1_gradients(x):
     check_layer_gradients(Conv2D(3, 4, 1, rng, bias=True), x, input_stride=7)
 
 
-def test_conv_transpose_gradients(x):
-    rng = np.random.default_rng(3)
-    check_layer_gradients(ConvTranspose2D(3, 4, rng, bias=True), x, input_stride=7)
-
-
 def test_batchnorm_train_gradients(x):
     check_layer_gradients(BatchNorm2D(3), x, train=True, input_stride=5)
 
@@ -48,7 +43,7 @@ def test_batchnorm_eval_affine_matches_formula(x):
     var = np.abs(rng.standard_normal(3)) + 0.5
     bn.buffers["running_mean"], bn.buffers["running_var"] = mean, var
     c = (slice(None), None, None)
-    want = bn.params["gamma"][c] * (x - mean[c]) / np.sqrt(var[c] + bn.eps) + bn.params["beta"][c]
+    want = bn.params["gamma"][c] * (x - mean[c]) / np.sqrt(var[c] + BN_EPS) + bn.params["beta"][c]
     np.testing.assert_allclose(bn.forward(x, train=False), want, rtol=1e-12, atol=0)
 
 
@@ -56,7 +51,6 @@ def caching_layers():
     rng = np.random.default_rng(8)
     return {
         "Conv2D": Conv2D(3, 4, 3, rng),
-        "ConvTranspose2D": ConvTranspose2D(3, 4, rng),
         "BatchNorm2D": BatchNorm2D(3),
         "ELU": ELU(),
         "Sigmoid": Sigmoid(),
@@ -107,14 +101,6 @@ def test_conv_output_matches_direct_convolution():
                 for c in range(2):
                     acc += np.sum(xp[0, c, i : i + 3, j : j + 3] * w[o, c])
                 assert y[0, o, i, j] == pytest.approx(acc, rel=1e-12)
-
-
-def test_conv_transpose_doubles_spatial():
-    rng = np.random.default_rng(6)
-    layer = ConvTranspose2D(2, 3, rng)
-    x = rng.standard_normal((1, 2, 4, 4))
-    y = layer.forward(x)
-    assert y.shape == (1, 3, 8, 8)
 
 
 def test_avgpool_backward_distributes_equally():
@@ -197,16 +183,6 @@ def einsum_conv(w, bias, x, dy):
     return y, dx, dw
 
 
-def einsum_conv_transpose(w, bias, x, dy):
-    b, c, h, wd = x.shape
-    z = np.zeros((b, c, 2 * h, 2 * wd))
-    z[:, :, ::2, ::2] = x
-    y, cols = einsum_correlate(z, w[:, :, ::-1, ::-1], bias, 1)
-    dw = np.einsum("bchwij,bohw->ocij", cols, dy, optimize=True)[:, :, ::-1, ::-1]
-    dz, _ = einsum_correlate(dy, w.transpose(1, 0, 2, 3), None, 1)
-    return y, dz[:, :, ::2, ::2], dw
-
-
 def tile_sizes(batch, c, k, h, w):
     xp = np.zeros((batch, c, h + k - 1, w + k - 1))
     return [items.stop - items.start for items, _ in _column_tiles(xp, k)]
@@ -242,28 +218,3 @@ def test_conv_matches_einsum_formula(case):
     assert_close(y, want_y)
     assert_close(dx, want_dx)
     assert_close(conv.grads["w"], want_dw)
-
-
-TRANSPOSE_CASES = {
-    "batch-1": (1, 3, 4, 4, [1]),
-    "ragged-tiles": (31, 4, 3, 8, [14, 14, 3]),
-    "item-over-budget": (2, 4, 2, 32, [1, 1]),
-    "c_in-1": (3, 1, 4, 4, [3]),
-}
-
-
-@pytest.mark.parametrize("case", TRANSPOSE_CASES.values(), ids=TRANSPOSE_CASES.keys())
-def test_conv_transpose_matches_einsum_formula(case):
-    batch, c_in, c_out, size, tiles = case
-    assert tile_sizes(batch, c_in, 3, 2 * size, 2 * size) == tiles
-    rng = np.random.default_rng(21)
-    layer = ConvTranspose2D(c_in, c_out, rng, bias=True)
-    layer.params["b"] = rng.standard_normal(c_out)
-    x = rng.standard_normal((batch, c_in, size, size))
-    dy = rng.standard_normal((batch, c_out, 2 * size, 2 * size))
-    y = layer.forward(x, train=True)
-    dx = layer.backward(dy)
-    want_y, want_dx, want_dw = einsum_conv_transpose(layer.params["w"], layer.params["b"], x, dy)
-    assert_close(y, want_y)
-    assert_close(dx, want_dx)
-    assert_close(layer.grads["w"], want_dw)

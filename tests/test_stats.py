@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from dmrislice.errors import DegenerateSample
-from dmrislice.stats import wilcoxon_signed_rank
+from dmrislice.stats import _approx_two_sided_p, _exact_two_sided_p, wilcoxon_signed_rank
 
 
 def brute_force_two_sided_p(diffs, w_obs):
     """Enumerate all sign assignments of |d| ranks (distinct |d| assumed)."""
-    from scipy.stats import rankdata
-
     ranks = rankdata(np.abs(diffs))
     n = len(ranks)
     stats = []
@@ -66,14 +65,14 @@ def test_exact_matches_brute_force(seed):
         d = rng.standard_normal(n)
     x = d
     y = np.zeros(n)
-    w, p = wilcoxon_signed_rank(x, y, method="exact")
+    w, p = wilcoxon_signed_rank(x, y)
     assert p == pytest.approx(brute_force_two_sided_p(d, w), abs=1e-12)
 
 
 def test_exact_handles_ties_via_midranks():
     x = np.array([1.0, 1.0, 2.0, 2.0, 3.0, -1.0])
     y = np.zeros(6)
-    w, p = wilcoxon_signed_rank(x, y, method="exact")
+    w, p = wilcoxon_signed_rank(x, y)
     assert 0.0 < p <= 1.0
 
 
@@ -82,9 +81,10 @@ def test_exact_vs_normal_agreement_at_n20():
     for _ in range(10):
         x = rng.standard_normal(20)
         y = rng.standard_normal(20)
-        _, p_exact = wilcoxon_signed_rank(x, y, method="exact")
-        _, p_approx = wilcoxon_signed_rank(x, y, method="approx")
-        assert abs(p_exact - p_approx) < 0.02
+        d = x - y
+        ranks = rankdata(np.abs(d))
+        w = float(ranks[d > 0].sum())
+        assert abs(_exact_two_sided_p(ranks, w) - _approx_two_sided_p(ranks, w)) < 0.02
 
 
 def test_matches_scipy_exact():
@@ -94,7 +94,7 @@ def test_matches_scipy_exact():
     for _ in range(8):
         x = rng.standard_normal(12)
         y = rng.standard_normal(12)
-        w, p = wilcoxon_signed_rank(x, y, method="exact")
+        w, p = wilcoxon_signed_rank(x, y)
         ref = scipy_wilcoxon(x, y, alternative="two-sided", method="exact")
         # scipy reports min(W+, W-); ours is W+
         assert p == pytest.approx(ref.pvalue, abs=1e-10)

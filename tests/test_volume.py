@@ -36,9 +36,16 @@ def test_labels_must_be_nonnegative_integers(tmp_path):
     for bad in (0.5, -1.0):
         write_nifti(Volume4D(np.full((2, 2, 2, 1), bad)), path)
         with pytest.raises(ShapeError):
-            read_labels(path)
+            read_labels(path, (2, 2, 2))
     write_nifti(Volume4D(np.full((2, 2, 2, 1), 3.0)), path)
-    assert read_labels(path).labels_array().max() == 3
+    assert read_labels(path, (2, 2, 2)).labels_array().max() == 3
+
+
+def test_labels_must_lie_on_the_data_grid(tmp_path):
+    path = tmp_path / "labels.nii"
+    write_nifti(Volume4D(np.ones((2, 2, 2, 1))), path)
+    with pytest.raises(ShapeError, match=r"\(2, 2, 2\) grid, the data on \(2, 2, 3\)"):
+        read_labels(path, (2, 2, 3))
 
 
 def test_gradient_table_renormalization_guard():
