@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -236,8 +236,8 @@ def sweep_latent_size(
     m_values=(16, 32, 64, 128),
 ) -> tuple[Checkpoint, dict[int, float]]:
     """Train once per candidate latent width, keep the best validation loss."""
-    from dataclasses import replace
-
+    if not m_values:
+        raise ShapeError("m_values must hold at least one latent width")
     results = {}
     best_ckpt = None
     for m in m_values:

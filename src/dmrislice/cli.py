@@ -115,7 +115,10 @@ def _config_value(action, key, value):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).replace(",", " ").split()]
+    values = [int(tok) for tok in str(text).replace(",", " ").split()]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _load_dwi_args(args):

@@ -14,10 +14,15 @@ only in how the missing slices were filled. The log-linear tensor fit is
 voxelwise, so each cell fits only its gap slab (the N reconstructed slices):
 the scored voxels get the same tensors as in a fit of the whole volume with
 the slab put back, up to floating-point rounding, and nothing outside the
-slab is ever scored. The ground-truth maps, the b0 mean and the full-volume SH
-fit are built once per experiment and shared read-only by every cell, and so
-are the autoencoders: inference keeps no layer state, so every pool thread
-runs the caller's models and none is cloned.
+slab is ever scored.
+
+Built once per experiment and shared read-only by every cell: the
+ground-truth FA/MD maps, the b0 mean, the full-volume SH fit and its basis
+(read by sh-linear, by the ae-sh4 neighbors and by the SH bound), the latent
+code of every neighbor slice an autoencoder cell reads, one per (model, z),
+and the b0 model's slices, one set per (N, gap), which ae-signal and ae-sh4
+both use. The autoencoders are shared too: inference keeps no layer state,
+so every pool thread runs the caller's models and none is cloned.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -36,16 +41,19 @@ import numpy as np
 from .blas import one_blas_thread
 from .dti import dti_scalars, fit_dti
 from .errors import DegenerateSample, EmptyMask, ModelMissing, ShapeError
-from .inference import infer_gap_sh, infer_gap_signal
+from .inference import decode_gap, encode_slice
 from .interp import interp_missing_slices
 from .phantom import LABELS, PhantomData
-from .sh import fit_sh, project_sh, project_sh_slice, sh_basis_matrix
+from .sh import ShBasisMatrix, fit_sh, project_sh_slice, sh_basis_matrix
 from .stats import wilcoxon_signed_rank
 from .volume import GapSpec, SliceImage, Volume4D, b0_mean
 
 CLASSICAL_METHODS = ("linear", "cubic", "bspline5")
 MODEL_METHODS = ("ae-signal", "ae-sh4")
 ALL_METHODS = CLASSICAL_METHODS + ("sh-linear",) + MODEL_METHODS
+# The models each autoencoder method reads, keyed as in run_experiment's
+# ``models``; both use the b0 model for the b0 slices of the tensor fit.
+MODEL_NEEDS = {"ae-signal": ("signal", "b0"), "ae-sh4": ("sh4", "b0")}
 
 REGION_LABELS = {"wm": LABELS["wm"], "cgm": LABELS["cgm"], "cc": LABELS["cc"]}
 
@@ -155,55 +163,91 @@ class _Shared:
     b0_mean: Volume4D
     fa_gt: Volume4D
     md_gt: Volume4D
-    sh_coeffs: Volume4D | None  # full-volume SH fit, when sh-linear runs
+    sh_coeffs: Volume4D  # full-volume SH fit
+    sh_basis: ShBasisMatrix  # the SH basis on the acquisition directions
+    latents: dict = field(default_factory=dict)  # (model name, z) -> latent code
+    ae_b0: dict = field(default_factory=dict)  # (N, gap start) -> b0 model's slices
 
 
-def _shared_inputs(data: PhantomData, methods, lmax: int) -> _Shared:
+def _shared_inputs(data: PhantomData, lmax: int) -> _Shared:
     values = data.dwi.data
     b0 = b0_mean(data.b0)
     fa_gt, md_gt = dti_scalars(fit_dti(data.dwi, b0, data.gtab))
-    sh_coeffs = None
-    if "sh-linear" in methods:
-        sh_coeffs = fit_sh(data.dwi, data.gtab, lmax=lmax).volume
+    sh_coeffs = fit_sh(data.dwi, data.gtab, lmax=lmax).volume
+    basis = sh_basis_matrix(data.gtab.bvecs, lmax)
     span = float(values.max() - values.min()) or 1.0
-    return _Shared(span, b0, fa_gt, md_gt, sh_coeffs)
+    return _Shared(span, b0, fa_gt, md_gt, sh_coeffs, basis)
 
 
-def _estimate_slices(data: PhantomData, shared: _Shared, method, gap: GapSpec, models, lmax):
+def _model_input(data: PhantomData, shared: _Shared, name: str, z: int) -> SliceImage:
+    """Slice z of the volume the ``name`` model reads."""
+    volume = {"signal": data.dwi, "sh4": shared.sh_coeffs, "b0": shared.b0_mean}[name]
+    return volume.slice_at(z)
+
+
+def _decode(data, shared: _Shared, models, name: str, gap: GapSpec) -> list[SliceImage]:
+    """The ``name`` model's slices for the gap, from its neighbors' latent codes."""
+    z_prev, z_next = gap.gap_start - 1, gap.gap_start + gap.n_missing
+    return decode_gap(
+        models[name],
+        shared.latents[(name, z_prev)],
+        shared.latents[(name, z_next)],
+        _model_input(data, shared, name, z_prev),
+        _model_input(data, shared, name, z_next),
+        gap,
+    )
+
+
+def _with_model_tables(data, shared: _Shared, pool, methods, gaps, n_values, models):
+    """``shared`` plus the latent code of every neighbor slice the grid's
+    autoencoder cells read, then the b0 model's slices of every (N, gap).
+
+    Each slice is encoded on its own: batching several sh4 slices together
+    changes the rounding of the encoder's last convolution.
+    """
+    names = sorted({name for m in methods for name in MODEL_NEEDS.get(m, ())})
+    if not names:
+        return shared
+    neighbors = sorted({z for n in n_values for g in gaps for z in (g - 1, g + n)})
+    keys = [(name, z) for name in names for z in neighbors]
+    codes = pool.map(
+        lambda key: encode_slice(models[key[0]], _model_input(data, shared, *key)), keys
+    )
+    shared = replace(shared, latents=dict(zip(keys, codes)))
+    pairs = [(n, g) for n in n_values for g in gaps]
+    b0_slices = pool.map(
+        lambda pair: _decode(data, shared, models, "b0", GapSpec(pair[1], pair[0])), pairs
+    )
+    return replace(shared, ae_b0=dict(zip(pairs, b0_slices)))
+
+
+def _estimate_slices(data: PhantomData, shared: _Shared, method, gap: GapSpec, models):
     """Returns (dwi slice estimates, b0 slice estimates) for one cell."""
     if method in CLASSICAL_METHODS:
         dwi_slices = interp_missing_slices(data.dwi, gap, method)
         b0_slices = interp_missing_slices(shared.b0_mean, gap, method)
         return dwi_slices, b0_slices
+    if method == "ae-signal":
+        dwi_slices = _decode(data, shared, models, "signal", gap)
+        return dwi_slices, shared.ae_b0[(gap.n_missing, gap.gap_start)]
     if method == "sh-linear":
         coeff_slices = interp_missing_slices(shared.sh_coeffs, gap, "linear")
-        basis = sh_basis_matrix(data.gtab.bvecs, lmax)
-        dwi_slices = [SliceImage(project_sh_slice(s.data, basis)) for s in coeff_slices]
         b0_slices = interp_missing_slices(shared.b0_mean, gap, "linear")
-        return dwi_slices, b0_slices
-    if method == "ae-signal":
-        if models is None or "signal" not in models or "b0" not in models:
-            raise ModelMissing("ae-signal needs 'signal' and 'b0' models")
-        dwi_slices = infer_gap_signal(models["signal"], data.dwi, gap)
-        b0_slices = infer_gap_signal(models["b0"], shared.b0_mean, gap)
-        return dwi_slices, b0_slices
-    if method == "ae-sh4":
-        if models is None or "sh4" not in models or "b0" not in models:
-            raise ModelMissing("ae-sh4 needs 'sh4' and 'b0' models")
-        return infer_gap_sh(
-            models["sh4"], models["b0"], data.dwi, data.b0, data.gtab, gap, lmax=lmax
-        )
-    raise ShapeError(f"unknown method {method!r}")
+    else:  # ae-sh4
+        coeff_slices = _decode(data, shared, models, "sh4", gap)
+        b0_slices = shared.ae_b0[(gap.n_missing, gap.gap_start)]
+    dwi_slices = [SliceImage(project_sh_slice(s.data, shared.sh_basis)) for s in coeff_slices]
+    return dwi_slices, b0_slices
 
 
 def _gap_subvolume(vol: Volume4D, gap: GapSpec) -> Volume4D:
     return vol.with_data(vol.data[:, :, gap.gap_start : gap.gap_start + gap.n_missing, :])
 
 
-def _evaluate_cell(data, shared: _Shared, method, gap, models, lmax):
+def _evaluate_cell(data, shared: _Shared, method, gap, models):
     """The cell's score for each of SERIES, in that order, then its runtime."""
     start = time.perf_counter()
-    dwi_slices, b0_slices = _estimate_slices(data, shared, method, gap, models, lmax)
+    dwi_slices, b0_slices = _estimate_slices(data, shared, method, gap, models)
 
     gt_slices = _gap_subvolume(data.dwi, gap).data
     est_stack = np.stack([s.data for s in dwi_slices], axis=2)
@@ -230,10 +274,10 @@ def default_gaps(z_dim: int) -> list[int]:
     return gaps or [z_dim // 2]
 
 
-def _sh_bound_for_gap(data: PhantomData, gap: GapSpec, lmax: int, span: float) -> float:
-    gt_gap = _gap_subvolume(data.dwi, gap)
-    recon = project_sh(fit_sh(gt_gap, data.gtab, lmax=lmax), data.gtab.bvecs)
-    return _normalized_mse(recon.data, gt_gap.data, span)
+def _sh_bound_for_gap(data: PhantomData, shared: _Shared, gap: GapSpec) -> float:
+    """The SH fit-project error of the gap's ground-truth slices."""
+    recon = project_sh_slice(_gap_subvolume(shared.sh_coeffs, gap).data, shared.sh_basis)
+    return _normalized_mse(recon, _gap_subvolume(data.dwi, gap).data, shared.span)
 
 
 def run_experiment(
@@ -252,25 +296,42 @@ def run_experiment(
     model-based methods. They are shared, not copied: every cell reads the
     caller's instances, which inference never writes to (a ``train=False``
     forward keeps no layer state), and they must not be trained or otherwise
-    mutated while the grid runs. Cells run in one thread pool of
-    ``max(1, threads or 1)`` workers; report assembly is always in fixed
-    order, so the worker count never changes the report. Every cell runs
-    with one BLAS thread, so the pool's threads do not oversubscribe the
-    cores and ``threads`` never changes what a cell computes; the setting is
-    process-wide while the cells run and the previous count is restored
-    afterwards. ``folds`` > 1 adds a per-fold breakdown (gap positions split
-    round-robin), the desk-scale stand-in for subject-level cross-validation.
+    mutated while the grid runs. One thread pool of ``max(1, threads or 1)``
+    workers first encodes each neighbor slice the autoencoder cells read,
+    once per model, then decodes the b0 model's slices once per (N, gap),
+    then runs the cells; report assembly is always in fixed order, so the
+    worker count never changes the report. The pool runs with one BLAS
+    thread, so its threads do not oversubscribe the cores and ``threads``
+    never changes what a task computes; the setting is process-wide while
+    the pool runs and the previous count is restored afterwards. A method's
+    ``timing`` is the sum of its cells' own run times, which leave out the
+    shared per-experiment work. ``methods``, ``gaps`` and ``n_values`` must
+    be non-empty and free of repeats, and every gap must keep a neighbor
+    slice on both sides. ``folds`` > 1 adds a per-fold breakdown (gap
+    positions split round-robin), the desk-scale stand-in for subject-level
+    cross-validation.
     """
     methods = list(methods)
     gaps = [int(z) for z in gaps]
     n_values = [int(n) for n in n_values]
+    for axis, values in (("methods", methods), ("gaps", gaps), ("n_values", n_values)):
+        if not values:
+            raise ShapeError(f"{axis} must not be empty")
+        if len(set(values)) != len(values):
+            raise ShapeError(f"{axis} must not repeat a value, got {values}")
     for m in methods:
         if m not in ALL_METHODS:
             raise ShapeError(f"unknown method {m!r} (choose from {ALL_METHODS})")
+        needs = MODEL_NEEDS.get(m, ())
+        if needs and (models is None or any(name not in models for name in needs)):
+            raise ModelMissing(f"{m} needs {needs[0]!r} and {needs[1]!r} models")
     if folds < 1 or folds > len(gaps):
         raise ShapeError(f"folds must lie in [1, {len(gaps)}], got {folds}")
+    for n in n_values:
+        for g in gaps:
+            GapSpec(gap_start=g, n_missing=n).validate_for(data.dwi.dims[2])
 
-    shared = _shared_inputs(data, methods, lmax)
+    shared = _shared_inputs(data, lmax)
 
     config = {
         "methods": methods,
@@ -282,14 +343,14 @@ def run_experiment(
     }
     report = EvalReport(config=config)
 
-    def run_cell(job):
-        n, method, gap_start = job
-        gap = GapSpec(gap_start=gap_start, n_missing=n)
-        return _evaluate_cell(data, shared, method, gap, models, lmax)
-
     jobs = [(n, m, g) for n in n_values for m in methods for g in gaps]
     with one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
-        cells = dict(zip(jobs, pool.map(run_cell, jobs)))
+        shared = _with_model_tables(data, shared, pool, methods, gaps, n_values, models)
+        scores = pool.map(
+            lambda job: _evaluate_cell(data, shared, job[1], GapSpec(job[2], job[0]), models),
+            jobs,
+        )
+        cells = dict(zip(jobs, scores))
 
     for n in n_values:
         n_key = str(n)
@@ -301,10 +362,7 @@ def run_experiment(
             report.results[n_key][method] = _results_cell(values[method])
             report.timing[n_key][method] = float(np.sum(runtimes))
 
-        bound_vals = [
-            _sh_bound_for_gap(data, GapSpec(gap_start=g, n_missing=n), lmax, shared.span)
-            for g in gaps
-        ]
+        bound_vals = [_sh_bound_for_gap(data, shared, GapSpec(g, n)) for g in gaps]
         report.sh_bound[n_key] = {
             "per_gap": bound_vals,
             "mean": float(np.mean(bound_vals)),

@@ -1,11 +1,14 @@
 """Latent-space inference of missing slices.
 
-The two surviving neighbors are normalized and encoded in one batch, their
-latent feature maps blended with gap-position weights (equal for N=1;
-{2/3, 1/3} and {1/3, 2/3} for N=2, nearer neighbor heavier), all N blends
-decoded in one batch, and each decoded slice finally mapped back to input
-intensities by histogram matching against the same weighted average of the
-two unnormalized neighbor slices.
+Inference runs in two halves. :func:`encode_slice` normalizes one surviving
+neighbor, crops or pads it onto the model grid and encodes it on its own, so
+a neighbor's latent code is the same whichever gap it borders and can be
+computed once and reused. :func:`decode_gap` blends two neighbors' codes with
+gap-position weights (equal for N=1; {2/3, 1/3} and {1/3, 2/3} for N=2,
+nearer neighbor heavier), decodes all N blends in one batch and maps each
+decoded slice back to input intensities by histogram matching against the
+same weighted average of the two unnormalized neighbor slices.
+:func:`infer_between_slices` is the two halves for one gap.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .volume import (
     Volume4D,
     b0_mean,
     center_crop_pad,
+    crop_windows,
     normalize_slice,
 )
 
@@ -84,23 +88,28 @@ def _from_batches(batch: np.ndarray, channels: int) -> np.ndarray:
     return batch[:, 0].transpose(1, 2, 0)
 
 
-def infer_between_slices(
+def encode_slice(model: Autoencoder, s: SliceImage) -> np.ndarray:
+    """The latent code of one slice: each channel min-max normalized, the
+    slice center-cropped or padded onto the model grid and encoded as one
+    item, or as one item per channel through a 1-channel model."""
+    chw = normalize_slice(s).data.transpose(2, 0, 1)
+    cropped, _ = center_crop_pad(chw, model.cfg.input_size)
+    return model.encode(_to_batches(cropped, model))
+
+
+def decode_gap(
     model: Autoencoder,
+    z_prev: np.ndarray,
+    z_next: np.ndarray,
     prev_slice: SliceImage,
     next_slice: SliceImage,
     gap: GapSpec,
 ) -> list[SliceImage]:
-    """Decode blended latents of the two neighbors, one image per missing slice."""
+    """Decode blends of the two neighbors' codes from :func:`encode_slice`,
+    one image per missing slice, histogram-matched to the neighbors."""
     if prev_slice.data.shape != next_slice.data.shape:
         raise ShapeError("adjacent slices must share a shape")
-    size = model.cfg.input_size
-
-    prepared = []
-    for s in (prev_slice, next_slice):
-        chw = normalize_slice(s).data.transpose(2, 0, 1)
-        cropped, (src, dst) = center_crop_pad(chw, size)
-        prepared.append(_to_batches(cropped, model))
-    z_prev, z_next = np.split(model.encode(np.concatenate(prepared)), 2)
+    src, dst = crop_windows(prev_slice.data.shape[:2], model.cfg.input_size)
     blended = [blend_latents(z_prev, z_next, w_prev) for w_prev, _ in gap.weights]
     decoded = np.split(model.decode(np.concatenate(blended)), len(blended))
 
@@ -117,6 +126,17 @@ def infer_between_slices(
         out[src] = matched.data
         outputs.append(SliceImage(out))
     return outputs
+
+
+def infer_between_slices(
+    model: Autoencoder,
+    prev_slice: SliceImage,
+    next_slice: SliceImage,
+    gap: GapSpec,
+) -> list[SliceImage]:
+    """Decode blended latents of the two neighbors, one image per missing slice."""
+    z_prev, z_next = encode_slice(model, prev_slice), encode_slice(model, next_slice)
+    return decode_gap(model, z_prev, z_next, prev_slice, next_slice, gap)
 
 
 def infer_gap_signal(model: Autoencoder, v: Volume4D, gap: GapSpec) -> list[SliceImage]:

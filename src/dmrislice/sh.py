@@ -165,21 +165,20 @@ def fit_sh(
 
 def project_sh(sh: ShCoeffVolume, directions) -> Volume4D:
     """Evaluate per-voxel SH expansions on a direction set: s = B c."""
-    basis = sh_basis_matrix(directions, sh.lmax)
-    nx, ny, nz, nr = sh.volume.dims
-    signal = sh.volume.data.reshape(-1, nr) @ basis.matrix.T
-    signal = signal.reshape(nx, ny, nz, basis.n_directions)
+    signal = project_sh_slice(sh.volume.data, sh_basis_matrix(directions, sh.lmax))
     return Volume4D(signal, spacing=sh.volume.spacing, affine=sh.volume.affine)
 
 
 def project_sh_slice(coeff_slice: np.ndarray, basis: ShBasisMatrix) -> np.ndarray:
-    """Project a (W, H, R) coefficient slice onto basis directions -> (W, H, D)."""
-    w, h, nr = coeff_slice.shape
+    """Project a (W, H, R) coefficient slice, or a (W, H, Z, R) slab, onto
+    basis directions -> (W, H, D) or (W, H, Z, D)."""
+    nr = coeff_slice.shape[-1]
     if nr != basis.n_coefficients:
         raise ShapeError(
             f"slice has {nr} channels, basis expects {basis.n_coefficients}"
         )
-    return (coeff_slice.reshape(-1, nr) @ basis.matrix.T).reshape(w, h, -1)
+    signal = coeff_slice.reshape(-1, nr) @ basis.matrix.T
+    return signal.reshape(coeff_slice.shape[:-1] + (basis.n_directions,))
 
 
 def sh_roundtrip_error(

@@ -5,7 +5,8 @@ frozen after construction and safe to share across threads.
 
 Facts several stages share are owned here: the gap geometry and neighbor
 weights (:class:`GapSpec`), the crop/pad onto the model grid
-(:func:`center_crop_pad`) and the b0 mean of the tensor fits (:func:`b0_mean`).
+(:func:`crop_windows`, :func:`center_crop_pad`) and the b0 mean of the tensor
+fits (:func:`b0_mean`).
 """
 
 from __future__ import annotations
@@ -267,20 +268,27 @@ class GapSpec:
             )
 
 
-def center_crop_pad(data: np.ndarray, size: int) -> tuple[np.ndarray, tuple]:
-    """Center-crop or zero-pad the last two axes of ``data`` to (size, size).
-
-    Returns the result and the (source, destination) windows, each a pair of
-    slices over those two axes: ``out[..., *dst] == data[..., *src]``.
-    """
+def crop_windows(shape: tuple[int, int], size: int) -> tuple[tuple, tuple]:
+    """The (source, destination) windows of a center crop or zero pad from a
+    ``shape`` grid onto a (size, size) one, each a pair of slices over the two
+    axes."""
     src, dst = [], []
-    for n in data.shape[-2:]:
+    for n in shape:
         keep = min(n, size)
         src0 = max(0, (n - size) // 2)
         dst0 = max(0, (size - n) // 2)
         src.append(slice(src0, src0 + keep))
         dst.append(slice(dst0, dst0 + keep))
-    src, dst = tuple(src), tuple(dst)
+    return tuple(src), tuple(dst)
+
+
+def center_crop_pad(data: np.ndarray, size: int) -> tuple[np.ndarray, tuple]:
+    """Center-crop or zero-pad the last two axes of ``data`` to (size, size).
+
+    Returns the result and the :func:`crop_windows` of those two axes:
+    ``out[..., *dst] == data[..., *src]``.
+    """
+    src, dst = crop_windows(data.shape[-2:], size)
     out = np.zeros(data.shape[:-2] + (size, size))
     out[(...,) + dst] = data[(...,) + src]
     return out, (src, dst)

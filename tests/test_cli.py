@@ -631,14 +631,36 @@ def test_config_does_not_override_an_abbreviated_flag(tmp_path):
         ["evaluate", "--data", "s", "--gaps", "x", "--out", "r"],
         ["evaluate", "--data", "s", "--n", "1,2.5", "--out", "r"],
         ["train", "--data", "s", "--net", "b0", "--sweep-m", "2,x", "--out", "m.ckpt"],
+        ["phantom", "--dims", "", "--out", "s"],
+        ["evaluate", "--data", "s", "--gaps", "", "--out", "r"],
+        ["evaluate", "--data", "s", "--n", " , ", "--out", "r"],
+        ["train", "--data", "s", "--net", "b0", "--sweep-m", "", "--out", "m.ckpt"],
     ],
-    ids=["dims", "gaps", "n", "sweep-m"],
+    ids=["dims", "gaps", "n", "sweep-m", "empty-dims", "empty-gaps", "empty-n", "empty-sweep-m"],
 )
 def test_bad_int_lists_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         dispatch(argv)
     assert exc.value.code == 1
     assert "invalid _int_list value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "axis, argv",
+    [
+        ("gaps", ["--methods", "linear", "--gaps", "3,3,3", "--n", "1"]),
+        ("methods", ["--methods", "linear,linear", "--gaps", "3", "--n", "1"]),
+        ("n_values", ["--methods", "linear", "--gaps", "3", "--n", "1,1"]),
+        ("methods", ["--methods", ",", "--gaps", "3", "--n", "1"]),
+    ],
+    ids=["repeated-gaps", "repeated-methods", "repeated-n", "empty-methods"],
+)
+def test_empty_or_repeated_grid_axes_exit_2(study_dir, tmp_path, capsys, axis, argv):
+    out = tmp_path / "rep"
+    code = dispatch(["evaluate", "--data", str(study_dir), *argv, "--out", str(out)])
+    assert code == 2
+    assert f"dmrislice: {axis} must not" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_int_list_options_parse_their_values():
@@ -667,6 +689,7 @@ CONFIG_VALUE_CASES = {
     "bad-float": ("evaluate", "bvalue = fast", 2, "config key 'bvalue': invalid float"),
     "bad-choice": ("phantom", 'noise = "loud"', 2, "config key 'noise': 'loud' is not"),
     "bad-int-list": ("evaluate", 'gaps = "2,x"', 2, "config key 'gaps': invalid _int_list"),
+    "empty-int-list": ("evaluate", 'n = ""', 2, "config key 'n': invalid _int_list"),
     "non-boolean-flag": ("evaluate", "verbose = 1", 2, "config key 'verbose' takes"),
     "zero-threads": ("evaluate", "threads = 0", 1, "--threads must be >= 1"),
     "unknown-key": ("evaluate", "threads = 2\nfunc = 1", 1, "unknown config key 'func'"),

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 import dmrislice.evaluate as evaluate
+import dmrislice.inference as inference
 from dmrislice.ae import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from dmrislice.dti import _eigvals_sym3, fit_dti
 from dmrislice.errors import EmptyMask, ModelMissing, ShapeError
 from dmrislice.evaluate import REGION_LABELS, mse_region, run_experiment
+from dmrislice.inference import infer_gap_sh, infer_gap_signal
 from dmrislice.interp import interp_missing_slices
 from dmrislice.phantom import PhantomSpec, make_phantom
-from dmrislice.volume import GapSpec, Volume4D, replace_slices
+from dmrislice.volume import GapSpec, Volume4D, b0_mean, replace_slices
 from layer_state import assert_state_unchanged, layer_state
 
 
@@ -309,15 +311,104 @@ def test_gap_slab_fit_matches_whole_volume_fit(noisy_phantom):
                         assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
-def test_sh_linear_fits_the_full_volume_once(noisy_phantom, monkeypatch):
-    full_fits = []
+def test_fit_sh_runs_once_per_experiment(noisy_phantom, monkeypatch):
+    """One full-volume SH fit feeds sh-linear, the ae-sh4 neighbors and the
+    SH bound, whichever methods run."""
+    fitted = []
     fit_sh = evaluate.fit_sh
 
     def counting_fit_sh(dwi, *args, **kwargs):
-        if dwi.dims == noisy_phantom.dwi.dims:
-            full_fits.append(dwi)
+        fitted.append(dwi.dims)
         return fit_sh(dwi, *args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "fit_sh", counting_fit_sh)
-    run_experiment(noisy_phantom, methods=("sh-linear",), gaps=(3, 7), n_values=(1,), threads=2)
-    assert len(full_fits) == 1
+    for module in (evaluate, inference):
+        monkeypatch.setattr(module, "fit_sh", counting_fit_sh)
+    for methods in (("sh-linear",), ("ae-sh4",), ("linear",)):
+        fitted.clear()
+        run_experiment(
+            noisy_phantom, methods=methods, gaps=(3, 7), n_values=(1, 2),
+            models=_grid_models(), threads=2,
+        )
+        assert fitted == [noisy_phantom.dwi.dims], methods
+
+
+def test_each_model_encodes_each_neighbor_slice_once(noisy_phantom):
+    models = _grid_models()
+    encoded = {name: [] for name in models}
+    for name, model in models.items():
+        def encode(x, train=False, calls=encoded[name], inner=model.encode):
+            calls.append(np.array(x))
+            return inner(x, train=train)
+
+        model.encode = encode
+    gaps, n_values = (3, 5, 7), (1, 2)
+    neighbors = {z for n in n_values for g in gaps for z in (g - 1, g + n)}
+    items = {"signal": noisy_phantom.dwi.n_volumes, "sh4": 1, "b0": 1}
+    for threads in (None, 2):
+        run_experiment(
+            noisy_phantom, methods=("ae-signal", "ae-sh4"), gaps=gaps, n_values=n_values,
+            models=models, threads=threads,
+        )
+        for name, calls in encoded.items():
+            # b0 serves both methods, and still sees each slice once.
+            assert len(calls) == len(neighbors), name
+            assert all(len(x) == items[name] for x in calls), name
+            assert len({x.tobytes() for x in calls}) == len(calls), name
+            calls.clear()
+
+
+def test_ae_cells_estimate_what_single_gap_inference_infers(noisy_phantom, monkeypatch):
+    models, data = _grid_models(), noisy_phantom
+    estimates = {}
+    estimate_slices = evaluate._estimate_slices
+
+    def recording(data, shared, method, gap, models):
+        out = estimate_slices(data, shared, method, gap, models)
+        estimates[(method, gap)] = out
+        return out
+
+    monkeypatch.setattr(evaluate, "_estimate_slices", recording)
+    run_experiment(
+        data, methods=("ae-signal", "ae-sh4"), gaps=(3, 5, 7), n_values=(1, 2),
+        models=models, threads=2,
+    )
+    assert len(estimates) == 12
+    for (method, gap), (dwi_slices, b0_slices) in estimates.items():
+        if method == "ae-signal":
+            want_dwi = infer_gap_signal(models["signal"], data.dwi, gap)
+            want_b0 = infer_gap_signal(models["b0"], b0_mean(data.b0), gap)
+        else:
+            want_dwi, want_b0 = infer_gap_sh(
+                models["sh4"], models["b0"], data.dwi, data.b0, data.gtab, gap
+            )
+        for got, want in zip(dwi_slices + b0_slices, want_dwi + want_b0, strict=True):
+            assert np.array_equal(got.data, want.data), (method, gap)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(methods=()), "methods must not be empty"),
+        (dict(gaps=()), "gaps must not be empty"),
+        (dict(n_values=()), "n_values must not be empty"),
+        (dict(methods=("linear", "cubic", "linear")), "methods must not repeat"),
+        (dict(gaps=(3, 5, 3)), "gaps must not repeat"),
+        (dict(n_values=(1, 1)), "n_values must not repeat"),
+    ],
+    ids=["no-methods", "no-gaps", "no-n", "repeated-method", "repeated-gap", "repeated-n"],
+)
+def test_empty_or_repeated_grid_axes_rejected(noisy_phantom, kw, message):
+    grid = dict(methods=("linear",), gaps=(3, 5), n_values=(1,)) | kw
+    with pytest.raises(ShapeError, match=message):
+        run_experiment(noisy_phantom, **grid)
+
+
+def test_missing_models_raise_before_any_encode(noisy_phantom):
+    models = _grid_models()
+    del models["b0"]
+    for model in models.values():
+        model.encode = None  # any encode would fail with a TypeError
+    for method in ("ae-signal", "ae-sh4"):
+        with pytest.raises(ModelMissing, match=f"{method} needs"):
+            run_experiment(noisy_phantom, methods=(method,), gaps=(3,), n_values=(1,),
+                           models=models)

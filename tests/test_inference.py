@@ -220,13 +220,14 @@ def per_call_inference(model, prev_slice, next_slice, gap):
     return decoded, slices
 
 
-# (model channels, slice channels, n_missing, encode batch, decode batch);
-# the 18x14 slices are cropped in x and padded in y to the 16x16 model grid.
+# (model channels, slice channels, n_missing, encode batch per neighbor,
+# decode batch); the 18x14 slices are cropped in x and padded in y to the
+# 16x16 model grid.
 BATCHING_CASES = {
-    "1ch-model-5ch-slice-N1": (1, 5, 1, 10, 5),
-    "1ch-model-5ch-slice-N2": (1, 5, 2, 10, 10),
-    "15ch-model-N1": (15, 15, 1, 2, 1),
-    "15ch-model-N2": (15, 15, 2, 2, 2),
+    "1ch-model-5ch-slice-N1": (1, 5, 1, 5, 5),
+    "1ch-model-5ch-slice-N2": (1, 5, 2, 5, 10),
+    "15ch-model-N1": (15, 15, 1, 1, 1),
+    "15ch-model-N2": (15, 15, 2, 1, 2),
 }
 
 
@@ -256,10 +257,11 @@ def test_one_encode_and_one_decode_match_per_call_inference(case):
         setattr(model, name, call)
     got = infer_between_slices(model, prev_slice, next_slice, gap)
 
+    # One encode per neighbor, each on its own, then all N blends decoded at once.
     assert [(name, items) for name, items, _ in calls] == [
-        ("encode", encode_items), ("decode", decode_items)
+        ("encode", encode_items), ("encode", encode_items), ("decode", decode_items)
     ]
-    got_decoded = np.split(calls[1][2], n)
+    got_decoded = np.split(calls[2][2], n)
     for got_batch, want_batch in zip(got_decoded, want_decoded):
         np.testing.assert_allclose(got_batch, want_batch, rtol=1e-12, atol=0)
     assert len(got) == n

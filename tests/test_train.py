@@ -11,7 +11,7 @@ from dmrislice.ae.train import (
     stacked_slices,
     sweep_latent_size,
 )
-from dmrislice.errors import InsufficientData
+from dmrislice.errors import InsufficientData, ShapeError
 from dmrislice.phantom import PhantomSpec, make_phantom
 from dmrislice.volume import Volume4D
 
@@ -192,3 +192,8 @@ def test_sweep_latent_size(phantom16):
     best, results = sweep_latent_size(ds, quick_cfg(epochs=2), TINY_MODEL, m_values=(2, 4))
     assert set(results) == {2, 4}
     assert best.best_val_mse == min(results.values())
+
+
+def test_sweep_latent_size_refuses_an_empty_sweep(phantom16):
+    with pytest.raises(ShapeError, match="at least one latent width"):
+        sweep_latent_size(small_dataset(phantom16), quick_cfg(epochs=1), TINY_MODEL, m_values=())
