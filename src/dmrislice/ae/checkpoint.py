@@ -4,8 +4,9 @@ File layout: 5-byte magic "DSAE1", a little-endian uint32 header length, a
 JSON header holding the model config and the tensor manifest (names and
 shapes, parameters first then batch-norm running statistics), followed by the
 raw little-endian float32 tensor payloads in manifest order, and nothing after
-them; loading raises ParseError on any departure from this layout. Saving casts
-float64 state to float32.
+them; loading raises ParseError on any departure from this layout, on a
+non-finite tensor value and on a negative batch-norm running variance. Saving
+casts float64 state to float32.
 
 A loaded model infers with a float32 body, where the stored values are exact,
 and a float64 closing 1x1 convolution and sigmoid (see
@@ -103,8 +104,12 @@ def load_checkpoint(path) -> Autoencoder:
 
     model = Autoencoder(cfg).astype(np.float32)
     offset = header_end
-    for _, arr in _manifest(model):
+    for name, arr in _manifest(model):
         values = np.frombuffer(buf, dtype="<f4", count=arr.size, offset=offset)
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}: tensor {name} holds a non-finite value", offset=offset)
+        if name.endswith(".running_var") and (values < 0).any():
+            raise ParseError(f"{path}: tensor {name} holds a negative variance", offset=offset)
         arr[...] = values.reshape(arr.shape)
         offset += arr.size * 4
     return model

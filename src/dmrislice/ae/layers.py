@@ -16,11 +16,19 @@ raises a ``ShapeError``.
 Convolutions are im2col GEMMs over tiles of the batch. Each tile's column
 block, ``(c*k*k, n*h*w)`` with rows ordered like ``w.reshape(o, -1)``, holds
 about ``_TILE_BYTES`` so that it stays in cache while one GEMM consumes it; a
-single item whose columns exceed the budget forms a tile of its own. A
-convolution layer caches only its zero-padded input: the weight gradient
-rebuilds each tile's column block from it and sums ``dy_tile @ cols_tile.T``
-over the tiles, and the input gradient is the forward kernel applied to
-``dy`` with the flipped, channel-transposed weights.
+single item whose columns exceed the budget forms a tile of its own. The
+zero padding lives in the column blocks: each tap copies only its in-bounds
+window of the unpadded input, and no padded copy of the input is made. A
+one-item tile's GEMM writes straight into its item of the output. A
+convolution layer caches only its unpadded input, which it never writes: the
+weight gradient rebuilds each tile's column block from it and sums
+``dy_tile @ cols_tile.T`` over the tiles, and the input gradient is the
+forward kernel applied to ``dy`` with the flipped, channel-transposed weights.
+
+No layer writes its input or its incoming gradient; the in-place arithmetic
+of batch normalization, ELU and sigmoid runs on arrays the layer allocated,
+in the operation order of the plain formulas, so the results are the same to
+the bit.
 """
 
 from __future__ import annotations
@@ -36,55 +44,64 @@ _TILE_BYTES = 1 << 20
 BN_MOMENTUM, BN_EPS = 0.99, 1e-3
 
 
-def _column_tiles(xp, k):
-    """Yields ``(batch slice, column block)`` over the padded input ``xp``.
+def _window(t, pad, size):
+    """Output positions at which tap ``t`` of a same-size kernel reads inside
+    the input, and the input positions it reads there."""
+    lo, hi = max(0, pad - t), min(size, size + pad - t)
+    return slice(lo, hi), slice(lo + t - pad, hi + t - pad)
+
+
+def _column_tiles(x, k):
+    """Yields ``(batch slice, column block)`` over the unpadded input ``x``.
 
     The block of a tile of n items is ``(c*k*k, n*h*w)``: row ``(c, i, j)``
-    holds ``xp[:, c, i:i+h, j:j+w]`` of every item. All tiles share one
+    holds ``xp[:, c, i:i+h, j:j+w]`` of every item, where ``xp`` is ``x``
+    zero-padded by ``k // 2``. Each tap writes only the window that falls
+    inside ``x``; the rest of the block stays zero. All tiles share one
     buffer, so a block is only valid until the next one is yielded.
     """
-    b, c, hp, wp = xp.shape
-    h, w = hp - k + 1, wp - k + 1
+    b, c, h, w = x.shape
+    pad = k // 2
     per_item = c * k * k * h * w
-    n_max = min(b, max(1, _TILE_BYTES // (per_item * xp.itemsize)))
-    buf = np.empty(n_max * per_item, dtype=xp.dtype)
+    n_max = min(b, max(1, _TILE_BYTES // (per_item * x.itemsize)))
+    buf = (np.zeros if pad else np.empty)(n_max * per_item, dtype=x.dtype)
+    taps = [
+        (i, j, _window(i, pad, h), _window(j, pad, w)) for i in range(k) for j in range(k)
+    ]
     for start in range(0, b, n_max):
         n = min(n_max, b - start)
         cols = buf[: n * per_item].reshape(c, k, k, n, h, w)
-        tile = xp[start : start + n].transpose(1, 0, 2, 3)
-        for i in range(k):
-            for j in range(k):
-                cols[:, i, j] = tile[:, :, i : i + h, j : j + w]
+        if pad and n < n_max:  # a shorter last tile moves the zero borders
+            cols.fill(0)
+        tile = x[start : start + n].transpose(1, 0, 2, 3)
+        for i, j, (out_r, in_r), (out_c, in_c) in taps:
+            cols[:, i, j, :, out_r, out_c] = tile[:, :, in_r, in_c]
         yield slice(start, start + n), cols.reshape(c * k * k, n * h * w)
 
 
-def _conv_correlate(x, w, bias, pad):
-    """'Same'-size 2-D correlation: y[b,o] = sum_c x[b,c] * w[o,c] + bias[o].
-
-    Returns ``y`` and the zero-padded input, which is what the weight
-    gradient needs.
-    """
+def _conv_correlate(x, w, bias):
+    """'Same'-size 2-D correlation: y[b,o] = sum_c x[b,c] * w[o,c] + bias[o],
+    with ``x`` zero-padded by ``k // 2``."""
     o, k = w.shape[0], w.shape[2]
     b, c, h, wd = x.shape
-    xp = x
-    if pad:  # np.pad costs several times this copy on the small late-layer maps
-        xp = np.zeros((b, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad : pad + h, pad : pad + wd] = x
     w2 = w.reshape(o, -1)
-    y = np.empty((b, o, h, wd), dtype=np.result_type(xp, w))
-    for items, cols in _column_tiles(xp, k):
-        y[items] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
+    y = np.empty((b, o, h, wd), dtype=np.result_type(x, w))
+    for items, cols in _column_tiles(x, k):
+        if items.stop - items.start == 1:
+            np.matmul(w2, cols, out=y[items.start].reshape(o, -1))
+        else:
+            y[items] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
     if bias is not None:
         y += bias[:, None, None]
-    return y, xp
+    return y
 
 
-def _conv_weight_grad(xp, dy, k):
+def _conv_weight_grad(x, dy, k):
     """Gradient of the correlation w.r.t. its ``(o, c, k, k)`` weights, from
-    the padded input and the output gradient."""
+    the unpadded input and the output gradient."""
     o = dy.shape[1]
-    dw = np.zeros((o, xp.shape[1] * k * k))
-    for items, cols in _column_tiles(xp, k):
+    dw = np.zeros((o, x.shape[1] * k * k))
+    for items, cols in _column_tiles(x, k):
         dw += dy[items].transpose(1, 0, 2, 3).reshape(o, -1) @ cols.T
     return dw.reshape(o, -1, k, k)
 
@@ -133,27 +150,26 @@ class Conv2D(Layer):
     def __init__(self, c_in, c_out, ksize, rng, bias=False):
         super().__init__()
         self.c_in, self.c_out, self.ksize = c_in, c_out, ksize
-        self.pad = ksize // 2
         shapes, _ = self.tensor_shapes(c_in, c_out, ksize, bias=bias)
         fan_in = c_in * ksize * ksize
         limit = np.sqrt(6.0 / fan_in)  # He-uniform
         self.params["w"] = rng.uniform(-limit, limit, size=shapes["w"])
         if bias:
             self.params["b"] = np.zeros(shapes["b"])
-        self._padded = None
+        self._x = None
 
     def forward(self, x, train=False):
         if x.shape[1] != self.c_in:
             raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[1]}")
-        y, padded = _conv_correlate(x, self.params["w"], self.params.get("b"), self.pad)
-        self._padded = padded if train else None
+        y = _conv_correlate(x, self.params["w"], self.params.get("b"))
+        self._x = x if train else None
         return y
 
     def backward(self, dy, need_dx=True):
         """Parameter gradients, and the input gradient unless ``need_dx`` is
         false (then ``None``: the model's first layer has no use for it)."""
         w = self.params["w"]
-        self.grads["w"] = _conv_weight_grad(self._trained(self._padded), dy, self.ksize)
+        self.grads["w"] = _conv_weight_grad(self._trained(self._x), dy, self.ksize)
         if "b" in self.params:
             self.grads["b"] = dy.sum(axis=(0, 2, 3))
         if not need_dx:
@@ -161,8 +177,7 @@ class Conv2D(Layer):
         # Gradient w.r.t. input: correlate dy with the spatially flipped,
         # channel-transposed kernel.
         w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx, _ = _conv_correlate(dy, w_flip, None, self.pad)
-        return dx
+        return _conv_correlate(dy, w_flip, None)
 
 
 class BatchNorm2D(Layer):
@@ -200,26 +215,38 @@ class BatchNorm2D(Layer):
             y += shift[:, None, None]
             return y
         mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        # np.var's own steps: the squared deviations summed, over the count.
+        xhat = x - mean[:, None, None]
+        y = np.square(xhat)
+        var = y.sum(axis=(0, 2, 3)) / (y.size // self.channels)
         m = BN_MOMENTUM
         self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
         self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
+        xhat *= inv_std[:, None, None]
         self._cache = (xhat, inv_std)
-        return gamma[:, None, None] * xhat + beta[:, None, None]
+        np.multiply(xhat, gamma[:, None, None], out=y)
+        y += beta[:, None, None]
+        return y
 
     def backward(self, dy):
+        # (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # evaluated in two scratch arrays.
         xhat, inv_std = self._trained(self._cache)
-        self.grads["gamma"] = (dy * xhat).sum(axis=(0, 2, 3))
+        prod = dy * xhat
+        self.grads["gamma"] = prod.sum(axis=(0, 2, 3))
         self.grads["beta"] = dy.sum(axis=(0, 2, 3))
-        dxhat = dy * self.params["gamma"][:, None, None]
+        dx = dy * self.params["gamma"][:, None, None]  # dxhat, until overwritten
         n = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return (inv_std[:, None, None] / n) * (
-            n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat
-        )
+        sum_dxhat = dx.sum(axis=(0, 2, 3), keepdims=True)
+        np.multiply(dx, xhat, out=prod)
+        sum_dxhat_xhat = prod.sum(axis=(0, 2, 3), keepdims=True)
+        dx *= n
+        dx -= sum_dxhat
+        np.multiply(xhat, sum_dxhat_xhat, out=prod)
+        dx -= prod
+        dx *= inv_std[:, None, None] / n
+        return dx
 
 
 class ELU(Layer):
@@ -239,9 +266,12 @@ class ELU(Layer):
         return y
 
     def backward(self, dy):
-        # y > 0 exactly where x > 0, and there y' = 1; elsewhere y' = y + 1.
-        y = self._trained(self._y)
-        return dy * np.where(y > 0, 1.0, y + 1.0)
+        # y > 0 exactly where x > 0, and there y' = 1; elsewhere y' = y + 1,
+        # which is at most 1: so y' = min(y + 1, 1), NaN included.
+        dx = self._trained(self._y) + 1.0
+        np.minimum(dx, 1.0, out=dx)
+        dx *= dy
+        return dx
 
 
 def _block_sum2x2(x):
@@ -284,12 +314,15 @@ class Sigmoid(Layer):
         self._y = None
 
     def forward(self, x, train=False):
-        # Stable two-branch logistic.
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+        # Stable two-branch logistic: with e = exp(-|x|), 1 / (1 + e) where
+        # x >= 0 and e / (1 + e) elsewhere. -|x| is min(x, -x), which passes
+        # a NaN on with its sign, as exp(x) did in the negative branch.
+        e = np.negative(x)
+        np.minimum(x, e, out=e)
+        np.exp(e, out=e)
+        y = np.where(x >= 0, 1.0, e)
+        e += 1.0
+        y /= e
         self._y = y if train else None
         return y
 

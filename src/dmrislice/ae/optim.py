@@ -17,20 +17,35 @@ class Adam:
         self.t = 0
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """Update parameter arrays in place from aligned gradients."""
         if self.m is None:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+            size = max(p.size for p in params)
+            self._scratch = (np.empty(size), np.empty(size))
         self.t += 1
         b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates,
+        # in that operation order, in two scratch arrays shared by the tensors.
         for p, g, m, v in zip(params, grads, self.m, self.v):
+            s, u = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
             v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += EPS
+            np.divide(m, bc1, out=u)
+            u *= self.lr
+            u /= s
+            p -= u
 

@@ -259,6 +259,23 @@ def test_corrupt_checkpoint_exits_2(study_dir, tmp_path):
     assert code == 2
 
 
+def test_checkpoint_with_a_nan_weight_exits_2(study_dir, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
+    raw = bytearray(ckpt.read_bytes())
+    first_value = 9 + int.from_bytes(raw[5:9], "little")  # layer00.w[0, 0, 0, 0]
+    raw[first_value : first_value + 4] = np.float32(np.nan).tobytes()
+    ckpt.write_bytes(bytes(raw))
+    code = dispatch(
+        ["infer", "--data", str(study_dir), "--model", str(ckpt), "--gap-start", "3",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "layer00.w holds a non-finite value" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_checkpoint_with_the_removed_config_keys_exits_2(study_dir, tmp_path, capsys):
     # The header config of checkpoints saved while the decoder mode and the
     # batch-norm constants were model options: three keys more than today's.

@@ -3,16 +3,21 @@ import pytest
 
 from dmrislice.ae.layers import (
     BN_EPS,
+    BN_MOMENTUM,
     ELU,
     AvgPool2x2,
     BatchNorm2D,
     Conv2D,
+    Layer,
     NearestUpsample2x2,
     Sigmoid,
     _column_tiles,
 )
 from dmrislice.errors import ShapeError
 from gradcheck import check_layer_gradients
+
+
+C = (slice(None), None, None)  # a per-channel vector against an NCHW array
 
 
 @pytest.fixture
@@ -42,8 +47,7 @@ def test_batchnorm_eval_affine_matches_formula(x):
     mean = rng.standard_normal(3) * 0.2
     var = np.abs(rng.standard_normal(3)) + 0.5
     bn.buffers["running_mean"], bn.buffers["running_var"] = mean, var
-    c = (slice(None), None, None)
-    want = bn.params["gamma"][c] * (x - mean[c]) / np.sqrt(var[c] + BN_EPS) + bn.params["beta"][c]
+    want = bn.params["gamma"][C] * (x - mean[C]) / np.sqrt(var[C] + BN_EPS) + bn.params["beta"][C]
     np.testing.assert_allclose(bn.forward(x, train=False), want, rtol=1e-12, atol=0)
 
 
@@ -184,8 +188,8 @@ def einsum_conv(w, bias, x, dy):
 
 
 def tile_sizes(batch, c, k, h, w):
-    xp = np.zeros((batch, c, h + k - 1, w + k - 1))
-    return [items.stop - items.start for items, _ in _column_tiles(xp, k)]
+    x = np.zeros((batch, c, h, w))
+    return [items.stop - items.start for items, _ in _column_tiles(x, k)]
 
 
 def assert_close(got, want):
@@ -200,6 +204,8 @@ KERNEL_CASES = {
     "item-over-budget": (2, 4, 2, 3, 64, [1, 1]),
     "1x1": (5, 3, 5, 1, 8, [5]),
     "c_in-1": (3, 1, 4, 3, 8, [3]),
+    "3x3-on-1x1": (4, 2, 3, 3, 1, [4]),
+    "3x3-on-2x2": (3, 2, 3, 3, 2, [3]),
 }
 
 
@@ -218,3 +224,104 @@ def test_conv_matches_einsum_formula(case):
     assert_close(y, want_y)
     assert_close(dx, want_dx)
     assert_close(conv.grads["w"], want_dw)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+def test_column_tiles_are_the_blocks_of_the_padded_input(case):
+    batch, c_in, _, k, size, tiles = case
+    pad = k // 2
+    x = np.random.default_rng(21).standard_normal((batch, c_in, size, size))
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    sizes = []
+    for items, cols in _column_tiles(x, k):
+        # (n, c, h, w, k, k) windows -> rows (c, i, j), columns (n, h, w).
+        win = np.lib.stride_tricks.sliding_window_view(xp[items], (k, k), axis=(2, 3))
+        want = win.transpose(1, 4, 5, 0, 2, 3).reshape(c_in * k * k, -1)
+        assert np.array_equal(cols, want)
+        sizes.append(items.stop - items.start)
+    assert sizes == tiles
+
+
+# -- the in-place kernels against the plain formulas, bit for bit -------------
+
+
+def test_batchnorm_train_pass_matches_the_textbook_formulas_bit_for_bit():
+    rng = np.random.default_rng(22)
+    # 300 values per channel: a power-of-two count would divide exactly.
+    x = rng.standard_normal((5, 3, 6, 10)) * 3 + 1
+    dy = rng.standard_normal(x.shape)
+    bn = BatchNorm2D(3)
+    gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
+    running_mean, running_var = rng.standard_normal(3), rng.uniform(0.5, 2, 3)
+    bn.params["gamma"], bn.params["beta"] = gamma, beta
+    bn.buffers["running_mean"], bn.buffers["running_var"] = running_mean, running_var
+
+    y = bn.forward(x, train=True)
+    dx = bn.backward(dy)
+
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mean[C]) * inv_std[C]
+    assert np.array_equal(y, gamma[C] * xhat + beta[C])
+    m = BN_MOMENTUM
+    assert np.array_equal(bn.buffers["running_mean"], m * running_mean + (1 - m) * mean)
+    assert np.array_equal(bn.buffers["running_var"], m * running_var + (1 - m) * var)
+
+    n = x.size // 3
+    dxhat = dy * gamma[C]
+    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    want_dx = (inv_std[C] / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    assert np.array_equal(dx, want_dx)
+    assert np.array_equal(bn.grads["gamma"], (dy * xhat).sum(axis=(0, 2, 3)))
+    assert np.array_equal(bn.grads["beta"], dy.sum(axis=(0, 2, 3)))
+
+
+def test_sigmoid_matches_the_masked_two_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((2, 3, 8, 8)) * 20
+    special = [0.0, -0.0, 1e6, -1e6, 745.0, -745.0, 5e-324, -5e-324, np.nan, -np.nan]
+    x.flat[: len(special)] = special
+    dy = rng.standard_normal(x.shape)
+    layer = Sigmoid()
+    y = layer.forward(x, train=True)
+    dx = layer.backward(dy)
+
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    # Compared as bit patterns, so NaNs and their signs count too.
+    assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(dx.view(np.uint64), (dy * want * (1.0 - want)).view(np.uint64))
+
+
+def every_layer(rng):
+    return {
+        "Conv2D-3x3": Conv2D(3, 4, 3, rng),
+        "Conv2D-1x1-bias": Conv2D(3, 2, 1, rng, bias=True),
+        "BatchNorm2D": BatchNorm2D(3),
+        "ELU": ELU(),
+        "AvgPool2x2": AvgPool2x2(),
+        "NearestUpsample2x2": NearestUpsample2x2(),
+        "Sigmoid": Sigmoid(),
+    }
+
+
+def test_every_layer_class_is_checked_for_writes():
+    checked = {type(layer) for layer in every_layer(np.random.default_rng(0)).values()}
+    assert checked == set(Layer.__subclasses__())
+
+
+@pytest.mark.parametrize("name", every_layer(np.random.default_rng(0)))
+def test_no_layer_writes_its_input_or_its_incoming_gradient(x, name):
+    rng = np.random.default_rng(24)
+    layer = every_layer(rng)[name]
+    x_before = x.copy()
+    y = layer.forward(x, train=True)
+    dy = rng.standard_normal(y.shape)
+    dy_before = dy.copy()
+    layer.backward(dy)
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(dy, dy_before)

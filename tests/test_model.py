@@ -19,6 +19,7 @@ from dmrislice.ae import (
     save_checkpoint,
 )
 from dmrislice.ae.model import tensor_manifest
+from dmrislice.ae.optim import BETA1, BETA2, EPS
 from dmrislice.errors import DmrisliceError, ParseError, ShapeError
 import mutation
 from gradcheck import check_model_gradients
@@ -184,6 +185,14 @@ def test_first_layer_input_gradient_skipped_with_identical_parameter_gradients()
         assert np.array_equal(g, g_full)
 
 
+def test_loss_and_grads_leaves_the_batch_unchanged():
+    # The first convolution caches the float64 batch itself, not a copy.
+    x = np.random.default_rng(15).uniform(0, 1, (3, 1, 16, 16))
+    before = x.copy()
+    build_model(TINY).loss_and_grads(x)
+    assert np.array_equal(x, before)
+
+
 def test_composed_gradients_tiny_model():
     model = build_model(TINY)
     x = np.random.default_rng(7).uniform(0.05, 0.95, (2, 1, 16, 16))
@@ -196,6 +205,29 @@ def test_adam_first_step_closed_form():
     p = [np.array([1.0])]
     Adam(lr=5e-5).step(p, [np.ones(1)])
     assert p[0][0] == pytest.approx(1.0 - 5e-5 / (1.0 + 1e-7), abs=1e-15)
+
+
+def test_three_adam_steps_match_the_formula_bit_for_bit():
+    rng = np.random.default_rng(21)
+    shapes = [(4, 3, 3, 3), (4,), (2, 5)]
+    params = [rng.standard_normal(shape) for shape in shapes]
+    want = [p.copy() for p in params]
+    m = [np.zeros(shape) for shape in shapes]
+    v = [np.zeros(shape) for shape in shapes]
+    lr = 2e-3
+    opt = Adam(lr=lr)
+    for t in (1, 2, 3):
+        grads = [rng.standard_normal(shape) for shape in shapes]
+        grads_before = [g.copy() for g in grads]
+        opt.step(params, grads)
+        bc1, bc2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+        for p, g, m_t, v_t in zip(want, grads, m, v):
+            m_t[...] = BETA1 * m_t + (1.0 - BETA1) * g
+            v_t[...] = BETA2 * v_t + (1.0 - BETA2) * g * g
+            p -= lr * (m_t / bc1) / (np.sqrt(v_t / bc2) + EPS)
+        for got, p, g, g_before in zip(params, want, grads, grads_before):
+            assert np.array_equal(got, p)
+            assert np.array_equal(g, g_before)
 
 
 def test_adam_zero_gradient_keeps_parameters():
@@ -433,6 +465,45 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(ParseError):
         load_checkpoint(p)
+
+
+def write_tensor_value(path, name, value):
+    """Overwrite the first stored value of tensor ``name`` in a TINY checkpoint."""
+    raw = bytearray(path.read_bytes())
+    (n,) = struct.unpack_from("<I", raw, 5)
+    offset = 9 + n
+    for entry, shape in tensor_manifest(TINY):
+        if entry == name:
+            break
+        offset += 4 * int(np.prod(shape))
+    raw[offset : offset + 4] = np.float32(value).astype("<f4").tobytes()
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("layer00.w", np.nan, "non-finite"),
+        ("layer00.w", -np.inf, "non-finite"),
+        ("layer01.running_mean", np.inf, "non-finite"),
+        ("layer01.running_var", -1e-3, "negative"),
+    ],
+    ids=["nan-weight", "inf-weight", "inf-running-mean", "negative-running-var"],
+)
+def test_checkpoint_with_malformed_tensor_values_rejected(tmp_path, name, value, message):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(build_model(TINY), p)
+    write_tensor_value(p, name, value)
+    with pytest.raises(ParseError, match=f"{name} holds a {message}"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_with_a_zero_running_variance_loads(tmp_path):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(build_model(TINY), p)
+    write_tensor_value(p, "layer01.running_var", 0.0)
+    model = load_checkpoint(p)
+    assert model.encoder[1].buffers["running_var"][0] == 0.0
 
 
 def _tiny_checkpoint_bytes() -> bytes:
