@@ -240,8 +240,13 @@ def _estimate_slices(data: PhantomData, shared: _Shared, method, gap: GapSpec, m
     return dwi_slices, b0_slices
 
 
+def _gap_slab(vol: Volume4D, gap: GapSpec) -> np.ndarray:
+    """A view of the gap's slices of ``vol``."""
+    return vol.data[:, :, gap.gap_start : gap.gap_start + gap.n_missing, :]
+
+
 def _gap_subvolume(vol: Volume4D, gap: GapSpec) -> Volume4D:
-    return vol.with_data(vol.data[:, :, gap.gap_start : gap.gap_start + gap.n_missing, :])
+    return vol.with_data(_gap_slab(vol, gap))
 
 
 def _evaluate_cell(data, shared: _Shared, method, gap, models):
@@ -249,7 +254,7 @@ def _evaluate_cell(data, shared: _Shared, method, gap, models):
     start = time.perf_counter()
     dwi_slices, b0_slices = _estimate_slices(data, shared, method, gap, models)
 
-    gt_slices = _gap_subvolume(data.dwi, gap).data
+    gt_slices = _gap_slab(data.dwi, gap)
     est_stack = np.stack([s.data for s in dwi_slices], axis=2)
     signal_mse = _normalized_mse(est_stack, gt_slices, shared.span)
 
@@ -276,8 +281,8 @@ def default_gaps(z_dim: int) -> list[int]:
 
 def _sh_bound_for_gap(data: PhantomData, shared: _Shared, gap: GapSpec) -> float:
     """The SH fit-project error of the gap's ground-truth slices."""
-    recon = project_sh_slice(_gap_subvolume(shared.sh_coeffs, gap).data, shared.sh_basis)
-    return _normalized_mse(recon, _gap_subvolume(data.dwi, gap).data, shared.span)
+    recon = project_sh_slice(_gap_slab(shared.sh_coeffs, gap), shared.sh_basis)
+    return _normalized_mse(recon, _gap_slab(data.dwi, gap), shared.span)
 
 
 def run_experiment(

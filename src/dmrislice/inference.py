@@ -165,21 +165,23 @@ def infer_gap_sh(
     The two neighbor slices are SH-fit, the coefficient stacks inferred with
     the SH model, the histogram-matched outputs projected back onto the
     acquisition directions. The b0 slices come from the 1-channel b0 model
-    applied to the voxelwise mean of the b0 volumes; both are returned so a
-    tensor fit can run downstream.
+    applied to the voxelwise mean of the b0 volumes at the two neighbors;
+    both are returned so a tensor fit can run downstream.
     """
+    if b0.dims[:3] != dwi.dims[:3]:
+        raise ShapeError(f"b0 grid {b0.dims[:3]} does not match dwi {dwi.dims[:3]}")
     gap.validate_for(dwi.dims[2])
     z_prev = gap.gap_start - 1
     z_next = gap.gap_start + gap.n_missing
+    # The two neighbor slices, z_prev and z_next, as one strided view.
+    neighbors = np.s_[:, :, z_prev : z_next + 1 : z_next - z_prev]
 
-    neighbors = dwi.data[:, :, [z_prev, z_next], :]
-    sh = fit_sh(Volume4D(neighbors), g, lmax=lmax)
-    prev_sh = SliceImage(sh.volume.data[:, :, 0, :])
-    next_sh = SliceImage(sh.volume.data[:, :, 1, :])
-    inferred = infer_between_slices(model_sh, prev_sh, next_sh, gap)
+    sh = fit_sh(dwi.with_data(dwi.data[neighbors]), g, lmax=lmax)
+    inferred = infer_between_slices(model_sh, sh.volume.slice_at(0), sh.volume.slice_at(1), gap)
 
     basis = sh_basis_matrix(g.bvecs, lmax)
     dwi_slices = [SliceImage(project_sh_slice(s.data, basis)) for s in inferred]
 
-    b0_slices = infer_gap_signal(model_b0, b0_mean(b0), gap)
+    b0_pair = b0_mean(b0.with_data(b0.data[neighbors]))
+    b0_slices = infer_between_slices(model_b0, b0_pair.slice_at(0), b0_pair.slice_at(1), gap)
     return dwi_slices, b0_slices

@@ -1,8 +1,10 @@
 """Minimal NIfTI-1 single-file (.nii) reader and writer.
 
 Supports little-endian, uncompressed files with scalar datatypes
-{uint8, int16, int32, float32, float64}. Data are returned in (x, y, z, v)
-order with x fastest on disk, scl_slope/scl_inter applied when the slope is
+{uint8, int16, int32, float32, float64}. On disk x varies fastest, as NIfTI
+prescribes, for reading and writing alike. In memory, data come back as the
+C-contiguous float64 (x, y, z, v) array a :class:`~dmrislice.volume.Volume4D`
+stores, v fastest, with scl_slope/scl_inter applied when the slope is
 nonzero. Non-finite voxel values are rejected on reading, and
 :func:`read_labels` also rejects label maps that are not non-negative
 integers or do not lie on the data's voxel grid. The writer always emits
@@ -128,7 +130,8 @@ def read_nifti(path) -> Volume4D:
         )
 
     raw = np.frombuffer(buf, dtype=dtype, count=count, offset=vox_offset)
-    data = raw.astype(np.float64).reshape((nx, ny, nz, nv), order="F")
+    # One casting copy from the x-fastest payload into the voxel-major layout.
+    data = raw.reshape((nx, ny, nz, nv), order="F").astype(np.float64, order="C")
     slope, inter = struct.unpack_from("<2f", buf, _OFF_SCL_SLOPE)
     if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
         data = data * slope + inter
@@ -188,7 +191,7 @@ def write_nifti(v: Volume4D, path) -> None:
     struct.pack_into("<12f", header, _OFF_SROW, *v.affine[:3, :].ravel())
     struct.pack_into("<4s", header, _OFF_MAGIC, MAGIC_SINGLE)
 
-    payload = np.asfortranarray(v.data.astype("<f4")).tobytes(order="F")
+    payload = v.data.astype("<f4").tobytes(order="F")
     try:
         with open(path, "wb") as fh:
             fh.write(bytes(header))

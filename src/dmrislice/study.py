@@ -71,7 +71,7 @@ def load_study(path, b_target: float | None = None, shell_tol: float = 50.0) -> 
     b0_idx = gtab.b0_mask
     if not np.any(b0_idx):
         raise EmptyShell(f"{path}: no b0 volumes (b <= {B0_THRESHOLD})")
-    b0 = combined.with_data(combined.data[:, :, :, b0_idx])
+    b0 = combined.with_data(np.compress(b0_idx, combined.data, axis=3))
 
     if b_target is None:
         b_target = float(gtab.bvals.max())

@@ -3,10 +3,12 @@
 Volumes are stored as float64 arrays indexed (x, y, z, v). Instances are
 frozen after construction and safe to share across threads.
 
-Facts several stages share are owned here: the gap geometry and neighbor
-weights (:class:`GapSpec`), the crop/pad onto the model grid
-(:func:`crop_windows`, :func:`center_crop_pad`) and the b0 mean of the tensor
-fits (:func:`b0_mean`).
+Facts several stages share are owned here: the memory layout of a volume
+(:class:`Volume4D` always holds C-contiguous data, so each voxel's V values
+sit together, as the per-voxel SH and tensor fits and the slice reads want
+them), the gap geometry and neighbor weights (:class:`GapSpec`), the crop/pad
+onto the model grid (:func:`crop_windows`, :func:`center_crop_pad`) and the
+b0 mean of the tensor fits (:func:`b0_mean`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ B0_THRESHOLD = 50.0
 
 @dataclass(frozen=True)
 class Volume4D:
-    """A 4D image volume: X*Y*Z voxels with V values per voxel."""
+    """A 4D image volume: X*Y*Z voxels with V values per voxel.
+
+    ``data`` is C-contiguous float64 (x, y, z, v); input in another layout or
+    dtype is copied once, C-contiguous float64 input is kept as is.
+    """
 
     data: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
@@ -35,7 +41,7 @@ class Volume4D:
             data = data[..., None]
         if data.ndim != 4:
             raise ShapeError(f"expected 3D or 4D data, got ndim={data.ndim}")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", np.ascontiguousarray(data))
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != 3 or any(s <= 0 for s in spacing):
             raise ShapeError(f"spacing must be 3 positive reals, got {self.spacing}")
@@ -121,15 +127,21 @@ class SliceImage:
 
 def normalize_slice(s: SliceImage) -> SliceImage:
     """Min-max rescale each channel to [0, 1]; a constant channel maps to all
-    zeros."""
-    data = s.data
-    mn = data.min(axis=(0, 1))
-    span = data.max(axis=(0, 1)) - mn
-    out = np.zeros_like(data)
-    for c in range(data.shape[2]):
-        if span[c] > 0:
-            out[:, :, c] = (data[:, :, c] - mn[c]) / span[c]
-    return SliceImage(out)
+    zeros.
+
+    The result is a (W, H, C) view of contiguous channel planes, the layout
+    the per-channel reductions want and the (C, W, H) model input is.
+    """
+    planes = np.moveaxis(s.data, 2, 0).copy()
+    for plane in planes.reshape(s.channels, -1):
+        lo = plane.min()
+        span = plane.max() - lo
+        if span > 0:
+            plane -= lo
+            plane /= span
+        else:
+            plane[:] = 0.0
+    return SliceImage(np.moveaxis(planes, 0, 2))
 
 
 def select_shell(
@@ -145,7 +157,7 @@ def select_shell(
     keep = np.abs(g.bvals - b_target) <= tol
     if not np.any(keep):
         raise EmptyShell(f"no volumes with b within {tol} of {b_target}")
-    sub = v.with_data(v.data[:, :, :, keep])
+    sub = v.with_data(np.compress(keep, v.data, axis=3))
     return sub, GradientTable(g.bvals[keep], g.bvecs[keep])
 
 
@@ -233,8 +245,17 @@ def replace_slices(v: Volume4D, z_start: int, slices: list[SliceImage]) -> Volum
 
 
 def b0_mean(b0: Volume4D) -> Volume4D:
-    """Voxelwise mean of the b0 volumes, as a single-volume DWI."""
-    return Volume4D(b0.data.mean(axis=3, keepdims=True))
+    """Voxelwise mean of the b0 volumes, as a single-volume DWI.
+
+    Summed volume by volume, ``((b0_0 + b0_1) + ...) / n``: one fixed order
+    for any volume count, where ``mean`` over the contiguous v axis would
+    switch to pairwise summation from 8 volumes on.
+    """
+    data = b0.data
+    total = data[..., :1].copy()
+    for k in range(1, data.shape[3]):
+        total += data[..., k : k + 1]
+    return Volume4D(total / data.shape[3])
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@ import os
 import re
 import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mutation
 from dmrislice.ae import ModelConfig, build_model, load_checkpoint, save_checkpoint
@@ -360,6 +362,53 @@ def test_labels_on_another_grid_exit_2(study_dir, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "(8, 8, 4)" in err and "(16, 16, 8)" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+# One perturbed file of a study: a labels.nii or a --mask on some (X, Y, Z)
+# grid, or a dwi.nii with some volume count against the 22 of dwi.bval.
+GRIDS = st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 10))
+PERTURBATIONS = st.one_of(
+    st.tuples(st.just("labels"), GRIDS),
+    st.tuples(st.just("mask"), GRIDS),
+    st.tuples(st.just("volumes"), st.integers(1, 30)),
+)
+
+
+def _study_commands(study, mask, out):
+    """The fast subcommands that read a study or a mask."""
+    masked = ["--mask", str(mask)] if mask else []
+    return [
+        ["fit-sh", "--dwi", str(study / "dwi.nii"), "--bval", str(study / "dwi.bval"),
+         "--bvec", str(study / "dwi.bvec"), *masked, "--out", str(out / "sh.nii")],
+        ["fit-dti", "--data", str(study), *masked, "--out-fa", str(out / "fa.nii")],
+        ["interp", "--input", str(study / "dwi.nii"), "--gap-start", "3",
+         "--out", str(out / "interp")],
+        ["sh-bound", "--data", str(study), *masked, "--out", str(out / "bound.json")],
+        ["evaluate", "--data", str(study), "--methods", "linear,cubic,bspline5",
+         "--gaps", "3", "--n", "1", "--out", str(out / "report")],
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(PERTURBATIONS, st.integers(0, 2**32 - 1))
+def test_perturbed_study_exits_0_or_2(study_dir, perturbation, seed):
+    kind, arg = perturbation
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        study, out = Path(tmp) / "study", Path(tmp) / "out"
+        shutil.copytree(study_dir, study)
+        mask = None
+        if kind == "volumes":
+            dwi = read_nifti(study / "dwi.nii")
+            picked = rng.integers(0, dwi.n_volumes, size=arg)
+            write_nifti(dwi.with_data(dwi.data[..., picked]), study / "dwi.nii")
+        else:
+            labels = Volume4D(rng.integers(0, 5, size=arg).astype(float))
+            target = study / "labels.nii" if kind == "labels" else Path(tmp) / "mask.nii"
+            write_nifti(labels, target)
+            mask = target if kind == "mask" else None
+        for argv in _study_commands(study, mask, out):
+            assert dispatch(argv) in (0, 2), argv
 
 
 def test_fit_sh_negative_reg_exits_2(study_dir, tmp_path, capsys):

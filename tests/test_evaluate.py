@@ -268,7 +268,7 @@ def test_wilcoxon_cells_present_with_five_gaps(noisy_phantom):
 def _whole_volume_fa_md(data, method, gap_start, n):
     """Reference scoring: fill the gap, refit the whole volume, then score
     FA/MD on the gap slab only."""
-    b0_mean = Volume4D(data.b0.data.mean(axis=3, keepdims=True))
+    b0 = b0_mean(data.b0)
 
     def maps(dwi, b0):
         lam = np.maximum(_eigvals_sym3(fit_dti(dwi, b0, data.gtab).d6), 0.0)
@@ -282,8 +282,8 @@ def _whole_volume_fa_md(data, method, gap_start, n):
         slices = interp_missing_slices(vol, GapSpec(gap_start, n), method)
         return replace_slices(vol, gap_start, slices)
 
-    gt = maps(data.dwi, b0_mean)
-    est = maps(filled(data.dwi), filled(b0_mean))
+    gt = maps(data.dwi, b0)
+    est = maps(filled(data.dwi), filled(b0))
     z = slice(gap_start, gap_start + n)
     labels = Volume4D(data.labels.data[:, :, z])
     return {

@@ -282,6 +282,9 @@ def test_infer_gap_sh_shapes():
     assert len(dwi_slices) == 2 and len(b0_slices) == 2
     assert dwi_slices[0].data.shape == (16, 16, 20)
     assert b0_slices[0].data.shape == (16, 16, 1)
+    short_b0 = data.b0.with_data(data.b0.data[:, :, :5])
+    with pytest.raises(ShapeError, match="b0 grid"):
+        infer_gap_sh(sh_model, b0_model, data.dwi, short_b0, data.gtab, GapSpec(3, 2))
 
 
 def test_overfit_sh_inference_reaches_representability_bound():

@@ -37,6 +37,18 @@ def test_read_minimal_header(tmp_path):
     assert np.array_equal(v.data, values)
 
 
+@pytest.mark.parametrize("code,dtype", [(4, "<i2"), (16, "<f4"), (64, "<f8")])
+def test_read_returns_c_contiguous_data_of_the_x_fastest_payload(tmp_path, code, dtype):
+    p = tmp_path / "t.nii"
+    dims = (5, 4, 3, 6)
+    values = np.arange(np.prod(dims)).reshape(dims) * 3 - 100
+    synth_nifti(p, dims, code, dtype, values)
+    payload = np.frombuffer(p.read_bytes(), dtype=dtype, offset=VOX_OFFSET)
+    v = read_nifti(p)
+    assert v.data.flags.c_contiguous and v.data.dtype == np.float64
+    assert np.array_equal(v.data, payload.reshape(dims, order="F"))
+
+
 def test_bad_sizeof_hdr(tmp_path):
     p = tmp_path / "t.nii"
     p.write_bytes(b"\x00" * 400)

@@ -15,6 +15,8 @@ def test_study_roundtrip(tmp_path):
     assert len(back.gtab) == 12
     assert np.allclose(back.dwi.data, data.dwi.data, atol=1e-6)
     assert np.array_equal(back.labels.labels_array(), data.labels.labels_array())
+    for vol in (back.dwi, back.b0, back.labels):
+        assert vol.data.flags.c_contiguous
 
 
 def test_load_specific_shell(tmp_path):

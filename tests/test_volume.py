@@ -13,6 +13,7 @@ from dmrislice.volume import (
     GradientTable,
     SliceImage,
     Volume4D,
+    b0_mean,
     normalize_slice,
     read_gradient_table,
     replace_slices,
@@ -24,6 +25,57 @@ def test_volume_shape_and_invariants():
     v = Volume4D(np.zeros((3, 4, 5, 2)), spacing=(1.0, 1.0, 1.5))
     assert v.dims == (3, 4, 5, 2)
     assert v.data.size == 3 * 4 * 5 * 2
+
+
+def volume_outermost(a):
+    """A copy of ``a`` laid out as boolean indexing on the v axis lays it out:
+    each volume contiguous, the v axis outermost."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 3, 0)), 0, 3)
+
+
+def layouts(a):
+    """``a`` in the layouts a volume's data arrive in: C order, F order (the
+    NIfTI disk order), volume-outermost and a z-slab view."""
+    keep = np.arange(a.shape[3]) != 1
+    return {
+        "C": np.ascontiguousarray(a),
+        "F": np.asfortranarray(a),
+        "volume-outermost": a[:, :, :, keep],
+        "z-slab": a[:, :, 1:3, :],
+    }
+
+
+def test_volume_stores_c_contiguous_float64_from_any_layout():
+    a = np.random.default_rng(0).random((4, 5, 6, 3))
+    assert volume_outermost(a).strides[3] > volume_outermost(a).strides[0]
+    for name, data in layouts(a).items():
+        v = Volume4D(data)
+        assert v.data.flags.c_contiguous and v.data.dtype == np.float64, name
+        assert np.array_equal(v.data, data), name
+    labels = Volume4D(np.asfortranarray(np.arange(24).reshape(2, 3, 4)))
+    assert labels.data.flags.c_contiguous and labels.dims == (2, 3, 4, 1)
+
+
+def test_volume_keeps_c_contiguous_float64_input_without_a_copy():
+    data = np.random.default_rng(1).random((3, 4, 5, 2))
+    v = Volume4D(data)
+    assert np.shares_memory(v.data, data)
+    assert np.shares_memory(v.with_data(v.data).data, data)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_b0_mean_sums_volume_by_volume(n):
+    # n = 9 is past the 8 values from which NumPy sums a contiguous axis
+    # pairwise; b0_mean keeps the sequential order for every count.
+    a = volume_outermost(np.random.default_rng(n).random((5, 4, 3, n)) * 1.7)
+    want = a[..., 0].copy()
+    for k in range(1, n):
+        want = want + a[..., k]
+    want = want / n
+    for data in (a, np.ascontiguousarray(a), np.asfortranarray(a)):
+        got = b0_mean(Volume4D(data))
+        assert got.dims == (5, 4, 3, 1)
+        assert np.array_equal(got.data[..., 0], want)
 
 
 def test_volume_rejects_bad_spacing():
@@ -67,6 +119,21 @@ def test_normalize_constant_channel():
     assert np.all(out.data == 0.0)
 
 
+def test_normalize_matches_the_per_channel_formula_bit_for_bit():
+    a = np.random.default_rng(2).standard_normal((6, 5, 4, 3)) * 3.1
+    a[..., 2] = 7.0  # a constant channel
+    for name, data in layouts(a).items():
+        s = data[:, :, 1]
+        before = s.copy()
+        want = np.zeros_like(s)
+        for c in range(s.shape[2]):
+            lo, hi = s[:, :, c].min(), s[:, :, c].max()
+            if hi - lo > 0:
+                want[:, :, c] = (s[:, :, c] - lo) / (hi - lo)
+        assert np.array_equal(normalize_slice(SliceImage(s)).data, want), name
+        assert np.array_equal(s, before), name
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=40),
@@ -95,6 +162,7 @@ def test_select_shell_keeps_matching_volumes():
 
     b0, gt0 = select_shell(v, g, 0.0, tol=50.0)
     assert b0.n_volumes == 1
+    assert shell.data.flags.c_contiguous and b0.data.flags.c_contiguous
 
 
 def test_select_shell_empty():
