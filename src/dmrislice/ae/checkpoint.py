@@ -6,18 +6,21 @@ shapes, parameters first then batch-norm running statistics), followed by the
 raw little-endian float32 tensor payloads in manifest order, and nothing after
 them; loading raises ParseError on any departure from this layout, on a
 non-finite tensor value and on a negative batch-norm running variance. Saving
-casts float64 state to float32.
+casts every tensor to float32.
 
-A loaded model infers with a float32 body, where the stored values are exact,
-and a float64 closing 1x1 convolution and sigmoid (see
-:meth:`~dmrislice.ae.model.Autoencoder.astype`). Its outputs differ from those
-of the float64 model that was saved by about 1e-6 relative. Inference matches
-histograms by rank, so where that reorders two near-equal outputs a result
-moves further: report means on 64x64x16 phantoms moved by 1e-7 to 2e-5
-relative. Every array writes back out exactly, so save -> load -> save is
-byte-identical.
-``load_checkpoint(p).astype(np.float64)`` is the float64 model the checkpoint
-holds, for training or comparison.
+A loaded model has the layout ``train`` steps: a float32 body, where the
+stored values are exact, and a float64 closing 1x1 convolution and sigmoid
+(see :meth:`~dmrislice.ae.model.Autoencoder.astype`). Saving a trained model
+is therefore exact for the body, and only the head's weights round: the
+loaded model encodes bit for bit like the trained one, and its outputs
+differ by the head's rounding alone (8e-10 relative on a 16x16 test net).
+A float64 model, such as :func:`~dmrislice.ae.model.build_model` gives,
+loses more: its outputs move by about 1e-6 relative, and since inference
+matches histograms by rank, a result moves further where that reorders two
+near-equal outputs (report means on 64x64x16 phantoms moved by 1e-7 to 2e-5
+relative). Every array writes back out exactly, so save -> load -> save is
+byte-identical. ``load_checkpoint(p).astype(np.float64)`` is the float64
+model the checkpoint holds, for comparison.
 
 The config holds exactly the :class:`~dmrislice.ae.model.ModelConfig` fields,
 five integers. A header from before the upsampling mode and the batch-norm

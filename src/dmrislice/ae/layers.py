@@ -1,10 +1,11 @@
 """Neural-network layers with explicit forward and backward passes.
 
-All arrays are NCHW, and every layer computes in the dtype of its arrays:
-a model that :func:`~dmrislice.ae.model.build_model` builds or ``train``
-returns is float64 throughout, while a loaded checkpoint has a float32 body
-and a float64 closing 1x1 convolution, whose output NumPy promotes to
-float64 (see :meth:`~dmrislice.ae.model.Autoencoder.astype`). Each layer
+All arrays are NCHW, and every layer computes in the dtype of its arrays,
+forward and backward: a model that :func:`~dmrislice.ae.model.build_model`
+builds is float64 throughout, while the model ``train`` steps and returns
+and a loaded checkpoint have a float32 body and a float64 closing 1x1
+convolution, whose output NumPy promotes to float64 (see
+:meth:`~dmrislice.ae.model.Autoencoder.astype`). Each layer
 owns its parameters and, after a backward call, the matching gradients. Only
 a ``train=True`` forward records state: the activations its backward pass
 needs and, in batch normalization, the running statistics. A ``train=False``
@@ -100,7 +101,7 @@ def _conv_weight_grad(x, dy, k):
     """Gradient of the correlation w.r.t. its ``(o, c, k, k)`` weights, from
     the unpadded input and the output gradient."""
     o = dy.shape[1]
-    dw = np.zeros((o, x.shape[1] * k * k))
+    dw = np.zeros((o, x.shape[1] * k * k), dtype=np.result_type(x, dy))
     for items, cols in _column_tiles(x, k):
         dw += dy[items].transpose(1, 0, 2, 3).reshape(o, -1) @ cols.T
     return dw.reshape(o, -1, k, k)

@@ -166,7 +166,9 @@ class Autoencoder:
         The head keeps float64 weights, so the last activation and the
         sigmoid are float64 whatever the body: a float32 sigmoid rounds
         outputs near 1 into ties, which the rank-based histogram matching of
-        inference would then carry into the result.
+        inference would then carry into the result. A float32 body is what
+        ``train`` steps and what a checkpoint stores; the float64 body that
+        :func:`build_model` gives serves the gradient checks.
         """
         dtype = np.dtype(dtype)
         if dtype not in (np.float32, np.float64):
@@ -191,12 +193,7 @@ class Autoencoder:
                 f"got {x.shape[2]}x{x.shape[3]}"
             )
 
-    def _check_train(self, train):
-        if train and self.dtype != np.float64:
-            raise ShapeError(f"training needs a float64 model, this body is {self.dtype}")
-
     def encode(self, x, train=False):
-        self._check_train(train)
         x = np.asarray(x, dtype=self.dtype)
         self._check_input(x)
         for layer in self.encoder:
@@ -204,7 +201,6 @@ class Autoencoder:
         return x
 
     def decode(self, z, train=False):
-        self._check_train(train)
         z = np.asarray(z, dtype=self.dtype)
         if z.ndim != 4 or z.shape[1] != self.cfg.latent_maps:
             raise ShapeError(
@@ -224,7 +220,11 @@ class Autoencoder:
         """Mean-squared reconstruction error and gradients for all parameters.
 
         Runs in train mode (batch statistics); gradients are averaged over
-        every output value, matching the loss reduction.
+        every output value, matching the loss reduction. The loss and the
+        backward pass of the sigmoid and the closing 1x1 convolution run in
+        float64, as their forward pass does; the gradient leaving the head
+        is cast once to the body's dtype, so a float32 body trains in
+        float32, and each gradient has its parameter's dtype.
         """
         x = np.asarray(batch, dtype=np.float64)
         if x.size == 0:
@@ -233,7 +233,9 @@ class Autoencoder:
         diff = y - x
         mse = float(np.mean(diff * diff))
         grad = 2.0 * diff / diff.size
-        first, *rest = self._layers()
+        *body, head, sigmoid = self._layers()
+        grad = head.backward(sigmoid.backward(grad)).astype(self.dtype, copy=False)
+        first, *rest = body
         for layer in reversed(rest):
             grad = layer.backward(grad)
         # Nothing reads the gradient w.r.t. the batch itself.

@@ -101,8 +101,9 @@ def averaged_dwi_slices(
     """Training samples from averages of n randomly selected DWI volumes.
 
     Each draw averages ``n_average`` distinct volumes (all of them when fewer
-    are available) and contributes the :func:`stacked_slices` of that
-    average, draw-major.
+    are available): their sum, added volume by volume in draw order, over
+    their count. It contributes the :func:`stacked_slices` of that average,
+    draw-major.
     """
     if n_average < 1 or n_samples < 1:
         raise ShapeError(f"n_average {n_average} and n_samples {n_samples} must be >= 1")
@@ -110,9 +111,12 @@ def averaged_dwi_slices(
     take = min(n_average, dwi.n_volumes)
     samples = []
     for _ in range(n_samples):
-        chosen = rng.choice(dwi.n_volumes, size=take, replace=False)
-        avg = Volume4D(dwi.data[:, :, :, chosen].mean(axis=3))
-        samples += stacked_slices(avg, mask, subject)
+        first, *rest = rng.choice(dwi.n_volumes, size=take, replace=False)
+        total = dwi.data[..., first].copy()
+        for v in rest:
+            total += dwi.data[..., v]
+        total /= take
+        samples += stacked_slices(Volume4D(total), mask, subject)
     return samples
 
 
@@ -178,6 +182,10 @@ def train(
 
     Deterministic under (cfg.seed, model_cfg.seed): the split, the batch
     order, and the initialization are all driven by seeded generators.
+
+    Every step runs the model a checkpoint stores: a float32 body behind a
+    float64 closing 1x1 convolution and sigmoid (see
+    :meth:`~dmrislice.ae.model.Autoencoder.astype`), with the loss in float64.
     """
     if not dataset:
         raise InsufficientData("empty dataset")
@@ -196,7 +204,7 @@ def train(
     train_data = stack[train_idx]
     val_data = stack[val_idx]
 
-    model = build_model(model_cfg)
+    model = build_model(model_cfg).astype(np.float32)
     opt = Adam(lr=cfg.lr)
     params = [arr for _, arr in model.parameters()]
 

@@ -130,11 +130,14 @@ def read_nifti(path) -> Volume4D:
         )
 
     raw = np.frombuffer(buf, dtype=dtype, count=count, offset=vox_offset)
-    # One casting copy from the x-fastest payload into the voxel-major layout.
-    data = raw.reshape((nx, ny, nz, nv), order="F").astype(np.float64, order="C")
     slope, inter = struct.unpack_from("<2f", buf, _OFF_SCL_SLOPE)
-    if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
-        data = data * slope + inter
+    # A signaling NaN in the payload, or a scaling that makes inf or NaN,
+    # raises floating-point flags; the non-finite check below reports them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        # One casting copy from the x-fastest payload into the voxel-major layout.
+        data = raw.reshape((nx, ny, nz, nv), order="F").astype(np.float64, order="C")
+        if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
+            data = data * slope + inter
     bad = ~np.isfinite(data)
     if bad.any():
         first = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))

@@ -207,17 +207,17 @@ def test_adam_first_step_closed_form():
     assert p[0][0] == pytest.approx(1.0 - 5e-5 / (1.0 + 1e-7), abs=1e-15)
 
 
-def test_three_adam_steps_match_the_formula_bit_for_bit():
+def _check_three_adam_steps(dtypes):
     rng = np.random.default_rng(21)
     shapes = [(4, 3, 3, 3), (4,), (2, 5)]
-    params = [rng.standard_normal(shape) for shape in shapes]
+    params = [rng.standard_normal(shape).astype(dt) for shape, dt in zip(shapes, dtypes)]
     want = [p.copy() for p in params]
-    m = [np.zeros(shape) for shape in shapes]
-    v = [np.zeros(shape) for shape in shapes]
+    m = [np.zeros(shape, dt) for shape, dt in zip(shapes, dtypes)]
+    v = [np.zeros(shape, dt) for shape, dt in zip(shapes, dtypes)]
     lr = 2e-3
     opt = Adam(lr=lr)
     for t in (1, 2, 3):
-        grads = [rng.standard_normal(shape) for shape in shapes]
+        grads = [rng.standard_normal(shape).astype(dt) for shape, dt in zip(shapes, dtypes)]
         grads_before = [g.copy() for g in grads]
         opt.step(params, grads)
         bc1, bc2 = 1.0 - BETA1**t, 1.0 - BETA2**t
@@ -226,8 +226,17 @@ def test_three_adam_steps_match_the_formula_bit_for_bit():
             v_t[...] = BETA2 * v_t + (1.0 - BETA2) * g * g
             p -= lr * (m_t / bc1) / (np.sqrt(v_t / bc2) + EPS)
         for got, p, g, g_before in zip(params, want, grads, grads_before):
-            assert np.array_equal(got, p)
+            assert got.dtype == p.dtype and np.array_equal(got, p)
             assert np.array_equal(g, g_before)
+
+
+def test_three_adam_steps_match_the_formula_bit_for_bit():
+    _check_three_adam_steps((np.float64,) * 3)
+
+
+def test_adam_updates_each_tensor_in_its_own_dtype():
+    # A float32 body behind a float64 head, as train() steps it.
+    _check_three_adam_steps((np.float32, np.float32, np.float64))
 
 
 def test_adam_zero_gradient_keeps_parameters():
@@ -308,20 +317,31 @@ def test_float64_conversion_of_a_loaded_model_is_the_stored_float64_model(tmp_pa
         model.astype(np.float16)
 
 
-def test_training_a_float32_body_raises(tmp_path):
+def test_float32_body_gradients_have_their_parameters_dtype(tmp_path):
+    # A float32 body trains in float32 behind the float64 head; the float64
+    # model it converts back to still trains in float64.
     p, _ = _saved_checkpoint(tmp_path)
     model = load_checkpoint(p)
     x = np.random.default_rng(10).uniform(0, 1, (2, 1, 16, 16))
-    before = layer_state(model)
-    with pytest.raises(ShapeError):
-        model.forward(x, train=True)
-    with pytest.raises(ShapeError):
-        model.decode(np.zeros((2, 2, 1, 1)), train=True)
-    with pytest.raises(ShapeError):
-        model.loss_and_grads(x)
-    assert_state_unchanged(model, before)
-    mse, grads = model.astype(np.float64).loss_and_grads(x)
-    assert np.isfinite(mse) and all(g.dtype == np.float64 for g in grads)
+    # The gradient is cast once, where it leaves the head: no body layer's
+    # backward multiplies a float64 gradient into its float32 arrays.
+    incoming = []
+    for layer in model.encoder + model.decoder[:-2]:
+        def backward(dy, *args, _backward=layer.backward, **kwargs):
+            incoming.append(dy.dtype)
+            return _backward(dy, *args, **kwargs)
+
+        layer.backward = backward
+    mse32, grads = model.loss_and_grads(x)
+    assert incoming == [np.float32] * (len(model.encoder) + len(model.decoder) - 2)
+    dtypes = [g.dtype for g in grads]
+    assert dtypes == [arr.dtype for _, arr in model.parameters()]
+    assert dtypes[:-2] == [np.float32] * (len(grads) - 2)
+    assert dtypes[-2:] == [np.float64, np.float64]
+    assert all(np.all(np.isfinite(g)) for g in grads)
+    mse64, grads = model.astype(np.float64).loss_and_grads(x)
+    assert all(g.dtype == np.float64 for g in grads)
+    assert abs(mse32 - mse64) <= 1e-6 * mse64
 
 
 def test_checkpoint_magic(tmp_path):

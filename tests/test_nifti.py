@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,30 @@ def test_non_finite_voxels_rejected(tmp_path, bad):
     synth_nifti(p, (3, 2, 2, 2), 16, "<f4", values)
     with pytest.raises(ShapeError, match=r"2 non-finite voxel values, the first at \(1, 0, 1, 0\)"):
         read_nifti(p)
+
+
+@pytest.mark.parametrize(
+    "scaling, message",
+    [
+        ((1.0, 0.0), "1 non-finite voxel values, the first at (1, 0, 1, 0)"),
+        ((-np.inf, np.inf), "16 non-finite voxel values, the first at (0, 0, 0, 0)"),
+    ],
+    ids=["signaling-nan", "inf-scaling"],
+)
+def test_signaling_nan_or_inf_scaling_is_rejected_without_a_warning(tmp_path, scaling, message):
+    # A signaling NaN, and -inf * x + inf, raise the invalid flag in NumPy.
+    p = tmp_path / "t.nii"
+    bits = np.full((2, 2, 2, 2), np.float32(1.0).view(np.uint32))
+    bits[1, 0, 1, 0] = 0x7FA00000  # a signaling NaN
+    synth_nifti(p, (2, 2, 2, 2), 16, "<u4", bits)
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<2f", raw, 112, *scaling)
+    p.write_bytes(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError) as info:
+            read_nifti(p)
+    assert message in str(info.value)
 
 
 def test_write_header_constants(tmp_path):

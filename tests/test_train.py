@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmrislice.ae import ModelConfig, TrainConfig, train
+from dmrislice.ae import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint, train
 from dmrislice.ae.train import (
     averaged_dwi_slices,
     slices_per_volume,
@@ -47,13 +47,33 @@ def test_checkpoint_is_argmin_of_val_loss(phantom16):
     assert vals[ckpt.best_epoch] <= vals[-1]
 
 
+def _tensors(model):
+    return model.parameters() + model.named_buffers()
+
+
 def test_training_deterministic_under_seed(phantom16):
     ds = small_dataset(phantom16)
     a = train(ds, quick_cfg(), TINY_MODEL)
     b = train(ds, quick_cfg(), TINY_MODEL)
     assert a.history == b.history
-    for (_, pa), (_, pb) in zip(a.model.parameters(), b.model.parameters()):
-        assert np.array_equal(pa, pb)
+    for (_, ta), (_, tb) in zip(_tensors(a.model), _tensors(b.model)):
+        assert ta.dtype == tb.dtype and np.array_equal(ta, tb)
+
+
+def test_trained_body_saves_and_loads_exactly(phantom16, tmp_path):
+    # train() steps a float32 body, which the checkpoint stores as it is:
+    # only the float64 head rounds on saving.
+    ds = small_dataset(phantom16)
+    model = train(ds, quick_cfg(), TINY_MODEL).model
+    assert model.dtype == np.float32
+    assert [a.dtype for a in model.decoder[-2].params.values()] == [np.float64] * 2
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    for (name, t), (_, lt) in zip(_tensors(model), _tensors(loaded)):
+        assert lt.dtype == t.dtype and np.array_equal(lt, t.astype(np.float32)), name
+    batch = np.stack([s.data for s in ds])
+    z, loaded_z = model.encode(batch), loaded.encode(batch)
+    assert z.dtype == np.float32 and np.array_equal(z, loaded_z)
 
 
 def test_training_log_csv(phantom16, tmp_path):
@@ -140,6 +160,26 @@ def test_slice_builders_keep_their_order_and_values():
     assert len(got) == len(expected)
     for s, e in zip(got, expected):
         assert s.data.shape == (1, 6, 5)
+        assert np.array_equal(s.data[0], e)
+
+
+def test_averaged_slices_add_the_drawn_volumes_in_draw_order():
+    # With 8 or more volumes, a pairwise sum (what mean over a contiguous
+    # axis does) rounds differently from this sequential one.
+    rng = np.random.default_rng(11)
+    data = rng.random((4, 3, 2, 12)) * 10.0 ** rng.integers(-3, 4, 12)
+    draws = np.random.default_rng(5)
+    expected = []
+    for _ in range(2):
+        first, *rest = draws.choice(12, size=9, replace=False)
+        total = data[:, :, :, first].copy()
+        for v in rest:
+            total = total + data[:, :, :, v]
+        avg = total / 9
+        expected += [_normalized(avg[:, :, z]) for z in range(2)]
+    got = averaged_dwi_slices(Volume4D(data), n_average=9, n_samples=2, seed=5)
+    assert len(got) == len(expected)
+    for s, e in zip(got, expected):
         assert np.array_equal(s.data[0], e)
 
 
