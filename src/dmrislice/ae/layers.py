@@ -26,6 +26,14 @@ weight gradient rebuilds each tile's column block from it and sums
 ``dy_tile @ cols_tile.T`` over the tiles, and the input gradient is the
 forward kernel applied to ``dy`` with the flipped, channel-transposed weights.
 
+A decoder stage, nearest 2x upsampling then a 3x3 convolution, is one layer,
+:class:`UpsampleConv2D`, that works at its input's resolution: each output
+phase ``y[:, :, a::2, b::2]`` is a 3x3 convolution of the input whose taps
+are sums of the stage's taps, so the four phases are one convolution with a
+stacked kernel, derived on every call, and the 4x-size upsampled map is not
+built. Small inputs, where deriving that kernel costs more than it saves,
+take the plain upsample-then-convolve path.
+
 No layer writes its input or its incoming gradient; the in-place arithmetic
 of batch normalization, ELU and sigmoid runs on arrays the layer allocated,
 in the operation order of the plain formulas, so the results are the same to
@@ -107,8 +115,23 @@ def _conv_weight_grad(x, dy, k):
     return dw.reshape(o, -1, k, k)
 
 
+def _he_uniform(rng, shape):
+    """He-uniform weights of an ``(o, c, k, k)`` kernel."""
+    limit = np.sqrt(6.0 / (shape[1] * shape[2] * shape[3]))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _flip(w):
+    """The kernel whose correlation with ``dy`` is the input gradient of the
+    correlation with ``w``: spatially flipped, channels transposed."""
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+
 class Layer:
     """Base: parameter-free identity-ish layer interface."""
+
+    # Checkpoint layer indices the layer spans (see UpsampleConv2D).
+    slots = 1
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -152,9 +175,7 @@ class Conv2D(Layer):
         super().__init__()
         self.c_in, self.c_out, self.ksize = c_in, c_out, ksize
         shapes, _ = self.tensor_shapes(c_in, c_out, ksize, bias=bias)
-        fan_in = c_in * ksize * ksize
-        limit = np.sqrt(6.0 / fan_in)  # He-uniform
-        self.params["w"] = rng.uniform(-limit, limit, size=shapes["w"])
+        self.params["w"] = _he_uniform(rng, shapes["w"])
         if bias:
             self.params["b"] = np.zeros(shapes["b"])
         self._x = None
@@ -175,10 +196,7 @@ class Conv2D(Layer):
             self.grads["b"] = dy.sum(axis=(0, 2, 3))
         if not need_dx:
             return None
-        # Gradient w.r.t. input: correlate dy with the spatially flipped,
-        # channel-transposed kernel.
-        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _conv_correlate(dy, w_flip, None)
+        return _conv_correlate(dy, _flip(w), None)
 
 
 class BatchNorm2D(Layer):
@@ -301,12 +319,148 @@ class AvgPool2x2(Layer):
         return _repeat2x2(dy * 0.25)
 
 
-class NearestUpsample2x2(Layer):
+# The phase kernels of a 3x3 convolution on a map upsampled 2x by
+# repetition. Along each axis, output 2i reads input (i-1, i, i) and output
+# 2i+1 reads (i, i, i+1), and the zero border maps onto the zero border, so
+# phase a's 3-tap kernel on the input sums old taps: (0 | 1+2 | -) for a = 0
+# and (- | 0+1 | 2) for a = 1. _FOLDS lists the (phase, new tap, old taps)
+# that are not zero; _UNFOLDS, per old tap, the two (phase, new tap) that
+# read it.
+_FOLDS = ((0, 0, (0,)), (0, 1, (1, 2)), (1, 1, (0, 1)), (1, 2, (2,)))
+_UNFOLDS = (((0, 0), (1, 1)), ((0, 1), (1, 1)), ((0, 1), (1, 2)))
+
+
+def _tap_sum(taps, which, out=None):
+    """Sum of ``taps[k]`` over the one or two ``k`` in ``which``."""
+    if len(which) == 1:
+        if out is None:
+            return taps[which[0]]
+        out[...] = taps[which[0]]
+        return out
+    return np.add(taps[which[0]], taps[which[1]], out=out)
+
+
+def _stage_kernel(w, transpose=False):
+    """The ``(4*o, c, 3, 3)`` kernel whose output channel ``(2*a + b)*o + p``
+    on the low-resolution map is phase ``(a, b)`` of output channel ``p`` of
+    the 3x3 convolution ``w`` on the upsampled map; with ``transpose``, that
+    kernel as :func:`_flip` turns it, ``(c, 4*o, 3, 3)``, for the input
+    gradient. The taps are summed on a ``(3, 3, ...)`` copy of ``w``, and
+    each phase tap is written over all channels in one call."""
+    o, c = w.shape[:2]
+    if transpose:
+        taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (i, j, c, o)
+        k = np.zeros((c, 2, 2, o, 3, 3), dtype=w.dtype)
+        phases = k.transpose(1, 2, 4, 5, 0, 3)[:, :, ::-1, ::-1]  # (a, b, i, j, c, o)
+    else:
+        taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (i, j, o, c)
+        k = np.zeros((2, 2, o, c, 3, 3), dtype=w.dtype)
+        phases = k.transpose(0, 1, 4, 5, 2, 3)  # (a, b, i, j, o, c)
+    for a, i, rows in _FOLDS:
+        row = _tap_sum(taps, rows)
+        for b, j, cols in _FOLDS:
+            _tap_sum(row, cols, out=phases[a, b, i, j])
+    return k.reshape(-1, 4 * o if transpose else c, 3, 3)
+
+
+def _stage_weight_grad(dk):
+    """Gradient of the 3x3 weights from that of :func:`_stage_kernel`'s."""
+    o, c = dk.shape[0] // 4, dk.shape[1]
+    d = dk.reshape(2, 2, o, c, 3, 3)
+    rows = np.empty((2, 3, 3, o, c), dtype=dk.dtype)  # (a, i, old j, o, c)
+    for a, i, _ in _FOLDS:
+        for jj, ((b1, j1), (b2, j2)) in enumerate(_UNFOLDS):
+            np.add(d[a, b1, :, :, i, j1], d[a, b2, :, :, i, j2], out=rows[a, i, jj])
+    dw = np.empty((o, c, 3, 3), dtype=dk.dtype)
+    for ii, ((a1, i1), (a2, i2)) in enumerate(_UNFOLDS):
+        for jj in range(3):
+            np.add(rows[a1, i1, jj], rows[a2, i2, jj], out=dw[:, :, ii, jj])
+    return dw
+
+
+def _stage_correlate(x, k):
+    """conv(upsample(x)) from the stacked kernel ``k`` of
+    :func:`_stage_kernel`: each tile's GEMM gives the tile's four phase maps,
+    which are written straight into their phase of the output."""
+    n, _, h, w = x.shape
+    o = k.shape[0] // 4
+    k2 = k.reshape(4 * o, -1)
+    y = np.empty((n, o, 2 * h, 2 * w), dtype=np.result_type(x, k))
+    for items, cols in _column_tiles(x, 3):
+        phases = (k2 @ cols).reshape(2, 2, o, -1, h, w)
+        for a in range(2):
+            for b in range(2):
+                y[items, :, a::2, b::2] = phases[a, b].transpose(1, 0, 2, 3)
+    return y
+
+
+def _phase_maps(y):
+    """``(n, o, 2h, 2w)`` -> the ``(n, 4*o, h, w)`` maps of its phases, in the
+    channel order of :func:`_stage_kernel`."""
+    n, o, h2, w2 = y.shape
+    h, w = h2 // 2, w2 // 2
+    return y.reshape(n, o, h, 2, w, 2).transpose(0, 3, 5, 1, 2, 4).reshape(n, 4 * o, h, w)
+
+
+# Inputs of fewer pixels (n*h*w) than this run conv(upsample(x)) as written:
+# deriving the stacked kernel costs 36*o*c operations per call, more than the
+# smaller column blocks save on the deep stages of batch-1 decodes.
+_STAGE_MIN_PIXELS = 256
+
+
+class UpsampleConv2D(Layer):
+    """Nearest-neighbor 2x upsampling followed by a bias-free, size-preserving
+    3x3 convolution, computed at the input's resolution.
+
+    Each of the four output phases ``y[:, :, a::2, b::2]`` is a 3x3
+    correlation of the input whose taps are sums of the convolution's taps,
+    so one convolution with the stacked ``(4*o, c, 3, 3)`` kernel of
+    :func:`_stage_kernel`, pixel-shuffled, is the stage's output; the
+    backward pass folds that kernel's gradient back onto the nine taps. The
+    upsampled map is never built, except on inputs under
+    ``_STAGE_MIN_PIXELS`` pixels, which take the plain path. The weights are
+    those of the convolution, under its name in the checkpoint.
+    """
+
+    # Checkpoint layer indices the stage spans: those of the upsampling and
+    # of the convolution it replaced; its weights carry the second.
+    slots = 2
+
+    @staticmethod
+    def tensor_shapes(c_in, c_out, rng=None):
+        return Conv2D.tensor_shapes(c_in, c_out, 3)
+
+    def __init__(self, c_in, c_out, rng):
+        super().__init__()
+        self.c_in = c_in
+        self.params["w"] = _he_uniform(rng, self.tensor_shapes(c_in, c_out)[0]["w"])
+        self._x = None
+
+    @staticmethod
+    def _stacked(x):
+        n, _, h, w = x.shape
+        return n * h * w >= _STAGE_MIN_PIXELS
+
     def forward(self, x, train=False):
-        return _repeat2x2(x)
+        if x.shape[1] != self.c_in:
+            raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[1]}")
+        w = self.params["w"]
+        if self._stacked(x):
+            y = _stage_correlate(x, _stage_kernel(w))
+        else:
+            y = _conv_correlate(_repeat2x2(x), w, None)
+        self._x = x if train else None
+        return y
 
     def backward(self, dy):
-        return _block_sum2x2(dy)
+        x = self._trained(self._x)
+        w = self.params["w"]
+        if not self._stacked(x):
+            self.grads["w"] = _conv_weight_grad(_repeat2x2(x), dy, 3)
+            return _block_sum2x2(_conv_correlate(dy, _flip(w), None))
+        dy = _phase_maps(dy)
+        self.grads["w"] = _stage_weight_grad(_conv_weight_grad(x, dy, 3))
+        return _conv_correlate(dy, _stage_kernel(w, transpose=True), None)
 
 
 class Sigmoid(Layer):

@@ -4,16 +4,22 @@ and a mirrored decoder in which each block is a nearest-neighbor 2x2
 upsampling followed by a 3x3 convolution, closed by a 1x1 convolution with
 sigmoid output. Every convolution feeding an ELU goes through batch
 normalization with the fixed constants of :mod:`.layers`.
+
+Each decoder upsampling and the convolution after it are one layer,
+:class:`~.layers.UpsampleConv2D`, computed at the input's resolution. The
+checkpoint names tensors by layer index as if the two were still separate
+layers (``slots``), so the stage's weights keep the convolution's name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from ..errors import ShapeError
-from .layers import ELU, AvgPool2x2, BatchNorm2D, Conv2D, NearestUpsample2x2, Sigmoid
+from .layers import ELU, AvgPool2x2, BatchNorm2D, Conv2D, Sigmoid, UpsampleConv2D
 
 N_POOLINGS = 4
 
@@ -63,27 +69,26 @@ def _architecture(cfg: ModelConfig, rng):
     encoder: list = []
     decoder: list = []
 
-    def block(layers, c_in, c_out):
-        layers.append((Conv2D, (c_in, c_out, 3, rng)))
+    def block(layers, conv, c_in, c_out, *args):
+        layers.append((conv, (c_in, c_out, *args, rng)))
         layers.append((BatchNorm2D, (c_out,)))
         layers.append((ELU, ()))
 
     c = cfg.input_channels
     for width in cfg.encoder_widths:
-        block(encoder, c, width)
-        block(encoder, width, width)
+        block(encoder, Conv2D, c, width, 3)
+        block(encoder, Conv2D, width, width, 3)
         encoder.append((AvgPool2x2, ()))
         c = width
     for width in cfg.extra_widths:
-        block(encoder, c, width)
+        block(encoder, Conv2D, c, width, 3)
         c = width
 
     widths = cfg.decoder_widths  # e.g. (512, 256, 128, 64, 32)
-    block(decoder, cfg.latent_maps, widths[0])
+    block(decoder, Conv2D, cfg.latent_maps, widths[0], 3)
     c = widths[0]
     for width in widths[1:]:
-        decoder.append((NearestUpsample2x2, ()))
-        block(decoder, c, width)
+        block(decoder, UpsampleConv2D, c, width)
         c = width
     decoder.append((Conv2D, (c, cfg.input_channels, 1, rng, True)))
     decoder.append((Sigmoid, ()))
@@ -94,13 +99,20 @@ def _tensor_name(index: int, name: str) -> str:
     return f"layer{index:02d}.{name}"
 
 
+def _indices(kinds) -> list[int]:
+    """Checkpoint index of each layer (or layer class): the last of the
+    ``slots`` indices it spans."""
+    return [end - 1 for end in accumulate(kind.slots for kind in kinds)]
+
+
 def tensor_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter, then every buffer, of the model
     built from ``cfg``, in the order of ``parameters()`` and
     ``named_buffers()``; nothing is allocated."""
     encoder, decoder = _architecture(cfg, None)
     params, buffers = [], []
-    for i, (cls, args) in enumerate(encoder + decoder):
+    layers = encoder + decoder
+    for i, (cls, args) in zip(_indices(cls for cls, _ in layers), layers):
         p, b = cls.tensor_shapes(*args)
         params += [(_tensor_name(i, name), shape) for name, shape in p.items()]
         buffers += [(_tensor_name(i, name), shape) for name, shape in b.items()]
@@ -123,7 +135,8 @@ class Autoencoder:
     def parameters(self):
         """(name, array) pairs in fixed declaration order."""
         out = []
-        for i, layer in enumerate(self._layers()):
+        layers = self._layers()
+        for i, layer in zip(_indices(layers), layers):
             for name, arr in layer.params.items():
                 out.append((_tensor_name(i, name), arr))
         return out
@@ -137,7 +150,8 @@ class Autoencoder:
 
     def named_buffers(self):
         out = []
-        for i, layer in enumerate(self._layers()):
+        layers = self._layers()
+        for i, layer in zip(_indices(layers), layers):
             for name, arr in layer.buffers.items():
                 out.append((_tensor_name(i, name), arr))
         return out

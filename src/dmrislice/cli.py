@@ -305,6 +305,14 @@ def cmd_phantom(args):
     return 0
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (taskset, container cpusets), else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_evaluate(args):
     data = load_study(args.data, b_target=args.bvalue, shell_tol=args.shell_tol)
     models = {}
@@ -317,7 +325,7 @@ def cmd_evaluate(args):
 
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
     gaps = args.gaps or default_gaps(data.dwi.dims[2])
-    threads = args.threads if args.threads is not None else os.cpu_count()
+    threads = args.threads if args.threads is not None else usable_cpus()
     report = run_experiment(
         data,
         methods=methods,

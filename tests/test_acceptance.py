@@ -41,8 +41,8 @@ from dmrislice.ae.layers import (
     AvgPool2x2,
     BatchNorm2D,
     Conv2D,
-    NearestUpsample2x2,
     Sigmoid,
+    UpsampleConv2D,
 )
 from dmrislice.ae.train import slices_per_volume
 from dmrislice.cli import dispatch
@@ -203,7 +203,7 @@ def test_criterion_05_gradient_checks():
     check_layer_gradients(BatchNorm2D(3), x, train=True, input_stride=11)
     check_layer_gradients(ELU(), x, input_stride=11)
     check_layer_gradients(AvgPool2x2(), x, input_stride=11)
-    check_layer_gradients(NearestUpsample2x2(), x, input_stride=11)
+    check_layer_gradients(UpsampleConv2D(3, 4, rng), x, input_stride=11)
     check_layer_gradients(Sigmoid(), x, input_stride=11)
 
     # composed reduced network: widths /8 of the full model, 16x16 input

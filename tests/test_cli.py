@@ -487,6 +487,32 @@ def test_threads_only_on_evaluate(study_dir, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity-mask", "no-affinity-call"])
+def test_evaluate_defaults_threads_to_the_usable_cpus(study_dir, tmp_path, monkeypatch, affinity):
+    import dmrislice.cli as cli
+
+    seen = []
+
+    class Report:
+        def write(self, out):
+            pass
+
+    def fake_run_experiment(data, **kwargs):
+        seen.append(kwargs["threads"])
+        return Report()
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    argv = ["evaluate", "--data", str(study_dir), "--methods", "linear", "--out", str(tmp_path)]
+    assert dispatch(argv) == 0
+    assert dispatch(argv + ["--threads", "2"]) == 0
+    assert seen == [3 if affinity else 64, 2]
+
+
 # Sidecar bytes (None: no sidecar file) that read_sh must reject.
 BAD_SIDECARS = {
     "not-json": b"lmax = 4\n",

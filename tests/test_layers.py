@@ -9,8 +9,9 @@ from dmrislice.ae.layers import (
     BatchNorm2D,
     Conv2D,
     Layer,
-    NearestUpsample2x2,
     Sigmoid,
+    UpsampleConv2D,
+    _STAGE_MIN_PIXELS,
     _column_tiles,
 )
 from dmrislice.errors import ShapeError
@@ -55,6 +56,7 @@ def caching_layers():
     rng = np.random.default_rng(8)
     return {
         "Conv2D": Conv2D(3, 4, 3, rng),
+        "UpsampleConv2D": UpsampleConv2D(3, 4, rng),
         "BatchNorm2D": BatchNorm2D(3),
         "ELU": ELU(),
         "Sigmoid": Sigmoid(),
@@ -84,7 +86,12 @@ def test_avgpool_gradients(x):
 
 
 def test_upsample_gradients(x):
-    check_layer_gradients(NearestUpsample2x2(), x, input_stride=5)
+    # x takes the plain path; four items of the same maps take the stacked one.
+    rng = np.random.default_rng(3)
+    stacked = np.concatenate([x, x[:, ::-1] * 0.5])
+    assert x.shape[0] * 64 < _STAGE_MIN_PIXELS <= stacked.shape[0] * 64
+    check_layer_gradients(UpsampleConv2D(3, 4, rng), x, input_stride=5)
+    check_layer_gradients(UpsampleConv2D(3, 4, rng), stacked, input_stride=5)
 
 
 def test_sigmoid_gradients(x):
@@ -242,6 +249,70 @@ def test_column_tiles_are_the_blocks_of_the_padded_input(case):
     assert sizes == tiles
 
 
+# -- the decoder stage against conv(upsample(x)) ------------------------------
+
+
+def upsampled_conv(w, x, dy):
+    """Output, input gradient and weight gradient of a bias-free 3x3 Conv2D on
+    the nearest-upsampled x, the input gradient summed back over each 2x2."""
+    conv = Conv2D(w.shape[1], w.shape[0], 3, np.random.default_rng(0))
+    conv.params["w"] = w
+    y = conv.forward(np.repeat(np.repeat(x, 2, axis=2), 2, axis=3), train=True)
+    du = conv.backward(dy)
+    n, c, h, wd = x.shape
+    return y, du.reshape(n, c, h, 2, wd, 2).sum(axis=(3, 5)), conv.grads["w"]
+
+
+# (batch, c_in, c_out, h, w, stacked, items per column tile). The stacked
+# path's tiles hold 3x3 columns of the input, the plain path's those of the
+# upsampled map; a 32x16x16 map's take 590 KB, over half the tile budget.
+STAGE_CASES = {
+    "1x1-plain": (3, 2, 3, 1, 1, False, [3]),
+    "1x1-stacked": (300, 2, 3, 1, 1, True, [300]),
+    "3x5-plain": (2, 3, 2, 3, 5, False, [2]),
+    "3x5-stacked": (20, 3, 2, 3, 5, True, [20]),
+    "8x8-plain-one-item-tiles": (2, 32, 3, 8, 8, False, [1, 1]),
+    "8x8-stacked-ragged-tiles": (40, 8, 3, 8, 8, True, [28, 12]),
+    "16x16-stacked-one-item-tiles": (2, 32, 2, 16, 16, True, [1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", STAGE_CASES.values(), ids=STAGE_CASES.keys())
+def test_upsample_conv_matches_conv_of_the_upsampled_map(case):
+    batch, c_in, c_out, h, w, stacked, tiles = case
+    assert (batch * h * w >= _STAGE_MIN_PIXELS) == stacked
+    scale = 1 if stacked else 2  # the plain path tiles the upsampled map
+    assert tile_sizes(batch, c_in, 3, h * scale, w * scale) == tiles
+    rng = np.random.default_rng(25)
+    layer = UpsampleConv2D(c_in, c_out, rng)
+    x = rng.standard_normal((batch, c_in, h, w))
+    dy = rng.standard_normal((batch, c_out, 2 * h, 2 * w))
+    x_before, dy_before = x.copy(), dy.copy()
+    y = layer.forward(x, train=True)
+    dx = layer.backward(dy)
+    want_y, want_dx, want_dw = upsampled_conv(layer.params["w"], x, dy)
+    assert_close(y, want_y)
+    assert_close(dx, want_dx)
+    assert_close(layer.grads["w"], want_dw)
+    assert np.array_equal(x, x_before) and np.array_equal(dy, dy_before)
+    assert np.array_equal(layer.forward(x, train=False), y)
+
+
+def test_the_stacked_path_never_builds_the_upsampled_map(monkeypatch):
+    from dmrislice.ae import layers
+
+    def refuse(x):
+        raise AssertionError("the upsampled map was built")
+
+    monkeypatch.setattr(layers, "_repeat2x2", refuse)
+    layer = UpsampleConv2D(3, 2, np.random.default_rng(26))
+    x = np.random.default_rng(27).standard_normal((4, 3, 8, 8))
+    y = layer.forward(x, train=True)
+    layer.backward(np.ones_like(y))
+    with pytest.raises(AssertionError, match="upsampled map"):
+        layer.forward(x[:1])
+
+
 # -- the in-place kernels against the plain formulas, bit for bit -------------
 
 
@@ -304,7 +375,7 @@ def every_layer(rng):
         "BatchNorm2D": BatchNorm2D(3),
         "ELU": ELU(),
         "AvgPool2x2": AvgPool2x2(),
-        "NearestUpsample2x2": NearestUpsample2x2(),
+        "UpsampleConv2D": UpsampleConv2D(3, 4, rng),
         "Sigmoid": Sigmoid(),
     }
 

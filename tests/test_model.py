@@ -60,11 +60,11 @@ def test_encoder_halves_spatial_dims():
 
 
 def test_decoder_defaults_to_nearest_upsampling():
-    from dmrislice.ae.layers import NearestUpsample2x2
+    from dmrislice.ae.layers import UpsampleConv2D
 
     model = build_model(TINY)
     kinds = [type(layer) for layer in model.decoder]
-    assert kinds.count(NearestUpsample2x2) == 4
+    assert kinds.count(UpsampleConv2D) == 4
 
 
 def test_output_in_unit_interval():
