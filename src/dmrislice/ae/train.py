@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,12 +33,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ShapeError(f"epochs {self.epochs} and batch_size {self.batch_size} must be >= 1")
-        if self.lr <= 0:
-            raise ShapeError("learning rate must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ShapeError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0 < self.val_fraction < 1:
             raise ShapeError("val_fraction must lie in (0, 1)")
         if self.split_by not in ("subject", "slice"):
             raise ShapeError(f"unknown split_by {self.split_by!r}")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,8 @@ def averaged_dwi_slices(
     """
     if n_average < 1 or n_samples < 1:
         raise ShapeError(f"n_average {n_average} and n_samples {n_samples} must be >= 1")
+    if seed < 0:
+        raise ShapeError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     take = min(n_average, dwi.n_volumes)
     samples = []

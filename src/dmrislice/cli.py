@@ -121,12 +121,6 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _load_dwi_args(args):
-    vol = read_nifti(args.dwi)
-    gtab = read_gradient_table(args.bval, args.bvec)
-    return vol, gtab
-
-
 def _mask_arg(args, vol: Volume4D):
     """The ``--mask`` file, which must lie on ``vol``'s voxel grid."""
     if args.mask:
@@ -148,7 +142,7 @@ def _write_slices(slices, vol: Volume4D, gap_start: int, out_dir, prefix="slice"
 # -- subcommand implementations ---------------------------------------------
 
 def cmd_fit_sh(args):
-    vol, gtab = _load_dwi_args(args)
+    vol, gtab = read_nifti(args.dwi), read_gradient_table(args.bval, args.bvec)
     shell_vol, shell = select_shell(
         vol, gtab, args.bvalue or float(gtab.bvals.max()), tol=args.shell_tol
     )
@@ -291,7 +285,7 @@ def cmd_infer(args):
 def cmd_phantom(args):
     spec = PhantomSpec(
         dims=tuple(args.dims),
-        b_value=args.bvalue or 1000.0,
+        b_value=args.bvalue,
         n_directions=args.directions,
         n_b0=args.b0,
         noise=args.noise,

@@ -20,9 +20,9 @@ Built once per experiment and shared read-only by every cell: the
 ground-truth FA/MD maps, the b0 mean, the full-volume SH fit and its basis
 (read by sh-linear, by the ae-sh4 neighbors and by the SH bound), the latent
 code of every neighbor slice an autoencoder cell reads, one per (model, z),
-and the b0 model's slices, one set per (N, gap), which ae-signal and ae-sh4
-both use. The autoencoders are shared too: inference keeps no layer state,
-so every pool thread runs the caller's models and none is cloned.
+from which each ae-signal and ae-sh4 cell decodes its slices, b0 included.
+The autoencoders are shared too: inference keeps no layer state, so every
+pool thread runs the caller's models and none is cloned.
 """
 
 from __future__ import annotations
@@ -77,12 +77,6 @@ def _results_cell(values: dict) -> dict:
     return cell
 
 
-def _series_entry(cell: dict, metric: str, region: str) -> dict:
-    """A series' {"per_gap", "mean"} entry in a cell made by _results_cell."""
-    entry = cell[f"{metric}_mse"]
-    return entry if region == "all" else entry[region]
-
-
 def mse_region(est: Volume4D, gt: Volume4D, mask: Volume4D, label: int) -> float:
     """Mean squared difference over voxels carrying the given label."""
     if est.dims != gt.dims or est.dims[:3] != mask.dims[:3]:
@@ -133,7 +127,8 @@ class EvalReport:
         for n_key in sorted(self.results):
             for method, cell in sorted(self.results[n_key].items()):
                 for metric, region in SERIES:
-                    rows(n_key, method, metric, region, _series_entry(cell, metric, region))
+                    entry = cell[f"{metric}_mse"]
+                    rows(n_key, method, metric, region, entry if region == "all" else entry[region])
             rows(n_key, "sh4-bound", *SIGNAL, self.sh_bound[n_key])
             for metric, region in sorted(SERIES):
                 tests = self.wilcoxon[n_key][metric][region]
@@ -166,16 +161,14 @@ class _Shared:
     sh_coeffs: Volume4D  # full-volume SH fit
     sh_basis: ShBasisMatrix  # the SH basis on the acquisition directions
     latents: dict = field(default_factory=dict)  # (model name, z) -> latent code
-    ae_b0: dict = field(default_factory=dict)  # (N, gap start) -> b0 model's slices
 
 
 def _shared_inputs(data: PhantomData, lmax: int) -> _Shared:
-    values = data.dwi.data
     b0 = b0_mean(data.b0)
     fa_gt, md_gt = dti_scalars(fit_dti(data.dwi, b0, data.gtab))
     sh_coeffs = fit_sh(data.dwi, data.gtab, lmax=lmax).volume
     basis = sh_basis_matrix(data.gtab.bvecs, lmax)
-    span = float(values.max() - values.min()) or 1.0
+    span = float(np.ptp(data.dwi.data)) or 1.0
     return _Shared(span, b0, fa_gt, md_gt, sh_coeffs, basis)
 
 
@@ -187,7 +180,7 @@ def _model_input(data: PhantomData, shared: _Shared, name: str, z: int) -> Slice
 
 def _decode(data, shared: _Shared, models, name: str, gap: GapSpec) -> list[SliceImage]:
     """The ``name`` model's slices for the gap, from its neighbors' latent codes."""
-    z_prev, z_next = gap.gap_start - 1, gap.gap_start + gap.n_missing
+    z_prev, z_next = gap.neighbors
     return decode_gap(
         models[name],
         shared.latents[(name, z_prev)],
@@ -198,46 +191,37 @@ def _decode(data, shared: _Shared, models, name: str, gap: GapSpec) -> list[Slic
     )
 
 
-def _with_model_tables(data, shared: _Shared, pool, methods, gaps, n_values, models):
+def _with_latents(data, shared: _Shared, pool, methods, gaps, n_values, models):
     """``shared`` plus the latent code of every neighbor slice the grid's
-    autoencoder cells read, then the b0 model's slices of every (N, gap).
+    autoencoder cells read, one per (model, z).
 
     Each slice is encoded on its own: batching several sh4 slices together
     changes the rounding of the encoder's last convolution.
     """
     names = sorted({name for m in methods for name in MODEL_NEEDS.get(m, ())})
-    if not names:
-        return shared
-    neighbors = sorted({z for n in n_values for g in gaps for z in (g - 1, g + n)})
+    neighbors = sorted({z for n in n_values for g in gaps for z in GapSpec(g, n).neighbors})
     keys = [(name, z) for name in names for z in neighbors]
     codes = pool.map(
         lambda key: encode_slice(models[key[0]], _model_input(data, shared, *key)), keys
     )
-    shared = replace(shared, latents=dict(zip(keys, codes)))
-    pairs = [(n, g) for n in n_values for g in gaps]
-    b0_slices = pool.map(
-        lambda pair: _decode(data, shared, models, "b0", GapSpec(pair[1], pair[0])), pairs
-    )
-    return replace(shared, ae_b0=dict(zip(pairs, b0_slices)))
+    return replace(shared, latents=dict(zip(keys, codes)))
 
 
 def _estimate_slices(data: PhantomData, shared: _Shared, method, gap: GapSpec, models):
-    """Returns (dwi slice estimates, b0 slice estimates) for one cell."""
-    if method in CLASSICAL_METHODS:
-        dwi_slices = interp_missing_slices(data.dwi, gap, method)
-        b0_slices = interp_missing_slices(shared.b0_mean, gap, method)
-        return dwi_slices, b0_slices
-    if method == "ae-signal":
-        dwi_slices = _decode(data, shared, models, "signal", gap)
-        return dwi_slices, shared.ae_b0[(gap.n_missing, gap.gap_start)]
-    if method == "sh-linear":
-        coeff_slices = interp_missing_slices(shared.sh_coeffs, gap, "linear")
-        b0_slices = interp_missing_slices(shared.b0_mean, gap, "linear")
-    else:  # ae-sh4
-        coeff_slices = _decode(data, shared, models, "sh4", gap)
-        b0_slices = shared.ae_b0[(gap.n_missing, gap.gap_start)]
-    dwi_slices = [SliceImage(project_sh_slice(s.data, shared.sh_basis)) for s in coeff_slices]
-    return dwi_slices, b0_slices
+    """Returns (dwi slice estimates, b0 slice estimates) for one cell; the
+    SH-domain methods estimate coefficients, projected onto the directions."""
+    if method in MODEL_NEEDS:
+        signal_net, b0_net = MODEL_NEEDS[method]
+        slices = _decode(data, shared, models, signal_net, gap)
+        b0_slices = _decode(data, shared, models, b0_net, gap)
+    else:
+        kind = "linear" if method == "sh-linear" else method
+        source = shared.sh_coeffs if method == "sh-linear" else data.dwi
+        slices = interp_missing_slices(source, gap, kind)
+        b0_slices = interp_missing_slices(shared.b0_mean, gap, kind)
+    if method in ("sh-linear", "ae-sh4"):
+        slices = [SliceImage(project_sh_slice(s.data, shared.sh_basis)) for s in slices]
+    return slices, b0_slices
 
 
 def _gap_slab(vol: Volume4D, gap: GapSpec) -> np.ndarray:
@@ -303,13 +287,13 @@ def run_experiment(
     forward keeps no layer state), and they must not be trained or otherwise
     mutated while the grid runs. One thread pool of ``max(1, threads or 1)``
     workers first encodes each neighbor slice the autoencoder cells read,
-    once per model, then decodes the b0 model's slices once per (N, gap),
-    then runs the cells; report assembly is always in fixed order, so the
-    worker count never changes the report. The pool runs with one BLAS
-    thread, so its threads do not oversubscribe the cores and ``threads``
+    once per model, then runs the cells; report assembly is always in fixed
+    order, so the worker count never changes the report. The pool runs with
+    one BLAS thread, so its threads do not oversubscribe the cores and ``threads``
     never changes what a task computes; the setting is process-wide while
     the pool runs and the previous count is restored afterwards. A method's
-    ``timing`` is the sum of its cells' own run times, which leave out the
+    ``timing`` is the sum of its cells' run times, each covering the cell's
+    estimates (its b0 slices included), tensor fit and scores but not the
     shared per-experiment work. ``methods``, ``gaps`` and ``n_values`` must
     be non-empty and free of repeats, and every gap must keep a neighbor
     slice on both sides. ``folds`` > 1 adds a per-fold breakdown (gap
@@ -350,7 +334,7 @@ def run_experiment(
 
     jobs = [(n, m, g) for n in n_values for m in methods for g in gaps]
     with one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
-        shared = _with_model_tables(data, shared, pool, methods, gaps, n_values, models)
+        shared = _with_latents(data, shared, pool, methods, gaps, n_values, models)
         scores = pool.map(
             lambda job: _evaluate_cell(data, shared, job[1], GapSpec(job[2], job[0]), models),
             jobs,

@@ -146,9 +146,8 @@ def infer_gap_signal(model: Autoencoder, v: Volume4D, gap: GapSpec) -> list[Slic
     model, or jointly when the model's channel count matches V.
     """
     gap.validate_for(v.dims[2])
-    prev_slice = v.slice_at(gap.gap_start - 1)
-    next_slice = v.slice_at(gap.gap_start + gap.n_missing)
-    return infer_between_slices(model, prev_slice, next_slice, gap)
+    z_prev, z_next = gap.neighbors
+    return infer_between_slices(model, v.slice_at(z_prev), v.slice_at(z_next), gap)
 
 
 def infer_gap_sh(
@@ -171,8 +170,7 @@ def infer_gap_sh(
     if b0.dims[:3] != dwi.dims[:3]:
         raise ShapeError(f"b0 grid {b0.dims[:3]} does not match dwi {dwi.dims[:3]}")
     gap.validate_for(dwi.dims[2])
-    z_prev = gap.gap_start - 1
-    z_next = gap.gap_start + gap.n_missing
+    z_prev, z_next = gap.neighbors
     # The two neighbor slices, z_prev and z_next, as one strided view.
     neighbors = np.s_[:, :, z_prev : z_next + 1 : z_next - z_prev]
 

@@ -108,11 +108,11 @@ def interp_missing_slices(v: Volume4D, gap: GapSpec, method) -> list[SliceImage]
     adjacent, at the gap's fractional positions (see :attr:`GapSpec.weights`).
     """
     gap.validate_for(v.dims[2])
-    end = gap.gap_start + gap.n_missing
-    kept = [v.data[:, :, z, :] for z in range(v.dims[2]) if not gap.gap_start <= z < end]
-    base = gap.gap_start - 1
-    weights = _z_weights(len(kept), [base + w_next for _, w_next in gap.weights], method)
+    z_prev, z_next = gap.neighbors
+    kept = [v.data[:, :, z, :] for z in range(v.dims[2]) if not z_prev < z < z_next]
+    # Among the kept samples the two neighbors sit at z_prev and z_prev + 1.
+    weights = _z_weights(len(kept), [z_prev + w_next for _, w_next in gap.weights], method)
     if method == "linear":
         # The exact rational neighbor weights, not the kernel's 1 - t.
-        weights[:, base : base + 2] = gap.weights
+        weights[:, z_prev : z_prev + 2] = gap.weights
     return [SliceImage(_weighted_sum(w, kept)) for w in weights]

@@ -9,13 +9,14 @@ literature values and serve only as self-consistent ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dti import TensorVolume
 from .errors import ShapeError
-from .volume import GradientTable, Volume4D
+from .volume import B0_THRESHOLD, GradientTable, Volume4D
 
 LABELS = {"background": 0, "csf": 1, "cgm": 2, "wm": 3, "cc": 4}
 
@@ -41,10 +42,16 @@ class PhantomSpec:
             raise ShapeError(f"phantom dims must be 3 values >= 4, got {self.dims}")
         if self.n_b0 < 1:
             raise ShapeError(f"a phantom needs at least one b0 volume, got {self.n_b0}")
+        if not B0_THRESHOLD < self.b_value < math.inf:
+            raise ShapeError(f"b_value must lie in ({B0_THRESHOLD}, inf), got {self.b_value}")
         if self.noise not in ("none", "gaussian", "rician"):
             raise ShapeError(f"unknown noise model {self.noise!r}")
+        if not math.isfinite(self.noise_sigma):
+            raise ShapeError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.noise != "none" and self.noise_sigma <= 0:
             raise ShapeError("noise_sigma must be positive for noisy phantoms")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

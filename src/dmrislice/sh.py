@@ -113,12 +113,16 @@ class ShCoeffVolume:
                 f"coefficient count {self.volume.n_volumes} inconsistent with "
                 f"lmax={self.lmax} (expected {n_coefficients(self.lmax)})"
             )
-        if not self.lambda_reg >= 0:
-            raise ShapeError(f"lambda_reg must be non-negative, got {self.lambda_reg}")
+        _check_lambda_reg(self.lambda_reg)
 
     @property
     def n_coefficients(self) -> int:
         return self.volume.n_volumes
+
+
+def _check_lambda_reg(lambda_reg: float) -> None:
+    if not 0 <= lambda_reg < math.inf:
+        raise ShapeError(f"lambda_reg must be non-negative and finite, got {lambda_reg}")
 
 
 def _fit_matrix(basis: ShBasisMatrix, lambda_reg: float) -> np.ndarray:
@@ -149,6 +153,7 @@ def fit_sh(
         raise ShapeError(
             f"gradient table ({len(g)}) does not match volume count ({dwi.n_volumes})"
         )
+    _check_lambda_reg(lambda_reg)
     basis = sh_basis_matrix(g.bvecs, lmax)
     solver = _fit_matrix(basis, lambda_reg)
     ill = lambda_reg == 0 and basis.n_directions <= basis.n_coefficients

@@ -6,9 +6,9 @@ frozen after construction and safe to share across threads.
 Facts several stages share are owned here: the memory layout of a volume
 (:class:`Volume4D` always holds C-contiguous data, so each voxel's V values
 sit together, as the per-voxel SH and tensor fits and the slice reads want
-them), the gap geometry and neighbor weights (:class:`GapSpec`), the crop/pad
-onto the model grid (:func:`crop_windows`, :func:`center_crop_pad`) and the
-b0 mean of the tensor fits (:func:`b0_mean`).
+them), the gap geometry, its two neighbor slices and their weights
+(:class:`GapSpec`), the crop/pad onto the model grid (:func:`crop_windows`,
+:func:`center_crop_pad`) and the b0 mean of the tensor fits (:func:`b0_mean`).
 """
 
 from __future__ import annotations
@@ -281,11 +281,17 @@ class GapSpec:
         n = self.n_missing
         return [((n - k) / (n + 1), (k + 1) / (n + 1)) for k in range(n)]
 
+    @property
+    def neighbors(self) -> tuple[int, int]:
+        """(z_prev, z_next): the slices just below and just above the gap."""
+        return self.gap_start - 1, self.gap_start + self.n_missing
+
     def validate_for(self, z_dim: int) -> None:
-        if self.gap_start + self.n_missing > z_dim - 1:
+        z_next = self.neighbors[1]
+        if z_next > z_dim - 1:
             raise BoundaryGap(
-                f"gap [{self.gap_start}, {self.gap_start + self.n_missing}) needs "
-                f"neighbors on both sides of a {z_dim}-slice volume"
+                f"gap [{self.gap_start}, {z_next}) needs neighbors on both sides "
+                f"of a {z_dim}-slice volume"
             )
 
 

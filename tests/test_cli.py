@@ -314,8 +314,10 @@ def test_removed_upsample_option_is_a_usage_error(study_dir, tmp_path):
 
 TRAIN = ["train", "--net", "b0", "--m", "2", "--base-width", "1", "--epochs", "1",
          "--batch", "4", "--split-by", "slice"]
-# Count and size options below 1; each must end as a data error.
-BAD_COUNTS = {
+PHANTOM = ["phantom", "--dims", "8,8,6", "--directions", "6"]
+# Counts and sizes below 1, negative seeds, and numbers that are not finite
+# or out of range; each must end as a data error.
+BAD_VALUES = {
     "epochs-0": [*TRAIN, "--epochs", "0"],
     "batch-0": [*TRAIN, "--batch", "0"],
     "batch-negative": [*TRAIN, "--batch", "-2"],
@@ -323,12 +325,21 @@ BAD_COUNTS = {
     "avg-n-0": [*TRAIN, "--net", "avg-b1000", "--avg-n", "0"],
     "avg-samples-0": [*TRAIN, "--net", "avg-b1000", "--avg-samples", "0"],
     "input-size-negative": [*TRAIN, "--input-size", "-16"],
-    "b0-negative": ["phantom", "--dims", "8,8,6", "--directions", "6", "--b0", "-1"],
-    "b0-0": ["phantom", "--dims", "8,8,6", "--directions", "6", "--b0", "0"],
+    "b0-negative": [*PHANTOM, "--b0", "-1"],
+    "b0-0": [*PHANTOM, "--b0", "0"],
+    "phantom-seed-negative": [*PHANTOM, "--seed", "-1"],
+    "train-seed-negative": [*TRAIN, "--net", "avg-b1000", "--seed", "-1"],
+    "bvalue-nan": [*PHANTOM, "--bvalue", "nan"],
+    "bvalue-0": [*PHANTOM, "--bvalue", "0"],
+    "bvalue-b0": [*PHANTOM, "--bvalue", "50"],
+    "sigma-inf": [*PHANTOM, "--noise", "rician", "--sigma", "inf"],
+    "sigma-nan": [*PHANTOM, "--sigma", "nan"],
+    "lr-nan": [*TRAIN, "--lr", "nan"],
+    "lr-inf": [*TRAIN, "--lr", "inf"],
 }
 
 
-@pytest.mark.parametrize("argv", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+@pytest.mark.parametrize("argv", BAD_VALUES.values(), ids=BAD_VALUES.keys())
 def test_counts_below_one_exit_2(study_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
     data = ["--data", str(study_dir)] if argv[0] == "train" else []
@@ -411,14 +422,16 @@ def test_perturbed_study_exits_0_or_2(study_dir, perturbation, seed):
             assert dispatch(argv) in (0, 2), argv
 
 
-def test_fit_sh_negative_reg_exits_2(study_dir, tmp_path, capsys):
+@pytest.mark.parametrize("reg", ["-1", "nan", "inf"])
+def test_fit_sh_negative_reg_exits_2(study_dir, tmp_path, capsys, reg):
     out = tmp_path / "sh.nii"
     code = dispatch(
         ["fit-sh", "--dwi", str(study_dir / "dwi.nii"), "--bval", str(study_dir / "dwi.bval"),
-         "--bvec", str(study_dir / "dwi.bvec"), "--reg", "-1", "--out", str(out)]
+         "--bvec", str(study_dir / "dwi.bvec"), "--reg", reg, "--out", str(out)]
     )
     assert code == 2
-    assert "lambda_reg must be non-negative" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "lambda_reg must be non-negative and finite" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -426,9 +439,11 @@ def test_sh_sidecar_with_negative_reg_is_refused(tmp_path):
     sh_path = tmp_path / "sh.nii"
     _write_sh_file(sh_path)
     sidecar = tmp_path / "sh.json"
-    sidecar.write_text(sidecar.read_text().replace('"lambda_reg": 0.0', '"lambda_reg": -1.0'))
-    with pytest.raises(ShapeError, match="lambda_reg must be non-negative"):
-        read_sh(sh_path)
+    text = sidecar.read_text()
+    for bad in ("-1.0", "Infinity", "NaN"):  # json reads the last two as floats
+        sidecar.write_text(text.replace('"lambda_reg": 0.0', f'"lambda_reg": {bad}'))
+        with pytest.raises(ShapeError, match="lambda_reg must be non-negative and finite"):
+            read_sh(sh_path)
 
 
 def test_non_finite_input_exits_2(tmp_path):
@@ -569,6 +584,59 @@ def test_sh_sidecar_fuzz_reads_or_raises_dmrislice_error(variant):
             read_sh(path)
         except DmrisliceError:
             pass
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(study_dir, tmp_path_factory):
+    """A width-1 b0 net trained for one epoch on the test study."""
+    ckpt = tmp_path_factory.mktemp("tiny") / "b0.ckpt"
+    assert dispatch([*TRAIN, "--data", str(study_dir), "--out", str(ckpt)]) == 0
+    return ckpt
+
+
+def _float_option_runs(study, ckpt, out):
+    """A run of each subcommand that has a float option, on the test study;
+    a value typed after it overrides any given here."""
+    dwi = ["--dwi", str(study / "dwi.nii"), "--bval", str(study / "dwi.bval"),
+           "--bvec", str(study / "dwi.bvec")]
+    return {
+        "fit-sh": ["fit-sh", *dwi, "--out", str(out / "sh.nii")],
+        "fit-dti": ["fit-dti", "--data", str(study), "--out-fa", str(out / "fa.nii"),
+                    "--out-tensor", str(out / "dt.nii")],
+        "train": [*TRAIN, "--net", "sh4", "--data", str(study), "--out", str(out / "m.ckpt")],
+        "infer": ["infer", "--data", str(study), "--model", str(ckpt), "--b0-model", str(ckpt),
+                  "--gap-start", "3", "--out", str(out / "infer")],
+        "phantom": [*PHANTOM, "--noise", "gaussian", "--sigma", "0.01",
+                    "--out", str(out / "phantom")],
+        "evaluate": ["evaluate", "--data", str(study), "--methods", "linear", "--gaps", "3",
+                     "--n", "1", "--out", str(out / "report")],
+        "sh-bound": ["sh-bound", "--data", str(study), "--out", str(out / "bound.json")],
+    }
+
+
+FLOAT_OPTIONS = sorted(
+    (name, action.option_strings[0])
+    for name, parser in build_parser().subcommands.items()
+    for action in parser.options.values()
+    if action.type is float
+)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag", FLOAT_OPTIONS, ids=[f"{c}{f}" for c, f in FLOAT_OPTIONS]
+)
+def test_non_finite_float_options_exit_cleanly(
+    study_dir, tiny_ckpt, tmp_path, command, flag, value
+):
+    argv = _float_option_runs(study_dir, tiny_ckpt, tmp_path)[command]
+    code = dispatch([*argv, f"{flag}={value}"])
+    assert code in (0, 1, 2)
+    if code == 0:
+        for path in tmp_path.rglob("*.nii"):
+            read_nifti(path)
+        for path in tmp_path.rglob("*.ckpt"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("command", ["interp", "phantom", "sh-bound"])

@@ -36,6 +36,15 @@ def test_gap_validation():
         GapSpec(2, 3)
     with pytest.raises(BoundaryGap):
         GapSpec(4, 1).validate_for(5)
+    assert GapSpec(3, 2).neighbors == (2, 5)
+    for gap in (GapSpec(1, 1), GapSpec(3, 2), GapSpec(4, 1)):
+        z_next = gap.neighbors[1]
+        for z in range(2, 9):
+            if z_next <= z - 1:
+                gap.validate_for(z)
+            else:
+                with pytest.raises(BoundaryGap):
+                    gap.validate_for(z)
 
 
 def test_blend_identity_and_values():
