@@ -15,24 +15,28 @@ can serve inference on several threads at once, and ``backward`` after it
 raises a ``ShapeError``.
 
 Convolutions are im2col GEMMs over tiles of the batch. Each tile's column
-block, ``(c*k*k, n*h*w)`` with rows ordered like ``w.reshape(o, -1)``, holds
-about ``_TILE_BYTES`` so that it stays in cache while one GEMM consumes it; a
-single item whose columns exceed the budget forms a tile of its own. The
-zero padding lives in the column blocks: each tap copies only its in-bounds
-window of the unpadded input, and no padded copy of the input is made. A
-one-item tile's GEMM writes straight into its item of the output. A
-convolution layer caches only its unpadded input, which it never writes: the
-weight gradient rebuilds each tile's column block from it and sums
-``dy_tile @ cols_tile.T`` over the tiles, and the input gradient is the
-forward kernel applied to ``dy`` with the flipped, channel-transposed weights.
+block, ``(c*k*k, n*oh*ow)`` over the ``oh x ow`` output positions with rows
+ordered like ``w.reshape(o, -1)``, holds about ``_TILE_BYTES`` so that it
+stays in cache while one GEMM consumes it; a single item whose columns
+exceed the budget forms a tile of its own. The zero padding lives in the
+column blocks: each tap copies only its in-bounds window of the unpadded
+input, and no padded copy of the input is made. A one-item tile's GEMM
+writes straight into its item of the output. A convolution layer caches only
+its unpadded input, which it never writes: the weight gradient rebuilds each
+tile's column block from it and sums ``dy_tile @ cols_tile.T`` over the
+tiles, and the input gradient is the forward kernel applied to ``dy`` with
+the flipped, channel-transposed weights.
 
 A decoder stage, nearest 2x upsampling then a 3x3 convolution, is one layer,
-:class:`UpsampleConv2D`, that works at its input's resolution: each output
-phase ``y[:, :, a::2, b::2]`` is a 3x3 convolution of the input whose taps
-are sums of the stage's taps, so the four phases are one convolution with a
-stacked kernel, derived on every call, and the 4x-size upsampled map is not
-built. Small inputs, where deriving that kernel costs more than it saves,
-take the plain upsample-then-convolve path.
+:class:`UpsampleConv2D`, that works at its input's resolution: output phase
+``y[:, :, a::2, b::2]`` at ``(i, j)`` reads only the 2x2 window at
+``(i + a, j + b)`` of the input zero-padded by 1, through taps that are sums
+of the stage's 3x3 taps (resize-convolution as a stride-2 transposed
+convolution: Odena et al., Distill 2016; Shi et al. 2016, arXiv:1609.05158).
+So the four phases are one GEMM of a ``(4*o, 4*c)`` kernel, derived on every
+call, with the 2x2 column tiles of the input over its ``(h+1) x (w+1)``
+windows: ``4(h+1)(w+1) / 9hw`` of the multiply-adds of nine-tap phases, and
+the 4x-size upsampled map is never built. Every input size takes this path.
 
 No layer writes its input or its incoming gradient; the in-place arithmetic
 of batch normalization, ELU and sigmoid runs on arrays the layer allocated,
@@ -53,39 +57,46 @@ _TILE_BYTES = 1 << 20
 BN_MOMENTUM, BN_EPS = 0.99, 1e-3
 
 
-def _window(t, pad, size):
-    """Output positions at which tap ``t`` of a same-size kernel reads inside
-    the input, and the input positions it reads there."""
-    lo, hi = max(0, pad - t), min(size, size + pad - t)
+def _window(t, pad, size, out):
+    """Output positions, of ``out``, at which tap ``t`` reads inside an input
+    of ``size`` zero-padded by ``pad``, and the input positions it reads
+    there."""
+    lo, hi = max(0, pad - t), min(out, size + pad - t)
     return slice(lo, hi), slice(lo + t - pad, hi + t - pad)
 
 
 def _column_tiles(x, k):
-    """Yields ``(batch slice, column block)`` over the unpadded input ``x``.
+    """Yields ``(batch slice, column block)`` over the unpadded input ``x``
+    for the correlation of ``k x k`` taps with ``xp``, ``x`` zero-padded by
+    ``k // 2``, at every window inside ``xp``: ``oh = h + 2*(k//2) - k + 1``
+    rows of them, which is ``h`` for odd ``k`` and ``h + 1`` for ``k = 2``.
 
-    The block of a tile of n items is ``(c*k*k, n*h*w)``: row ``(c, i, j)``
-    holds ``xp[:, c, i:i+h, j:j+w]`` of every item, where ``xp`` is ``x``
-    zero-padded by ``k // 2``. Each tap writes only the window that falls
-    inside ``x``; the rest of the block stays zero. All tiles share one
-    buffer, so a block is only valid until the next one is yielded.
+    The block of a tile of n items is ``(c*k*k, n*oh*ow)``: row ``(c, i, j)``
+    holds ``xp[:, c, i:i+oh, j:j+ow]`` of every item. Each tap writes only
+    the window that falls inside ``x``; the rest of the block stays zero. All
+    tiles share one buffer, so a block is only valid until the next one is
+    yielded.
     """
     b, c, h, w = x.shape
     pad = k // 2
-    per_item = c * k * k * h * w
+    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    per_item = c * k * k * oh * ow
     n_max = min(b, max(1, _TILE_BYTES // (per_item * x.itemsize)))
     buf = (np.zeros if pad else np.empty)(n_max * per_item, dtype=x.dtype)
     taps = [
-        (i, j, _window(i, pad, h), _window(j, pad, w)) for i in range(k) for j in range(k)
+        (i, j, _window(i, pad, h, oh), _window(j, pad, w, ow))
+        for i in range(k)
+        for j in range(k)
     ]
     for start in range(0, b, n_max):
         n = min(n_max, b - start)
-        cols = buf[: n * per_item].reshape(c, k, k, n, h, w)
+        cols = buf[: n * per_item].reshape(c, k, k, n, oh, ow)
         if pad and n < n_max:  # a shorter last tile moves the zero borders
             cols.fill(0)
         tile = x[start : start + n].transpose(1, 0, 2, 3)
         for i, j, (out_r, in_r), (out_c, in_c) in taps:
             cols[:, i, j, :, out_r, out_c] = tile[:, :, in_r, in_c]
-        yield slice(start, start + n), cols.reshape(c * k * k, n * h * w)
+        yield slice(start, start + n), cols.reshape(c * k * k, n * oh * ow)
 
 
 def _conv_correlate(x, w, bias):
@@ -319,107 +330,55 @@ class AvgPool2x2(Layer):
         return _repeat2x2(dy * 0.25)
 
 
-# The phase kernels of a 3x3 convolution on a map upsampled 2x by
-# repetition. Along each axis, output 2i reads input (i-1, i, i) and output
-# 2i+1 reads (i, i, i+1), and the zero border maps onto the zero border, so
-# phase a's 3-tap kernel on the input sums old taps: (0 | 1+2 | -) for a = 0
-# and (- | 0+1 | 2) for a = 1. _FOLDS lists the (phase, new tap, old taps)
-# that are not zero; _UNFOLDS, per old tap, the two (phase, new tap) that
-# read it.
-_FOLDS = ((0, 0, (0,)), (0, 1, (1, 2)), (1, 1, (0, 1)), (1, 2, (2,)))
-_UNFOLDS = (((0, 0), (1, 1)), ((0, 1), (1, 1)), ((0, 1), (1, 2)))
+# Along each axis, output 2i + a of a 3x3 convolution of the 2x-upsampled map
+# reads the input, zero-padded by 1, at i + a + d for d in {0, 1}: output 2i
+# reads input (i-1, i, i) and output 2i+1 reads (i, i, i+1), and the zero
+# border maps onto the zero border. _TAP_SUMS[a, d, t] is 1 where that read
+# sums 3x3 tap t: taps 0 | 1+2 for a = 0, and 0+1 | 2 for a = 1.
+_TAP_SUMS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=float)
+# (phase (a, b), 3x3 tap (i, j), 2x2 tap (d, e)): 1 where phase (a, b)'s tap
+# (d, e) sums tap (i, j), else 0.
+_PHASE_KERNEL = np.einsum("adi,bej->abijde", _TAP_SUMS, _TAP_SUMS).reshape(4, 9, 4)
 
 
-def _tap_sum(taps, which, out=None):
-    """Sum of ``taps[k]`` over the one or two ``k`` in ``which``."""
-    if len(which) == 1:
-        if out is None:
-            return taps[which[0]]
-        out[...] = taps[which[0]]
-        return out
-    return np.add(taps[which[0]], taps[which[1]], out=out)
-
-
-def _stage_kernel(w, transpose=False):
-    """The ``(4*o, c, 3, 3)`` kernel whose output channel ``(2*a + b)*o + p``
-    on the low-resolution map is phase ``(a, b)`` of output channel ``p`` of
-    the 3x3 convolution ``w`` on the upsampled map; with ``transpose``, that
-    kernel as :func:`_flip` turns it, ``(c, 4*o, 3, 3)``, for the input
-    gradient. The taps are summed on a ``(3, 3, ...)`` copy of ``w``, and
-    each phase tap is written over all channels in one call."""
+def _phase_kernel(w):
+    """The ``(4*o, 4*c)`` 2x2 kernel of the stage's 3x3 weights ``w``: row
+    ``(a, b, p)`` holds phase ``(a, b)`` of output channel ``p``, column
+    ``(c, d, e)`` the tap at window offset ``(d, e)`` of input channel ``c``,
+    in the row order of :func:`_column_tiles` (k = 2). One small GEMM of the
+    ``(o*c, 9)`` weights with the 0/1 :data:`_PHASE_KERNEL` writes every
+    phase's block in place; no transpose follows."""
     o, c = w.shape[:2]
-    if transpose:
-        taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (i, j, c, o)
-        k = np.zeros((c, 2, 2, o, 3, 3), dtype=w.dtype)
-        phases = k.transpose(1, 2, 4, 5, 0, 3)[:, :, ::-1, ::-1]  # (a, b, i, j, c, o)
-    else:
-        taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (i, j, o, c)
-        k = np.zeros((2, 2, o, c, 3, 3), dtype=w.dtype)
-        phases = k.transpose(0, 1, 4, 5, 2, 3)  # (a, b, i, j, o, c)
-    for a, i, rows in _FOLDS:
-        row = _tap_sum(taps, rows)
-        for b, j, cols in _FOLDS:
-            _tap_sum(row, cols, out=phases[a, b, i, j])
-    return k.reshape(-1, 4 * o if transpose else c, 3, 3)
+    k = w.reshape(o * c, 9) @ _PHASE_KERNEL.astype(w.dtype, copy=False)
+    return k.reshape(4 * o, 4 * c)
 
 
-def _stage_weight_grad(dk):
-    """Gradient of the 3x3 weights from that of :func:`_stage_kernel`'s."""
-    o, c = dk.shape[0] // 4, dk.shape[1]
-    d = dk.reshape(2, 2, o, c, 3, 3)
-    rows = np.empty((2, 3, 3, o, c), dtype=dk.dtype)  # (a, i, old j, o, c)
-    for a, i, _ in _FOLDS:
-        for jj, ((b1, j1), (b2, j2)) in enumerate(_UNFOLDS):
-            np.add(d[a, b1, :, :, i, j1], d[a, b2, :, :, i, j2], out=rows[a, i, jj])
-    dw = np.empty((o, c, 3, 3), dtype=dk.dtype)
-    for ii, ((a1, i1), (a2, i2)) in enumerate(_UNFOLDS):
-        for jj in range(3):
-            np.add(rows[a1, i1, jj], rows[a2, i2, jj], out=dw[:, :, ii, jj])
-    return dw
-
-
-def _stage_correlate(x, k):
-    """conv(upsample(x)) from the stacked kernel ``k`` of
-    :func:`_stage_kernel`: each tile's GEMM gives the tile's four phase maps,
-    which are written straight into their phase of the output."""
-    n, _, h, w = x.shape
-    o = k.shape[0] // 4
-    k2 = k.reshape(4 * o, -1)
-    y = np.empty((n, o, 2 * h, 2 * w), dtype=np.result_type(x, k))
-    for items, cols in _column_tiles(x, 3):
-        phases = (k2 @ cols).reshape(2, 2, o, -1, h, w)
-        for a in range(2):
-            for b in range(2):
-                y[items, :, a::2, b::2] = phases[a, b].transpose(1, 0, 2, 3)
-    return y
-
-
-def _phase_maps(y):
-    """``(n, o, 2h, 2w)`` -> the ``(n, 4*o, h, w)`` maps of its phases, in the
-    channel order of :func:`_stage_kernel`."""
-    n, o, h2, w2 = y.shape
-    h, w = h2 // 2, w2 // 2
-    return y.reshape(n, o, h, 2, w, 2).transpose(0, 3, 5, 1, 2, 4).reshape(n, 4 * o, h, w)
-
-
-# Inputs of fewer pixels (n*h*w) than this run conv(upsample(x)) as written:
-# deriving the stacked kernel costs 36*o*c operations per call, more than the
-# smaller column blocks save on the deep stages of batch-1 decodes.
-_STAGE_MIN_PIXELS = 256
+def _tap_grad(dk):
+    """Gradient of the ``(o, c, 3, 3)`` weights from that of
+    :func:`_phase_kernel`'s: each tap's, summed over the phase taps it
+    feeds."""
+    o, c = dk.shape[0] // 4, dk.shape[1] // 4
+    dw = dk.reshape(4, o * c, 4) @ _PHASE_KERNEL.transpose(0, 2, 1).astype(dk.dtype, copy=False)
+    return dw.sum(axis=0).reshape(o, c, 3, 3)
 
 
 class UpsampleConv2D(Layer):
     """Nearest-neighbor 2x upsampling followed by a bias-free, size-preserving
     3x3 convolution, computed at the input's resolution.
 
-    Each of the four output phases ``y[:, :, a::2, b::2]`` is a 3x3
-    correlation of the input whose taps are sums of the convolution's taps,
-    so one convolution with the stacked ``(4*o, c, 3, 3)`` kernel of
-    :func:`_stage_kernel`, pixel-shuffled, is the stage's output; the
-    backward pass folds that kernel's gradient back onto the nine taps. The
-    upsampled map is never built, except on inputs under
-    ``_STAGE_MIN_PIXELS`` pixels, which take the plain path. The weights are
-    those of the convolution, under its name in the checkpoint.
+    Output phase ``y[:, :, a::2, b::2]`` at ``(i, j)`` reads only the 2x2
+    window at ``(i + a, j + b)`` of the input zero-padded by 1, through
+    taps that are sums of the convolution's taps. The four phases' 2x2
+    kernels stack into the ``(4*o, 4*c)`` matrix of :func:`_phase_kernel`,
+    derived on every call. The forward pass runs one GEMM per tile of 2x2
+    columns over the ``(h+1) x (w+1)`` windows and writes each phase's row
+    block, shifted by its window offset, straight into its phase of the
+    output. The backward pass places ``dy``'s phases at those offsets in a
+    ``(4*o, n, h+1, w+1)`` map: the weight gradient is ``map @ cols.T``
+    folded back onto the nine taps (:func:`_tap_grad`), and the input
+    gradient the col2im of ``kernel.T @ map``, four shifted adds. The
+    upsampled map is never built. The weights are those of the convolution,
+    under its name in the checkpoint.
     """
 
     # Checkpoint layer indices the stage spans: those of the upsampling and
@@ -436,31 +395,45 @@ class UpsampleConv2D(Layer):
         self.params["w"] = _he_uniform(rng, self.tensor_shapes(c_in, c_out)[0]["w"])
         self._x = None
 
-    @staticmethod
-    def _stacked(x):
-        n, _, h, w = x.shape
-        return n * h * w >= _STAGE_MIN_PIXELS
-
     def forward(self, x, train=False):
         if x.shape[1] != self.c_in:
             raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[1]}")
-        w = self.params["w"]
-        if self._stacked(x):
-            y = _stage_correlate(x, _stage_kernel(w))
-        else:
-            y = _conv_correlate(_repeat2x2(x), w, None)
+        k = _phase_kernel(self.params["w"])
+        o = k.shape[0] // 4
+        n, _, h, w = x.shape
+        y = np.empty((n, o, 2 * h, 2 * w), dtype=np.result_type(x, k))
+        for items, cols in _column_tiles(x, 2):
+            g = (k @ cols).reshape(2, 2, o, -1, h + 1, w + 1)
+            for a in range(2):
+                for b in range(2):
+                    phase = g[a, b, :, :, a : a + h, b : b + w]
+                    y[items, :, a::2, b::2] = phase.transpose(1, 0, 2, 3)
         self._x = x if train else None
         return y
 
     def backward(self, dy):
         x = self._trained(self._x)
-        w = self.params["w"]
-        if not self._stacked(x):
-            self.grads["w"] = _conv_weight_grad(_repeat2x2(x), dy, 3)
-            return _block_sum2x2(_conv_correlate(dy, _flip(w), None))
-        dy = _phase_maps(dy)
-        self.grads["w"] = _stage_weight_grad(_conv_weight_grad(x, dy, 3))
-        return _conv_correlate(dy, _stage_kernel(w, transpose=True), None)
+        k = _phase_kernel(self.params["w"])
+        o = k.shape[0] // 4
+        n, c, h, w = x.shape
+        dmap = np.zeros((2, 2, o, n, h + 1, w + 1), dtype=dy.dtype)
+        for a in range(2):
+            for b in range(2):
+                dmap[a, b, :, :, a : a + h, b : b + w] = dy[:, :, a::2, b::2].transpose(1, 0, 2, 3)
+        dk = np.zeros(k.shape, dtype=np.result_type(x, dy))
+        dx = np.empty(x.shape, dtype=np.result_type(dy, k))
+        for items, cols in _column_tiles(x, 2):
+            m = dmap[:, :, :, items].reshape(4 * o, -1)
+            dk += m @ cols.T
+            # Window (p, q)'s tap (d, e) read the padded input at (p + d, q + e),
+            # so input (i, j), padded (i + 1, j + 1), gets window (i+1-d, j+1-e)'s.
+            g = (k.T @ m).reshape(c, 2, 2, -1, h + 1, w + 1)
+            out = dx[items].transpose(1, 0, 2, 3)
+            np.add(g[:, 0, 0, :, 1:, 1:], g[:, 0, 1, :, 1:, :-1], out=out)
+            out += g[:, 1, 0, :, :-1, 1:]
+            out += g[:, 1, 1, :, :-1, :-1]
+        self.grads["w"] = _tap_grad(dk)
+        return dx
 
 
 class Sigmoid(Layer):

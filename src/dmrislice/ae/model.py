@@ -6,9 +6,11 @@ sigmoid output. Every convolution feeding an ELU goes through batch
 normalization with the fixed constants of :mod:`.layers`.
 
 Each decoder upsampling and the convolution after it are one layer,
-:class:`~.layers.UpsampleConv2D`, computed at the input's resolution. The
-checkpoint names tensors by layer index as if the two were still separate
-layers (``slots``), so the stage's weights keep the convolution's name.
+:class:`~.layers.UpsampleConv2D`, computed at the input's resolution: each of
+the four output phases is a 2x2-tap convolution of the input whose taps are
+sums of the 3x3 taps, and all four run as one GEMM. The checkpoint names
+tensors by layer index as if the two were still separate layers (``slots``),
+so the stage's weights keep the convolution's name.
 """
 
 from __future__ import annotations

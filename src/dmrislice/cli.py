@@ -32,7 +32,7 @@ from .volume import (
     read_gradient_table,
     read_text_lines,
     replace_slices,
-    select_shell,
+    select_diffusion_shell,
 )
 
 USAGE_ERROR = 1
@@ -143,9 +143,7 @@ def _write_slices(slices, vol: Volume4D, gap_start: int, out_dir, prefix="slice"
 
 def cmd_fit_sh(args):
     vol, gtab = read_nifti(args.dwi), read_gradient_table(args.bval, args.bvec)
-    shell_vol, shell = select_shell(
-        vol, gtab, args.bvalue or float(gtab.bvals.max()), tol=args.shell_tol
-    )
+    shell_vol, shell = select_diffusion_shell(vol, gtab, args.bvalue, tol=args.shell_tol)
     sh = fit_sh(shell_vol, shell, lmax=args.lmax, lambda_reg=args.reg, mask=_mask_arg(args, vol))
     write_sh(sh, args.out)
     if args.verbose:

@@ -23,7 +23,7 @@ from .volume import (
     GradientTable,
     Volume4D,
     read_gradient_table,
-    select_shell,
+    select_diffusion_shell,
     write_gradient_table,
 )
 
@@ -73,9 +73,7 @@ def load_study(path, b_target: float | None = None, shell_tol: float = 50.0) -> 
         raise EmptyShell(f"{path}: no b0 volumes (b <= {B0_THRESHOLD})")
     b0 = combined.with_data(np.compress(b0_idx, combined.data, axis=3))
 
-    if b_target is None:
-        b_target = float(gtab.bvals.max())
-    dwi, shell = select_shell(combined, gtab, b_target, tol=shell_tol)
+    dwi, shell = select_diffusion_shell(combined, gtab, b_target, tol=shell_tol)
 
     labels_path = os.path.join(path, "labels.nii")
     if os.path.exists(labels_path):

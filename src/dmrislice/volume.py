@@ -161,6 +161,23 @@ def select_shell(
     return sub, GradientTable(g.bvals[keep], g.bvecs[keep])
 
 
+def select_diffusion_shell(
+    v: Volume4D, g: GradientTable, b_target: float | None = None, tol: float = 50.0
+) -> tuple[Volume4D, GradientTable]:
+    """The diffusion-weighted shell of :func:`select_shell` at ``b_target``
+    (by default the largest b-value present). A window that reaches a b0
+    volume (b <= ``B0_THRESHOLD``) is a ``ShapeError``: the shell's volumes
+    are fitted as diffusion-weighted measurements."""
+    if b_target is None:
+        b_target = float(g.bvals.max())
+    if np.any(g.b0_mask & (np.abs(g.bvals - b_target) <= tol)):
+        raise ShapeError(
+            f"shell tolerance {tol} around b = {b_target} reaches the b0 volumes "
+            f"(b <= {B0_THRESHOLD})"
+        )
+    return select_shell(v, g, b_target, tol)
+
+
 def read_text_lines(path) -> list[str]:
     """The lines of a UTF-8 text file; an unreadable or undecodable file is
     a ParseError."""

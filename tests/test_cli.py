@@ -349,6 +349,37 @@ def test_counts_below_one_exit_2(study_dir, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", ["fit-sh", "fit-dti", "sh-bound", "train", "evaluate", "infer"]
+)
+def test_a_shell_tolerance_that_reaches_the_b0_volumes_exits_2(study_dir, tmp_path, capsys,
+                                                                command):
+    out = tmp_path / "out"
+    argv = {
+        "fit-sh": ["fit-sh", "--dwi", str(study_dir / "dwi.nii"),
+                   "--bval", str(study_dir / "dwi.bval"), "--bvec", str(study_dir / "dwi.bvec"),
+                   "--out", str(out)],
+        "fit-dti": ["fit-dti", "--data", str(study_dir), "--out-fa", str(out)],
+        "sh-bound": ["sh-bound", "--data", str(study_dir), "--out", str(out)],
+        "train": [*TRAIN, "--data", str(study_dir), "--out", str(out)],
+        "evaluate": ["evaluate", "--data", str(study_dir), "--methods", "linear",
+                     "--gaps", "3", "--n", "1", "--out", str(out)],
+        # The study is read before the model, so no checkpoint is needed.
+        "infer": ["infer", "--data", str(study_dir), "--model", str(tmp_path / "m.ckpt"),
+                  "--gap-start", "3", "--out", str(out)],
+    }[command]
+    if command in ("fit-sh", "fit-dti"):  # b = 1000 against b0 volumes at b = 0
+        assert dispatch([*argv, "--shell-tol", "999"]) == 0
+        assert out.exists()
+        out.unlink()
+        capsys.readouterr()
+    assert dispatch([*argv, "--shell-tol", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("dmrislice: shell tolerance 1000.0 around b = 1000.0 reaches the b0 volumes "
+                   "(b <= 50.0)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "fit-sh", "fit-dti", "sh-bound", "evaluate"])
 def test_labels_on_another_grid_exit_2(study_dir, tmp_path, capsys, command):
     small = tmp_path / "labels.nii"

@@ -11,7 +11,6 @@ from dmrislice.ae.layers import (
     Layer,
     Sigmoid,
     UpsampleConv2D,
-    _STAGE_MIN_PIXELS,
     _column_tiles,
 )
 from dmrislice.errors import ShapeError
@@ -86,12 +85,11 @@ def test_avgpool_gradients(x):
 
 
 def test_upsample_gradients(x):
-    # x takes the plain path; four items of the same maps take the stacked one.
+    # Every input size takes the one 2x2 phase path: two and four items.
     rng = np.random.default_rng(3)
-    stacked = np.concatenate([x, x[:, ::-1] * 0.5])
-    assert x.shape[0] * 64 < _STAGE_MIN_PIXELS <= stacked.shape[0] * 64
+    four = np.concatenate([x, x[:, ::-1] * 0.5])
     check_layer_gradients(UpsampleConv2D(3, 4, rng), x, input_stride=5)
-    check_layer_gradients(UpsampleConv2D(3, 4, rng), stacked, input_stride=5)
+    check_layer_gradients(UpsampleConv2D(3, 4, rng), four, input_stride=5)
 
 
 def test_sigmoid_gradients(x):
@@ -233,7 +231,16 @@ def test_conv_matches_einsum_formula(case):
     assert_close(conv.grads["w"], want_dw)
 
 
-@pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+# The decoder stages' 2x2 columns: windows of x padded by 1 at (h+1) x (w+1)
+# positions; a 4x16x16 item's take 37 KB.
+COLUMN_CASES = {
+    **KERNEL_CASES,
+    "2x2-on-1x1": (3, 2, None, 2, 1, [3]),
+    "2x2-ragged-tiles": (31, 4, None, 2, 16, [28, 3]),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_CASES.values(), ids=COLUMN_CASES.keys())
 def test_column_tiles_are_the_blocks_of_the_padded_input(case):
     batch, c_in, _, k, size, tiles = case
     pad = k // 2
@@ -263,26 +270,27 @@ def upsampled_conv(w, x, dy):
     return y, du.reshape(n, c, h, 2, wd, 2).sum(axis=(3, 5)), conv.grads["w"]
 
 
-# (batch, c_in, c_out, h, w, stacked, items per column tile). The stacked
-# path's tiles hold 3x3 columns of the input, the plain path's those of the
-# upsampled map; a 32x16x16 map's take 590 KB, over half the tile budget.
+# (batch, c_in, c_out, h, w, items per column tile). A tile holds the 2x2
+# columns of the input, 4*c_in rows over (h+1) x (w+1) windows; a 256x8x8
+# item's take 664 KB and a 64x16x16 item's 592 KB, over half the tile budget.
+# The ids keep the size classes of an older two-path layer: "plain" cases
+# hold under 256 input pixels (batch x h x w), "stacked" ones more; every
+# size now takes the one path.
 STAGE_CASES = {
-    "1x1-plain": (3, 2, 3, 1, 1, False, [3]),
-    "1x1-stacked": (300, 2, 3, 1, 1, True, [300]),
-    "3x5-plain": (2, 3, 2, 3, 5, False, [2]),
-    "3x5-stacked": (20, 3, 2, 3, 5, True, [20]),
-    "8x8-plain-one-item-tiles": (2, 32, 3, 8, 8, False, [1, 1]),
-    "8x8-stacked-ragged-tiles": (40, 8, 3, 8, 8, True, [28, 12]),
-    "16x16-stacked-one-item-tiles": (2, 32, 2, 16, 16, True, [1, 1]),
+    "1x1-plain": (3, 2, 3, 1, 1, [3]),
+    "1x1-stacked": (300, 2, 3, 1, 1, [300]),
+    "3x5-plain": (2, 3, 2, 3, 5, [2]),
+    "3x5-stacked": (20, 3, 2, 3, 5, [20]),
+    "8x8-plain-one-item-tiles": (2, 256, 3, 8, 8, [1, 1]),
+    "8x8-stacked-ragged-tiles": (40, 16, 3, 8, 8, [25, 15]),
+    "16x16-stacked-one-item-tiles": (2, 64, 2, 16, 16, [1, 1]),
 }
 
 
 @pytest.mark.parametrize("case", STAGE_CASES.values(), ids=STAGE_CASES.keys())
 def test_upsample_conv_matches_conv_of_the_upsampled_map(case):
-    batch, c_in, c_out, h, w, stacked, tiles = case
-    assert (batch * h * w >= _STAGE_MIN_PIXELS) == stacked
-    scale = 1 if stacked else 2  # the plain path tiles the upsampled map
-    assert tile_sizes(batch, c_in, 3, h * scale, w * scale) == tiles
+    batch, c_in, c_out, h, w, tiles = case
+    assert tile_sizes(batch, c_in, 2, h, w) == tiles
     rng = np.random.default_rng(25)
     layer = UpsampleConv2D(c_in, c_out, rng)
     x = rng.standard_normal((batch, c_in, h, w))
@@ -298,19 +306,46 @@ def test_upsample_conv_matches_conv_of_the_upsampled_map(case):
     assert np.array_equal(layer.forward(x, train=False), y)
 
 
-def test_the_stacked_path_never_builds_the_upsampled_map(monkeypatch):
+# The sh4 net's stages (c_in, c_out, input size) at the batches of inference
+# (1, 2) and training (8), with a float32 body.
+SH4_STAGES = [(256, 128, 4), (128, 64, 8), (64, 32, 16), (32, 16, 32)]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("stage", SH4_STAGES, ids=lambda s: f"{s[0]}to{s[1]}-{s[2]}px")
+def test_float32_stage_matches_the_float64_conv_of_the_upsampled_map(stage, batch):
+    c_in, c_out, size = stage
+    rng = np.random.default_rng(28)
+    layer = UpsampleConv2D(c_in, c_out, rng)
+    layer.params["w"] = layer.params["w"].astype(np.float32)
+    x = rng.standard_normal((batch, c_in, size, size)).astype(np.float32)
+    dy = rng.standard_normal((batch, c_out, 2 * size, 2 * size)).astype(np.float32)
+    y = layer.forward(x, train=True)
+    dx = layer.backward(dy)
+    got = (y, dx, layer.grads["w"])
+    assert all(a.dtype == np.float32 for a in got)
+    want = upsampled_conv(layer.params["w"].astype(np.float64), x.astype(np.float64), dy)
+    for g, wnt in zip(got, want):
+        assert np.abs(g - wnt).max() <= 1e-5 * np.abs(wnt).max()
+
+
+def test_no_stage_call_builds_the_upsampled_map(monkeypatch):
     from dmrislice.ae import layers
 
     def refuse(x):
         raise AssertionError("the upsampled map was built")
 
     monkeypatch.setattr(layers, "_repeat2x2", refuse)
-    layer = UpsampleConv2D(3, 2, np.random.default_rng(26))
-    x = np.random.default_rng(27).standard_normal((4, 3, 8, 8))
-    y = layer.forward(x, train=True)
-    layer.backward(np.ones_like(y))
+    rng = np.random.default_rng(26)
+    for shape in [(1, 3, 1, 1), (1, 3, 4, 4), (2, 3, 3, 5), (4, 3, 8, 8), (1, 3, 16, 16)]:
+        layer = UpsampleConv2D(3, 2, rng)
+        x = rng.standard_normal(shape)
+        layer.forward(x)
+        y = layer.forward(x, train=True)
+        layer.backward(np.ones_like(y))
+    # The patch is in force: average pooling's backward still repeats.
     with pytest.raises(AssertionError, match="upsampled map"):
-        layer.forward(x[:1])
+        AvgPool2x2().backward(np.ones((1, 1, 2, 2)))
 
 
 # -- the in-place kernels against the plain formulas, bit for bit -------------

@@ -17,6 +17,7 @@ from dmrislice.volume import (
     normalize_slice,
     read_gradient_table,
     replace_slices,
+    select_diffusion_shell,
     select_shell,
 )
 
@@ -182,6 +183,22 @@ def test_select_shell_idempotent():
     v2, g2 = select_shell(v1, g1, 1000.0)
     assert np.array_equal(v1.data, v2.data)
     assert np.array_equal(g1.bvals, g2.bvals)
+
+
+def test_a_diffusion_shell_never_reaches_the_b0_volumes():
+    v = Volume4D(np.arange(2 * 2 * 2 * 4, dtype=float).reshape(2, 2, 2, 4))
+    g = GradientTable(
+        np.array([0.0, 40.0, 1000.0, 1000.0]),
+        np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1.0]]),
+    )
+    shell, gt = select_diffusion_shell(v, g, tol=959.0)
+    assert np.array_equal(gt.bvals, [1000.0, 1000.0])
+    assert np.array_equal(shell.data, v.data[..., 2:])
+    for b_target, tol in [(None, 960.0), (None, np.inf), (1000.0, 1000.0), (0.0, 50.0)]:
+        with pytest.raises(ShapeError, match=f"^shell tolerance {tol} around b = "):
+            select_diffusion_shell(v, g, b_target, tol)
+    # Picking the b0 volumes on purpose stays a plain shell selection.
+    assert select_shell(v, g, 0.0)[0].n_volumes == 2
 
 
 def test_read_gradient_table(tmp_path):
