@@ -15,17 +15,21 @@ can serve inference on several threads at once, and ``backward`` after it
 raises a ``ShapeError``.
 
 Convolutions are im2col GEMMs over tiles of the batch. Each tile's column
-block, ``(c*k*k, n*oh*ow)`` over the ``oh x ow`` output positions with rows
-ordered like ``w.reshape(o, -1)``, holds about ``_TILE_BYTES`` so that it
-stays in cache while one GEMM consumes it; a single item whose columns
-exceed the budget forms a tile of its own. The zero padding lives in the
-column blocks: each tap copies only its in-bounds window of the unpadded
-input, and no padded copy of the input is made. A one-item tile's GEMM
-writes straight into its item of the output. A convolution layer caches only
-its unpadded input, which it never writes: the weight gradient rebuilds each
-tile's column block from it and sums ``dy_tile @ cols_tile.T`` over the
-tiles, and the input gradient is the forward kernel applied to ``dy`` with
-the flipped, channel-transposed weights.
+block is item-major, ``(n, c*k*k, oh*ow)``: per item, rows ordered like
+``w.reshape(o, -1)`` over the ``oh x ow`` output positions. A tile holds
+about ``_TILE_BYTES`` so that it stays in cache while its GEMMs consume it; a
+single item whose columns exceed the budget forms a tile of its own. The
+zero padding lives in the column blocks: each tap copies only its in-bounds
+window of the unpadded input, and no padded copy of the input is made. The
+forward pass is one stacked ``matmul`` per tile, which writes straight into
+the tile's items of the output: one GEMM of one shape per item, whatever the
+batch. So an item's output depends neither on its batch-mates nor, with
+OpenBLAS, on the BLAS thread count; ``tests/test_model.py`` pins both. A
+convolution layer caches only its unpadded input, which it never writes: the
+weight gradient rebuilds each tile's column block from it and contracts it
+with the tile's ``dy`` over the items and positions, and the input gradient
+is the forward kernel applied to ``dy`` with the flipped, channel-transposed
+weights.
 
 A decoder stage, nearest 2x upsampling then a 3x3 convolution, is one layer,
 :class:`UpsampleConv2D`, that works at its input's resolution: output phase
@@ -33,8 +37,8 @@ A decoder stage, nearest 2x upsampling then a 3x3 convolution, is one layer,
 ``(i + a, j + b)`` of the input zero-padded by 1, through taps that are sums
 of the stage's 3x3 taps (resize-convolution as a stride-2 transposed
 convolution: Odena et al., Distill 2016; Shi et al. 2016, arXiv:1609.05158).
-So the four phases are one GEMM of a ``(4*o, 4*c)`` kernel, derived on every
-call, with the 2x2 column tiles of the input over its ``(h+1) x (w+1)``
+So the four phases are one GEMM per item of a ``(4*o, 4*c)`` kernel, derived
+on every call, with the 2x2 columns of the input over its ``(h+1) x (w+1)``
 windows: ``4(h+1)(w+1) / 9hw`` of the multiply-adds of nine-tap phases, and
 the 4x-size upsampled map is never built. Every input size takes this path.
 
@@ -71,11 +75,11 @@ def _column_tiles(x, k):
     ``k // 2``, at every window inside ``xp``: ``oh = h + 2*(k//2) - k + 1``
     rows of them, which is ``h`` for odd ``k`` and ``h + 1`` for ``k = 2``.
 
-    The block of a tile of n items is ``(c*k*k, n*oh*ow)``: row ``(c, i, j)``
-    holds ``xp[:, c, i:i+oh, j:j+ow]`` of every item. Each tap writes only
-    the window that falls inside ``x``; the rest of the block stays zero. All
-    tiles share one buffer, so a block is only valid until the next one is
-    yielded.
+    The block of a tile of n items is item-major, ``(n, c*k*k, oh*ow)``:
+    row ``(c, i, j)`` of item ``m`` holds ``xp[m, c, i:i+oh, j:j+ow]``. Each
+    tap writes only the window that falls inside ``x``; the rest of the block
+    stays zero. All tiles share one buffer, in which each item's block keeps
+    its place, so a block is only valid until the next one is yielded.
     """
     b, c, h, w = x.shape
     pad = k // 2
@@ -89,14 +93,12 @@ def _column_tiles(x, k):
         for j in range(k)
     ]
     for start in range(0, b, n_max):
-        n = min(n_max, b - start)
-        cols = buf[: n * per_item].reshape(c, k, k, n, oh, ow)
-        if pad and n < n_max:  # a shorter last tile moves the zero borders
-            cols.fill(0)
-        tile = x[start : start + n].transpose(1, 0, 2, 3)
+        items = slice(start, min(start + n_max, b))
+        n = items.stop - start
+        cols = buf[: n * per_item].reshape(n, c, k, k, oh, ow)
         for i, j, (out_r, in_r), (out_c, in_c) in taps:
-            cols[:, i, j, :, out_r, out_c] = tile[:, :, in_r, in_c]
-        yield slice(start, start + n), cols.reshape(c * k * k, n * oh * ow)
+            cols[:, :, i, j, out_r, out_c] = x[items, :, in_r, in_c]
+        yield items, cols.reshape(n, c * k * k, oh * ow)
 
 
 def _conv_correlate(x, w, bias):
@@ -107,22 +109,22 @@ def _conv_correlate(x, w, bias):
     w2 = w.reshape(o, -1)
     y = np.empty((b, o, h, wd), dtype=np.result_type(x, w))
     for items, cols in _column_tiles(x, k):
-        if items.stop - items.start == 1:
-            np.matmul(w2, cols, out=y[items.start].reshape(o, -1))
-        else:
-            y[items] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
+        np.matmul(w2, cols, out=y.reshape(b, o, -1)[items])
     if bias is not None:
         y += bias[:, None, None]
     return y
 
 
 def _conv_weight_grad(x, dy, k):
-    """Gradient of the correlation w.r.t. its ``(o, c, k, k)`` weights, from
-    the unpadded input and the output gradient."""
-    o = dy.shape[1]
+    """Gradient of the correlation w.r.t. its ``(o, c, k, k)`` weights, from the
+    unpadded input and the ``(b, o, oh, ow)`` or ``(b, o, oh*ow)`` output gradient."""
+    b, o = dy.shape[:2]
+    dy = dy.reshape(b, o, -1)
     dw = np.zeros((o, x.shape[1] * k * k), dtype=np.result_type(x, dy))
     for items, cols in _column_tiles(x, k):
-        dw += dy[items].transpose(1, 0, 2, 3).reshape(o, -1) @ cols.T
+        # One GEMM over the tile's items and positions (tensordot copies the columns
+        # to (c*k*k, n*oh*ow)): cheaper than a GEMM per item on the small deep maps.
+        dw += np.tensordot(cols, dy[items], axes=([0, 2], [0, 2])).T
     return dw.reshape(o, -1, k, k)
 
 
@@ -370,15 +372,16 @@ class UpsampleConv2D(Layer):
     window at ``(i + a, j + b)`` of the input zero-padded by 1, through
     taps that are sums of the convolution's taps. The four phases' 2x2
     kernels stack into the ``(4*o, 4*c)`` matrix of :func:`_phase_kernel`,
-    derived on every call. The forward pass runs one GEMM per tile of 2x2
-    columns over the ``(h+1) x (w+1)`` windows and writes each phase's row
+    derived on every call. The forward pass runs one GEMM per item over its
+    2x2 columns at the ``(h+1) x (w+1)`` windows and writes each phase's row
     block, shifted by its window offset, straight into its phase of the
-    output. The backward pass places ``dy``'s phases at those offsets in a
-    ``(4*o, n, h+1, w+1)`` map: the weight gradient is ``map @ cols.T``
-    folded back onto the nine taps (:func:`_tap_grad`), and the input
-    gradient the col2im of ``kernel.T @ map``, four shifted adds. The
-    upsampled map is never built. The weights are those of the convolution,
-    under its name in the checkpoint.
+    output. The backward pass places ``dy``'s phases at those offsets in an
+    ``(n, 4*o, h+1, w+1)`` map: the weight gradient is the 2x2 kernel's
+    (:func:`_conv_weight_grad` of the map) folded back onto the nine taps
+    (:func:`_tap_grad`), and the input gradient the col2im of
+    ``kernel.T @ map``, four shifted adds. The upsampled map is never built.
+    The weights are those of the convolution, under its name in the
+    checkpoint.
     """
 
     # Checkpoint layer indices the stage spans: those of the upsampling and
@@ -403,11 +406,10 @@ class UpsampleConv2D(Layer):
         n, _, h, w = x.shape
         y = np.empty((n, o, 2 * h, 2 * w), dtype=np.result_type(x, k))
         for items, cols in _column_tiles(x, 2):
-            g = (k @ cols).reshape(2, 2, o, -1, h + 1, w + 1)
+            g = (k @ cols).reshape(-1, 2, 2, o, h + 1, w + 1)
             for a in range(2):
                 for b in range(2):
-                    phase = g[a, b, :, :, a : a + h, b : b + w]
-                    y[items, :, a::2, b::2] = phase.transpose(1, 0, 2, 3)
+                    y[items, :, a::2, b::2] = g[:, a, b, :, a : a + h, b : b + w]
         self._x = x if train else None
         return y
 
@@ -416,23 +418,18 @@ class UpsampleConv2D(Layer):
         k = _phase_kernel(self.params["w"])
         o = k.shape[0] // 4
         n, c, h, w = x.shape
-        dmap = np.zeros((2, 2, o, n, h + 1, w + 1), dtype=dy.dtype)
+        dmap = np.zeros((n, 2, 2, o, h + 1, w + 1), dtype=dy.dtype)
         for a in range(2):
             for b in range(2):
-                dmap[a, b, :, :, a : a + h, b : b + w] = dy[:, :, a::2, b::2].transpose(1, 0, 2, 3)
-        dk = np.zeros(k.shape, dtype=np.result_type(x, dy))
-        dx = np.empty(x.shape, dtype=np.result_type(dy, k))
-        for items, cols in _column_tiles(x, 2):
-            m = dmap[:, :, :, items].reshape(4 * o, -1)
-            dk += m @ cols.T
-            # Window (p, q)'s tap (d, e) read the padded input at (p + d, q + e),
-            # so input (i, j), padded (i + 1, j + 1), gets window (i+1-d, j+1-e)'s.
-            g = (k.T @ m).reshape(c, 2, 2, -1, h + 1, w + 1)
-            out = dx[items].transpose(1, 0, 2, 3)
-            np.add(g[:, 0, 0, :, 1:, 1:], g[:, 0, 1, :, 1:, :-1], out=out)
-            out += g[:, 1, 0, :, :-1, 1:]
-            out += g[:, 1, 1, :, :-1, :-1]
-        self.grads["w"] = _tap_grad(dk)
+                dmap[:, a, b, :, a : a + h, b : b + w] = dy[:, :, a::2, b::2]
+        dmap = dmap.reshape(n, 4 * o, -1)
+        self.grads["w"] = _tap_grad(_conv_weight_grad(x, dmap, 2).reshape(k.shape))
+        # Window (p, q)'s tap (d, e) read the padded input at (p + d, q + e),
+        # so input (i, j), padded (i + 1, j + 1), gets window (i+1-d, j+1-e)'s.
+        g = (k.T @ dmap).reshape(n, c, 2, 2, h + 1, w + 1)
+        dx = np.add(g[:, :, 0, 0, 1:, 1:], g[:, :, 0, 1, 1:, :-1])
+        dx += g[:, :, 1, 0, :-1, 1:]
+        dx += g[:, :, 1, 1, :-1, :-1]
         return dx
 
 

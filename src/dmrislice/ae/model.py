@@ -218,11 +218,9 @@ class Autoencoder:
 
     def decode(self, z, train=False):
         z = np.asarray(z, dtype=self.dtype)
-        if z.ndim != 4 or z.shape[1] != self.cfg.latent_maps:
-            raise ShapeError(
-                f"latent must be (B, {self.cfg.latent_maps}, {self.cfg.latent_size}, "
-                f"{self.cfg.latent_size}), got {z.shape}"
-            )
+        m, side = self.cfg.latent_maps, self.cfg.latent_size
+        if z.ndim != 4 or z.shape[1:] != (m, side, side):
+            raise ShapeError(f"latent must be (B, {m}, {side}, {side}), got {z.shape}")
         for layer in self.decoder:
             z = layer.forward(z, train=train)
         return z

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import InsufficientData, IoError, ShapeError
-from ..volume import SliceImage, Volume4D, center_crop_pad, normalize_slice
+from ..volume import SliceImage, Volume4D, center_crop_pad, check_grid, normalize_slice
 from .model import Autoencoder, ModelConfig, build_model
 from .optim import Adam
 
@@ -70,6 +70,8 @@ def stacked_slices(
 ) -> list[SliceSample]:
     """One multi-channel sample per z (all V values as channels), dropping
     slices whose mask coverage falls below ``MIN_MASK_FRACTION``."""
+    if mask is not None:
+        check_grid(mask, vol.dims, "mask")
     samples = []
     for z in range(vol.dims[2]):
         if mask is not None:

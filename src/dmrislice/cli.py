@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import ae
-from .errors import DmrisliceError, ParseError
+from .errors import DmrisliceError, EmptyShell, ParseError
 from .evaluate import ALL_METHODS, default_gaps, run_experiment
 from .inference import infer_gap_sh, infer_gap_signal
 from .interp import KINDS, interp_missing_slices
@@ -26,6 +26,7 @@ from .phantom import PhantomSpec, make_phantom
 from .sh import fit_sh, project_sh, read_sh, sh_roundtrip_error, write_sh
 from .study import load_study, write_study
 from .volume import (
+    B0_THRESHOLD,
     GapSpec,
     Volume4D,
     b0_mean,
@@ -155,6 +156,8 @@ def cmd_project_sh(args):
     sh = read_sh(args.sh)
     gtab = read_gradient_table(args.bval, args.bvec)
     keep = ~gtab.b0_mask
+    if not keep.any():
+        raise EmptyShell(f"{args.bval}: no diffusion-weighted directions (b > {B0_THRESHOLD})")
     out = project_sh(sh, gtab.bvecs[keep])
     write_nifti(out, args.out)
     if args.verbose:

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptyMask, ShapeError, Underdetermined
-from .volume import GradientTable, Volume4D
+from .volume import GradientTable, Volume4D, check_grid
 
 SIGNAL_FLOOR = 1e-6
 
@@ -78,6 +78,8 @@ def fit_dti(
     """
     if dwi.dims[:3] != b0.dims[:3]:
         raise ShapeError(f"dwi grid {dwi.dims[:3]} does not match b0 {b0.dims[:3]}")
+    if mask is not None:
+        check_grid(mask, dwi.dims, "mask")
     if len(g) != dwi.n_volumes:
         raise ShapeError(
             f"gradient table ({len(g)}) does not match volume count ({dwi.n_volumes})"

@@ -195,8 +195,10 @@ def _with_latents(data, shared: _Shared, pool, methods, gaps, n_values, models):
     """``shared`` plus the latent code of every neighbor slice the grid's
     autoencoder cells read, one per (model, z).
 
-    Each slice is encoded on its own: batching several sh4 slices together
-    changes the rounding of the encoder's last convolution.
+    A slice encodes the same alone or in any batch, so the grouping is free.
+    Each (model, z) is its own pool task because those tasks are the pool's
+    parallel work: the signal net carries nearly all encoded items (one per
+    direction), so one call per model would run them on one thread.
     """
     names = sorted({name for m in methods for name in MODEL_NEEDS.get(m, ())})
     neighbors = sorted({z for n in n_values for g in gaps for z in GapSpec(g, n).neighbors})

@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .errors import IoError, ParseError, ShapeError, UnsupportedFormat
-from .volume import Volume4D
+from .volume import Volume4D, check_grid
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -161,10 +161,7 @@ def read_labels(path, dims) -> Volume4D:
     """Read a label map or mask for the ``(X, Y, Z)`` voxel grid ``dims``; its
     values must be non-negative integers."""
     labels = read_nifti(path)
-    if labels.dims[:3] != tuple(dims):
-        raise ShapeError(
-            f"{path}: labels lie on a {labels.dims[:3]} grid, the data on {tuple(dims)}"
-        )
+    check_grid(labels, dims, f"{path}: labels")
     data = labels.data
     if np.any(data < 0) or np.any(data != np.round(data)):
         raise ShapeError(f"{path}: labels must be non-negative integers")
@@ -175,8 +172,12 @@ def write_nifti(v: Volume4D, path) -> None:
     """Write a single-file NIfTI-1 volume with float32 data.
 
     Values are cast to float32; the round trip through :func:`read_nifti` is
-    bit-exact whenever the data are float32-representable.
+    bit-exact whenever the data are float32-representable. A volume with a
+    zero extent is refused, since the header cannot store it: the reader
+    takes a zero dimension as 1.
     """
+    if 0 in v.dims:
+        raise ShapeError(f"cannot write {path}: the volume has a zero extent, {v.dims}")
     nx, ny, nz, nv = v.dims
     header = bytearray(VOX_OFFSET)
     struct.pack_into("<i", header, 0, HEADER_SIZE)

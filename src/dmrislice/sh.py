@@ -23,7 +23,7 @@ from scipy.special import lpmv
 
 from .errors import EmptyMask, InvalidDirection, InvalidOrder, ParseError, ShapeError
 from .nifti import read_nifti, write_nifti
-from .volume import GradientTable, Volume4D, read_text_lines
+from .volume import GradientTable, Volume4D, check_grid, read_text_lines
 
 SUPPORTED_LMAX = (0, 2, 4, 6, 8)
 
@@ -153,6 +153,8 @@ def fit_sh(
         raise ShapeError(
             f"gradient table ({len(g)}) does not match volume count ({dwi.n_volumes})"
         )
+    if mask is not None:
+        check_grid(mask, dwi.dims, "mask")
     _check_lambda_reg(lambda_reg)
     basis = sh_basis_matrix(g.bvecs, lmax)
     solver = _fit_matrix(basis, lambda_reg)
@@ -199,6 +201,7 @@ def sh_roundtrip_error(
     comparable across datasets regardless of raw intensity scale.
     """
     if mask is not None:
+        check_grid(mask, dwi.dims, "mask")
         keep = mask.data[..., 0] > 0
         if not np.any(keep):
             raise EmptyMask("mask selects no voxels")

@@ -246,6 +246,13 @@ def write_gradient_table(g: GradientTable, bval_path, bvec_path) -> None:
             fh.write(" ".join(f"{x:.9g}" for x in g.bvecs[:, axis]) + "\n")
 
 
+def check_grid(labels: Volume4D, dims, what: str = "labels") -> None:
+    """Raises a ``ShapeError`` naming both grids unless the label map or mask
+    ``labels`` lies on the ``(X, Y, Z)`` voxel grid ``dims`` of the data."""
+    if labels.dims[:3] != tuple(dims[:3]):
+        raise ShapeError(f"{what} on a {labels.dims[:3]} grid, the data on {tuple(dims[:3])}")
+
+
 def replace_slices(v: Volume4D, z_start: int, slices: list[SliceImage]) -> Volume4D:
     """Return a copy of ``v`` with slices z_start.. replaced in order."""
     data = v.data.copy()

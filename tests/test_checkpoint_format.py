@@ -4,11 +4,13 @@ written before the decoder stages were computed at the input's resolution.
 ``data/tiny32.ckpt`` holds the float32 model built from :data:`TINY32`, with
 its batch-norm running statistics moved by three training forwards, as the
 code of that time saved it. ``data/tiny32_outputs.npz`` holds an input batch
-(``x``) and what that code encoded (``latent``) and decoded (``decoded``) it
-to, on an x86-64 AVX-512 machine with OpenBLAS 0.3.31. The encoder is the
-same code, so it must reproduce the latent bit for bit; the decoder's stages
-now sum 3x3 taps in float32 before they multiply, which moves the output by
-rounding only.
+(``x``) and what that code decoded it to (``decoded``), on an x86-64 AVX-512
+machine with OpenBLAS 0.3.31, and the latent code (``latent``) that the code
+of the 2x2-tap decoder stages gave each item of ``x`` encoded on its own. The
+encoder now makes one GEMM of one shape per item, so it gives a batch the
+latents of its items encoded one at a time: it must reproduce ``latent`` bit
+for bit, batched or not. The decoder's stages sum 3x3 taps in float32 before
+they multiply, which moves the output by rounding only.
 """
 
 from pathlib import Path
@@ -110,6 +112,8 @@ def test_an_older_checkpoint_loads_encodes_exactly_and_saves_back_byte_identical
     latent = model.encode(ref["x"])
     assert latent.dtype == ref["latent"].dtype
     assert np.array_equal(latent, ref["latent"])
+    one_by_one = np.concatenate([model.encode(item[None]) for item in ref["x"]])
+    assert np.array_equal(latent, one_by_one)
     decoded = model.decode(latent)
     err = np.abs(decoded - ref["decoded"]).max() / np.abs(ref["decoded"]).max()
     assert err <= 1e-5

@@ -73,6 +73,27 @@ def test_project_sh_roundtrip(study_dir, tmp_path):
     assert read_nifti(out).dims == (16, 16, 8, 20)
 
 
+def test_project_sh_onto_a_table_without_weighted_directions_exits_2(study_dir, tmp_path, capsys):
+    sh_path = tmp_path / "sh.nii"
+    dispatch(
+        ["fit-sh", "--dwi", str(study_dir / "dwi.nii"), "--bval", str(study_dir / "dwi.bval"),
+         "--bvec", str(study_dir / "dwi.bvec"), "--lmax", "4", "--out", str(sh_path)]
+    )
+    (tmp_path / "b0.bval").write_text("0 0\n")
+    (tmp_path / "b0.bvec").write_text("0 0\n0 0\n0 0\n")
+    capsys.readouterr()
+    out = tmp_path / "proj.nii"
+    code = dispatch(
+        ["project-sh", "--sh", str(sh_path), "--bval", str(tmp_path / "b0.bval"),
+         "--bvec", str(tmp_path / "b0.bvec"), "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dmrislice: ") and "no diffusion-weighted directions" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_fit_dti_outputs(study_dir, tmp_path):
     code = dispatch(
         ["fit-dti", "--data", str(study_dir), "--out-fa", str(tmp_path / "fa.nii"),

@@ -266,7 +266,8 @@ def test_one_encode_and_one_decode_match_per_call_inference(case):
         setattr(model, name, call)
     got = infer_between_slices(model, prev_slice, next_slice, gap)
 
-    # One encode per neighbor, each on its own, then all N blends decoded at once.
+    # One encode per neighbor, then all N blends decoded at once. The two
+    # encodes could be one: a slice encodes the same alone or in a batch.
     assert [(name, items) for name, items, _ in calls] == [
         ("encode", encode_items), ("encode", encode_items), ("decode", decode_items)
     ]

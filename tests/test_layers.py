@@ -248,11 +248,12 @@ def test_column_tiles_are_the_blocks_of_the_padded_input(case):
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     sizes = []
     for items, cols in _column_tiles(x, k):
-        # (n, c, h, w, k, k) windows -> rows (c, i, j), columns (n, h, w).
+        # (n, c, h, w, k, k) windows -> per item, rows (c, i, j), columns (h, w).
         win = np.lib.stride_tricks.sliding_window_view(xp[items], (k, k), axis=(2, 3))
-        want = win.transpose(1, 4, 5, 0, 2, 3).reshape(c_in * k * k, -1)
+        n = items.stop - items.start
+        want = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c_in * k * k, -1)
         assert np.array_equal(cols, want)
-        sizes.append(items.stop - items.start)
+        sizes.append(n)
     assert sizes == tiles
 
 

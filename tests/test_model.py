@@ -5,6 +5,7 @@ import sys
 import tempfile
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -20,6 +21,7 @@ from dmrislice.ae import (
 )
 from dmrislice.ae.model import tensor_manifest
 from dmrislice.ae.optim import BETA1, BETA2, EPS
+from dmrislice.blas import _openblas, one_blas_thread
 from dmrislice.errors import DmrisliceError, ParseError, ShapeError
 import mutation
 from gradcheck import check_model_gradients
@@ -152,6 +154,14 @@ def test_shape_errors():
         model.encode(np.zeros((1, 1, 32, 32)))  # wrong spatial size
     with pytest.raises(ShapeError):
         model.decode(np.zeros((1, 3, 1, 1)))  # wrong latent maps
+
+
+@pytest.mark.parametrize("side", [3, 2, 0])
+def test_decode_rejects_a_latent_of_another_spatial_size(side):
+    model = build_model(TINY)  # 16-pixel input, so a 1x1 latent
+    want = rf"latent must be \(B, 2, 1, 1\), got \(1, 2, {side}, {side}\)"
+    with pytest.raises(ShapeError, match=want):
+        model.decode(np.zeros((1, 2, side, side)))
 
 
 def test_loss_zero_when_output_equals_input():
@@ -569,3 +579,55 @@ def test_eval_forward_bit_identical():
     y1, _ = model.forward(x, train=False)
     y2, _ = model.forward(x, train=False)
     assert np.array_equal(y1, y2)
+
+
+# The north star's three network shapes, b0/signal, SH and full scale, as
+# float32 bodies, each with the batch sizes it is encoded and decoded at.
+BATCH_SHAPES = {
+    "1x64-w4": (
+        ModelConfig(input_channels=1, latent_maps=8, input_size=64, base_width=4), (1, 2, 9, 88)
+    ),
+    "15x64-w16": (
+        ModelConfig(input_channels=15, latent_maps=8, input_size=64, base_width=16), (1, 2, 9)
+    ),
+    "1x128-w32": (ModelConfig(), (1, 3, 7)),
+}
+
+
+@pytest.fixture(scope="module")
+def one_item_outputs():
+    """Per shape: the model, inputs ``x`` and latents ``z`` for its largest
+    batch, and each item encoded and decoded on its own."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cfg, sizes = BATCH_SHAPES[name]
+            model = build_model(cfg).astype(np.float32)
+            rng = np.random.default_rng(20)
+            n, side = max(sizes), cfg.latent_size
+            x = rng.uniform(0, 1, (n, cfg.input_channels, cfg.input_size, cfg.input_size))
+            z = rng.standard_normal((n, cfg.latent_maps, side, side))
+            encoded = np.concatenate([model.encode(item[None]) for item in x])
+            decoded = np.concatenate([model.decode(item[None]) for item in z])
+            cache[name] = model, x, z, encoded, decoded
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("blas_threads", ["default", "one"])
+@pytest.mark.parametrize("name", BATCH_SHAPES)
+def test_a_batch_encodes_and_decodes_bit_for_bit_as_its_items_one_at_a_time(
+    one_item_outputs, name, blas_threads
+):
+    # An item's outputs depend neither on its batch-mates nor on the BLAS
+    # thread count: the gap inference blends latents of slices encoded in
+    # any grouping, and the experiment grid runs on one BLAS thread.
+    if blas_threads == "one" and _openblas() is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    model, x, z, encoded, decoded = one_item_outputs(name)
+    with one_blas_thread() if blas_threads == "one" else nullcontext():
+        for n in BATCH_SHAPES[name][1]:
+            assert np.array_equal(model.encode(x[:n]), encoded[:n])
+            assert np.array_equal(model.decode(z[:n]), decoded[:n])

@@ -140,6 +140,15 @@ def test_write_zero_volume_payload(tmp_path):
     assert raw[352:] == b"\x00" * 32
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2, 0), (0, 2, 2, 1), (2, 2, 0)])
+def test_a_volume_with_a_zero_extent_is_not_written(tmp_path, shape):
+    # The header cannot store a zero extent: the reader takes it as 1.
+    p = tmp_path / "o.nii"
+    with pytest.raises(ShapeError, match="zero extent"):
+        write_nifti(Volume4D(np.zeros(shape)), p)
+    assert not p.exists()
+
+
 def test_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.standard_normal((5, 4, 3, 2)).astype(np.float32).astype(np.float64)

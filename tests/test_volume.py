@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 import mutation
 from dmrislice.errors import DmrisliceError, EmptyShell, ParseError, ShapeError
+from dmrislice import ae
+from dmrislice.dti import fit_dti
 from dmrislice.nifti import read_labels, write_nifti
+from dmrislice.phantom import PhantomSpec, make_phantom
+from dmrislice.sh import fit_sh, sh_roundtrip_error
 from dmrislice.volume import (
     GradientTable,
     SliceImage,
@@ -99,6 +103,24 @@ def test_labels_must_lie_on_the_data_grid(tmp_path):
     write_nifti(Volume4D(np.ones((2, 2, 2, 1))), path)
     with pytest.raises(ShapeError, match=r"\(2, 2, 2\) grid, the data on \(2, 2, 3\)"):
         read_labels(path, (2, 2, 3))
+
+
+MASKED_CALLS = {
+    "fit_sh": lambda data, mask: fit_sh(data.dwi, data.gtab, mask=mask),
+    "fit_dti": lambda data, mask: fit_dti(data.dwi, data.b0, data.gtab, mask=mask),
+    "sh_roundtrip_error": lambda data, mask: sh_roundtrip_error(data.dwi, data.gtab, mask=mask),
+    "stacked_slices": lambda data, mask: ae.stacked_slices(data.dwi, mask=mask),
+    "slices_per_volume": lambda data, mask: ae.slices_per_volume(data.dwi, mask=mask),
+}
+
+
+@pytest.mark.parametrize("grid", [(8, 8, 8), (16, 16, 4)])
+@pytest.mark.parametrize("call", MASKED_CALLS.values(), ids=MASKED_CALLS.keys())
+def test_a_mask_on_another_grid_is_a_shape_error_naming_both_grids(call, grid):
+    data = make_phantom(PhantomSpec(dims=(16, 16, 8), n_directions=8, n_b0=1))
+    with pytest.raises(ShapeError, match=rf"mask on a \({grid[0]}, {grid[1]}, {grid[2]}\) grid, "
+                       r"the data on \(16, 16, 8\)"):
+        call(data, Volume4D(np.ones(grid)))
 
 
 def test_gradient_table_renormalization_guard():
