@@ -1,10 +1,16 @@
 """Neural-network layers with explicit forward and backward passes.
 
+Each layer is one block of the network. :class:`Conv2D` is a bias-free 3x3
+convolution, then batch normalization, then ELU; :class:`UpsampleConv2D` is
+the same block on the nearest 2x upsampling of its input, and differs only
+in its convolution; :class:`Head` closes the network with a 1x1 convolution
+with bias and the sigmoid. :class:`AvgPool2x2` pools between encoder blocks.
+
 All arrays are NCHW, and every layer computes in the dtype of its arrays,
 forward and backward: a model that :func:`~dmrislice.ae.model.build_model`
 builds is float64 throughout, while the model ``train`` steps and returns
-and a loaded checkpoint have a float32 body and a float64 closing 1x1
-convolution, whose output NumPy promotes to float64 (see
+and a loaded checkpoint have a float32 body and a float64 :class:`Head`,
+whose output NumPy promotes to float64 (see
 :meth:`~dmrislice.ae.model.Autoencoder.astype`). Each layer
 owns its parameters and, after a backward call, the matching gradients. Only
 a ``train=True`` forward records state: the activations its backward pass
@@ -25,27 +31,25 @@ forward pass is one stacked ``matmul`` per tile, which writes straight into
 the tile's items of the output: one GEMM of one shape per item, whatever the
 batch. So an item's output depends neither on its batch-mates nor, with
 OpenBLAS, on the BLAS thread count; ``tests/test_model.py`` pins both. A
-convolution layer caches only its unpadded input, which it never writes: the
-weight gradient rebuilds each tile's column block from it and contracts it
-with the tile's ``dy`` over the items and positions, and the input gradient
-is the forward kernel applied to ``dy`` with the flipped, channel-transposed
-weights.
+block caches its unpadded input, which it never writes: the weight gradient
+rebuilds each tile's column block from it and contracts it with the tile's
+``dy`` over the items and positions, and the input gradient is the forward
+kernel applied to ``dy`` with the flipped, channel-transposed weights.
 
-A decoder stage, nearest 2x upsampling then a 3x3 convolution, is one layer,
-:class:`UpsampleConv2D`, that works at its input's resolution: output phase
+A decoder block's convolution works at its input's resolution: output phase
 ``y[:, :, a::2, b::2]`` at ``(i, j)`` reads only the 2x2 window at
 ``(i + a, j + b)`` of the input zero-padded by 1, through taps that are sums
-of the stage's 3x3 taps (resize-convolution as a stride-2 transposed
+of the block's 3x3 taps (resize-convolution as a stride-2 transposed
 convolution: Odena et al., Distill 2016; Shi et al. 2016, arXiv:1609.05158).
 So the four phases are one GEMM per item of a ``(4*o, 4*c)`` kernel, derived
 on every call, with the 2x2 columns of the input over its ``(h+1) x (w+1)``
 windows: ``4(h+1)(w+1) / 9hw`` of the multiply-adds of nine-tap phases, and
 the 4x-size upsampled map is never built. Every input size takes this path.
 
-No layer writes its input or its incoming gradient; the in-place arithmetic
-of batch normalization, ELU and sigmoid runs on arrays the layer allocated,
-in the operation order of the plain formulas, so the results are the same to
-the bit.
+No layer writes its input or its incoming gradient. Batch normalization and
+ELU run in place on the convolution's output, and the sigmoid on arrays the
+head allocated, in the operation order of the plain formulas, so the results
+are the same to the bit.
 """
 
 from __future__ import annotations
@@ -101,17 +105,15 @@ def _column_tiles(x, k):
         yield items, cols.reshape(n, c * k * k, oh * ow)
 
 
-def _conv_correlate(x, w, bias):
-    """'Same'-size 2-D correlation: y[b,o] = sum_c x[b,c] * w[o,c] + bias[o],
-    with ``x`` zero-padded by ``k // 2``."""
+def _conv_correlate(x, w):
+    """'Same'-size 2-D correlation: y[b,o] = sum_c x[b,c] * w[o,c], with
+    ``x`` zero-padded by ``k // 2``."""
     o, k = w.shape[0], w.shape[2]
     b, c, h, wd = x.shape
     w2 = w.reshape(o, -1)
     y = np.empty((b, o, h, wd), dtype=np.result_type(x, w))
     for items, cols in _column_tiles(x, k):
         np.matmul(w2, cols, out=y.reshape(b, o, -1)[items])
-    if bias is not None:
-        y += bias[:, None, None]
     return y
 
 
@@ -134,6 +136,11 @@ def _he_uniform(rng, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _check_channels(x, c_in):
+    if x.shape[1] != c_in:
+        raise ShapeError(f"conv expects {c_in} channels, got {x.shape[1]}")
+
+
 def _flip(w):
     """The kernel whose correlation with ``dy`` is the input gradient of the
     correlation with ``w``: spatially flipped, channels transposed."""
@@ -141,21 +148,28 @@ def _flip(w):
 
 
 class Layer:
-    """Base: parameter-free identity-ish layer interface."""
+    """Base: a layer's parameters, their gradients and its buffers, by name."""
 
-    # Checkpoint layer indices the layer spans (see UpsampleConv2D).
+    # Checkpoint layer indices the layer spans: those of the one-operation
+    # layers it replaced, so that checkpoint names stay as they were.
     slots = 1
-
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self.buffers: dict[str, np.ndarray] = {}
 
     @staticmethod
     def tensor_shapes(*args) -> tuple[dict, dict]:
         """Parameter and buffer shapes, by name in creation order, of the
         layer these constructor arguments build."""
         return {}, {}
+
+    @staticmethod
+    def slot_of(name) -> int:
+        """Offset, from the layer's first checkpoint index, of the index that
+        names tensor ``name``."""
+        return 0
+
+    def __init__(self):
+        self.params: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = {}
+        self.buffers: dict[str, np.ndarray] = {}
 
     def forward(self, x, train=False):
         raise NotImplementedError
@@ -171,139 +185,112 @@ class Layer:
 
 
 class Conv2D(Layer):
-    """3x3 (zero-padded, size-preserving) or 1x1 convolution.
+    """A network block: a bias-free, zero-padded, size-preserving 3x3
+    convolution, then per-channel batch normalization, then ELU (alpha 1).
 
-    Bias is optional; convolutions feeding straight into batch normalization
-    are built without one because the normalization would cancel it.
-    """
-
-    @staticmethod
-    def tensor_shapes(c_in, c_out, ksize, rng=None, bias=False):
-        params = {"w": (c_out, c_in, ksize, ksize)}
-        if bias:
-            params["b"] = (c_out,)
-        return params, {}
-
-    def __init__(self, c_in, c_out, ksize, rng, bias=False):
-        super().__init__()
-        self.c_in, self.c_out, self.ksize = c_in, c_out, ksize
-        shapes, _ = self.tensor_shapes(c_in, c_out, ksize, bias=bias)
-        self.params["w"] = _he_uniform(rng, shapes["w"])
-        if bias:
-            self.params["b"] = np.zeros(shapes["b"])
-        self._x = None
-
-    def forward(self, x, train=False):
-        if x.shape[1] != self.c_in:
-            raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[1]}")
-        y = _conv_correlate(x, self.params["w"], self.params.get("b"))
-        self._x = x if train else None
-        return y
-
-    def backward(self, dy, need_dx=True):
-        """Parameter gradients, and the input gradient unless ``need_dx`` is
-        false (then ``None``: the model's first layer has no use for it)."""
-        w = self.params["w"]
-        self.grads["w"] = _conv_weight_grad(self._trained(self._x), dy, self.ksize)
-        if "b" in self.params:
-            self.grads["b"] = dy.sum(axis=(0, 2, 3))
-        if not need_dx:
-            return None
-        return _conv_correlate(dy, _flip(w), None)
-
-
-class BatchNorm2D(Layer):
-    """Per-channel batch normalization with running statistics.
-
+    The convolution has no bias because the normalization would cancel it.
     Training normalizes with the batch statistics and updates the running
     ones; inference is one per-channel affine map built from the running
-    statistics.
+    statistics. Both run in place on the convolution's output: inference
+    normalizes and activates there, and training normalizes there, keeps the
+    normalized values for the backward pass and activates in one more array,
+    the block's output. The backward pass multiplies ``dy`` by ELU's
+    derivative, runs the batch-norm backward in that product and one scratch
+    array, and hands the result to the convolution's backward.
+
+    The block spans the checkpoint indices of the convolution, batch norm
+    and ELU it replaced: the weights carry the first, the batch-norm tensors
+    the second.
     """
 
-    @staticmethod
-    def tensor_shapes(channels):
-        one = (channels,)
-        return {"gamma": one, "beta": one}, {"running_mean": one, "running_var": one}
+    ksize = 3
+    slots = 3
+    _w_slot = 0
 
-    def __init__(self, channels):
+    @classmethod
+    def tensor_shapes(cls, c_in, c_out, rng=None):
+        k, one = cls.ksize, (c_out,)
+        params = {"w": (c_out, c_in, k, k), "gamma": one, "beta": one}
+        return params, {"running_mean": one, "running_var": one}
+
+    @classmethod
+    def slot_of(cls, name) -> int:
+        return cls._w_slot if name == "w" else cls._w_slot + 1
+
+    def __init__(self, c_in, c_out, rng):
         super().__init__()
-        self.channels = channels
-        params, buffers = self.tensor_shapes(channels)
+        self.c_in, self.c_out = c_in, c_out
+        params, buffers = self.tensor_shapes(c_in, c_out)
+        self.params["w"] = _he_uniform(rng, params["w"])
         self.params["gamma"] = np.ones(params["gamma"])
         self.params["beta"] = np.zeros(params["beta"])
         self.buffers["running_mean"] = np.zeros(buffers["running_mean"])
         self.buffers["running_var"] = np.ones(buffers["running_var"])
         self._cache = None
 
+    def _convolve(self, x):
+        return _conv_correlate(x, self.params["w"])
+
+    def _convolve_backward(self, x, dy, need_dx):
+        self.grads["w"] = _conv_weight_grad(x, dy, self.ksize)
+        return _conv_correlate(dy, _flip(self.params["w"])) if need_dx else None
+
     def forward(self, x, train=False):
-        if x.shape[1] != self.channels:
-            raise ShapeError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
+        _check_channels(x, self.c_in)
+        h = self._convolve(x)
         gamma, beta = self.params["gamma"], self.params["beta"]
-        if not train:
-            self._cache = None
+        if train:
+            mean = h.mean(axis=(0, 2, 3))
+            # np.var's own steps: the squared deviations summed, over the count.
+            h -= mean[:, None, None]
+            y = np.square(h)
+            var = y.sum(axis=(0, 2, 3)) / (y.size // self.c_out)
+            m = BN_MOMENTUM
+            self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
+            self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            h *= inv_std[:, None, None]  # the normalized values, xhat
+            np.multiply(h, gamma[:, None, None], out=y)
+            y += beta[:, None, None]
+        else:
             scale = gamma / np.sqrt(self.buffers["running_var"] + BN_EPS)
             shift = beta - self.buffers["running_mean"] * scale
-            y = x * scale[:, None, None]
+            y = h
+            y *= scale[:, None, None]
             y += shift[:, None, None]
-            return y
-        mean = x.mean(axis=(0, 2, 3))
-        # np.var's own steps: the squared deviations summed, over the count.
-        xhat = x - mean[:, None, None]
-        y = np.square(xhat)
-        var = y.sum(axis=(0, 2, 3)) / (y.size // self.channels)
-        m = BN_MOMENTUM
-        self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
-        self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv_std[:, None, None]
-        self._cache = (xhat, inv_std)
-        np.multiply(xhat, gamma[:, None, None], out=y)
-        y += beta[:, None, None]
-        return y
-
-    def backward(self, dy):
-        # (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
-        # evaluated in two scratch arrays.
-        xhat, inv_std = self._trained(self._cache)
-        prod = dy * xhat
-        self.grads["gamma"] = prod.sum(axis=(0, 2, 3))
-        self.grads["beta"] = dy.sum(axis=(0, 2, 3))
-        dx = dy * self.params["gamma"][:, None, None]  # dxhat, until overwritten
-        n = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        sum_dxhat = dx.sum(axis=(0, 2, 3), keepdims=True)
-        np.multiply(dx, xhat, out=prod)
-        sum_dxhat_xhat = prod.sum(axis=(0, 2, 3), keepdims=True)
-        dx *= n
-        dx -= sum_dxhat
-        np.multiply(xhat, sum_dxhat_xhat, out=prod)
-        dx -= prod
-        dx *= inv_std[:, None, None] / n
-        return dx
-
-
-class ELU(Layer):
-    """ELU with alpha 1."""
-
-    def __init__(self):
-        super().__init__()
-        self._y = None
-
-    def forward(self, x, train=False):
-        # max(x, 0) + expm1(min(x, 0)): one branch is always exactly 0.
-        neg = np.minimum(x, 0.0)
+        # ELU: max(y, 0) + expm1(min(y, 0)), one term always exactly 0.
+        neg = np.minimum(y, 0.0)
         np.expm1(neg, out=neg)
-        y = np.maximum(x, 0.0)
+        np.maximum(y, 0.0, out=y)
         y += neg
-        self._y = y if train else None
+        self._cache = (x, h, inv_std, y) if train else None
         return y
 
-    def backward(self, dy):
-        # y > 0 exactly where x > 0, and there y' = 1; elsewhere y' = y + 1,
-        # which is at most 1: so y' = min(y + 1, 1), NaN included.
-        dx = self._trained(self._y) + 1.0
-        np.minimum(dx, 1.0, out=dx)
-        dx *= dy
-        return dx
+    def backward(self, dy, need_dx=True):
+        """Parameter gradients, and the input gradient unless ``need_dx`` is
+        false (then ``None``: the model's first layer has no use for it)."""
+        x, xhat, inv_std, y = self._trained(self._cache)
+        # ELU': y > 0 exactly where its input is, and there 1; elsewhere it is
+        # y + 1, which is at most 1: so min(y + 1, 1), NaN included.
+        d = y + 1.0
+        np.minimum(d, 1.0, out=d)
+        d *= dy
+        # Batch norm: (inv_std / n) * (n * dxhat - sum(dxhat) - xhat *
+        # sum(dxhat * xhat)), evaluated in d and one scratch array.
+        prod = d * xhat
+        self.grads["gamma"] = prod.sum(axis=(0, 2, 3))
+        self.grads["beta"] = d.sum(axis=(0, 2, 3))
+        d *= self.params["gamma"][:, None, None]  # dxhat, until overwritten
+        n = d.shape[0] * d.shape[2] * d.shape[3]
+        sum_dxhat = d.sum(axis=(0, 2, 3), keepdims=True)
+        np.multiply(d, xhat, out=prod)
+        sum_dxhat_xhat = prod.sum(axis=(0, 2, 3), keepdims=True)
+        d *= n
+        d -= sum_dxhat
+        np.multiply(xhat, sum_dxhat_xhat, out=prod)
+        d -= prod
+        d *= inv_std[:, None, None] / n
+        return self._convolve_backward(x, d, need_dx)
 
 
 def _block_sum2x2(x):
@@ -364,9 +351,10 @@ def _tap_grad(dk):
     return dw.sum(axis=0).reshape(o, c, 3, 3)
 
 
-class UpsampleConv2D(Layer):
-    """Nearest-neighbor 2x upsampling followed by a bias-free, size-preserving
-    3x3 convolution, computed at the input's resolution.
+class UpsampleConv2D(Conv2D):
+    """A decoder block: nearest-neighbor 2x upsampling, then the
+    :class:`Conv2D` block, with its convolution computed at the input's
+    resolution.
 
     Output phase ``y[:, :, a::2, b::2]`` at ``(i, j)`` reads only the 2x2
     window at ``(i + a, j + b)`` of the input zero-padded by 1, through
@@ -380,27 +368,16 @@ class UpsampleConv2D(Layer):
     (:func:`_conv_weight_grad` of the map) folded back onto the nine taps
     (:func:`_tap_grad`), and the input gradient the col2im of
     ``kernel.T @ map``, four shifted adds. The upsampled map is never built.
-    The weights are those of the convolution, under its name in the
-    checkpoint.
+    Batch normalization and ELU are :class:`Conv2D`'s.
     """
 
-    # Checkpoint layer indices the stage spans: those of the upsampling and
-    # of the convolution it replaced; its weights carry the second.
-    slots = 2
+    # Checkpoint layer indices the block spans: those of the upsampling, the
+    # convolution, batch norm and ELU it replaced; the weights carry the
+    # convolution's, the second.
+    slots = 4
+    _w_slot = 1
 
-    @staticmethod
-    def tensor_shapes(c_in, c_out, rng=None):
-        return Conv2D.tensor_shapes(c_in, c_out, 3)
-
-    def __init__(self, c_in, c_out, rng):
-        super().__init__()
-        self.c_in = c_in
-        self.params["w"] = _he_uniform(rng, self.tensor_shapes(c_in, c_out)[0]["w"])
-        self._x = None
-
-    def forward(self, x, train=False):
-        if x.shape[1] != self.c_in:
-            raise ShapeError(f"conv expects {self.c_in} channels, got {x.shape[1]}")
+    def _convolve(self, x):
         k = _phase_kernel(self.params["w"])
         o = k.shape[0] // 4
         n, _, h, w = x.shape
@@ -410,11 +387,9 @@ class UpsampleConv2D(Layer):
             for a in range(2):
                 for b in range(2):
                     y[items, :, a::2, b::2] = g[:, a, b, :, a : a + h, b : b + w]
-        self._x = x if train else None
         return y
 
-    def backward(self, dy):
-        x = self._trained(self._x)
+    def _convolve_backward(self, x, dy, need_dx):
         k = _phase_kernel(self.params["w"])
         o = k.shape[0] // 4
         n, c, h, w = x.shape
@@ -424,6 +399,8 @@ class UpsampleConv2D(Layer):
                 dmap[:, a, b, :, a : a + h, b : b + w] = dy[:, :, a::2, b::2]
         dmap = dmap.reshape(n, 4 * o, -1)
         self.grads["w"] = _tap_grad(_conv_weight_grad(x, dmap, 2).reshape(k.shape))
+        if not need_dx:
+            return None
         # Window (p, q)'s tap (d, e) read the padded input at (p + d, q + e),
         # so input (i, j), padded (i + 1, j + 1), gets window (i+1-d, j+1-e)'s.
         g = (k.T @ dmap).reshape(n, c, 2, 2, h + 1, w + 1)
@@ -433,24 +410,50 @@ class UpsampleConv2D(Layer):
         return dx
 
 
-class Sigmoid(Layer):
-    def __init__(self):
+class Head(Layer):
+    """The closing layer: a 1x1 convolution with bias, then the sigmoid.
+
+    Its weights stay float64 whatever the body's dtype (see
+    :meth:`~dmrislice.ae.model.Autoencoder.astype`), so its output is
+    float64; its backward pass returns the input gradient in the dtype of
+    its input, so the gradient is cast once, where it leaves the head. The
+    head spans the checkpoint indices of the convolution and the sigmoid it
+    replaced, and both tensors carry the first.
+    """
+
+    slots = 2
+
+    @staticmethod
+    def tensor_shapes(c_in, c_out, rng=None):
+        return {"w": (c_out, c_in, 1, 1), "b": (c_out,)}, {}
+
+    def __init__(self, c_in, c_out, rng):
         super().__init__()
-        self._y = None
+        self.c_in = c_in
+        params, _ = self.tensor_shapes(c_in, c_out)
+        self.params["w"] = _he_uniform(rng, params["w"])
+        self.params["b"] = np.zeros(params["b"])
+        self._cache = None
 
     def forward(self, x, train=False):
-        # Stable two-branch logistic: with e = exp(-|x|), 1 / (1 + e) where
-        # x >= 0 and e / (1 + e) elsewhere. -|x| is min(x, -x), which passes
-        # a NaN on with its sign, as exp(x) did in the negative branch.
-        e = np.negative(x)
-        np.minimum(x, e, out=e)
+        _check_channels(x, self.c_in)
+        z = _conv_correlate(x, self.params["w"])
+        z += self.params["b"][:, None, None]
+        # Stable two-branch logistic: with e = exp(-|z|), 1 / (1 + e) where
+        # z >= 0 and e / (1 + e) elsewhere. -|z| is min(z, -z), which passes
+        # a NaN on with its sign, as exp(z) did in the negative branch.
+        e = np.negative(z)
+        np.minimum(z, e, out=e)
         np.exp(e, out=e)
-        y = np.where(x >= 0, 1.0, e)
+        y = np.where(z >= 0, 1.0, e)
         e += 1.0
         y /= e
-        self._y = y if train else None
+        self._cache = (x, y) if train else None
         return y
 
     def backward(self, dy):
-        y = self._trained(self._y)
-        return dy * y * (1.0 - y)
+        x, y = self._trained(self._cache)
+        dz = dy * y * (1.0 - y)
+        self.grads["w"] = _conv_weight_grad(x, dz, 1)
+        self.grads["b"] = dz.sum(axis=(0, 2, 3))
+        return _conv_correlate(dz, _flip(self.params["w"])).astype(x.dtype, copy=False)

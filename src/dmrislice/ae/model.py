@@ -1,16 +1,16 @@
-"""The convolutional autoencoder: four two-conv encoder blocks with 2x2
-average pooling, three extra convolutions forming the latent feature maps,
-and a mirrored decoder in which each block is a nearest-neighbor 2x2
-upsampling followed by a 3x3 convolution, closed by a 1x1 convolution with
-sigmoid output. Every convolution feeding an ELU goes through batch
-normalization with the fixed constants of :mod:`.layers`.
+"""The convolutional autoencoder: four levels of two encoder blocks and a
+2x2 average pooling, three more blocks forming the latent feature maps, and
+a mirrored decoder of one block and four upsampling blocks, closed by a 1x1
+convolution with sigmoid output. A block is one layer: a 3x3 convolution,
+batch normalization with the fixed constants of :mod:`.layers`, and ELU
+(:class:`~.layers.Conv2D`), or the same on the nearest 2x upsampling of its
+input (:class:`~.layers.UpsampleConv2D`), whose convolution runs at the
+input's resolution. The model has 21 layers for every config.
 
-Each decoder upsampling and the convolution after it are one layer,
-:class:`~.layers.UpsampleConv2D`, computed at the input's resolution: each of
-the four output phases is a 2x2-tap convolution of the input whose taps are
-sums of the 3x3 taps, and all four run as one GEMM. The checkpoint names
-tensors by layer index as if the two were still separate layers (``slots``),
-so the stage's weights keep the convolution's name.
+The checkpoint names tensors by layer index as if each convolution, batch
+norm, ELU, upsampling and sigmoid were still a layer of its own: each layer
+spans ``slots`` indices, and a tensor's index is the layer's first index
+plus the layer's ``slot_of`` the tensor's name.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from ..errors import ShapeError
-from .layers import ELU, AvgPool2x2, BatchNorm2D, Conv2D, Sigmoid, UpsampleConv2D
+from .layers import AvgPool2x2, Conv2D, Head, UpsampleConv2D
 
 N_POOLINGS = 4
 
@@ -69,42 +69,30 @@ def _architecture(cfg: ModelConfig, rng):
     it. ``rng`` is passed to the seeded layers in construction order.
     """
     encoder: list = []
-    decoder: list = []
-
-    def block(layers, conv, c_in, c_out, *args):
-        layers.append((conv, (c_in, c_out, *args, rng)))
-        layers.append((BatchNorm2D, (c_out,)))
-        layers.append((ELU, ()))
-
     c = cfg.input_channels
     for width in cfg.encoder_widths:
-        block(encoder, Conv2D, c, width, 3)
-        block(encoder, Conv2D, width, width, 3)
-        encoder.append((AvgPool2x2, ()))
+        encoder += [(Conv2D, (c, width, rng)), (Conv2D, (width, width, rng)), (AvgPool2x2, ())]
         c = width
     for width in cfg.extra_widths:
-        block(encoder, Conv2D, c, width, 3)
+        encoder.append((Conv2D, (c, width, rng)))
         c = width
 
     widths = cfg.decoder_widths  # e.g. (512, 256, 128, 64, 32)
-    block(decoder, Conv2D, cfg.latent_maps, widths[0], 3)
-    c = widths[0]
-    for width in widths[1:]:
-        block(decoder, UpsampleConv2D, c, width)
-        c = width
-    decoder.append((Conv2D, (c, cfg.input_channels, 1, rng, True)))
-    decoder.append((Sigmoid, ()))
+    decoder: list = [(Conv2D, (cfg.latent_maps, widths[0], rng))]
+    decoder += [(UpsampleConv2D, (c, width, rng)) for c, width in zip(widths, widths[1:])]
+    decoder.append((Head, (widths[-1], cfg.input_channels, rng)))
     return encoder, decoder
 
 
-def _tensor_name(index: int, name: str) -> str:
-    return f"layer{index:02d}.{name}"
-
-
-def _indices(kinds) -> list[int]:
-    """Checkpoint index of each layer (or layer class): the last of the
-    ``slots`` indices it spans."""
-    return [end - 1 for end in accumulate(kind.slots for kind in kinds)]
+def _named(kinds, tensors) -> list[tuple[str, object]]:
+    """(checkpoint name, value) of each entry of ``tensors``, one dict per
+    layer of ``kinds`` (layers or their classes), in layer order."""
+    firsts = accumulate((kind.slots for kind in kinds), initial=0)
+    return [
+        (f"layer{first + kind.slot_of(name):02d}.{name}", value)
+        for kind, first, named in zip(kinds, firsts, tensors)
+        for name, value in named.items()
+    ]
 
 
 def tensor_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -112,13 +100,9 @@ def tensor_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     built from ``cfg``, in the order of ``parameters()`` and
     ``named_buffers()``; nothing is allocated."""
     encoder, decoder = _architecture(cfg, None)
-    params, buffers = [], []
-    layers = encoder + decoder
-    for i, (cls, args) in zip(_indices(cls for cls, _ in layers), layers):
-        p, b = cls.tensor_shapes(*args)
-        params += [(_tensor_name(i, name), shape) for name, shape in p.items()]
-        buffers += [(_tensor_name(i, name), shape) for name, shape in b.items()]
-    return params + buffers
+    kinds = [cls for cls, _ in encoder + decoder]
+    shapes = [cls.tensor_shapes(*args) for cls, args in encoder + decoder]
+    return _named(kinds, [p for p, _ in shapes]) + _named(kinds, [b for _, b in shapes])
 
 
 class Autoencoder:
@@ -136,27 +120,15 @@ class Autoencoder:
 
     def parameters(self):
         """(name, array) pairs in fixed declaration order."""
-        out = []
         layers = self._layers()
-        for i, layer in zip(_indices(layers), layers):
-            for name, arr in layer.params.items():
-                out.append((_tensor_name(i, name), arr))
-        return out
+        return _named(layers, [layer.params for layer in layers])
 
     def gradients(self):
-        out = []
-        for layer in self._layers():
-            for name in layer.params:
-                out.append(layer.grads[name])
-        return out
+        return [layer.grads[name] for layer in self._layers() for name in layer.params]
 
     def named_buffers(self):
-        out = []
         layers = self._layers()
-        for i, layer in zip(_indices(layers), layers):
-            for name, arr in layer.buffers.items():
-                out.append((_tensor_name(i, name), arr))
-        return out
+        return _named(layers, [layer.buffers for layer in layers])
 
     def state_snapshot(self):
         return (
@@ -176,20 +148,20 @@ class Autoencoder:
         return self.encoder[0].params["w"].dtype
 
     def astype(self, dtype):
-        """Convert the body, every layer but the closing 1x1 convolution, to
-        ``dtype`` (float32 or float64) in place, and return the model.
+        """Convert the body, every layer but the closing :class:`~.layers.Head`,
+        to ``dtype`` (float32 or float64) in place, and return the model.
 
-        The head keeps float64 weights, so the last activation and the
-        sigmoid are float64 whatever the body: a float32 sigmoid rounds
-        outputs near 1 into ties, which the rank-based histogram matching of
-        inference would then carry into the result. A float32 body is what
-        ``train`` steps and what a checkpoint stores; the float64 body that
+        The head keeps float64 weights, so its 1x1 convolution and sigmoid
+        are float64 whatever the body: a float32 sigmoid rounds outputs near
+        1 into ties, which the rank-based histogram matching of inference
+        would then carry into the result. A float32 body is what ``train``
+        steps and what a checkpoint stores; the float64 body that
         :func:`build_model` gives serves the gradient checks.
         """
         dtype = np.dtype(dtype)
         if dtype not in (np.float32, np.float64):
             raise ShapeError(f"a model computes in float32 or float64, not {dtype}")
-        for layer in self._layers()[:-2]:
+        for layer in self._layers()[:-1]:
             for tensors in (layer.params, layer.buffers):
                 for name, arr in tensors.items():
                     tensors[name] = arr.astype(dtype, copy=False)
@@ -235,10 +207,9 @@ class Autoencoder:
 
         Runs in train mode (batch statistics); gradients are averaged over
         every output value, matching the loss reduction. The loss and the
-        backward pass of the sigmoid and the closing 1x1 convolution run in
-        float64, as their forward pass does; the gradient leaving the head
-        is cast once to the body's dtype, so a float32 body trains in
-        float32, and each gradient has its parameter's dtype.
+        head's backward pass run in float64, as its forward pass does; the
+        head returns its input gradient in the body's dtype, so a float32
+        body trains in float32, and each gradient has its parameter's dtype.
         """
         x = np.asarray(batch, dtype=np.float64)
         if x.size == 0:
@@ -247,9 +218,7 @@ class Autoencoder:
         diff = y - x
         mse = float(np.mean(diff * diff))
         grad = 2.0 * diff / diff.size
-        *body, head, sigmoid = self._layers()
-        grad = head.backward(sigmoid.backward(grad)).astype(self.dtype, copy=False)
-        first, *rest = body
+        first, *rest = self._layers()
         for layer in reversed(rest):
             grad = layer.backward(grad)
         # Nothing reads the gradient w.r.t. the batch itself.

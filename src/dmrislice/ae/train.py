@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import InsufficientData, IoError, ShapeError
+from ..errors import DmrisliceError, InsufficientData, IoError, ShapeError
 from ..volume import SliceImage, Volume4D, center_crop_pad, check_grid, normalize_slice
 from .model import Autoencoder, ModelConfig, build_model
 from .optim import Adam
@@ -193,6 +193,11 @@ def train(
     Every step runs the model a checkpoint stores: a float32 body behind a
     float64 closing 1x1 convolution and sigmoid (see
     :meth:`~dmrislice.ae.model.Autoencoder.astype`), with the loss in float64.
+
+    An epoch whose train or validation MSE is not finite ends training with
+    a ``DmrisliceError`` naming it, after its log row is written. NumPy's
+    overflow and invalid-value warnings are silenced while training runs:
+    the check on the MSE is what reports such a run.
     """
     if not dataset:
         raise InsufficientData("empty dataset")
@@ -219,7 +224,7 @@ def train(
     best = None
     best_epoch = 0
     n_batches = len(train_idx) // cfg.batch_size
-    with _open_log(log_path) as fh:
+    with _open_log(log_path) as fh, np.errstate(over="ignore", invalid="ignore"):
         # One flushed row per epoch, so a killed run keeps its log.
         log = csv.writer(fh)
         log.writerow(["epoch", "train_mse", "val_mse"])
@@ -236,6 +241,11 @@ def train(
             history.append((epoch, train_mse, val_mse))
             log.writerow(history[-1])
             fh.flush()
+            if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
+                raise DmrisliceError(
+                    f"training diverged at epoch {epoch}: train_mse {train_mse}, "
+                    f"val_mse {val_mse}; try a smaller learning rate"
+                )
             if best is None or val_mse < best[0]:
                 best = (val_mse, model.state_snapshot())
                 best_epoch = epoch

@@ -215,6 +215,10 @@ def _build_dataset(args):
 
 
 def cmd_train(args):
+    if args.sweep_m and args.log:
+        print("dmrislice: --log is not written by a --sweep-m run; drop one of the two",
+              file=sys.stderr)
+        return USAGE_ERROR
     dataset = _build_dataset(args)
     if not dataset:
         raise DmrisliceError("no training slices after mask filtering")
@@ -428,7 +432,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=5e-5)
     p.add_argument("--val-fraction", type=float, default=0.15)
     p.add_argument("--split-by", choices=("subject", "slice"), default="subject")
-    p.add_argument("--log", default=None, help="training-log CSV path")
+    p.add_argument("--log", default=None, help="training-log CSV path (not with --sweep-m)")
     p.add_argument("--out", required=True, help="checkpoint path")
     _add_common(p, "seed", "shell_tol", "verbose")
     p.set_defaults(func=cmd_train)

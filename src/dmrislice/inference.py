@@ -8,7 +8,8 @@ gap-position weights (equal for N=1; {2/3, 1/3} and {1/3, 2/3} for N=2,
 nearer neighbor heavier), decodes all N blends in one batch and maps each
 decoded slice back to input intensities by histogram matching against the
 same weighted average of the two unnormalized neighbor slices.
-:func:`infer_between_slices` is the two halves for one gap.
+:func:`infer_between_slices` is the two halves for one gap, with both
+neighbors encoded in one call.
 """
 
 from __future__ import annotations
@@ -88,13 +89,18 @@ def _from_batches(batch: np.ndarray, channels: int) -> np.ndarray:
     return batch[:, 0].transpose(1, 2, 0)
 
 
-def encode_slice(model: Autoencoder, s: SliceImage) -> np.ndarray:
-    """The latent code of one slice: each channel min-max normalized, the
-    slice center-cropped or padded onto the model grid and encoded as one
-    item, or as one item per channel through a 1-channel model."""
+def _model_items(model: Autoencoder, s: SliceImage) -> np.ndarray:
+    """One slice as the model's input items: each channel min-max
+    normalized, the slice center-cropped or padded onto the model grid, as
+    one item, or as one item per channel for a 1-channel model."""
     chw = normalize_slice(s).data.transpose(2, 0, 1)
     cropped, _ = center_crop_pad(chw, model.cfg.input_size)
-    return model.encode(_to_batches(cropped, model))
+    return _to_batches(cropped, model)
+
+
+def encode_slice(model: Autoencoder, s: SliceImage) -> np.ndarray:
+    """The latent code of one slice, encoded on its own (:func:`_model_items`)."""
+    return model.encode(_model_items(model, s))
 
 
 def decode_gap(
@@ -134,8 +140,15 @@ def infer_between_slices(
     next_slice: SliceImage,
     gap: GapSpec,
 ) -> list[SliceImage]:
-    """Decode blended latents of the two neighbors, one image per missing slice."""
-    z_prev, z_next = encode_slice(model, prev_slice), encode_slice(model, next_slice)
+    """Decode blended latents of the two neighbors, one image per missing slice.
+
+    Both neighbors are encoded in one call; an item's code does not depend on
+    its batch-mates, so each equals its :func:`encode_slice` code.
+    """
+    if prev_slice.data.shape != next_slice.data.shape:
+        raise ShapeError("adjacent slices must share a shape")
+    items = [_model_items(model, s) for s in (prev_slice, next_slice)]
+    z_prev, z_next = np.split(model.encode(np.concatenate(items)), 2)
     return decode_gap(model, z_prev, z_next, prev_slice, next_slice, gap)
 
 

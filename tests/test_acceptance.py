@@ -36,14 +36,7 @@ from dmrislice.ae import (
     save_checkpoint,
     train,
 )
-from dmrislice.ae.layers import (
-    ELU,
-    AvgPool2x2,
-    BatchNorm2D,
-    Conv2D,
-    Sigmoid,
-    UpsampleConv2D,
-)
+from dmrislice.ae.layers import AvgPool2x2, Conv2D, Head, UpsampleConv2D
 from dmrislice.ae.train import slices_per_volume
 from dmrislice.cli import dispatch
 from dmrislice.evaluate import run_experiment
@@ -198,13 +191,13 @@ def test_criterion_05_gradient_checks():
     start = time.perf_counter()
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 3, 8, 8))
-    check_layer_gradients(Conv2D(3, 4, 3, rng, bias=True), x, input_stride=11)
-    check_layer_gradients(Conv2D(3, 4, 1, rng, bias=True), x, input_stride=11)
-    check_layer_gradients(BatchNorm2D(3), x, train=True, input_stride=11)
-    check_layer_gradients(ELU(), x, input_stride=11)
-    check_layer_gradients(AvgPool2x2(), x, input_stride=11)
+    # Every layer class: the encoder and decoder blocks, the head, pooling.
+    head = Head(3, 4, rng)
+    head.params["b"] = rng.standard_normal(4)
+    check_layer_gradients(Conv2D(3, 4, rng), x, input_stride=11)
     check_layer_gradients(UpsampleConv2D(3, 4, rng), x, input_stride=11)
-    check_layer_gradients(Sigmoid(), x, input_stride=11)
+    check_layer_gradients(head, x, input_stride=11)
+    check_layer_gradients(AvgPool2x2(), x, input_stride=11)
 
     # composed reduced network: widths /8 of the full model, 16x16 input
     cfg = ModelConfig(input_channels=1, latent_maps=4, input_size=16, base_width=4, seed=5)

@@ -357,6 +357,7 @@ BAD_VALUES = {
     "sigma-nan": [*PHANTOM, "--sigma", "nan"],
     "lr-nan": [*TRAIN, "--lr", "nan"],
     "lr-inf": [*TRAIN, "--lr", "inf"],
+    "lr-diverging": [*TRAIN, "--lr", "1e30"],
 }
 
 
@@ -754,6 +755,23 @@ def test_train_sweep_keeps_the_best_latent_width(study_dir, tmp_path, capsys):
     assert [int(m) for m, _ in lines] == [2, 4]
     val_mse = {int(m): float(v) for m, v in lines}
     assert val_mse[load_checkpoint(ckpt).cfg.latent_maps] == min(val_mse.values())
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+def test_train_refuses_a_training_log_with_a_latent_sweep(
+    study_dir, tmp_path, capsys, via_config
+):
+    log, out = tmp_path / "log.csv", tmp_path / "m.ckpt"
+    options = ["--sweep-m", "2,4", "--log", str(log)]
+    if via_config:
+        cfg = tmp_path / "c.toml"
+        cfg.write_text(f'sweep_m = "2,4"\nlog = "{log}"\n')
+        options = ["--config", str(cfg)]
+    code = dispatch([*TRAIN, "--data", str(study_dir), *options, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--sweep-m" in err and "--log" in err and err.count("\n") == 1
+    assert not log.exists() and not out.exists()
 
 
 def test_help_exits_zero():

@@ -177,7 +177,7 @@ def test_float64_head_keeps_saturated_outputs_distinct(tmp_path):
     # A head bias of +16 puts every sigmoid output within ~1e-7 of 1, where
     # float32 spacing would fold them into a few ties.
     model = build_model(replace(MODEL16, base_width=2, seed=5))
-    model.decoder[-2].params["b"][:] = 16.0
+    model.decoder[-1].params["b"][:] = 16.0
     save_checkpoint(model, tmp_path / "m.ckpt")
     loaded = load_checkpoint(tmp_path / "m.ckpt")
     wide = load_checkpoint(tmp_path / "m.ckpt").astype(np.float64)
@@ -229,7 +229,7 @@ def per_call_inference(model, prev_slice, next_slice, gap):
     return decoded, slices
 
 
-# (model channels, slice channels, n_missing, encode batch per neighbor,
+# (model channels, slice channels, n_missing, encode items per neighbor,
 # decode batch); the 18x14 slices are cropped in x and padded in y to the
 # 16x16 model grid.
 BATCHING_CASES = {
@@ -266,12 +266,12 @@ def test_one_encode_and_one_decode_match_per_call_inference(case):
         setattr(model, name, call)
     got = infer_between_slices(model, prev_slice, next_slice, gap)
 
-    # One encode per neighbor, then all N blends decoded at once. The two
-    # encodes could be one: a slice encodes the same alone or in a batch.
+    # Both neighbors encoded at once, then all N blends decoded at once; a
+    # slice encodes the same alone or in a batch.
     assert [(name, items) for name, items, _ in calls] == [
-        ("encode", encode_items), ("encode", encode_items), ("decode", decode_items)
+        ("encode", 2 * encode_items), ("decode", decode_items)
     ]
-    got_decoded = np.split(calls[2][2], n)
+    got_decoded = np.split(calls[1][2], n)
     for got_batch, want_batch in zip(got_decoded, want_decoded):
         np.testing.assert_allclose(got_batch, want_batch, rtol=1e-12, atol=0)
     assert len(got) == n

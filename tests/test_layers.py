@@ -4,14 +4,15 @@ import pytest
 from dmrislice.ae.layers import (
     BN_EPS,
     BN_MOMENTUM,
-    ELU,
     AvgPool2x2,
-    BatchNorm2D,
     Conv2D,
+    Head,
     Layer,
-    Sigmoid,
     UpsampleConv2D,
     _column_tiles,
+    _conv_correlate,
+    _conv_weight_grad,
+    _flip,
 )
 from dmrislice.errors import ShapeError
 from gradcheck import check_layer_gradients
@@ -25,40 +26,71 @@ def x():
     return np.random.default_rng(0).standard_normal((2, 3, 8, 8))
 
 
+def identity_tap(layer):
+    """Give a block or head with as many input as output channels the
+    identity kernel (the centre tap of each channel 1, every other tap 0), so
+    that its convolution's output is exactly its input; returns the layer."""
+    w = layer.params["w"]
+    w[...] = 0.0
+    k = w.shape[2] // 2
+    for c in range(w.shape[0]):
+        w[c, c, k, k] = 1.0
+    return layer
+
+
+def identity_norm(block):
+    """Make a block's inference batch norm pass its input on unchanged: its
+    scale, gamma / sqrt(running_var + eps), is then exactly 1 and its shift
+    exactly 0."""
+    block.params["gamma"] = np.sqrt(block.buffers["running_var"] + BN_EPS)
+    return block
+
+
+def elu(z):
+    return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+
+
 def test_conv3x3_gradients(x):
     rng = np.random.default_rng(1)
-    check_layer_gradients(Conv2D(3, 4, 3, rng, bias=True), x, input_stride=7)
+    check_layer_gradients(Conv2D(3, 4, rng), x, input_stride=7)
 
 
 def test_conv1x1_gradients(x):
+    # The head: a 1x1 convolution with bias, then the sigmoid.
     rng = np.random.default_rng(2)
-    check_layer_gradients(Conv2D(3, 4, 1, rng, bias=True), x, input_stride=7)
+    head = Head(3, 4, rng)
+    head.params["b"] = rng.standard_normal(4)
+    check_layer_gradients(head, x, input_stride=7)
 
 
 def test_batchnorm_train_gradients(x):
-    check_layer_gradients(BatchNorm2D(3), x, train=True, input_stride=5)
+    # The batch norm alone, behind an identity convolution.
+    rng = np.random.default_rng(3)
+    block = identity_tap(Conv2D(3, 3, rng))
+    block.params["gamma"] = rng.standard_normal(3)
+    block.params["beta"] = rng.standard_normal(3)
+    check_layer_gradients(block, x, train=True, input_stride=5)
 
 
 def test_batchnorm_eval_affine_matches_formula(x):
     rng = np.random.default_rng(4)
-    bn = BatchNorm2D(3)
-    bn.params["gamma"] = rng.standard_normal(3)
-    bn.params["beta"] = rng.standard_normal(3)
+    block = identity_tap(Conv2D(3, 3, rng))
+    block.params["gamma"] = rng.standard_normal(3)
+    block.params["beta"] = rng.standard_normal(3)
     mean = rng.standard_normal(3) * 0.2
     var = np.abs(rng.standard_normal(3)) + 0.5
-    bn.buffers["running_mean"], bn.buffers["running_var"] = mean, var
-    want = bn.params["gamma"][C] * (x - mean[C]) / np.sqrt(var[C] + BN_EPS) + bn.params["beta"][C]
-    np.testing.assert_allclose(bn.forward(x, train=False), want, rtol=1e-12, atol=0)
+    block.buffers["running_mean"], block.buffers["running_var"] = mean, var
+    gamma, beta = block.params["gamma"], block.params["beta"]
+    want = elu(gamma[C] * (x - mean[C]) / np.sqrt(var[C] + BN_EPS) + beta[C])
+    np.testing.assert_allclose(block.forward(x, train=False), want, rtol=1e-12, atol=0)
 
 
 def caching_layers():
     rng = np.random.default_rng(8)
     return {
-        "Conv2D": Conv2D(3, 4, 3, rng),
+        "Conv2D": Conv2D(3, 4, rng),
         "UpsampleConv2D": UpsampleConv2D(3, 4, rng),
-        "BatchNorm2D": BatchNorm2D(3),
-        "ELU": ELU(),
-        "Sigmoid": Sigmoid(),
+        "Head": Head(3, 2, rng),
     }
 
 
@@ -77,7 +109,11 @@ def test_backward_after_an_inference_forward_raises(x, name):
 
 
 def test_elu_gradients(x):
-    check_layer_gradients(ELU(), x, input_stride=5)
+    # ELU behind an identity convolution, its input shifted per channel to
+    # lie mostly below the kink, around it and mostly above it.
+    block = identity_tap(Conv2D(3, 3, np.random.default_rng(6)))
+    block.params["beta"] = np.array([-1.5, 0.0, 1.5])
+    check_layer_gradients(block, x, input_stride=5)
 
 
 def test_avgpool_gradients(x):
@@ -93,23 +129,26 @@ def test_upsample_gradients(x):
 
 
 def test_sigmoid_gradients(x):
-    check_layer_gradients(Sigmoid(), x, input_stride=5)
+    # The sigmoid alone, behind an identity 1x1 convolution with zero bias,
+    # on inputs reaching its saturated tails.
+    head = identity_tap(Head(3, 3, np.random.default_rng(7)))
+    check_layer_gradients(head, x * 4, input_stride=5)
 
 
 def test_conv_output_matches_direct_convolution():
     rng = np.random.default_rng(5)
-    conv = Conv2D(2, 3, 3, rng, bias=True)
+    block = identity_norm(Conv2D(2, 3, rng))
     x = rng.standard_normal((1, 2, 5, 5))
-    y = conv.forward(x)
+    y = block.forward(x)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    w, b = conv.params["w"], conv.params["b"]
+    w = block.params["w"]
     for o in range(3):
         for i in range(5):
             for j in range(5):
-                acc = b[o]
+                acc = 0.0
                 for c in range(2):
                     acc += np.sum(xp[0, c, i : i + 3, j : j + 3] * w[o, c])
-                assert y[0, o, i, j] == pytest.approx(acc, rel=1e-12)
+                assert y[0, o, i, j] == pytest.approx(elu(acc), rel=1e-12)
 
 
 def test_avgpool_backward_distributes_equally():
@@ -123,41 +162,38 @@ def test_avgpool_backward_distributes_equally():
 
 def test_batchnorm_eval_deterministic():
     rng = np.random.default_rng(7)
-    bn = BatchNorm2D(3)
+    block = Conv2D(3, 3, rng)
     x = rng.standard_normal((2, 3, 4, 4))
-    bn.forward(x, train=True)  # populate running stats
-    a = bn.forward(x, train=False)
-    b = bn.forward(x, train=False)
+    block.forward(x, train=True)  # populate running stats
+    a = block.forward(x, train=False)
+    b = block.forward(x, train=False)
     assert np.array_equal(a, b)
 
 
 def test_sigmoid_output_bounded():
-    layer = Sigmoid()
+    head = identity_tap(Head(1, 1, np.random.default_rng(0)))
     x = np.array([[-1e6, -5.0, 0.0, 5.0, 1e6]]).reshape(1, 1, 1, 5)
-    y = layer.forward(x)
+    y = head.forward(x)
     assert np.all(y >= 0.0) and np.all(y <= 1.0)
     assert np.all(np.isfinite(y))
 
 
 def test_elu_values():
-    layer = ELU()
+    block = identity_norm(identity_tap(Conv2D(1, 1, np.random.default_rng(0))))
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]).reshape(1, 1, 1, 5)
-    y = layer.forward(x)
+    y = block.forward(x)
     expected = np.where(x > 0, x, np.expm1(x))
     assert np.allclose(y, expected, atol=1e-15)
 
 
 def test_elu_matches_the_where_formula_bit_for_bit():
+    # Behind an identity convolution and batch norm, in inference.
     rng = np.random.default_rng(9)
     x = rng.standard_normal((4, 3, 8, 8)) * 3
     x[0, 0, 0, :4] = [0.0, 1e-300, -1e-300, 5e-324]
-    dy = rng.standard_normal(x.shape)
-    layer = ELU()
-    y = layer.forward(x, train=True)
-    dx = layer.backward(dy)
-    neg = np.expm1(np.minimum(x, 0.0))
-    assert np.array_equal(y, np.where(x > 0, x, neg))
-    assert np.array_equal(dx, dy * np.where(x > 0, 1.0, neg + 1.0))
+    block = identity_norm(identity_tap(Conv2D(3, 3, rng)))
+    y = block.forward(x)
+    assert np.array_equal(y, np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))))
 
 
 def test_avgpool_within_one_ulp_of_the_mean():
@@ -171,24 +207,21 @@ def test_avgpool_within_one_ulp_of_the_mean():
 # -- the tiled im2col kernel against the whole-batch einsum formula ----------
 
 
-def einsum_correlate(x, w, bias, pad):
+def einsum_correlate(x, w, pad):
     """The earlier kernel: one einsum over a sliding-window view of the whole
     padded batch. Returns the output and the window view."""
     k = w.shape[2]
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    y = np.einsum("bchwij,ocij->bohw", cols, w, optimize=True)
-    if bias is not None:
-        y += bias[:, None, None]
-    return y, cols
+    return np.einsum("bchwij,ocij->bohw", cols, w, optimize=True), cols
 
 
-def einsum_conv(w, bias, x, dy):
+def einsum_conv(w, x, dy):
     """Forward output, input gradient and weight gradient of a same-size conv."""
     pad = w.shape[2] // 2
-    y, cols = einsum_correlate(x, w, bias, pad)
+    y, cols = einsum_correlate(x, w, pad)
     dw = np.einsum("bchwij,bohw->ocij", cols, dy, optimize=True)
-    dx, _ = einsum_correlate(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None, pad)
+    dx, _ = einsum_correlate(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), pad)
     return y, dx, dw
 
 
@@ -202,7 +235,8 @@ def assert_close(got, want):
 
 
 # (batch, c_in, c_out, ksize, size, items per tile); one 4x64x64 item's
-# 3x3 columns take 1.2 MB, over the tile budget.
+# 3x3 columns take 1.2 MB, over the tile budget. The 3x3 kernel is the
+# blocks' convolution, the 1x1 kernel the head's.
 KERNEL_CASES = {
     "batch-1": (1, 3, 4, 3, 8, [1]),
     "ragged-tiles": (31, 4, 3, 3, 16, [14, 14, 3]),
@@ -219,16 +253,16 @@ def test_conv_matches_einsum_formula(case):
     batch, c_in, c_out, k, size, tiles = case
     assert tile_sizes(batch, c_in, k, size, size) == tiles
     rng = np.random.default_rng(20)
-    conv = Conv2D(c_in, c_out, k, rng, bias=True)
-    conv.params["b"] = rng.standard_normal(c_out)
+    w = rng.standard_normal((c_out, c_in, k, k))
     x = rng.standard_normal((batch, c_in, size, size))
     dy = rng.standard_normal((batch, c_out, size, size))
-    y = conv.forward(x, train=True)
-    dx = conv.backward(dy)
-    want_y, want_dx, want_dw = einsum_conv(conv.params["w"], conv.params["b"], x, dy)
+    y = _conv_correlate(x, w)
+    dx = _conv_correlate(dy, _flip(w))
+    dw = _conv_weight_grad(x, dy, k)
+    want_y, want_dx, want_dw = einsum_conv(w, x, dy)
     assert_close(y, want_y)
     assert_close(dx, want_dx)
-    assert_close(conv.grads["w"], want_dw)
+    assert_close(dw, want_dw)
 
 
 # The decoder stages' 2x2 columns: windows of x padded by 1 at (h+1) x (w+1)
@@ -257,18 +291,20 @@ def test_column_tiles_are_the_blocks_of_the_padded_input(case):
     assert sizes == tiles
 
 
-# -- the decoder stage against conv(upsample(x)) ------------------------------
+# -- the decoder block against the block on upsample(x) ----------------------
 
 
-def upsampled_conv(w, x, dy):
-    """Output, input gradient and weight gradient of a bias-free 3x3 Conv2D on
-    the nearest-upsampled x, the input gradient summed back over each 2x2."""
-    conv = Conv2D(w.shape[1], w.shape[0], 3, np.random.default_rng(0))
-    conv.params["w"] = w
-    y = conv.forward(np.repeat(np.repeat(x, 2, axis=2), 2, axis=3), train=True)
-    du = conv.backward(dy)
+def upsampled_block(layer, x, dy):
+    """A float64 Conv2D block with the parameters and buffers of ``layer`` on
+    the nearest-upsampled x, in train mode: its output, input gradient
+    (summed back over each 2x2), weight gradient, and the block."""
+    block = Conv2D(layer.c_in, layer.c_out, np.random.default_rng(0))
+    for mine, theirs in ((block.params, layer.params), (block.buffers, layer.buffers)):
+        mine.update({name: arr.astype(np.float64) for name, arr in theirs.items()})
+    y = block.forward(np.repeat(np.repeat(x, 2, axis=2), 2, axis=3), train=True)
+    du = block.backward(dy)
     n, c, h, wd = x.shape
-    return y, du.reshape(n, c, h, 2, wd, 2).sum(axis=(3, 5)), conv.grads["w"]
+    return y, du.reshape(n, c, h, 2, wd, 2).sum(axis=(3, 5)), block.grads["w"], block
 
 
 # (batch, c_in, c_out, h, w, items per column tile). A tile holds the 2x2
@@ -294,21 +330,26 @@ def test_upsample_conv_matches_conv_of_the_upsampled_map(case):
     assert tile_sizes(batch, c_in, 2, h, w) == tiles
     rng = np.random.default_rng(25)
     layer = UpsampleConv2D(c_in, c_out, rng)
+    layer.params["gamma"] = rng.uniform(0.5, 2, c_out)
+    layer.params["beta"] = rng.standard_normal(c_out)
     x = rng.standard_normal((batch, c_in, h, w))
     dy = rng.standard_normal((batch, c_out, 2 * h, 2 * w))
     x_before, dy_before = x.copy(), dy.copy()
+    want_y, want_dx, want_dw, block = upsampled_block(layer, x, dy)
     y = layer.forward(x, train=True)
     dx = layer.backward(dy)
-    want_y, want_dx, want_dw = upsampled_conv(layer.params["w"], x, dy)
     assert_close(y, want_y)
     assert_close(dx, want_dx)
     assert_close(layer.grads["w"], want_dw)
+    for name in ("gamma", "beta"):
+        assert_close(layer.grads[name], block.grads[name])
     assert np.array_equal(x, x_before) and np.array_equal(dy, dy_before)
-    assert np.array_equal(layer.forward(x, train=False), y)
+    up = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+    assert_close(layer.forward(x, train=False), block.forward(up, train=False))
 
 
-# The sh4 net's stages (c_in, c_out, input size) at the batches of inference
-# (1, 2) and training (8), with a float32 body.
+# The sh4 net's decoder blocks (c_in, c_out, input size) at the batches of
+# inference (1, 2) and training (8), with a float32 body.
 SH4_STAGES = [(256, 128, 4), (128, 64, 8), (64, 32, 16), (32, 16, 32)]
 
 
@@ -318,14 +359,15 @@ def test_float32_stage_matches_the_float64_conv_of_the_upsampled_map(stage, batc
     c_in, c_out, size = stage
     rng = np.random.default_rng(28)
     layer = UpsampleConv2D(c_in, c_out, rng)
-    layer.params["w"] = layer.params["w"].astype(np.float32)
+    for tensors in (layer.params, layer.buffers):
+        tensors.update({name: arr.astype(np.float32) for name, arr in tensors.items()})
     x = rng.standard_normal((batch, c_in, size, size)).astype(np.float32)
     dy = rng.standard_normal((batch, c_out, 2 * size, 2 * size)).astype(np.float32)
+    want = upsampled_block(layer, x.astype(np.float64), dy)[:3]
     y = layer.forward(x, train=True)
     dx = layer.backward(dy)
     got = (y, dx, layer.grads["w"])
     assert all(a.dtype == np.float32 for a in got)
-    want = upsampled_conv(layer.params["w"].astype(np.float64), x.astype(np.float64), dy)
     for g, wnt in zip(got, want):
         assert np.abs(g - wnt).max() <= 1e-5 * np.abs(wnt).max()
 
@@ -353,72 +395,83 @@ def test_no_stage_call_builds_the_upsampled_map(monkeypatch):
 
 
 def test_batchnorm_train_pass_matches_the_textbook_formulas_bit_for_bit():
+    # Batch norm and ELU behind an identity convolution, whose input
+    # gradient then passes the batch norm's on unchanged.
     rng = np.random.default_rng(22)
     # 300 values per channel: a power-of-two count would divide exactly.
     x = rng.standard_normal((5, 3, 6, 10)) * 3 + 1
     dy = rng.standard_normal(x.shape)
-    bn = BatchNorm2D(3)
+    block = identity_tap(Conv2D(3, 3, rng))
     gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
     running_mean, running_var = rng.standard_normal(3), rng.uniform(0.5, 2, 3)
-    bn.params["gamma"], bn.params["beta"] = gamma, beta
-    bn.buffers["running_mean"], bn.buffers["running_var"] = running_mean, running_var
+    block.params["gamma"], block.params["beta"] = gamma, beta
+    block.buffers["running_mean"], block.buffers["running_var"] = running_mean, running_var
 
-    y = bn.forward(x, train=True)
-    dx = bn.backward(dy)
+    y = block.forward(x, train=True)
+    dx = block.backward(dy)
 
     mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mean[C]) * inv_std[C]
-    assert np.array_equal(y, gamma[C] * xhat + beta[C])
+    z = gamma[C] * xhat + beta[C]
+    neg = np.expm1(np.minimum(z, 0.0))
+    assert np.array_equal(y, np.where(z > 0, z, neg))
     m = BN_MOMENTUM
-    assert np.array_equal(bn.buffers["running_mean"], m * running_mean + (1 - m) * mean)
-    assert np.array_equal(bn.buffers["running_var"], m * running_var + (1 - m) * var)
+    assert np.array_equal(block.buffers["running_mean"], m * running_mean + (1 - m) * mean)
+    assert np.array_equal(block.buffers["running_var"], m * running_var + (1 - m) * var)
 
+    dz = dy * np.where(z > 0, 1.0, neg + 1.0)
     n = x.size // 3
-    dxhat = dy * gamma[C]
+    dxhat = dz * gamma[C]
     sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
     sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
     want_dx = (inv_std[C] / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
     assert np.array_equal(dx, want_dx)
-    assert np.array_equal(bn.grads["gamma"], (dy * xhat).sum(axis=(0, 2, 3)))
-    assert np.array_equal(bn.grads["beta"], dy.sum(axis=(0, 2, 3)))
+    assert np.array_equal(block.grads["gamma"], (dz * xhat).sum(axis=(0, 2, 3)))
+    assert np.array_equal(block.grads["beta"], dz.sum(axis=(0, 2, 3)))
 
 
 def test_sigmoid_matches_the_masked_two_branch_formula_bit_for_bit():
+    # The sigmoid behind a one-channel identity 1x1 convolution with zero
+    # bias, so that no channel mixes another's NaN in.
     rng = np.random.default_rng(23)
-    x = rng.standard_normal((2, 3, 8, 8)) * 20
+    x = rng.standard_normal((6, 1, 8, 8)) * 20
     special = [0.0, -0.0, 1e6, -1e6, 745.0, -745.0, 5e-324, -5e-324, np.nan, -np.nan]
     x.flat[: len(special)] = special
     dy = rng.standard_normal(x.shape)
-    layer = Sigmoid()
-    y = layer.forward(x, train=True)
-    dx = layer.backward(dy)
+    head = identity_tap(Head(1, 1, rng))
+    y = head.forward(x, train=True)
+    dx = head.backward(dy)
 
     want = np.empty_like(x)
     pos = x >= 0
     want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     want[~pos] = ex / (1.0 + ex)
-    # Compared as bit patterns, so NaNs and their signs count too.
+    # Compared as bit patterns, so NaNs and their signs count too. The input
+    # gradient's identity convolution sums each value onto a zero, which
+    # turns -0.0 into 0.0 and keeps every other value: so does adding 0.0.
     assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
-    assert np.array_equal(dx.view(np.uint64), (dy * want * (1.0 - want)).view(np.uint64))
+    want_dx = dy * want * (1.0 - want) + 0.0
+    assert np.array_equal(dx.view(np.uint64), want_dx.view(np.uint64))
 
 
 def every_layer(rng):
     return {
-        "Conv2D-3x3": Conv2D(3, 4, 3, rng),
-        "Conv2D-1x1-bias": Conv2D(3, 2, 1, rng, bias=True),
-        "BatchNorm2D": BatchNorm2D(3),
-        "ELU": ELU(),
+        "Conv2D-3x3": Conv2D(3, 4, rng),
+        "Head": Head(3, 2, rng),
         "AvgPool2x2": AvgPool2x2(),
         "UpsampleConv2D": UpsampleConv2D(3, 4, rng),
-        "Sigmoid": Sigmoid(),
     }
+
+
+def subclasses(cls):
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | subclasses(direct)}
 
 
 def test_every_layer_class_is_checked_for_writes():
     checked = {type(layer) for layer in every_layer(np.random.default_rng(0)).values()}
-    assert checked == set(Layer.__subclasses__())
+    assert checked == subclasses(Layer)
 
 
 @pytest.mark.parametrize("name", every_layer(np.random.default_rng(0)))

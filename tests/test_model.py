@@ -62,11 +62,32 @@ def test_encoder_halves_spatial_dims():
 
 
 def test_decoder_defaults_to_nearest_upsampling():
-    from dmrislice.ae.layers import UpsampleConv2D
+    from dmrislice.ae.layers import Conv2D, Head, UpsampleConv2D
 
     model = build_model(TINY)
     kinds = [type(layer) for layer in model.decoder]
-    assert kinds.count(UpsampleConv2D) == 4
+    assert kinds == [Conv2D] + [UpsampleConv2D] * 4 + [Head]
+
+
+# The three network shapes: b0/signal, SH and full-scale.
+SHAPES = {
+    "1x64-w4": ModelConfig(input_channels=1, latent_maps=4, input_size=64, base_width=4),
+    "15x64-w16": ModelConfig(input_channels=15, latent_maps=16, input_size=64, base_width=16),
+    "1x128-w32": ModelConfig(input_channels=1, latent_maps=32, input_size=128, base_width=32),
+}
+
+
+@pytest.mark.parametrize("cfg", SHAPES.values(), ids=SHAPES.keys())
+def test_every_shape_has_one_layer_per_block_and_its_manifest(cfg):
+    from dmrislice.ae.layers import AvgPool2x2, Conv2D, Head, UpsampleConv2D
+
+    model = build_model(cfg)
+    kinds = [type(layer) for layer in model.encoder + model.decoder]
+    assert len(kinds) == 21
+    assert kinds.count(Conv2D) == 12 and kinds.count(UpsampleConv2D) == 4
+    assert kinds.count(AvgPool2x2) == 4 and kinds[-1] is Head
+    built = [(name, arr.shape) for name, arr in model.parameters() + model.named_buffers()]
+    assert tensor_manifest(cfg) == built
 
 
 def test_output_in_unit_interval():
@@ -294,7 +315,7 @@ def _saved_checkpoint(tmp_path):
 def test_loaded_checkpoint_has_a_float32_body_and_a_float64_head(tmp_path):
     p, _ = _saved_checkpoint(tmp_path)
     model = load_checkpoint(p)
-    *body, head, sigmoid = model.encoder + model.decoder
+    *body, head = model.encoder + model.decoder
     assert model.dtype == np.float32
     for layer in body:
         for arr in list(layer.params.values()) + list(layer.buffers.values()):
@@ -336,14 +357,14 @@ def test_float32_body_gradients_have_their_parameters_dtype(tmp_path):
     # The gradient is cast once, where it leaves the head: no body layer's
     # backward multiplies a float64 gradient into its float32 arrays.
     incoming = []
-    for layer in model.encoder + model.decoder[:-2]:
+    for layer in model.encoder + model.decoder[:-1]:
         def backward(dy, *args, _backward=layer.backward, **kwargs):
             incoming.append(dy.dtype)
             return _backward(dy, *args, **kwargs)
 
         layer.backward = backward
     mse32, grads = model.loss_and_grads(x)
-    assert incoming == [np.float32] * (len(model.encoder) + len(model.decoder) - 2)
+    assert incoming == [np.float32] * (len(model.encoder) + len(model.decoder) - 1)
     dtypes = [g.dtype for g in grads]
     assert dtypes == [arr.dtype for _, arr in model.parameters()]
     assert dtypes[:-2] == [np.float32] * (len(grads) - 2)
@@ -533,7 +554,7 @@ def test_checkpoint_with_a_zero_running_variance_loads(tmp_path):
     save_checkpoint(build_model(TINY), p)
     write_tensor_value(p, "layer01.running_var", 0.0)
     model = load_checkpoint(p)
-    assert model.encoder[1].buffers["running_var"][0] == 0.0
+    assert model.encoder[0].buffers["running_var"][0] == 0.0
 
 
 def _tiny_checkpoint_bytes() -> bytes:

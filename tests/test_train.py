@@ -11,7 +11,7 @@ from dmrislice.ae.train import (
     stacked_slices,
     sweep_latent_size,
 )
-from dmrislice.errors import InsufficientData, ShapeError
+from dmrislice.errors import DmrisliceError, InsufficientData, ShapeError
 from dmrislice.phantom import PhantomSpec, make_phantom
 from dmrislice.volume import Volume4D
 
@@ -66,7 +66,7 @@ def test_trained_body_saves_and_loads_exactly(phantom16, tmp_path):
     ds = small_dataset(phantom16)
     model = train(ds, quick_cfg(), TINY_MODEL).model
     assert model.dtype == np.float32
-    assert [a.dtype for a in model.decoder[-2].params.values()] == [np.float64] * 2
+    assert [a.dtype for a in model.decoder[-1].params.values()] == [np.float64] * 2
     save_checkpoint(model, tmp_path / "m.ckpt")
     loaded = load_checkpoint(tmp_path / "m.ckpt")
     for (name, t), (_, lt) in zip(_tensors(model), _tensors(loaded)):
@@ -83,6 +83,18 @@ def test_training_log_csv(phantom16, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "train_mse", "val_mse"]
     assert len(rows) == 1 + len(ckpt.history)
+
+
+def test_a_diverging_run_raises_naming_its_epoch(phantom16, tmp_path):
+    # A step this large makes every weight non-finite after one batch; the
+    # pytest config turns a library RuntimeWarning into an error, so this
+    # also checks that training warns of nothing on the way.
+    log = tmp_path / "log.csv"
+    with pytest.raises(DmrisliceError, match=r"^training diverged at epoch 0: train_mse nan"):
+        train(small_dataset(phantom16), quick_cfg(lr=1e30), TINY_MODEL, log_path=log)
+    with open(log) as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["epoch", "train_mse", "val_mse"], ["0", "nan", "nan"]]
 
 
 def test_training_log_keeps_the_rows_of_a_killed_run(phantom16, tmp_path, monkeypatch):
