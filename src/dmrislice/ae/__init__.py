@@ -1,7 +1,7 @@
 """Convolutional autoencoder: layers, model, optimizer, training, checkpoints."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .model import Autoencoder, ModelConfig, build_model
+from .model import Autoencoder, ModelConfig
 from .optim import Adam
 from .train import (
     Checkpoint,
@@ -19,7 +19,6 @@ __all__ = [
     "Adam",
     "Autoencoder",
     "averaged_dwi_slices",
-    "build_model",
     "Checkpoint",
     "fit_to_size",
     "load_checkpoint",

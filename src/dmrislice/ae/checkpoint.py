@@ -14,7 +14,7 @@ stored values are exact, and a float64 closing 1x1 convolution and sigmoid
 is therefore exact for the body, and only the head's weights round: the
 loaded model encodes bit for bit like the trained one, and its outputs
 differ by the head's rounding alone (8e-10 relative on a 16x16 test net).
-A float64 model, such as :func:`~dmrislice.ae.model.build_model` gives,
+A float64 model, such as a newly built :class:`~dmrislice.ae.model.Autoencoder`,
 loses more: its outputs move by about 1e-6 relative, and since inference
 matches histograms by rank, a result moves further where that reorders two
 near-equal outputs (report means on 64x64x16 phantoms moved by 1e-7 to 2e-5

@@ -7,8 +7,8 @@ in its convolution; :class:`Head` closes the network with a 1x1 convolution
 with bias and the sigmoid. :class:`AvgPool2x2` pools between encoder blocks.
 
 All arrays are NCHW, and every layer computes in the dtype of its arrays,
-forward and backward: a model that :func:`~dmrislice.ae.model.build_model`
-builds is float64 throughout, while the model ``train`` steps and returns
+forward and backward: a newly built :class:`~dmrislice.ae.model.Autoencoder`
+is float64 throughout, while the model ``train`` steps and returns
 and a loaded checkpoint have a float32 body and a float64 :class:`Head`,
 whose output NumPy promotes to float64 (see
 :meth:`~dmrislice.ae.model.Autoencoder.astype`). Each layer

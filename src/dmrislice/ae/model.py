@@ -48,18 +48,6 @@ class ModelConfig:
     def latent_size(self) -> int:
         return self.input_size // (2**N_POOLINGS)
 
-    @property
-    def encoder_widths(self) -> tuple[int, ...]:
-        return tuple(self.base_width * (2**i) for i in range(N_POOLINGS))
-
-    @property
-    def extra_widths(self) -> tuple[int, int, int]:
-        return (self.base_width * 16, self.base_width * 8, self.latent_maps)
-
-    @property
-    def decoder_widths(self) -> tuple[int, ...]:
-        return tuple(self.base_width * (2**i) for i in range(N_POOLINGS, -1, -1))
-
 
 def _architecture(cfg: ModelConfig, rng):
     """Encoder and decoder as lists of (layer class, constructor arguments).
@@ -68,16 +56,17 @@ def _architecture(cfg: ModelConfig, rng):
     layers from it and :func:`tensor_manifest` reads their tensor shapes from
     it. ``rng`` is passed to the seeded layers in construction order.
     """
+    widths = [cfg.base_width * 2**i for i in range(N_POOLINGS + 1)]  # e.g. 32, 64, ..., 512
     encoder: list = []
     c = cfg.input_channels
-    for width in cfg.encoder_widths:
+    for width in widths[:-1]:
         encoder += [(Conv2D, (c, width, rng)), (Conv2D, (width, width, rng)), (AvgPool2x2, ())]
         c = width
-    for width in cfg.extra_widths:
+    for width in (widths[-1], widths[-2], cfg.latent_maps):
         encoder.append((Conv2D, (c, width, rng)))
         c = width
 
-    widths = cfg.decoder_widths  # e.g. (512, 256, 128, 64, 32)
+    widths.reverse()  # e.g. 512, 256, ..., 32
     decoder: list = [(Conv2D, (cfg.latent_maps, widths[0], rng))]
     decoder += [(UpsampleConv2D, (c, width, rng)) for c, width in zip(widths, widths[1:])]
     decoder.append((Head, (widths[-1], cfg.input_channels, rng)))
@@ -106,7 +95,11 @@ def tensor_manifest(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 class Autoencoder:
-    """Holds the ordered layer stacks and provides encode/decode/forward."""
+    """Holds the ordered layer stacks and provides encode/decode/forward.
+
+    The constructor draws every weight He-uniform from ``cfg.seed`` and gives
+    a float64 model; :meth:`astype` converts its body.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -155,8 +148,8 @@ class Autoencoder:
         are float64 whatever the body: a float32 sigmoid rounds outputs near
         1 into ties, which the rank-based histogram matching of inference
         would then carry into the result. A float32 body is what ``train``
-        steps and what a checkpoint stores; the float64 body that
-        :func:`build_model` gives serves the gradient checks.
+        steps and what a checkpoint stores; the float64 body that the
+        constructor gives serves the gradient checks.
         """
         dtype = np.dtype(dtype)
         if dtype not in (np.float32, np.float64):
@@ -198,9 +191,8 @@ class Autoencoder:
         return z
 
     def forward(self, x, train=False):
-        """Reconstruction and latent code for a batch."""
-        z = self.encode(x, train=train)
-        return self.decode(z, train=train), z
+        """The reconstruction of a batch; :meth:`encode` gives its latent code."""
+        return self.decode(self.encode(x, train=train), train=train)
 
     def loss_and_grads(self, batch):
         """Mean-squared reconstruction error and gradients for all parameters.
@@ -214,7 +206,7 @@ class Autoencoder:
         x = np.asarray(batch, dtype=np.float64)
         if x.size == 0:
             raise ShapeError("empty batch")
-        y, _ = self.forward(x, train=True)
+        y = self.forward(x, train=True)
         diff = y - x
         mse = float(np.mean(diff * diff))
         grad = 2.0 * diff / diff.size
@@ -224,9 +216,4 @@ class Autoencoder:
         # Nothing reads the gradient w.r.t. the batch itself.
         first.backward(grad, need_dx=False)
         return mse, self.gradients()
-
-
-def build_model(cfg: ModelConfig) -> Autoencoder:
-    """Construct an autoencoder with He-uniform seeded initialization."""
-    return Autoencoder(cfg)
 

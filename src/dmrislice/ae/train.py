@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DmrisliceError, InsufficientData, IoError, ShapeError
 from ..volume import SliceImage, Volume4D, center_crop_pad, check_grid, normalize_slice
-from .model import Autoencoder, ModelConfig, build_model
+from .model import Autoencoder, ModelConfig
 from .optim import Adam
 
 
@@ -132,7 +132,7 @@ def fit_to_size(samples: list[SliceSample], size: int) -> list[SliceSample]:
     out = []
     for s in samples:
         if s.data.shape[1:] != (size, size):
-            s = SliceSample(data=center_crop_pad(s.data, size)[0], subject=s.subject)
+            s = SliceSample(data=center_crop_pad(s.data, size), subject=s.subject)
         out.append(s)
     return out
 
@@ -164,7 +164,7 @@ def _split(dataset, cfg: TrainConfig, rng):
 
 
 def _eval_mse(model: Autoencoder, batch: np.ndarray) -> float:
-    y, _ = model.forward(batch, train=False)
+    y = model.forward(batch, train=False)
     d = y - batch
     return float(np.mean(d * d))
 
@@ -213,10 +213,10 @@ def train(
         )
 
     stack = np.stack([s.data for s in dataset])
-    train_data = stack[train_idx]
+    train_idx = np.asarray(train_idx)
     val_data = stack[val_idx]
 
-    model = build_model(model_cfg).astype(np.float32)
+    model = Autoencoder(model_cfg).astype(np.float32)
     opt = Adam(lr=cfg.lr)
     params = [arr for _, arr in model.parameters()]
 
@@ -232,7 +232,7 @@ def train(
             order = rng.permutation(len(train_idx))
             epoch_losses = []
             for b in range(n_batches):
-                batch = train_data[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
+                batch = stack[train_idx[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]]
                 mse, grads = model.loss_and_grads(batch)
                 opt.step(params, grads)
                 epoch_losses.append(mse)

@@ -23,7 +23,7 @@ from .interp import KINDS, interp_missing_slices
 from .dti import dti_scalars, fit_dti
 from .nifti import read_labels, read_nifti, write_nifti
 from .phantom import PhantomSpec, make_phantom
-from .sh import fit_sh, project_sh, read_sh, sh_roundtrip_error, write_sh
+from .sh import fit_sh, lmax_for, project_sh, read_sh, sh_roundtrip_error, write_sh
 from .study import load_study, write_study
 from .volume import (
     B0_THRESHOLD,
@@ -191,11 +191,15 @@ def cmd_interp(args):
 
 
 def _build_dataset(args):
+    """The training samples of every ``--data`` study. A study's subject is
+    its directory name, or its resolved path where another study shares that
+    name, so that a subject split never mixes two studies."""
     datasets = []
     paths = args.data if isinstance(args.data, list) else [args.data]
-    for path in paths:
+    names = [os.path.basename(os.path.normpath(path)) for path in paths]
+    for path, name in zip(paths, names):
         study = load_study(path, b_target=args.bvalue, shell_tol=args.shell_tol)
-        subject = os.path.basename(os.path.normpath(path))
+        subject = name if names.count(name) == 1 else os.path.realpath(path)
         mask = study.labels
         if args.net == "b0":
             datasets += ae.slices_per_volume(study.b0, mask=mask, subject=subject)
@@ -209,7 +213,7 @@ def _build_dataset(args):
                 subject=subject,
             )
         else:  # sh4
-            sh = fit_sh(study.dwi, study.gtab, lmax=args.lmax, lambda_reg=args.reg)
+            sh = fit_sh(study.dwi, study.gtab, lmax=args.lmax)
             datasets += ae.stacked_slices(sh.volume, mask=mask, subject=subject)
     return datasets
 
@@ -275,9 +279,9 @@ def cmd_infer(args):
         if not args.b0_model:
             raise DmrisliceError("--domain sh4 requires --b0-model")
         b0_model = ae.load_checkpoint(args.b0_model)
-        slices, b0_slices = infer_gap_sh(
-            model, b0_model, data.dwi, data.b0, data.gtab, gap, lmax=args.lmax
-        )
+        # An sh4 net reads the coefficients of the order its channels count.
+        lmax = lmax_for(model.cfg.input_channels)
+        slices, b0_slices = infer_gap_sh(model, b0_model, data.dwi, data.b0, data.gtab, gap, lmax)
 
     _write_slices(slices, data.dwi, gap.gap_start, args.out)
     filled = replace_slices(data.dwi, gap.gap_start, slices)
@@ -420,7 +424,6 @@ def build_parser() -> _Parser:
     p.add_argument("--avg-samples", type=int, default=10,
                    help="random averages drawn per study")
     p.add_argument("--lmax", type=int, default=4)
-    p.add_argument("--reg", type=float, default=0.0)
     p.add_argument("--bvalue", type=float, default=None)
     p.add_argument("--m", type=int, default=32, help="latent feature maps")
     p.add_argument("--sweep-m", type=_int_list, default=None,
@@ -444,7 +447,6 @@ def build_parser() -> _Parser:
     p.add_argument("--domain", choices=("signal", "sh4"), default="signal")
     p.add_argument("--gap-start", type=int, required=True)
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--bvalue", type=float, default=None)
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p, "shell_tol")

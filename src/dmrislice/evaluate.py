@@ -16,11 +16,12 @@ the scored voxels get the same tensors as in a fit of the whole volume with
 the slab put back, up to floating-point rounding, and nothing outside the
 slab is ever scored.
 
-Built once per experiment and shared read-only by every cell: the
-ground-truth FA/MD maps, the b0 mean, the full-volume SH fit and its basis
-(read by sh-linear, by the ae-sh4 neighbors and by the SH bound), the latent
-code of every neighbor slice an autoencoder cell reads, one per (model, z),
-from which each ae-signal and ae-sh4 cell decodes its slices, b0 included.
+A method is a (domain, estimator) pair (:data:`METHODS`). Built once per
+experiment and shared read-only by every cell: the ground-truth FA/MD maps,
+the volume of each domain and of b0 (the DWI, its full-volume SH fit, which
+the SH bound reads too, and the b0 mean), the SH basis on the directions,
+and the latent code of every neighbor slice an autoencoder cell reads, one
+per (model, z), from which each ``ae`` cell decodes its slices, b0 included.
 The autoencoders are shared too: inference keeps no layer state, so every
 pool thread runs the caller's models and none is cloned.
 """
@@ -48,12 +49,18 @@ from .sh import ShBasisMatrix, fit_sh, project_sh_slice, sh_basis_matrix
 from .stats import wilcoxon_signed_rank
 from .volume import GapSpec, SliceImage, Volume4D, b0_mean
 
-CLASSICAL_METHODS = ("linear", "cubic", "bspline5")
-MODEL_METHODS = ("ae-signal", "ae-sh4")
-ALL_METHODS = CLASSICAL_METHODS + ("sh-linear",) + MODEL_METHODS
-# The models each autoencoder method reads, keyed as in run_experiment's
-# ``models``; both use the b0 model for the b0 slices of the tensor fit.
-MODEL_NEEDS = {"ae-signal": ("signal", "b0"), "ae-sh4": ("sh4", "b0")}
+# Each method as (domain, estimator): the volume whose gap slices it
+# estimates, the DWI or its SH coefficients, and an interpolation kind or
+# "ae", the domain's autoencoder. It estimates the b0 slices the same way.
+METHODS = {
+    "linear": ("signal", "linear"),
+    "cubic": ("signal", "cubic"),
+    "bspline5": ("signal", "bspline5"),
+    "sh-linear": ("sh4", "linear"),
+    "ae-signal": ("signal", "ae"),
+    "ae-sh4": ("sh4", "ae"),
+}
+ALL_METHODS = tuple(METHODS)
 
 REGION_LABELS = {"wm": LABELS["wm"], "cgm": LABELS["cgm"], "cc": LABELS["cc"]}
 
@@ -155,10 +162,9 @@ class _Shared:
     """Per-experiment inputs every cell reads; built once, never written."""
 
     span: float  # range of the ground-truth signal, the signal_mse scale
-    b0_mean: Volume4D
     fa_gt: Volume4D
     md_gt: Volume4D
-    sh_coeffs: Volume4D  # full-volume SH fit
+    inputs: dict  # "signal", "sh4", "b0" -> the DWI, its full-volume SH fit, the b0 mean
     sh_basis: ShBasisMatrix  # the SH basis on the acquisition directions
     latents: dict = field(default_factory=dict)  # (model name, z) -> latent code
 
@@ -169,29 +175,10 @@ def _shared_inputs(data: PhantomData, lmax: int) -> _Shared:
     sh_coeffs = fit_sh(data.dwi, data.gtab, lmax=lmax).volume
     basis = sh_basis_matrix(data.gtab.bvecs, lmax)
     span = float(np.ptp(data.dwi.data)) or 1.0
-    return _Shared(span, b0, fa_gt, md_gt, sh_coeffs, basis)
+    return _Shared(span, fa_gt, md_gt, {"signal": data.dwi, "sh4": sh_coeffs, "b0": b0}, basis)
 
 
-def _model_input(data: PhantomData, shared: _Shared, name: str, z: int) -> SliceImage:
-    """Slice z of the volume the ``name`` model reads."""
-    volume = {"signal": data.dwi, "sh4": shared.sh_coeffs, "b0": shared.b0_mean}[name]
-    return volume.slice_at(z)
-
-
-def _decode(data, shared: _Shared, models, name: str, gap: GapSpec) -> list[SliceImage]:
-    """The ``name`` model's slices for the gap, from its neighbors' latent codes."""
-    z_prev, z_next = gap.neighbors
-    return decode_gap(
-        models[name],
-        shared.latents[(name, z_prev)],
-        shared.latents[(name, z_next)],
-        _model_input(data, shared, name, z_prev),
-        _model_input(data, shared, name, z_next),
-        gap,
-    )
-
-
-def _with_latents(data, shared: _Shared, pool, methods, gaps, n_values, models):
+def _with_latents(shared: _Shared, pool, methods, gaps, n_values, models):
     """``shared`` plus the latent code of every neighbor slice the grid's
     autoencoder cells read, one per (model, z).
 
@@ -200,28 +187,41 @@ def _with_latents(data, shared: _Shared, pool, methods, gaps, n_values, models):
     parallel work: the signal net carries nearly all encoded items (one per
     direction), so one call per model would run them on one thread.
     """
-    names = sorted({name for m in methods for name in MODEL_NEEDS.get(m, ())})
+    ae_domains = {METHODS[m][0] for m in methods if METHODS[m][1] == "ae"}
+    names = sorted(ae_domains | {"b0"}) if ae_domains else []
     neighbors = sorted({z for n in n_values for g in gaps for z in GapSpec(g, n).neighbors})
     keys = [(name, z) for name in names for z in neighbors]
     codes = pool.map(
-        lambda key: encode_slice(models[key[0]], _model_input(data, shared, *key)), keys
+        lambda key: encode_slice(models[key[0]], shared.inputs[key[0]].slice_at(key[1])), keys
     )
     return replace(shared, latents=dict(zip(keys, codes)))
 
 
+def _estimate(shared: _Shared, name: str, estimator: str, gap: GapSpec, models):
+    """The gap's slices of ``shared.inputs[name]`` by one estimator: an
+    interpolation kind, or the ``name`` model decoding its neighbors' codes."""
+    volume = shared.inputs[name]
+    if estimator != "ae":
+        return interp_missing_slices(volume, gap, estimator)
+    z_prev, z_next = gap.neighbors
+    return decode_gap(
+        models[name],
+        shared.latents[(name, z_prev)],
+        shared.latents[(name, z_next)],
+        volume.slice_at(z_prev),
+        volume.slice_at(z_next),
+        gap,
+    )
+
+
 def _estimate_slices(data: PhantomData, shared: _Shared, method, gap: GapSpec, models):
-    """Returns (dwi slice estimates, b0 slice estimates) for one cell; the
-    SH-domain methods estimate coefficients, projected onto the directions."""
-    if method in MODEL_NEEDS:
-        signal_net, b0_net = MODEL_NEEDS[method]
-        slices = _decode(data, shared, models, signal_net, gap)
-        b0_slices = _decode(data, shared, models, b0_net, gap)
-    else:
-        kind = "linear" if method == "sh-linear" else method
-        source = shared.sh_coeffs if method == "sh-linear" else data.dwi
-        slices = interp_missing_slices(source, gap, kind)
-        b0_slices = interp_missing_slices(shared.b0_mean, gap, kind)
-    if method in ("sh-linear", "ae-sh4"):
+    """Returns (dwi slice estimates, b0 slice estimates) for one cell: the
+    method's estimator on its domain and on b0, both read from
+    ``shared.inputs``. SH-domain estimates are projected onto the directions."""
+    domain, estimator = METHODS[method]
+    slices = _estimate(shared, domain, estimator, gap, models)
+    b0_slices = _estimate(shared, "b0", estimator, gap, models)
+    if domain == "sh4":
         slices = [SliceImage(project_sh_slice(s.data, shared.sh_basis)) for s in slices]
     return slices, b0_slices
 
@@ -267,13 +267,13 @@ def default_gaps(z_dim: int) -> list[int]:
 
 def _sh_bound_for_gap(data: PhantomData, shared: _Shared, gap: GapSpec) -> float:
     """The SH fit-project error of the gap's ground-truth slices."""
-    recon = project_sh_slice(_gap_slab(shared.sh_coeffs, gap), shared.sh_basis)
+    recon = project_sh_slice(_gap_slab(shared.inputs["sh4"], gap), shared.sh_basis)
     return _normalized_mse(recon, _gap_slab(data.dwi, gap), shared.span)
 
 
 def run_experiment(
     data: PhantomData,
-    methods=CLASSICAL_METHODS + ("sh-linear",),
+    methods=("linear", "cubic", "bspline5", "sh-linear"),
     gaps=(3, 5, 7, 9, 11),
     n_values=(1, 2),
     models=None,
@@ -284,23 +284,23 @@ def run_experiment(
     """Run the full method x N x gap grid and assemble the report.
 
     ``models`` maps {'signal', 'sh4', 'b0'} to Autoencoder instances for the
-    model-based methods. They are shared, not copied: every cell reads the
-    caller's instances, which inference never writes to (a ``train=False``
-    forward keeps no layer state), and they must not be trained or otherwise
-    mutated while the grid runs. One thread pool of ``max(1, threads or 1)``
-    workers first encodes each neighbor slice the autoencoder cells read,
-    once per model, then runs the cells; report assembly is always in fixed
-    order, so the worker count never changes the report. The pool runs with
-    one BLAS thread, so its threads do not oversubscribe the cores and ``threads``
-    never changes what a task computes; the setting is process-wide while
-    the pool runs and the previous count is restored afterwards. A method's
-    ``timing`` is the sum of its cells' run times, each covering the cell's
-    estimates (its b0 slices included), tensor fit and scores but not the
-    shared per-experiment work. ``methods``, ``gaps`` and ``n_values`` must
-    be non-empty and free of repeats, and every gap must keep a neighbor
-    slice on both sides. ``folds`` > 1 adds a per-fold breakdown (gap
-    positions split round-robin), the desk-scale stand-in for subject-level
-    cross-validation.
+    ``ae`` methods of :data:`METHODS`. They are shared, not copied: every cell
+    reads the caller's instances, which inference never writes to (a
+    ``train=False`` forward keeps no layer state), and they must not be
+    trained or otherwise mutated while the grid runs. One thread pool of
+    ``max(1, threads or 1)`` workers first encodes each neighbor slice the
+    autoencoder cells read, once per model, then runs the cells; report
+    assembly is always in fixed order, so the worker count never changes the
+    report. The pool runs with one BLAS thread, so its threads do not
+    oversubscribe the cores and ``threads`` never changes what a task
+    computes; the setting is process-wide while the pool runs and the previous
+    count is restored afterwards. A method's ``timing`` is the sum of its
+    cells' run times, each covering the cell's estimates (its b0 slices
+    included), tensor fit and scores but not the shared per-experiment work.
+    ``methods``, ``gaps`` and ``n_values`` must be non-empty and free of
+    repeats, and every gap must keep a neighbor slice on both sides. ``folds``
+    > 1 adds a per-fold breakdown (gap positions split round-robin), the
+    desk-scale stand-in for subject-level cross-validation.
     """
     methods = list(methods)
     gaps = [int(z) for z in gaps]
@@ -311,11 +311,11 @@ def run_experiment(
         if len(set(values)) != len(values):
             raise ShapeError(f"{axis} must not repeat a value, got {values}")
     for m in methods:
-        if m not in ALL_METHODS:
+        if m not in METHODS:
             raise ShapeError(f"unknown method {m!r} (choose from {ALL_METHODS})")
-        needs = MODEL_NEEDS.get(m, ())
-        if needs and (models is None or any(name not in models for name in needs)):
-            raise ModelMissing(f"{m} needs {needs[0]!r} and {needs[1]!r} models")
+        domain, estimator = METHODS[m]
+        if estimator == "ae" and (models is None or not {domain, "b0"} <= models.keys()):
+            raise ModelMissing(f"{m} needs {domain!r} and 'b0' models")
     if folds < 1 or folds > len(gaps):
         raise ShapeError(f"folds must lie in [1, {len(gaps)}], got {folds}")
     for n in n_values:
@@ -336,7 +336,7 @@ def run_experiment(
 
     jobs = [(n, m, g) for n in n_values for m in methods for g in gaps]
     with one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
-        shared = _with_latents(data, shared, pool, methods, gaps, n_values, models)
+        shared = _with_latents(shared, pool, methods, gaps, n_values, models)
         scores = pool.map(
             lambda job: _evaluate_cell(data, shared, job[1], GapSpec(job[2], job[0]), models),
             jobs,

@@ -70,32 +70,17 @@ def histogram_match(source: SliceImage, reference: SliceImage) -> SliceImage:
     return SliceImage(out)
 
 
-def _to_batches(data: np.ndarray, model: Autoencoder):
-    """Arrange a (C, W, H) slice for the model: (1, C, W, H) when channel
-    counts match, else C single-channel items for a 1-channel model."""
-    c = data.shape[0]
-    if model.cfg.input_channels == c:
-        return data[None]
-    if model.cfg.input_channels == 1:
-        return data[:, None]
-    raise ShapeError(
-        f"model expects {model.cfg.input_channels} channels, slice has {c}"
-    )
-
-
-def _from_batches(batch: np.ndarray, channels: int) -> np.ndarray:
-    if batch.shape[0] == 1 and batch.shape[1] == channels:
-        return batch[0].transpose(1, 2, 0)
-    return batch[:, 0].transpose(1, 2, 0)
-
-
 def _model_items(model: Autoencoder, s: SliceImage) -> np.ndarray:
     """One slice as the model's input items: each channel min-max
     normalized, the slice center-cropped or padded onto the model grid, as
-    one item, or as one item per channel for a 1-channel model."""
+    one item of all its channels, or one item per channel for a 1-channel
+    model. Either way the items, read in order, hold the slice's channels in
+    order, which :func:`decode_gap` relies on to undo the layout."""
+    c, size = model.cfg.input_channels, model.cfg.input_size
+    if c not in (1, s.channels):
+        raise ShapeError(f"model expects {c} channels, slice has {s.channels}")
     chw = normalize_slice(s).data.transpose(2, 0, 1)
-    cropped, _ = center_crop_pad(chw, model.cfg.input_size)
-    return _to_batches(cropped, model)
+    return center_crop_pad(chw, size).reshape(-1, c, size, size)
 
 
 def encode_slice(model: Autoencoder, s: SliceImage) -> np.ndarray:
@@ -115,13 +100,14 @@ def decode_gap(
     one image per missing slice, histogram-matched to the neighbors."""
     if prev_slice.data.shape != next_slice.data.shape:
         raise ShapeError("adjacent slices must share a shape")
-    src, dst = crop_windows(prev_slice.data.shape[:2], model.cfg.input_size)
+    size = model.cfg.input_size
+    src, dst = crop_windows(prev_slice.data.shape[:2], size)
     blended = [blend_latents(z_prev, z_next, w_prev) for w_prev, _ in gap.weights]
     decoded = np.split(model.decode(np.concatenate(blended)), len(blended))
 
     outputs = []
     for (w_prev, w_next), batch in zip(gap.weights, decoded):
-        raw = _from_batches(batch, prev_slice.channels)
+        raw = batch.reshape(prev_slice.channels, size, size).transpose(1, 2, 0)
         reference = w_prev * prev_slice.data + w_next * next_slice.data
         # Histogram-match over the model's real field of view (padding and
         # crop borders excluded); anything outside the crop falls back to the
@@ -174,9 +160,11 @@ def infer_gap_sh(
 ) -> tuple[list[SliceImage], list[SliceImage]]:
     """SH-domain gap inference plus matching b0 slices.
 
-    The two neighbor slices are SH-fit, the coefficient stacks inferred with
-    the SH model, the histogram-matched outputs projected back onto the
-    acquisition directions. The b0 slices come from the 1-channel b0 model
+    The two neighbor slices are SH-fit at order ``lmax`` with no
+    regularization, as the sh4 nets are trained, the coefficient stacks
+    inferred with the SH model, which must read that order's coefficients,
+    and the histogram-matched outputs projected back onto the acquisition
+    directions. The b0 slices come from the 1-channel b0 model
     applied to the voxelwise mean of the b0 volumes at the two neighbors;
     both are returned so a tensor fit can run downstream.
     """

@@ -33,6 +33,15 @@ def n_coefficients(lmax: int) -> int:
     return (lmax + 1) * (lmax + 2) // 2
 
 
+def lmax_for(n: int) -> int:
+    """The order whose basis has ``n`` coefficients; InvalidOrder if none has."""
+    for lmax in SUPPORTED_LMAX:
+        if n_coefficients(lmax) == n:
+            return lmax
+    counts = tuple(map(n_coefficients, SUPPORTED_LMAX))
+    raise InvalidOrder(f"no SH order has {n} coefficients; orders {SUPPORTED_LMAX} have {counts}")
+
+
 def order_index(lmax: int) -> list[tuple[int, int]]:
     """(l, m) pairs in basis order: l ascending (even only), m from -l to l."""
     return [(l, m) for l in range(0, lmax + 1, 2) for m in range(-l, l + 1)]
@@ -42,9 +51,8 @@ def order_index(lmax: int) -> list[tuple[int, int]]:
 class ShBasisMatrix:
     """Sampling matrix of the real symmetric SH basis on a direction set."""
 
-    matrix: np.ndarray  # (D, R)
+    matrix: np.ndarray  # (D, R), columns in :func:`order_index` order
     lmax: int
-    order_index: tuple[tuple[int, int], ...]
 
     @property
     def n_directions(self) -> int:
@@ -90,7 +98,7 @@ def sh_basis_matrix(directions, lmax: int) -> ShBasisMatrix:
             mat[:, j] = norm * leg
         else:
             mat[:, j] = math.sqrt(2.0) * norm * leg * np.sin(m * phi)
-    return ShBasisMatrix(matrix=mat, lmax=lmax, order_index=tuple(pairs))
+    return ShBasisMatrix(matrix=mat, lmax=lmax)
 
 
 def laplace_beltrami_diagonal(lmax: int) -> np.ndarray:

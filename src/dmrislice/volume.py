@@ -333,13 +333,11 @@ def crop_windows(shape: tuple[int, int], size: int) -> tuple[tuple, tuple]:
     return tuple(src), tuple(dst)
 
 
-def center_crop_pad(data: np.ndarray, size: int) -> tuple[np.ndarray, tuple]:
-    """Center-crop or zero-pad the last two axes of ``data`` to (size, size).
-
-    Returns the result and the :func:`crop_windows` of those two axes:
-    ``out[..., *dst] == data[..., *src]``.
-    """
+def center_crop_pad(data: np.ndarray, size: int) -> np.ndarray:
+    """Center-crop or zero-pad the last two axes of ``data`` to (size, size):
+    with ``src, dst`` the :func:`crop_windows` of those two axes,
+    ``out[..., *dst] == data[..., *src]``."""
     src, dst = crop_windows(data.shape[-2:], size)
     out = np.zeros(data.shape[:-2] + (size, size))
     out[(...,) + dst] = data[(...,) + src]
-    return out, (src, dst)
+    return out

@@ -86,7 +86,7 @@ def check_model_gradients(model, x, n_per_tensor=8, seed=1234):
     rng = np.random.default_rng(seed)
 
     def loss():
-        y, _ = model.forward(x, train=True)
+        y = model.forward(x, train=True)
         d = y - x
         return float(np.mean(d * d))
 

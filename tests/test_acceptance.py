@@ -29,9 +29,9 @@ from dmrislice import (
     wilcoxon_signed_rank,
 )
 from dmrislice.ae import (
+    Autoencoder,
     ModelConfig,
     TrainConfig,
-    build_model,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -201,7 +201,7 @@ def test_criterion_05_gradient_checks():
 
     # composed reduced network: widths /8 of the full model, 16x16 input
     cfg = ModelConfig(input_channels=1, latent_maps=4, input_size=16, base_width=4, seed=5)
-    model = build_model(cfg)
+    model = Autoencoder(cfg)
     batch = np.random.default_rng(6).uniform(0.05, 0.95, (2, 1, 16, 16))
     worst = check_model_gradients(model, batch, n_per_tensor=8, seed=1234)
     elapsed = time.perf_counter() - start
@@ -374,7 +374,7 @@ def test_criterion_10_io_fidelity(tmp_path):
 
     # a trained channels=15 / M=64 checkpoint reports an 8x8x64 latent
     cfg = ModelConfig(input_channels=15, latent_maps=64, input_size=128, seed=10)
-    model = build_model(cfg)
+    model = Autoencoder(cfg)
     batch = rng.uniform(0, 1, (2, 15, 128, 128))
     from dmrislice.ae import Adam
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutation
-from dmrislice.ae import ModelConfig, build_model, load_checkpoint, save_checkpoint
-from dmrislice.cli import build_parser, dispatch, parse_config_file
+from dmrislice.ae import Autoencoder, ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
+from dmrislice.ae.train import _split
+from dmrislice.cli import _build_dataset, build_parser, dispatch, parse_config_file
 from dmrislice.errors import DmrisliceError, ShapeError
 from dmrislice.nifti import read_nifti, write_nifti
 from dmrislice.sh import ShCoeffVolume, read_sh, write_sh
@@ -155,7 +156,7 @@ def test_slice_files_line_up_with_their_volume(study_dir, tmp_path):
     _assert_slice_files_line_up(out, [(3, "slice_003.nii"), (4, "slice_004.nii")])
 
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
+    save_checkpoint(Autoencoder(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
     out = tmp_path / "infer"
     assert dispatch(["infer", "--data", str(study), "--model", str(ckpt), "--b0-model",
                      str(ckpt), "--gap-start", "3", "--n", "2", "--out", str(out)]) == 0
@@ -206,6 +207,33 @@ def test_train_sh4_and_infer_sh_domain(study_dir, tmp_path):
     assert (out / "b0_slice_003.nii").exists()
 
 
+def test_infer_reads_the_sh_order_from_the_sh4_net(study_dir, tmp_path, capsys):
+    sh_ckpt, b0_ckpt = tmp_path / "sh2.ckpt", tmp_path / "b0.ckpt"
+    assert dispatch(
+        ["train", "--data", str(study_dir), "--net", "sh4", "--lmax", "2", "--m", "2",
+         "--base-width", "1", "--epochs", "1", "--batch", "4", "--split-by", "slice",
+         "--out", str(sh_ckpt)]
+    ) == 0
+    assert load_checkpoint(sh_ckpt).cfg.input_channels == 6
+    save_checkpoint(Autoencoder(ModelConfig(latent_maps=2, input_size=16, base_width=1)), b0_ckpt)
+    infer = ["infer", "--data", str(study_dir), "--b0-model", str(b0_ckpt), "--domain", "sh4",
+             "--gap-start", "3"]
+    out = tmp_path / "sh2_inferred"
+    assert dispatch([*infer, "--model", str(sh_ckpt), "--out", str(out)]) == 0
+    assert read_nifti(out / "slice_003.nii").dims == (16, 16, 1, 20)
+
+    # Three channels are no SH coefficient count (1, 6, 15, ...).
+    odd = tmp_path / "odd.ckpt"
+    save_checkpoint(
+        Autoencoder(ModelConfig(input_channels=3, latent_maps=2, input_size=16, base_width=1)),
+        odd,
+    )
+    capsys.readouterr()
+    assert dispatch([*infer, "--model", str(odd), "--out", str(tmp_path / "odd")]) == 2
+    err = capsys.readouterr().err
+    assert "no SH order has 3 coefficients" in err and err.count("\n") == 1
+
+
 def test_train_multiple_subjects_split(study_dir, tmp_path):
     # a second study acts as a second subject; the default split is by subject
     other = tmp_path / "study_b"
@@ -220,6 +248,19 @@ def test_train_multiple_subjects_split(study_dir, tmp_path):
          "--lr", "1e-3", "--out", str(ckpt)]
     )
     assert code == 0 and ckpt.exists()
+
+    # Two studies in directories of one name are two subjects, each held out whole.
+    a, b = tmp_path / "a" / "study", tmp_path / "b" / "study"
+    shutil.copytree(study_dir, a)
+    shutil.copytree(other, b)
+    argv = [*TRAIN, "--split-by", "subject", "--data", str(a), str(b),
+            "--out", str(tmp_path / "same_name.ckpt")]
+    dataset = _build_dataset(build_parser().parse_args(argv))
+    assert len({s.subject for s in dataset}) == 2
+    train_idx, val_idx = _split(dataset, TrainConfig(), np.random.default_rng(0))
+    held_out = {dataset[i].subject for i in val_idx}
+    assert held_out and held_out.isdisjoint(dataset[i].subject for i in train_idx)
+    assert dispatch(argv) == 0
 
 
 def test_evaluate_report(study_dir, tmp_path):
@@ -273,7 +314,7 @@ def test_malformed_labels_and_masks_exit_2(study_dir, tmp_path, capsys, bad):
 
 def test_corrupt_checkpoint_exits_2(study_dir, tmp_path):
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
+    save_checkpoint(Autoencoder(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
     ckpt.write_bytes(ckpt.read_bytes() + b"\x00")  # a byte after the last tensor
     code = dispatch(
         ["infer", "--data", str(study_dir), "--model", str(ckpt), "--gap-start", "3",
@@ -284,7 +325,7 @@ def test_corrupt_checkpoint_exits_2(study_dir, tmp_path):
 
 def test_checkpoint_with_a_nan_weight_exits_2(study_dir, tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
+    save_checkpoint(Autoencoder(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
     raw = bytearray(ckpt.read_bytes())
     first_value = 9 + int.from_bytes(raw[5:9], "little")  # layer00.w[0, 0, 0, 0]
     raw[first_value : first_value + 4] = np.float32(np.nan).tobytes()
@@ -303,7 +344,7 @@ def test_checkpoint_with_the_removed_config_keys_exits_2(study_dir, tmp_path, ca
     # The header config of checkpoints saved while the decoder mode and the
     # batch-norm constants were model options: three keys more than today's.
     ckpt = tmp_path / "old.ckpt"
-    save_checkpoint(build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
+    save_checkpoint(Autoencoder(ModelConfig(latent_maps=2, input_size=16, base_width=1)), ckpt)
     raw = ckpt.read_bytes()
     n = int.from_bytes(raw[5:9], "little")
     header = json.loads(raw[9 : 9 + n])
@@ -320,6 +361,25 @@ def test_checkpoint_with_the_removed_config_keys_exits_2(study_dir, tmp_path, ca
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
         assert "config must hold exactly the keys" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, option, value", [("train", "reg", "0"), ("infer", "lmax", "4")])
+def test_options_that_served_one_value_are_usage_errors(
+    study_dir, tmp_path, command, option, value
+):
+    # train fits SH with lambda = 0 for the sh4 net, as infer and evaluate do;
+    # infer reads the SH order from the sh4 net.
+    argv = {
+        "train": ["train", "--data", str(study_dir), "--net", "sh4"],
+        "infer": ["infer", "--data", str(study_dir), "--model", "m.ckpt", "--gap-start", "3"],
+    }[command] + ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv + [f"--{option}", value])
+    assert exc.value.code == 1
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(f"{option} = {value}\n")
+    assert dispatch(argv + ["--config", str(cfg)]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_removed_upsample_option_is_a_usage_error(study_dir, tmp_path):

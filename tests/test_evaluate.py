@@ -6,7 +6,7 @@ import pytest
 
 import dmrislice.evaluate as evaluate
 import dmrislice.inference as inference
-from dmrislice.ae import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from dmrislice.ae import Autoencoder, ModelConfig, load_checkpoint, save_checkpoint
 from dmrislice.dti import _eigvals_sym3, fit_dti
 from dmrislice.errors import EmptyMask, ModelMissing, ShapeError
 from dmrislice.evaluate import REGION_LABELS, mse_region, run_experiment
@@ -141,9 +141,9 @@ def test_determinism_modulo_timing(noisy_phantom):
 
 def _grid_models():
     return {
-        "signal": build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=0)),
-        "b0": build_model(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=1)),
-        "sh4": build_model(
+        "signal": Autoencoder(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=0)),
+        "b0": Autoencoder(ModelConfig(latent_maps=2, input_size=16, base_width=1, seed=1)),
+        "sh4": Autoencoder(
             ModelConfig(input_channels=15, latent_maps=2, input_size=16, base_width=1, seed=2)
         ),
     }

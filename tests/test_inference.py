@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmrislice.ae import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from dmrislice.ae import Autoencoder, ModelConfig, load_checkpoint, save_checkpoint
 from dmrislice.errors import BoundaryGap, ShapeError
 from dmrislice.inference import (
     GapSpec,
@@ -14,7 +14,7 @@ from dmrislice.inference import (
     infer_gap_signal,
 )
 from dmrislice.phantom import PhantomSpec, make_phantom
-from dmrislice.volume import SliceImage, Volume4D, center_crop_pad, normalize_slice
+from dmrislice.volume import SliceImage, Volume4D, center_crop_pad, crop_windows, normalize_slice
 
 MODEL16 = ModelConfig(input_channels=1, latent_maps=2, input_size=16, base_width=1, seed=0)
 
@@ -113,7 +113,8 @@ def test_crop_pad_roundtrip():
     rng = np.random.default_rng(6)
     for w, h in ((10, 14), (20, 24), (16, 16)):
         data = rng.random((2, w, h))
-        cropped, (src, dst) = center_crop_pad(data, 16)
+        cropped = center_crop_pad(data, 16)
+        src, dst = crop_windows((w, h), 16)
         assert cropped.shape == (2, 16, 16)
         restored = np.zeros_like(data)
         restored[(...,) + src] = cropped[(...,) + dst]
@@ -127,7 +128,7 @@ def test_crop_pad_roundtrip():
 
 @pytest.fixture(scope="module")
 def model16():
-    return build_model(MODEL16)
+    return Autoencoder(MODEL16)
 
 
 def test_infer_identical_neighbors_fixed_point(model16):
@@ -176,7 +177,7 @@ def test_infer_swap_symmetry(model16):
 def test_float64_head_keeps_saturated_outputs_distinct(tmp_path):
     # A head bias of +16 puts every sigmoid output within ~1e-7 of 1, where
     # float32 spacing would fold them into a few ties.
-    model = build_model(replace(MODEL16, base_width=2, seed=5))
+    model = Autoencoder(replace(MODEL16, base_width=2, seed=5))
     model.decoder[-1].params["b"][:] = 16.0
     save_checkpoint(model, tmp_path / "m.ckpt")
     loaded = load_checkpoint(tmp_path / "m.ckpt")
@@ -215,7 +216,8 @@ def per_call_inference(model, prev_slice, next_slice, gap):
     latents = []
     for s in (prev_slice, next_slice):
         chw = normalize_slice(s).data.transpose(2, 0, 1)
-        cropped, (src, dst) = center_crop_pad(chw, model.cfg.input_size)
+        cropped = center_crop_pad(chw, model.cfg.input_size)
+        src, dst = crop_windows(chw.shape[1:], model.cfg.input_size)
         latents.append(model.encode(cropped[None] if one_item else cropped[:, None]))
     decoded, slices = [], []
     for w_prev, w_next in gap.weights:
@@ -243,7 +245,7 @@ BATCHING_CASES = {
 @pytest.mark.parametrize("case", BATCHING_CASES.values(), ids=BATCHING_CASES.keys())
 def test_one_encode_and_one_decode_match_per_call_inference(case):
     model_c, slice_c, n, encode_items, decode_items = case
-    model = build_model(
+    model = Autoencoder(
         ModelConfig(input_channels=model_c, latent_maps=2, input_size=16, base_width=1, seed=4)
     )
     rng = np.random.default_rng(15)
@@ -282,10 +284,10 @@ def test_one_encode_and_one_decode_match_per_call_inference(case):
 
 def test_infer_gap_sh_shapes():
     data = make_phantom(PhantomSpec(dims=(16, 16, 8), n_directions=20, n_b0=2))
-    sh_model = build_model(
+    sh_model = Autoencoder(
         ModelConfig(input_channels=15, latent_maps=2, input_size=16, base_width=1, seed=1)
     )
-    b0_model = build_model(MODEL16)
+    b0_model = Autoencoder(MODEL16)
     dwi_slices, b0_slices = infer_gap_sh(
         sh_model, b0_model, data.dwi, data.b0, data.gtab, GapSpec(3, 2)
     )
@@ -327,7 +329,7 @@ def test_overfit_sh_inference_reaches_representability_bound():
     )
     ckpt = train(dataset, cfg, mcfg)
 
-    b0_model = build_model(
+    b0_model = Autoencoder(
         ModelConfig(input_channels=1, latent_maps=4, input_size=32, base_width=2, seed=2)
     )
     dwi_slices, _ = infer_gap_sh(ckpt.model, b0_model, dwi, base.b0, base.gtab, gap)
@@ -340,10 +342,10 @@ def test_overfit_sh_inference_reaches_representability_bound():
 def test_infer_gap_sh_15_direction_regime():
     # few-direction, lower-b inputs run through the same pipeline
     data = make_phantom(PhantomSpec(dims=(16, 16, 8), n_directions=15, b_value=700.0, n_b0=1))
-    sh_model = build_model(
+    sh_model = Autoencoder(
         ModelConfig(input_channels=15, latent_maps=2, input_size=16, base_width=1, seed=2)
     )
-    b0_model = build_model(MODEL16)
+    b0_model = Autoencoder(MODEL16)
     dwi_slices, _ = infer_gap_sh(
         sh_model, b0_model, data.dwi, data.b0, data.gtab, GapSpec(3, 1)
     )

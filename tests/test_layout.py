@@ -8,7 +8,7 @@ boolean indexing on the v axis returns); the outputs must agree bit for bit.
 import numpy as np
 import pytest
 
-from dmrislice.ae import ModelConfig, build_model
+from dmrislice.ae import Autoencoder, ModelConfig
 from dmrislice.dti import fit_dti
 from dmrislice.inference import infer_gap_sh, infer_gap_signal
 from dmrislice.interp import KINDS, interp_missing_slices
@@ -66,7 +66,7 @@ def test_interpolation_ignores_the_input_layout(phantom, method):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_sh_inference_ignores_the_input_layout(phantom, n):
-    sh_model, b0_model = build_model(TINY_SH), build_model(TINY_B0)
+    sh_model, b0_model = Autoencoder(TINY_SH), Autoencoder(TINY_B0)
     outputs = []
     for dwi, b0 in zip(_layouts(phantom.dwi), _layouts(phantom.b0)):
         dwi_slices, b0_slices = infer_gap_sh(

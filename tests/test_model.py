@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, given, settings
 
 from dmrislice.ae import (
     Adam,
+    Autoencoder,
     ModelConfig,
-    build_model,
     load_checkpoint,
     save_checkpoint,
 )
@@ -38,7 +38,7 @@ def test_model_config_fields():
 def test_latent_shapes_full_scale():
     # 128 -> 8 through four 2x2 poolings; M maps in the bottleneck.
     cfg = ModelConfig(input_channels=15, latent_maps=64, input_size=128, seed=0)
-    model = build_model(cfg)
+    model = Autoencoder(cfg)
     x = np.random.default_rng(0).uniform(0, 1, (1, 15, 128, 128))
     z = model.encode(x)
     assert z.shape == (1, 64, 8, 8)
@@ -46,13 +46,13 @@ def test_latent_shapes_full_scale():
     assert y.shape == x.shape
 
     cfg_b0 = ModelConfig(input_channels=1, latent_maps=32, input_size=128, seed=0)
-    z0 = build_model(cfg_b0).encode(x[:, :1])
+    z0 = Autoencoder(cfg_b0).encode(x[:, :1])
     assert z0.shape == (1, 32, 8, 8)
 
 
 def test_encoder_halves_spatial_dims():
     cfg = ModelConfig(input_channels=1, latent_maps=4, input_size=64, base_width=2, seed=1)
-    model = build_model(cfg)
+    model = Autoencoder(cfg)
     x = np.random.default_rng(1).uniform(0, 1, (1, 1, 64, 64))
     sizes = []
     for layer in model.encoder:
@@ -64,7 +64,7 @@ def test_encoder_halves_spatial_dims():
 def test_decoder_defaults_to_nearest_upsampling():
     from dmrislice.ae.layers import Conv2D, Head, UpsampleConv2D
 
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     kinds = [type(layer) for layer in model.decoder]
     assert kinds == [Conv2D] + [UpsampleConv2D] * 4 + [Head]
 
@@ -81,7 +81,7 @@ SHAPES = {
 def test_every_shape_has_one_layer_per_block_and_its_manifest(cfg):
     from dmrislice.ae.layers import AvgPool2x2, Conv2D, Head, UpsampleConv2D
 
-    model = build_model(cfg)
+    model = Autoencoder(cfg)
     kinds = [type(layer) for layer in model.encoder + model.decoder]
     assert len(kinds) == 21
     assert kinds.count(Conv2D) == 12 and kinds.count(UpsampleConv2D) == 4
@@ -91,32 +91,30 @@ def test_every_shape_has_one_layer_per_block_and_its_manifest(cfg):
 
 
 def test_output_in_unit_interval():
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     x = np.random.default_rng(2).uniform(0, 1, (3, 1, 16, 16))
-    y, _ = model.forward(x)
+    y = model.forward(x)
     assert np.all(y > 0.0) and np.all(y < 1.0)
 
 
 def test_same_seed_same_parameters():
-    a = build_model(TINY)
-    b = build_model(TINY)
+    a = Autoencoder(TINY)
+    b = Autoencoder(TINY)
     for (na, pa), (nb, pb) in zip(a.parameters(), b.parameters()):
         assert na == nb
         assert np.array_equal(pa, pb)
 
 
 def test_encode_decode_equals_forward():
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     x = np.random.default_rng(3).uniform(0, 1, (2, 1, 16, 16))
-    y, z = model.forward(x, train=False)
-    z2 = model.encode(x, train=False)
-    y2 = model.decode(z2, train=False)
-    assert np.array_equal(z, z2)
+    y = model.forward(x, train=False)
+    y2 = model.decode(model.encode(x, train=False), train=False)
     assert np.array_equal(y, y2)
 
 
 def test_inference_writes_no_layer_state():
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     rng = np.random.default_rng(13)
     model.loss_and_grads(rng.uniform(0, 1, (4, 1, 16, 16)))  # running stats, grads
     x = rng.uniform(0, 1, (3, 1, 16, 16))
@@ -129,7 +127,7 @@ def test_inference_writes_no_layer_state():
 
 
 def test_two_threads_share_one_model():
-    model = build_model(ModelConfig(latent_maps=2, input_size=32, base_width=2, seed=4))
+    model = Autoencoder(ModelConfig(latent_maps=2, input_size=32, base_width=2, seed=4))
     rng = np.random.default_rng(14)
     inputs = [rng.uniform(0, 1, (3, 1, 32, 32)), rng.uniform(0, 1, (5, 1, 32, 32))]
 
@@ -152,7 +150,7 @@ def test_two_threads_share_one_model():
 
 
 def test_decoder_is_function_of_latent_only():
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     z = np.zeros((1, 2, 1, 1))
     a = model.decode(z)
     b = model.decode(z)
@@ -160,7 +158,7 @@ def test_decoder_is_function_of_latent_only():
 
 
 def test_identical_inputs_identical_latents():
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     x = np.random.default_rng(4).uniform(0, 1, (1, 1, 16, 16))
     batch = np.concatenate([x, x])
     z = model.encode(batch)
@@ -168,7 +166,7 @@ def test_identical_inputs_identical_latents():
 
 
 def test_shape_errors():
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     with pytest.raises(ShapeError):
         model.encode(np.zeros((1, 2, 16, 16)))  # wrong channels
     with pytest.raises(ShapeError):
@@ -179,7 +177,7 @@ def test_shape_errors():
 
 @pytest.mark.parametrize("side", [3, 2, 0])
 def test_decode_rejects_a_latent_of_another_spatial_size(side):
-    model = build_model(TINY)  # 16-pixel input, so a 1x1 latent
+    model = Autoencoder(TINY)  # 16-pixel input, so a 1x1 latent
     want = rf"latent must be \(B, 2, 1, 1\), got \(1, 2, {side}, {side}\)"
     with pytest.raises(ShapeError, match=want):
         model.decode(np.zeros((1, 2, side, side)))
@@ -189,7 +187,7 @@ def test_loss_zero_when_output_equals_input():
     # Feeding the model's own eval-mode output as both input and target is
     # impractical; instead verify the loss/grad identities directly on a
     # crafted case: identical duplicated batches give identical mean grads.
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     x = np.random.default_rng(5).uniform(0, 1, (2, 1, 16, 16))
     mse1, grads1 = model.loss_and_grads(x)
     mse2, grads2 = model.loss_and_grads(np.concatenate([x, x]))
@@ -200,11 +198,11 @@ def test_loss_zero_when_output_equals_input():
 
 def test_first_layer_input_gradient_skipped_with_identical_parameter_gradients():
     x = np.random.default_rng(13).uniform(0, 1, (2, 1, 16, 16))
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     mse, grads = model.loss_and_grads(x)
     # The full backward, down to the gradient w.r.t. the batch.
-    full = build_model(TINY)
-    y, _ = full.forward(x, train=True)
+    full = Autoencoder(TINY)
+    y = full.forward(x, train=True)
     diff = y - x
     assert float(np.mean(diff * diff)) == mse
     grad = 2.0 * diff / diff.size
@@ -220,12 +218,12 @@ def test_loss_and_grads_leaves_the_batch_unchanged():
     # The first convolution caches the float64 batch itself, not a copy.
     x = np.random.default_rng(15).uniform(0, 1, (3, 1, 16, 16))
     before = x.copy()
-    build_model(TINY).loss_and_grads(x)
+    Autoencoder(TINY).loss_and_grads(x)
     assert np.array_equal(x, before)
 
 
 def test_composed_gradients_tiny_model():
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     x = np.random.default_rng(7).uniform(0.05, 0.95, (2, 1, 16, 16))
     worst = check_model_gradients(model, x, n_per_tensor=6, seed=11)
     assert worst < 1e-4
@@ -287,7 +285,7 @@ def test_adam_moment_decay():
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     # make running stats non-trivial
     model.forward(np.random.default_rng(9).uniform(0, 1, (2, 1, 16, 16)), train=True)
     p1 = tmp_path / "a.ckpt"
@@ -297,15 +295,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
     x = np.random.default_rng(10).uniform(0, 1, (1, 1, 16, 16))
-    y1, _ = loaded.forward(x)
-    y2, _ = load_checkpoint(p2).forward(x)
+    y1 = loaded.forward(x)
+    y2 = load_checkpoint(p2).forward(x)
     assert np.array_equal(y1, y2)
 
 
 def _saved_checkpoint(tmp_path):
     """A TINY checkpoint with non-trivial running statistics, and the float64
     model it was saved from."""
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     model.forward(np.random.default_rng(9).uniform(0, 1, (2, 1, 16, 16)), train=True)
     p = tmp_path / "m.ckpt"
     save_checkpoint(model, p)
@@ -321,7 +319,8 @@ def test_loaded_checkpoint_has_a_float32_body_and_a_float64_head(tmp_path):
         for arr in list(layer.params.values()) + list(layer.buffers.values()):
             assert arr.dtype == np.float32
     assert [arr.dtype for arr in head.params.values()] == [np.float64, np.float64]
-    y, z = model.forward(np.random.default_rng(10).uniform(0, 1, (2, 1, 16, 16)))
+    x = np.random.default_rng(10).uniform(0, 1, (2, 1, 16, 16))
+    y, z = model.forward(x), model.encode(x)
     assert z.dtype == np.float32 and y.dtype == np.float64
     save_checkpoint(model, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == p.read_bytes()
@@ -330,7 +329,7 @@ def test_loaded_checkpoint_has_a_float32_body_and_a_float64_head(tmp_path):
 def test_float64_conversion_of_a_loaded_model_is_the_stored_float64_model(tmp_path):
     p, saved = _saved_checkpoint(tmp_path)
     # Every stored value widened to float64: what a float64 loader builds.
-    stored = build_model(TINY)
+    stored = Autoencoder(TINY)
     params, buffers = saved.state_snapshot()
     stored.load_snapshot(
         ([a.astype(np.float32) for a in params], [a.astype(np.float32) for a in buffers])
@@ -342,7 +341,7 @@ def test_float64_conversion_of_a_loaded_model_is_the_stored_float64_model(tmp_pa
     ):
         assert a.dtype == np.float64 and np.array_equal(a, b)
     x = np.random.default_rng(10).uniform(0, 1, (2, 1, 16, 16))
-    for got, want in zip(model.forward(x), stored.forward(x)):
+    for got, want in [(model.forward(x), stored.forward(x)), (model.encode(x), stored.encode(x))]:
         assert got.dtype == np.float64 and np.array_equal(got, want)
     with pytest.raises(ShapeError):
         model.astype(np.float16)
@@ -377,13 +376,13 @@ def test_float32_body_gradients_have_their_parameters_dtype(tmp_path):
 
 def test_checkpoint_magic(tmp_path):
     p = tmp_path / "x.ckpt"
-    save_checkpoint(build_model(TINY), p)
+    save_checkpoint(Autoencoder(TINY), p)
     assert p.read_bytes()[:5] == b"DSAE1"
 
 
 def test_checkpoint_truncated(tmp_path):
     p = tmp_path / "x.ckpt"
-    save_checkpoint(build_model(TINY), p)
+    save_checkpoint(Autoencoder(TINY), p)
     raw = p.read_bytes()
     p.write_bytes(raw[: len(raw) - 16])
     with pytest.raises(ParseError):
@@ -392,7 +391,7 @@ def test_checkpoint_truncated(tmp_path):
 
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "x.ckpt"
-    save_checkpoint(build_model(TINY), p)
+    save_checkpoint(Autoencoder(TINY), p)
     raw = bytearray(p.read_bytes())
     raw[:5] = b"WRONG"
     p.write_bytes(bytes(raw))
@@ -430,7 +429,7 @@ def edit_entry(entry):
 
 def assert_rejected(tmp_path, edit):
     p = tmp_path / "x.ckpt"
-    save_checkpoint(build_model(TINY), p)
+    save_checkpoint(Autoencoder(TINY), p)
     rewrite_header(p, edit)
     with pytest.raises(ParseError):
         load_checkpoint(p)
@@ -489,7 +488,7 @@ def test_checkpoint_malformed_manifest_entry_rejected(tmp_path, edit):
 
 def test_tensor_manifest_matches_the_built_model():
     cfg = ModelConfig(input_channels=3, latent_maps=2, input_size=16, base_width=2)
-    model = build_model(cfg)
+    model = Autoencoder(cfg)
     built = [(name, arr.shape) for name, arr in model.parameters() + model.named_buffers()]
     assert tensor_manifest(cfg) == built
 
@@ -498,7 +497,7 @@ def test_corrupt_config_is_rejected_before_the_model_is_built(tmp_path):
     # base_width 91 names a model of ~140M parameters; the manifest of the
     # base_width 1 tensors must be found wrong without allocating it.
     p = tmp_path / "x.ckpt"
-    save_checkpoint(build_model(TINY), p)
+    save_checkpoint(Autoencoder(TINY), p)
     rewrite_header(p, edit_config(base_width=91))
     tracemalloc.start()
     try:
@@ -512,7 +511,7 @@ def test_corrupt_config_is_rejected_before_the_model_is_built(tmp_path):
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "x.ckpt"
-    save_checkpoint(build_model(TINY), p)
+    save_checkpoint(Autoencoder(TINY), p)
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(ParseError):
         load_checkpoint(p)
@@ -543,7 +542,7 @@ def write_tensor_value(path, name, value):
 )
 def test_checkpoint_with_malformed_tensor_values_rejected(tmp_path, name, value, message):
     p = tmp_path / "x.ckpt"
-    save_checkpoint(build_model(TINY), p)
+    save_checkpoint(Autoencoder(TINY), p)
     write_tensor_value(p, name, value)
     with pytest.raises(ParseError, match=f"{name} holds a {message}"):
         load_checkpoint(p)
@@ -551,7 +550,7 @@ def test_checkpoint_with_malformed_tensor_values_rejected(tmp_path, name, value,
 
 def test_checkpoint_with_a_zero_running_variance_loads(tmp_path):
     p = tmp_path / "x.ckpt"
-    save_checkpoint(build_model(TINY), p)
+    save_checkpoint(Autoencoder(TINY), p)
     write_tensor_value(p, "layer01.running_var", 0.0)
     model = load_checkpoint(p)
     assert model.encoder[0].buffers["running_var"][0] == 0.0
@@ -560,7 +559,7 @@ def test_checkpoint_with_a_zero_running_variance_loads(tmp_path):
 def _tiny_checkpoint_bytes() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         p = os.path.join(tmp, "x.ckpt")
-        save_checkpoint(build_model(TINY), p)
+        save_checkpoint(Autoencoder(TINY), p)
         with open(p, "rb") as fh:
             return fh.read()
 
@@ -586,7 +585,7 @@ def test_checkpoint_fuzz_loads_or_raises_dmrislice_error(variant):
 
 def test_wrong_channel_checkpoint_raises_at_use(tmp_path):
     p = tmp_path / "one_channel.ckpt"
-    save_checkpoint(build_model(TINY), p)
+    save_checkpoint(Autoencoder(TINY), p)
     model = load_checkpoint(p)
     sh_batch = np.zeros((1, 15, 16, 16))
     with pytest.raises(ShapeError):
@@ -594,11 +593,11 @@ def test_wrong_channel_checkpoint_raises_at_use(tmp_path):
 
 
 def test_eval_forward_bit_identical():
-    model = build_model(TINY)
+    model = Autoencoder(TINY)
     x = np.random.default_rng(11).uniform(0, 1, (1, 1, 16, 16))
     model.forward(np.random.default_rng(12).uniform(0, 1, (4, 1, 16, 16)), train=True)
-    y1, _ = model.forward(x, train=False)
-    y2, _ = model.forward(x, train=False)
+    y1 = model.forward(x, train=False)
+    y2 = model.forward(x, train=False)
     assert np.array_equal(y1, y2)
 
 
@@ -624,7 +623,7 @@ def one_item_outputs():
     def get(name):
         if name not in cache:
             cfg, sizes = BATCH_SHAPES[name]
-            model = build_model(cfg).astype(np.float32)
+            model = Autoencoder(cfg).astype(np.float32)
             rng = np.random.default_rng(20)
             n, side = max(sizes), cfg.latent_size
             x = rng.uniform(0, 1, (n, cfg.input_channels, cfg.input_size, cfg.input_size))

@@ -7,6 +7,7 @@ from dmrislice.errors import EmptyMask, InvalidDirection, InvalidOrder
 from dmrislice.phantom import fibonacci_directions
 from dmrislice.sh import (
     fit_sh,
+    lmax_for,
     n_coefficients,
     order_index,
     project_sh,
@@ -31,14 +32,14 @@ def test_basis_shape_and_constant_column():
     assert basis.matrix.shape == (88, 15)
     assert n_coefficients(4) == 15
     assert np.allclose(basis.matrix[:, 0], Y00, atol=1e-12)
-    assert basis.order_index[0] == (0, 0)
-    assert basis.order_index[1:6] == ((2, -2), (2, -1), (2, 0), (2, 1), (2, 2))
+    assert order_index(4)[0] == (0, 0)
+    assert order_index(4)[1:6] == [(2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]
 
 
 def test_basis_pole_direction():
     # At the +z pole every m != 0 harmonic vanishes.
     basis = sh_basis_matrix(np.array([[0.0, 0.0, 1.0]]), 4)
-    for j, (l, m) in enumerate(basis.order_index):
+    for j, (l, m) in enumerate(order_index(4)):
         if m != 0:
             assert abs(basis.matrix[0, j]) < 1e-12
         else:
@@ -190,3 +191,10 @@ def test_sidecar_roundtrip(tmp_path):
 def test_order_index_count():
     for lmax in (0, 2, 4, 6, 8):
         assert len(order_index(lmax)) == n_coefficients(lmax)
+        assert lmax_for(n_coefficients(lmax)) == lmax
+
+
+@pytest.mark.parametrize("n", [0, 3, 7, 66])
+def test_a_count_of_no_sh_order_is_refused(n):
+    with pytest.raises(InvalidOrder, match=f"no SH order has {n} coefficients"):
+        lmax_for(n)
