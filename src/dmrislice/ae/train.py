@@ -263,11 +263,12 @@ def sweep_latent_size(
     """Train once per candidate latent width, keep the best validation loss."""
     if not m_values:
         raise ShapeError("m_values must hold at least one latent width")
+    configs = [replace(model_cfg, latent_maps=m) for m in m_values]  # each M checked up front
     results = {}
     best_ckpt = None
-    for m in m_values:
-        ckpt = train(dataset, cfg, replace(model_cfg, latent_maps=m))
-        results[m] = ckpt.best_val_mse
+    for m_cfg in configs:
+        ckpt = train(dataset, cfg, m_cfg)
+        results[m_cfg.latent_maps] = ckpt.best_val_mse
         if best_ckpt is None or ckpt.best_val_mse < best_ckpt.best_val_mse:
             best_ckpt = ckpt
     return best_ckpt, results

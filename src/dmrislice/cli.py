@@ -2,8 +2,10 @@
 
 Subcommands: fit-sh, project-sh, fit-dti, interp, train, infer, phantom,
 evaluate, sh-bound. A TOML-style ``key = value`` config file can supply any
-option; explicit flags always win, unknown keys are rejected, and a value goes
-through its option's type and choices as if it had been typed. Exit codes:
+option, required ones included; explicit flags always win and unknown keys
+are rejected. A value is text (in quotes it may hold a ``#``), typed once by
+its option as if it had been typed: a flag takes true or false, and a list
+option whitespace-separated values. Exit codes:
 0 success, 1 usage error, 2 data error (malformed input or an output path
 that cannot be written).
 """
@@ -16,6 +18,7 @@ import os
 import sys
 
 from . import ae
+from .ae.model import N_POOLINGS
 from .errors import DmrisliceError, EmptyShell, ParseError
 from .evaluate import ALL_METHODS, default_gaps, run_experiment
 from .inference import infer_gap_sh, infer_gap_signal
@@ -41,82 +44,77 @@ DATA_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exits with the usage-error code, and keeps each option's action by
-    dest so that config-file values can be converted like typed ones."""
+    """Exits with the usage-error code."""
 
-    def __init__(self, *args, **kwargs):
-        self.options = {}  # dest -> action; the base constructor adds --help
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.options[action.dest] = action
-        return action
+    @property
+    def options(self) -> dict:
+        """Each option's action by dest, --help aside: what a config file may set."""
+        return {a.dest: a for a in self._actions if a.default is not argparse.SUPPRESS}
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def parse_config_file(path) -> dict:
+def parse_config_file(path) -> dict[str, str]:
     """Parse a flat TOML-style config: ``key = value`` lines, # comments.
 
-    Values may be numbers, booleans, quoted strings, or bare words.
+    Each value is kept as text, for its option to type. A value in single or
+    double quotes is the text between them and may hold a ``#``; a bare value
+    ends at the first ``#``. An unterminated quote is a ParseError.
     """
     options = {}
     for lineno, line in enumerate(read_text_lines(path), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
+        text = line.strip()
+        if not text or text.startswith("#"):
             continue
-        if "=" not in text:
+        key, eq, raw = text.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if not eq or not key or "#" in key:
             raise ParseError(f"{path}: expected 'key = value'", offset=lineno)
-        key, _, raw = text.partition("=")
-        key = key.strip().replace("-", "_")
-        raw = raw.strip()
-        if not key or not raw:
-            raise ParseError(f"{path}: empty key or value", offset=lineno)
-        if raw.startswith(('"', "'")) and raw.endswith(raw[0]) and len(raw) >= 2:
-            value = raw[1:-1]
-        elif raw.lower() in ("true", "false"):
-            value = raw.lower() == "true"
+        if raw[:1] in ('"', "'"):
+            value, closed, rest = raw[1:].partition(raw[0])
+            if not closed:
+                raise ParseError(f"{path}: unterminated quote", offset=lineno)
+            if rest.strip()[:1] not in ("", "#"):
+                raise ParseError(f"{path}: text after the closing quote", offset=lineno)
         else:
-            try:
-                value = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
+            value = raw.split("#", 1)[0].strip()
+            if not value:
+                raise ParseError(f"{path}: empty value", offset=lineno)
         options[key] = value
     return options
 
 
-def _config_value(action, key, value):
+def _config_value(action, key, text: str):
     """A config value as its option would hold it had it been typed: a flag
-    takes a boolean, any other option the value's text through the option's
-    type and choices. A value the option rejects is a ParseError."""
+    takes true or false, a list option (``nargs="+"``) whitespace-separated
+    values, and each value goes once through the option's type and choices.
+    A value the option rejects is a ParseError."""
     if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise ParseError(f"config key {key!r} takes true or false, got {value!r}")
-        return value
-    text = str(value)
-    if action.type is not None:
+        if text.lower() not in ("true", "false"):
+            raise ParseError(f"config key {key!r} takes true or false, got {text!r}")
+        return text.lower() == "true"
+    words = text.split() if action.nargs == "+" else [text]
+    if not words:
+        raise ParseError(f"config key {key!r}: expected at least one value")
+    values = []
+    for word in words:
         try:
-            value = action.type(text)
+            value = (action.type or str)(word)
         except ValueError:
             raise ParseError(
-                f"config key {key!r}: invalid {action.type.__name__} value {text!r}"
+                f"config key {key!r}: invalid {action.type.__name__} value {word!r}"
             ) from None
-    else:
-        value = text
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
-        raise ParseError(f"config key {key!r}: {value!r} is not one of {choices}")
-    return value
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise ParseError(f"config key {key!r}: {value!r} is not one of {choices}")
+        values.append(value)
+    return values if action.nargs == "+" else values[0]
 
 
 def _int_list(text: str) -> list[int]:
-    values = [int(tok) for tok in str(text).replace(",", " ").split()]
+    values = [int(tok) for tok in text.replace(",", " ").split()]
     if not values:
         raise ValueError("empty list")
     return values
@@ -166,6 +164,10 @@ def cmd_project_sh(args):
 
 
 def cmd_fit_dti(args):
+    if not (args.out_fa or args.out_md or args.out_tensor):
+        print("dmrislice: fit-dti writes nothing without --out-fa, --out-md or --out-tensor",
+              file=sys.stderr)
+        return USAGE_ERROR
     data = load_study(args.data, b_target=args.bvalue, shell_tol=args.shell_tol)
     tensors = fit_dti(data.dwi, data.b0, data.gtab, mask=_mask_arg(args, data.dwi))
     if args.out_tensor:
@@ -195,9 +197,8 @@ def _build_dataset(args):
     its directory name, or its resolved path where another study shares that
     name, so that a subject split never mixes two studies."""
     datasets = []
-    paths = args.data if isinstance(args.data, list) else [args.data]
-    names = [os.path.basename(os.path.normpath(path)) for path in paths]
-    for path, name in zip(paths, names):
+    names = [os.path.basename(os.path.normpath(path)) for path in args.data]
+    for path, name in zip(args.data, names):
         study = load_study(path, b_target=args.bvalue, shell_tol=args.shell_tol)
         subject = name if names.count(name) == 1 else os.path.realpath(path)
         mask = study.labels
@@ -228,8 +229,9 @@ def cmd_train(args):
         raise DmrisliceError("no training slices after mask filtering")
 
     channels = dataset[0].data.shape[0]
-    size = max(dataset[0].data.shape[1], dataset[0].data.shape[2])
-    input_size = args.input_size or -(-size // 16) * 16  # next multiple of 16
+    # The largest in-plane side of any study, up to the model's grid step.
+    side, step = max(max(s.data.shape[1:]) for s in dataset), 2**N_POOLINGS
+    input_size = args.input_size or -(-side // step) * step
     model_cfg = ae.ModelConfig(
         input_channels=channels,
         latent_maps=args.m,
@@ -318,15 +320,10 @@ def usable_cpus() -> int:
 
 def cmd_evaluate(args):
     data = load_study(args.data, b_target=args.bvalue, shell_tol=args.shell_tol)
-    models = {}
-    if args.signal_model:
-        models["signal"] = ae.load_checkpoint(args.signal_model)
-    if args.sh_model:
-        models["sh4"] = ae.load_checkpoint(args.sh_model)
-    if args.b0_model:
-        models["b0"] = ae.load_checkpoint(args.b0_model)
+    paths = {"signal": args.signal_model, "sh4": args.sh_model, "b0": args.b0_model}
+    models = {kind: ae.load_checkpoint(path) for kind, path in paths.items() if path}
 
-    methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     gaps = args.gaps or default_gaps(data.dwi.dims[2])
     threads = args.threads if args.threads is not None else usable_cpus()
     report = run_experiment(
@@ -496,36 +493,37 @@ def build_parser() -> _Parser:
 
 def dispatch(argv) -> int:
     parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)  # reads --config ahead
+    pre.add_argument("--config")
+    try:
+        path = sub and pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:  # --config without its value: the parse below reports it
+        path = None
+    if path:
+        try:
+            config = parse_config_file(path)
+            unknown = [key for key in config if key not in sub.options]
+            if unknown:  # like an unknown flag
+                print(f"dmrislice: config error: unknown config key {unknown[0]!r}",
+                      file=sys.stderr)
+                return USAGE_ERROR
+            values = {key: _config_value(sub.options[key], key, text)
+                      for key, text in config.items()}
+        except ParseError as exc:  # a malformed file, or a value its option rejects
+            print(f"dmrislice: config error: {exc}", file=sys.stderr)
+            return DATA_ERROR
+        # The file's values become the defaults of the one parse below, so an
+        # option typed there, abbreviated or not, wins, and one the file gives
+        # is no longer required.
+        for key in values:
+            sub.options[key].required = False
+        sub.set_defaults(**values)
+
     args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
+    if args.command is None:
         parser.print_help()
         return USAGE_ERROR
-
-    if args.config:
-        try:
-            config = parse_config_file(args.config)
-        except ParseError as exc:  # malformed input: a data error
-            print(f"dmrislice: config error: {exc}", file=sys.stderr)
-            return DATA_ERROR
-        options = {
-            dest: action
-            for dest, action in parser.subcommands[args.command].options.items()
-            if hasattr(args, dest)  # not --help
-        }
-        unknown = [key for key in config if key not in options]
-        if unknown:  # like an unknown flag
-            print(f"dmrislice: config error: unknown config key {unknown[0]!r}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        try:
-            values = {key: _config_value(options[key], key, v) for key, v in config.items()}
-        except ParseError as exc:  # a value its option rejects
-            print(f"dmrislice: config error: {exc}", file=sys.stderr)
-            return DATA_ERROR
-        # Config values become the defaults and the command line is parsed
-        # again, so every option typed there, abbreviated or not, wins.
-        parser.subcommands[args.command].set_defaults(**values)
-        args = parser.parse_args(argv)
 
     threads = getattr(args, "threads", None)  # only evaluate has --threads
     if threads is not None and threads < 1:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import tempfile
 from pathlib import Path
@@ -17,6 +18,7 @@ from dmrislice.cli import _build_dataset, build_parser, dispatch, parse_config_f
 from dmrislice.errors import DmrisliceError, ShapeError
 from dmrislice.nifti import read_nifti, write_nifti
 from dmrislice.sh import ShCoeffVolume, read_sh, write_sh
+from dmrislice.study import load_study
 from dmrislice.volume import Volume4D
 
 
@@ -93,6 +95,13 @@ def test_project_sh_onto_a_table_without_weighted_directions_exits_2(study_dir, 
     assert err.startswith("dmrislice: ") and "no diffusion-weighted directions" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_fit_dti_without_an_output_is_a_usage_error(tmp_path, capsys):
+    # Exits before the study is read: there is none here.
+    assert dispatch(["fit-dti", "--data", str(tmp_path / "missing")]) == 1
+    err = capsys.readouterr().err
+    assert "--out-fa, --out-md or --out-tensor" in err and err.count("\n") == 1
 
 
 def test_fit_dti_outputs(study_dir, tmp_path):
@@ -261,6 +270,25 @@ def test_train_multiple_subjects_split(study_dir, tmp_path):
     held_out = {dataset[i].subject for i in val_idx}
     assert held_out and held_out.isdisjoint(dataset[i].subject for i in train_idx)
     assert dispatch(argv) == 0
+
+
+@pytest.mark.parametrize("order", [("s16", "s40"), ("s40", "s16")], ids=["16-40", "40-16"])
+def test_train_grid_fits_the_largest_study_in_any_order(tmp_path, order):
+    for name, side in (("s16", 16), ("s40", 40)):
+        argv = [*PHANTOM, "--dims", f"{side},{side},6", "--out", str(tmp_path / name)]
+        assert dispatch(argv) == 0
+    ckpt = tmp_path / "m.ckpt"
+    assert dispatch([*TRAIN, "--data", *(str(tmp_path / name) for name in order),
+                     "--out", str(ckpt)]) == 0
+    assert load_checkpoint(ckpt).cfg.input_size == 48  # 40 up to a multiple of 16
+
+
+def test_train_sweep_checks_every_width_before_training(study_dir, tmp_path, capsys):
+    out = tmp_path / "m.ckpt"
+    assert dispatch([*TRAIN, "--data", str(study_dir), "--sweep-m", "2,0", "--verbose",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "dmrislice: channel counts must be positive\n")
+    assert not out.exists()
 
 
 def test_evaluate_report(study_dir, tmp_path):
@@ -859,9 +887,9 @@ name = 'quoted'
     assert parsed == {
         "methods": "linear,cubic",
         "gaps": "2,3",
-        "seed": 7,
-        "verbose": True,
-        "sigma": 0.5,
+        "seed": "7",
+        "verbose": "true",
+        "sigma": "0.5",
         "name": "quoted",
     }
 
@@ -1014,6 +1042,80 @@ def test_config_values_take_their_option_type(study_dir, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["gaps"] == [2]
     assert report["config"]["lmax"] == 4
+
+
+def test_config_supplies_a_required_option(study_dir, tmp_path, capsys):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(f'data = "{study_dir}"\n')
+    assert dispatch(["sh-bound", "--config", str(cfg)]) == 0
+    assert float(capsys.readouterr().out) >= 0.0
+
+
+def test_config_values_reach_their_option_as_written(study_dir, tmp_path, monkeypatch):
+    # Numbered subject directories and file names that read as numbers.
+    shutil.copytree(study_dir, tmp_path / "007")
+    monkeypatch.chdir(tmp_path)
+    Path("c.toml").write_text("data = 007\nout = 1e3\n")
+    assert dispatch(["sh-bound", "--config", "c.toml"]) == 0
+    assert json.loads(Path("1e3").read_text())["lmax"] == 4
+
+
+def test_config_list_option_takes_whitespace_separated_values(study_dir, tmp_path, monkeypatch):
+    read = []
+    monkeypatch.setattr("dmrislice.cli.load_study",
+                        lambda path, **kw: read.append(path) or load_study(path, **kw))
+    shutil.copytree(study_dir, tmp_path / "a")
+    shutil.copytree(study_dir, tmp_path / "b")
+    monkeypatch.chdir(tmp_path)
+    Path("c.toml").write_text("data = a b\nout = m.ckpt\n")
+    assert dispatch([*TRAIN, "--config", "c.toml"]) == 0
+    assert read == ["a", "b"] and Path("m.ckpt").exists()
+
+
+def test_config_quoted_value_keeps_its_hash(study_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("c.toml").write_text('out = "run#1"  # the rest is a comment\n')
+    assert parse_config_file("c.toml") == {"out": "run#1"}
+    assert dispatch(["sh-bound", "--data", str(study_dir), "--config", "c.toml"]) == 0
+    assert Path("run#1").exists()
+
+
+@pytest.mark.parametrize("text", ['methods = "linear', "methods = 'linear\"", 'out = "a" b'])
+def test_config_malformed_quotes_exit_2(study_dir, tmp_path, capsys, text):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "r"
+    assert dispatch(["evaluate", "--data", str(study_dir), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("dmrislice: config error: ")
+    assert not out.exists()
+
+
+def test_config_without_a_path_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["evaluate", "--data", "s", "--out", "r", "--config"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dmrislice evaluate") and "--config: expected one" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("dmrislice ")]
+    assert len(commands) >= 19  # README's examples; fewer means the extraction broke
+    for argv in commands:
+        parser = build_parser()
+        if "--config" in argv:  # the file may supply any option, required ones too
+            for action in parser.subcommands[argv[0]].options.values():
+                action.required = False
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: dmrislice {shlex.join(argv)}")
 
 
 def test_seeded_commands_deterministic(study_dir, tmp_path):

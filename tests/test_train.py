@@ -249,3 +249,13 @@ def test_sweep_latent_size(phantom16):
 def test_sweep_latent_size_refuses_an_empty_sweep(phantom16):
     with pytest.raises(ShapeError, match="at least one latent width"):
         sweep_latent_size(small_dataset(phantom16), quick_cfg(epochs=1), TINY_MODEL, m_values=())
+
+
+def test_sweep_latent_size_checks_every_width_before_training(phantom16, monkeypatch):
+    def train(*args, **kw):
+        raise AssertionError("trained before every latent width was checked")
+
+    # sys.modules: the package's `train` attribute is the function, not this module.
+    monkeypatch.setattr(sys.modules["dmrislice.ae.train"], "train", train)
+    with pytest.raises(ShapeError, match="channel counts must be positive"):
+        sweep_latent_size(small_dataset(phantom16), quick_cfg(), TINY_MODEL, m_values=[2, 4, 0])
