@@ -14,7 +14,6 @@ from .interp import interp_missing_slices
 from .nifti import read_labels, read_nifti, write_nifti
 from .phantom import PhantomData, PhantomSpec, fibonacci_directions, make_phantom
 from .sh import (
-    ShBasisMatrix,
     ShCoeffVolume,
     fit_sh,
     project_sh,
@@ -65,7 +64,6 @@ __all__ = [
     "select_shell",
     "sh_basis_matrix",
     "sh_roundtrip_error",
-    "ShBasisMatrix",
     "ShCoeffVolume",
     "SliceImage",
     "TensorVolume",

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..blas import one_blas_thread
 from ..errors import DmrisliceError, InsufficientData, IoError, ShapeError
 from ..volume import SliceImage, Volume4D, center_crop_pad, check_grid, normalize_slice
 from .model import Autoencoder, ModelConfig
@@ -188,7 +189,10 @@ def train(
     """Train an autoencoder, returning the checkpoint with minimal val loss.
 
     Deterministic under (cfg.seed, model_cfg.seed): the split, the batch
-    order, and the initialization are all driven by seeded generators.
+    order, and the initialization are all driven by seeded generators. The
+    epochs run on one OpenBLAS thread (:func:`~dmrislice.blas.one_blas_thread`),
+    because some GEMMs of the backward pass round differently at other
+    thread counts; so the net is the same on any number of cores.
 
     Every step runs the model a checkpoint stores: a float32 body behind a
     float64 closing 1x1 convolution and sigmoid (see
@@ -224,7 +228,8 @@ def train(
     best = None
     best_epoch = 0
     n_batches = len(train_idx) // cfg.batch_size
-    with _open_log(log_path) as fh, np.errstate(over="ignore", invalid="ignore"):
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    with _open_log(log_path) as fh, quiet, one_blas_thread():
         # One flushed row per epoch, so a killed run keeps its log.
         log = csv.writer(fh)
         log.writerow(["epoch", "train_mse", "val_mse"])

@@ -71,17 +71,17 @@ def parse_config_file(path) -> dict[str, str]:
         key, eq, raw = text.partition("=")
         key, raw = key.strip().replace("-", "_"), raw.strip()
         if not eq or not key or "#" in key:
-            raise ParseError(f"{path}: expected 'key = value'", offset=lineno)
+            raise ParseError(f"{path} line {lineno}: expected 'key = value'")
         if raw[:1] in ('"', "'"):
             value, closed, rest = raw[1:].partition(raw[0])
             if not closed:
-                raise ParseError(f"{path}: unterminated quote", offset=lineno)
+                raise ParseError(f"{path} line {lineno}: unterminated quote")
             if rest.strip()[:1] not in ("", "#"):
-                raise ParseError(f"{path}: text after the closing quote", offset=lineno)
+                raise ParseError(f"{path} line {lineno}: text after the closing quote")
         else:
             value = raw.split("#", 1)[0].strip()
             if not value:
-                raise ParseError(f"{path}: empty value", offset=lineno)
+                raise ParseError(f"{path} line {lineno}: empty value")
         options[key] = value
     return options
 
@@ -503,8 +503,9 @@ def dispatch(argv) -> int:
     if path:
         try:
             config = parse_config_file(path)
-            unknown = [key for key in config if key not in sub.options]
-            if unknown:  # like an unknown flag
+            # Like an unknown flag. So is ``config``: a file names no other file.
+            unknown = [key for key in config if key not in sub.options or key == "config"]
+            if unknown:
                 print(f"dmrislice: config error: unknown config key {unknown[0]!r}",
                       file=sys.stderr)
                 return USAGE_ERROR

@@ -6,7 +6,8 @@ class DmrisliceError(Exception):
 
 
 class ParseError(DmrisliceError):
-    """Malformed file content. Carries the byte or line offset when known."""
+    """Malformed file content. Carries the byte offset when known; a text
+    parser names the line in the message instead."""
 
     def __init__(self, message, offset=None):
         if offset is not None:
@@ -60,4 +61,5 @@ class ModelMissing(DmrisliceError):
 
 
 class DegenerateSample(DmrisliceError):
-    """Statistical test input has no usable (nonzero) paired differences."""
+    """Statistical test input holds a non-finite pair or too few usable
+    (nonzero) paired differences."""

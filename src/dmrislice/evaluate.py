@@ -45,7 +45,7 @@ from .errors import DegenerateSample, EmptyMask, ModelMissing, ShapeError
 from .inference import decode_gap, encode_slice
 from .interp import interp_missing_slices
 from .phantom import LABELS, PhantomData
-from .sh import ShBasisMatrix, fit_sh, project_sh_slice, sh_basis_matrix
+from .sh import fit_sh, project_sh_slice, sh_basis_matrix
 from .stats import wilcoxon_signed_rank
 from .volume import GapSpec, SliceImage, Volume4D, b0_mean
 
@@ -165,7 +165,7 @@ class _Shared:
     fa_gt: Volume4D
     md_gt: Volume4D
     inputs: dict  # "signal", "sh4", "b0" -> the DWI, its full-volume SH fit, the b0 mean
-    sh_basis: ShBasisMatrix  # the SH basis on the acquisition directions
+    sh_basis: np.ndarray  # the (D, R) SH basis on the acquisition directions
     latents: dict = field(default_factory=dict)  # (model name, z) -> latent code
 
 

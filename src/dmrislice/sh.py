@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lpmv
 
 from .errors import EmptyMask, InvalidDirection, InvalidOrder, ParseError, ShapeError
 from .nifti import read_nifti, write_nifti
@@ -47,24 +46,24 @@ def order_index(lmax: int) -> list[tuple[int, int]]:
     return [(l, m) for l in range(0, lmax + 1, 2) for m in range(-l, l + 1)]
 
 
-@dataclass(frozen=True)
-class ShBasisMatrix:
-    """Sampling matrix of the real symmetric SH basis on a direction set."""
+def _legendre(lmax: int, x: np.ndarray) -> dict:
+    """Associated Legendre functions P_l^m(x) with the Condon-Shortley phase,
+    keyed (l, m) for 0 <= m <= l <= lmax, by the recurrences
+    P_m^m = -(2m-1) sqrt(1-x^2) P_{m-1}^{m-1} and
+    (l-m) P_l^m = (2l-1) x P_{l-1}^m - (l+m-1) P_{l-2}^m."""
+    p = {(0, 0): np.ones_like(x)}
+    for m in range(lmax + 1):
+        if m:
+            p[m, m] = -(2 * m - 1) * np.sqrt(1.0 - x * x) * p[m - 1, m - 1]
+        for l in range(m + 1, lmax + 1):
+            below = (l + m - 1) * p[l - 2, m] if l > m + 1 else 0.0
+            p[l, m] = ((2 * l - 1) * x * p[l - 1, m] - below) / (l - m)
+    return p
 
-    matrix: np.ndarray  # (D, R), columns in :func:`order_index` order
-    lmax: int
 
-    @property
-    def n_directions(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_coefficients(self) -> int:
-        return self.matrix.shape[1]
-
-
-def sh_basis_matrix(directions, lmax: int) -> ShBasisMatrix:
-    """Evaluate the real symmetric SH basis at unit directions.
+def sh_basis_matrix(directions, lmax: int) -> np.ndarray:
+    """Evaluate the real symmetric SH basis at unit directions: the (D, R)
+    sampling matrix, columns in :func:`order_index` order.
 
     Raises InvalidOrder for odd or out-of-range lmax, InvalidDirection when a
     direction deviates from unit norm by more than 1e-6.
@@ -84,6 +83,7 @@ def sh_basis_matrix(directions, lmax: int) -> ShBasisMatrix:
     cos_theta = np.clip(dirs[:, 2], -1.0, 1.0)
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
 
+    legendre = _legendre(lmax, cos_theta)
     pairs = order_index(lmax)
     mat = np.empty((dirs.shape[0], len(pairs)))
     for j, (l, m) in enumerate(pairs):
@@ -91,14 +91,14 @@ def sh_basis_matrix(directions, lmax: int) -> ShBasisMatrix:
         norm = math.sqrt(
             (2 * l + 1) / (4 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
         )
-        leg = lpmv(am, l, cos_theta)
+        leg = legendre[l, am]
         if m < 0:
             mat[:, j] = math.sqrt(2.0) * norm * leg * np.cos(am * phi)
         elif m == 0:
             mat[:, j] = norm * leg
         else:
             mat[:, j] = math.sqrt(2.0) * norm * leg * np.sin(m * phi)
-    return ShBasisMatrix(matrix=mat, lmax=lmax)
+    return mat
 
 
 def laplace_beltrami_diagonal(lmax: int) -> np.ndarray:
@@ -133,11 +133,10 @@ def _check_lambda_reg(lambda_reg: float) -> None:
         raise ShapeError(f"lambda_reg must be non-negative and finite, got {lambda_reg}")
 
 
-def _fit_matrix(basis: ShBasisMatrix, lambda_reg: float) -> np.ndarray:
+def _fit_matrix(b: np.ndarray, lambda_reg: float) -> np.ndarray:
     """Least-squares solve matrix mapping signals (D,) to coefficients (R,)."""
-    b = basis.matrix
     if lambda_reg > 0:
-        penalty = np.sqrt(lambda_reg) * np.diag(laplace_beltrami_diagonal(basis.lmax))
+        penalty = np.sqrt(lambda_reg) * np.diag(laplace_beltrami_diagonal(lmax_for(b.shape[1])))
         stacked = np.vstack([b, penalty])
         return np.linalg.pinv(stacked, rcond=1e-10)[:, : b.shape[0]]
     return np.linalg.pinv(b, rcond=1e-10)
@@ -166,11 +165,11 @@ def fit_sh(
     _check_lambda_reg(lambda_reg)
     basis = sh_basis_matrix(g.bvecs, lmax)
     solver = _fit_matrix(basis, lambda_reg)
-    ill = lambda_reg == 0 and basis.n_directions <= basis.n_coefficients
+    ill = lambda_reg == 0 and basis.shape[0] <= basis.shape[1]
 
     nx, ny, nz, nd = dwi.dims
     coeffs = dwi.data.reshape(-1, nd) @ solver.T
-    coeffs = coeffs.reshape(nx, ny, nz, basis.n_coefficients)
+    coeffs = coeffs.reshape(nx, ny, nz, basis.shape[1])
     if mask is not None:
         keep = mask.data[..., 0] > 0
         coeffs = np.where(keep[..., None], coeffs, 0.0)
@@ -184,16 +183,16 @@ def project_sh(sh: ShCoeffVolume, directions) -> Volume4D:
     return Volume4D(signal, spacing=sh.volume.spacing, affine=sh.volume.affine)
 
 
-def project_sh_slice(coeff_slice: np.ndarray, basis: ShBasisMatrix) -> np.ndarray:
-    """Project a (W, H, R) coefficient slice, or a (W, H, Z, R) slab, onto
-    basis directions -> (W, H, D) or (W, H, Z, D)."""
+def project_sh_slice(coeff_slice: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Project a (W, H, R) coefficient slice, or a (W, H, Z, R) slab, onto the
+    directions of a (D, R) basis -> (W, H, D) or (W, H, Z, D)."""
     nr = coeff_slice.shape[-1]
-    if nr != basis.n_coefficients:
+    if nr != basis.shape[1]:
         raise ShapeError(
-            f"slice has {nr} channels, basis expects {basis.n_coefficients}"
+            f"slice has {nr} channels, basis expects {basis.shape[1]}"
         )
-    signal = coeff_slice.reshape(-1, nr) @ basis.matrix.T
-    return signal.reshape(coeff_slice.shape[:-1] + (basis.n_directions,))
+    signal = coeff_slice.reshape(-1, nr) @ basis.T
+    return signal.reshape(coeff_slice.shape[:-1] + (basis.shape[0],))
 
 
 def sh_roundtrip_error(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateSample, ShapeError
 
@@ -57,13 +56,18 @@ def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
     """Two-sided paired Wilcoxon signed-rank test.
 
     Returns (W, p) where W is the positive-rank sum. Zero differences are
-    discarded; fewer than 5 usable pairs raises DegenerateSample. The p-value
-    is exact up to ``EXACT_LIMIT`` usable pairs and approximate above.
+    discarded; a non-finite pair or fewer than 5 usable pairs raises
+    DegenerateSample. The p-value is exact up to ``EXACT_LIMIT`` usable
+    pairs and approximate above.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise ShapeError(f"paired samples differ in length: {x.shape} vs {y.shape}")
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DegenerateSample(f"pair {i} is not finite: ({x[i]}, {y[i]})")
 
     d = x - y
     d = d[d != 0]
@@ -73,7 +77,9 @@ def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
     if n < 5:
         raise DegenerateSample(f"only {n} nonzero differences, need at least 5")
 
-    ranks = rankdata(np.abs(d))
+    # Midranks: a group of c tied |d| whose last rank is e gets e - (c-1)/2.
+    _, group, counts = np.unique(np.abs(d), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     w = float(ranks[d > 0].sum())
 
     if n <= EXACT_LIMIT:

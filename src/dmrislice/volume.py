@@ -199,9 +199,9 @@ def _parse_numeric_rows(path) -> list[list[float]]:
         try:
             row = [float(t) for t in tokens]
         except ValueError as exc:
-            raise ParseError(f"non-numeric token in {path}", offset=lineno) from exc
+            raise ParseError(f"non-numeric token in {path} line {lineno}") from exc
         if not np.all(np.isfinite(row)):
-            raise ParseError(f"non-finite value in {path}", offset=lineno)
+            raise ParseError(f"non-finite value in {path} line {lineno}")
         rows.append(row)
     return rows
 

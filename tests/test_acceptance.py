@@ -69,7 +69,7 @@ def test_criterion_01_sh_roundtrip_exactness():
     dirs = fibonacci_directions(88)
     basis = sh_basis_matrix(dirs, 4)
     coeffs = rng.standard_normal((64, 64, 16, 15))
-    signal = Volume4D(coeffs @ basis.matrix.T)
+    signal = Volume4D(coeffs @ basis.T)
     gtab = GradientTable(np.full(88, 1000.0), dirs)
 
     start = time.perf_counter()

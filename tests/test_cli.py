@@ -3,6 +3,8 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import mutation
 from dmrislice.ae import Autoencoder, ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
 from dmrislice.ae.train import _split
 from dmrislice.cli import _build_dataset, build_parser, dispatch, parse_config_file
-from dmrislice.errors import DmrisliceError, ShapeError
+from dmrislice.errors import DmrisliceError, ParseError, ShapeError
 from dmrislice.nifti import read_nifti, write_nifti
 from dmrislice.sh import ShCoeffVolume, read_sh, write_sh
 from dmrislice.study import load_study
@@ -1012,6 +1014,7 @@ CONFIG_VALUE_CASES = {
     "zero-threads": ("evaluate", "threads = 0", 1, "--threads must be >= 1"),
     "unknown-key": ("evaluate", "threads = 2\nfunc = 1", 1, "unknown config key 'func'"),
     "help-key": ("evaluate", "help = true", 1, "unknown config key 'help'"),
+    "nested-config": ("evaluate", "config = nothere.toml", 1, "unknown config key 'config'"),
 }
 
 
@@ -1091,6 +1094,17 @@ def test_config_malformed_quotes_exit_2(study_dir, tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, line", [("threads = 2\nno equals sign", 2),
+                                        ("# note\n\nout = 'r", 3)])
+def test_config_parse_error_names_its_line(tmp_path, text, line):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(text + "\n")
+    with pytest.raises(ParseError) as err:
+        parse_config_file(cfg)
+    assert f"{cfg} line {line}: " in str(err.value)
+    assert err.value.offset is None and "offset" not in str(err.value)
+
+
 def test_config_without_a_path_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["evaluate", "--data", "s", "--out", "r", "--config"])
@@ -1132,3 +1146,15 @@ def test_seeded_commands_deterministic(study_dir, tmp_path):
     ja.pop("timing")
     jb.pop("timing")
     assert ja == jb
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    import dmrislice
+
+    src = os.path.dirname(os.path.dirname(dmrislice.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, dmrislice, dmrislice.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

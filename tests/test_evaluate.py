@@ -412,3 +412,15 @@ def test_missing_models_raise_before_any_encode(noisy_phantom):
         with pytest.raises(ModelMissing, match=f"{method} needs"):
             run_experiment(noisy_phantom, methods=(method,), gaps=(3,), n_values=(1,),
                            models=models)
+
+
+@pytest.mark.parametrize("n", [6, 25])
+def test_wilcoxon_block_notes_a_non_finite_score(n):
+    values = {"a": {s: np.arange(1.0, n + 1) for s in evaluate.SERIES},
+              "b": {s: np.zeros(n) for s in evaluate.SERIES}}
+    values["b"][evaluate.SIGNAL] = np.where(np.arange(n) == 2, np.nan, 0.0)
+    block = evaluate._wilcoxon_block(values, ("a", "b"))
+    metric, region = evaluate.SIGNAL
+    note = {"W": None, "p": None, "note": "pair 2 is not finite: (3.0, nan)"}
+    assert block[metric][region]["a_vs_b"] == note
+    assert block["fa"]["wm"]["a_vs_b"]["p"] is not None

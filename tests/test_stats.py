@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+import dmrislice.stats as stats
 from dmrislice.errors import DegenerateSample
 from dmrislice.stats import _approx_two_sided_p, _exact_two_sided_p, wilcoxon_signed_rank
 
@@ -107,3 +108,35 @@ def test_p_in_unit_interval():
         y = rng.standard_normal(n)
         _, p = wilcoxon_signed_rank(x, y)
         assert 0.0 < p <= 1.0
+
+
+@pytest.mark.parametrize("n", [5, 12, 20, 21, 60])
+def test_midranks_equal_rankdata_on_ties(monkeypatch, n):
+    # The ranks both p-value paths receive, against scipy's average ranks.
+    seen = []
+    for name in ("_exact_two_sided_p", "_approx_two_sided_p"):
+        path = getattr(stats, name)
+        monkeypatch.setattr(stats, name, lambda r, w, path=path: seen.append((r, w)) or path(r, w))
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        d = rng.integers(1, 4, n) * rng.choice([-0.5, 0.5, 1.5], n)  # few distinct |d|
+        if len(np.unique(np.abs(d))) == 1:
+            continue  # all tied: the normal approximation has no variance
+        seen.clear()
+        wilcoxon_signed_rank(d, np.zeros(n))
+        ranks, w = seen[0]
+        expected = rankdata(np.abs(d))
+        assert np.array_equal(ranks, expected)
+        assert w == float(expected[d > 0].sum())
+
+
+@pytest.mark.parametrize("n", [6, 25])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pair_is_degenerate(n, bad):
+    x = np.arange(1.0, n + 1)
+    y = np.zeros(n)
+    y[3] = bad
+    with pytest.raises(DegenerateSample, match=r"pair 3 is not finite"):
+        wilcoxon_signed_rank(x, y)
+    with pytest.raises(DegenerateSample, match=r"pair 3 is not finite"):
+        wilcoxon_signed_rank(y, x)

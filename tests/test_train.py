@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import dmrislice.blas as blas
 from dmrislice.ae import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint, train
 from dmrislice.ae.train import (
     averaged_dwi_slices,
@@ -13,6 +14,7 @@ from dmrislice.ae.train import (
 )
 from dmrislice.errors import DmrisliceError, InsufficientData, ShapeError
 from dmrislice.phantom import PhantomSpec, make_phantom
+from dmrislice.sh import fit_sh
 from dmrislice.volume import Volume4D
 
 TINY_MODEL = ModelConfig(input_channels=1, latent_maps=2, input_size=16, base_width=1, seed=0)
@@ -58,6 +60,27 @@ def test_training_deterministic_under_seed(phantom16):
     assert a.history == b.history
     for (_, ta), (_, tb) in zip(_tensors(a.model), _tensors(b.model)):
         assert ta.dtype == tb.dtype and np.array_equal(ta, tb)
+
+
+@pytest.mark.skipif(blas._openblas() is None, reason="NumPy's BLAS is not OpenBLAS")
+def test_training_is_the_same_at_any_blas_thread_count():
+    # At the sh4 shape some backward GEMMs round differently on 2 threads.
+    data = make_phantom(PhantomSpec(dims=(32, 32, 8), n_directions=20, seed=3))
+    ds = stacked_slices(fit_sh(data.dwi, data.gtab, lmax=4).volume, mask=data.labels)
+    model_cfg = ModelConfig(input_channels=15, latent_maps=8, input_size=32, base_width=16)
+    get, set_ = blas._openblas()
+    before = get()
+    runs = []
+    try:
+        for threads in (2, 1):
+            set_(threads)
+            runs.append(train(ds, quick_cfg(epochs=2), model_cfg))
+    finally:
+        set_(before)
+    a, b = runs
+    assert a.history == b.history
+    for (_, ta), (_, tb) in zip(_tensors(a.model), _tensors(b.model)):
+        assert ta.tobytes() == tb.tobytes()
 
 
 def test_trained_body_saves_and_loads_exactly(phantom16, tmp_path):

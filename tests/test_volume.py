@@ -254,6 +254,20 @@ def test_read_gradient_table_shape_errors(tmp_path):
         read_gradient_table(bval, bvec)
 
 
+@pytest.mark.parametrize("text, message", [("0 1000\n1000 x\n", "non-numeric token"),
+                                           ("0\n\n1000 nan\n", "non-finite value")])
+def test_gradient_table_parse_error_names_its_line(tmp_path, text, message):
+    bval = tmp_path / "x.bval"
+    bvec = tmp_path / "x.bvec"
+    bval.write_text(text)
+    bvec.write_text("0 1\n0 0\n0 0\n")
+    with pytest.raises(ParseError) as err:
+        read_gradient_table(bval, bvec)
+    line = text.count("\n")
+    assert str(err.value) == f"{message} in {bval} line {line}"
+    assert err.value.offset is None
+
+
 BVAL = b"0 1000 1000 2000\n"
 BVEC = b"0 1 0 0.6\n0 0 1 0.8\n0 0 0 0\n"
 NUMERIC = b"0123456789.-+eE \t\nnaif"
