@@ -41,10 +41,20 @@ A decoder block's convolution works at its input's resolution: output phase
 ``(i + a, j + b)`` of the input zero-padded by 1, through taps that are sums
 of the block's 3x3 taps (resize-convolution as a stride-2 transposed
 convolution: Odena et al., Distill 2016; Shi et al. 2016, arXiv:1609.05158).
-So the four phases are one GEMM per item of a ``(4*o, 4*c)`` kernel, derived
-on every call, with the 2x2 columns of the input over its ``(h+1) x (w+1)``
-windows: ``4(h+1)(w+1) / 9hw`` of the multiply-adds of nine-tap phases, and
-the 4x-size upsampled map is never built. Every input size takes this path.
+So the four phases are one GEMM per item of a ``(4*o, 4*c)`` kernel with the
+2x2 columns of the input over its ``(h+1) x (w+1)`` windows:
+``4(h+1)(w+1) / 9hw`` of the multiply-adds of nine-tap phases, and the
+4x-size upsampled map is never built. Every input size takes this path.
+
+Inference runs through a plan: each layer's ``plan`` is an immutable
+callable holding what the layer's weights, buffers and input size fix,
+derived once: the GEMM kernel (a decoder stage's phase kernel), the
+batch-norm scale and shift, the tap windows. A layer's
+``forward(train=False)`` runs the plan it is given, or one built for the
+call; :class:`~dmrislice.ae.model.Autoencoder` keeps one plan per net, hands
+each layer its own, and drops it whenever it changes the weights. A
+training forward derives its convolution the same way and keeps it for the
+backward pass.
 
 No layer writes its input or its incoming gradient. Batch normalization and
 ELU run in place on the convolution's output, and the sigmoid on arrays the
@@ -53,6 +63,8 @@ are the same to the bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,11 +85,24 @@ def _window(t, pad, size, out):
     return slice(lo, hi), slice(lo + t - pad, hi + t - pad)
 
 
-def _column_tiles(x, k):
+def _taps(k, h, w):
+    """Each tap ``(i, j)`` of a ``k x k`` correlation over an ``h x w`` input
+    zero-padded by ``k // 2``, with its :func:`_window` along each axis."""
+    pad = k // 2
+    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    return tuple(
+        (i, j, _window(i, pad, h, oh), _window(j, pad, w, ow))
+        for i in range(k)
+        for j in range(k)
+    )
+
+
+def _column_tiles(x, k, taps=None):
     """Yields ``(batch slice, column block)`` over the unpadded input ``x``
     for the correlation of ``k x k`` taps with ``xp``, ``x`` zero-padded by
     ``k // 2``, at every window inside ``xp``: ``oh = h + 2*(k//2) - k + 1``
     rows of them, which is ``h`` for odd ``k`` and ``h + 1`` for ``k = 2``.
+    ``taps`` are the :func:`_taps` of ``x``'s size, derived here if not given.
 
     The block of a tile of n items is item-major, ``(n, c*k*k, oh*ow)``:
     row ``(c, i, j)`` of item ``m`` holds ``xp[m, c, i:i+oh, j:j+ow]``. Each
@@ -91,11 +116,8 @@ def _column_tiles(x, k):
     per_item = c * k * k * oh * ow
     n_max = min(b, max(1, _TILE_BYTES // (per_item * x.itemsize)))
     buf = (np.zeros if pad else np.empty)(n_max * per_item, dtype=x.dtype)
-    taps = [
-        (i, j, _window(i, pad, h, oh), _window(j, pad, w, ow))
-        for i in range(k)
-        for j in range(k)
-    ]
+    if taps is None:
+        taps = _taps(k, h, w)
     for start in range(0, b, n_max):
         items = slice(start, min(start + n_max, b))
         n = items.stop - start
@@ -105,16 +127,35 @@ def _column_tiles(x, k):
         yield items, cols.reshape(n, c * k * k, oh * ow)
 
 
+@dataclass(frozen=True)
+class Correlation:
+    """'Same'-size 2-D correlation, y[b,o] = sum_c x[b,c] * w[o,c] with ``x``
+    zero-padded by ``k // 2``, with what its weights and input size fix
+    derived once: the ``(o, c*k*k)`` GEMM kernel and the tap windows."""
+
+    kernel: np.ndarray
+    k: int
+    taps: tuple
+
+    @classmethod
+    def of(cls, w, h, wd):
+        """The correlation with the ``(o, c, k, k)`` weights ``w`` over
+        ``h x wd`` inputs."""
+        k = w.shape[2]
+        return cls(w.reshape(w.shape[0], -1), k, _taps(k, h, wd))
+
+    def __call__(self, x):
+        b, _, h, w = x.shape
+        o = self.kernel.shape[0]
+        y = np.empty((b, o, h, w), dtype=np.result_type(x, self.kernel))
+        for items, cols in _column_tiles(x, self.k, self.taps):
+            np.matmul(self.kernel, cols, out=y.reshape(b, o, -1)[items])
+        return y
+
+
 def _conv_correlate(x, w):
-    """'Same'-size 2-D correlation: y[b,o] = sum_c x[b,c] * w[o,c], with
-    ``x`` zero-padded by ``k // 2``."""
-    o, k = w.shape[0], w.shape[2]
-    b, c, h, wd = x.shape
-    w2 = w.reshape(o, -1)
-    y = np.empty((b, o, h, wd), dtype=np.result_type(x, w))
-    for items, cols in _column_tiles(x, k):
-        np.matmul(w2, cols, out=y.reshape(b, o, -1)[items])
-    return y
+    """The :class:`Correlation` with the weights ``w`` applied to ``x``."""
+    return Correlation.of(w, *x.shape[2:])(x)
 
 
 def _conv_weight_grad(x, dy, k):
@@ -153,6 +194,8 @@ class Layer:
     # Checkpoint layer indices the layer spans: those of the one-operation
     # layers it replaced, so that checkpoint names stay as they were.
     slots = 1
+    # Output side length over input side length.
+    zoom = 1
 
     @staticmethod
     def tensor_shapes(*args) -> tuple[dict, dict]:
@@ -171,7 +214,15 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
 
-    def forward(self, x, train=False):
+    def plan(self, h, w):
+        """The layer's inference on ``h x w`` inputs: an immutable callable
+        that holds what the layer's tensors and that size fix."""
+        raise NotImplementedError
+
+    def forward(self, x, train=False, plan=None):
+        """The layer on ``x``. Inference runs ``plan``, the layer's
+        :meth:`plan` for ``x``'s size, which a model keeps; without one it
+        builds its own for the call."""
         raise NotImplementedError
 
     def backward(self, dy):
@@ -182,6 +233,32 @@ class Layer:
         if cache is None:
             raise ShapeError(f"{type(self).__name__}.backward needs a train=True forward")
         return cache
+
+
+def _elu(y):
+    """ELU in place: max(y, 0) + expm1(min(y, 0)), one term always exactly 0."""
+    neg = np.minimum(y, 0.0)
+    np.expm1(neg, out=neg)
+    np.maximum(y, 0.0, out=y)
+    y += neg
+    return y
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """A block's inference: its convolution, then batch normalization as the
+    per-channel affine map of the running statistics, ``(c, 1, 1)`` scale
+    and shift, then ELU, the last two in place on the convolution's output."""
+
+    conv: Correlation
+    scale: np.ndarray
+    shift: np.ndarray
+
+    def __call__(self, x):
+        y = self.conv(x)
+        y *= self.scale
+        y += self.shift
+        return _elu(y)
 
 
 class Conv2D(Layer):
@@ -228,48 +305,46 @@ class Conv2D(Layer):
         self.buffers["running_var"] = np.ones(buffers["running_var"])
         self._cache = None
 
-    def _convolve(self, x):
-        return _conv_correlate(x, self.params["w"])
+    # The convolution's kind: a decoder stage's differs.
+    correlation = Correlation
 
-    def _convolve_backward(self, x, dy, need_dx):
+    def _convolve_backward(self, x, conv, dy, need_dx):
         self.grads["w"] = _conv_weight_grad(x, dy, self.ksize)
         return _conv_correlate(dy, _flip(self.params["w"])) if need_dx else None
 
-    def forward(self, x, train=False):
+    def plan(self, h, w) -> BlockPlan:
+        scale = self.params["gamma"] / np.sqrt(self.buffers["running_var"] + BN_EPS)
+        shift = self.params["beta"] - self.buffers["running_mean"] * scale
+        conv = self.correlation.of(self.params["w"], h, w)
+        return BlockPlan(conv, scale[:, None, None], shift[:, None, None])
+
+    def forward(self, x, train=False, plan=None):
         _check_channels(x, self.c_in)
-        h = self._convolve(x)
-        gamma, beta = self.params["gamma"], self.params["beta"]
-        if train:
-            mean = h.mean(axis=(0, 2, 3))
-            # np.var's own steps: the squared deviations summed, over the count.
-            h -= mean[:, None, None]
-            y = np.square(h)
-            var = y.sum(axis=(0, 2, 3)) / (y.size // self.c_out)
-            m = BN_MOMENTUM
-            self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
-            self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            h *= inv_std[:, None, None]  # the normalized values, xhat
-            np.multiply(h, gamma[:, None, None], out=y)
-            y += beta[:, None, None]
-        else:
-            scale = gamma / np.sqrt(self.buffers["running_var"] + BN_EPS)
-            shift = beta - self.buffers["running_mean"] * scale
-            y = h
-            y *= scale[:, None, None]
-            y += shift[:, None, None]
-        # ELU: max(y, 0) + expm1(min(y, 0)), one term always exactly 0.
-        neg = np.minimum(y, 0.0)
-        np.expm1(neg, out=neg)
-        np.maximum(y, 0.0, out=y)
-        y += neg
-        self._cache = (x, h, inv_std, y) if train else None
+        if not train:
+            self._cache = None
+            return (plan or self.plan(*x.shape[2:]))(x)
+        conv = self.correlation.of(self.params["w"], *x.shape[2:])
+        h = conv(x)
+        mean = h.mean(axis=(0, 2, 3))
+        # np.var's own steps: the squared deviations summed, over the count.
+        h -= mean[:, None, None]
+        y = np.square(h)
+        var = y.sum(axis=(0, 2, 3)) / (y.size // self.c_out)
+        m = BN_MOMENTUM
+        self.buffers["running_mean"] = m * self.buffers["running_mean"] + (1 - m) * mean
+        self.buffers["running_var"] = m * self.buffers["running_var"] + (1 - m) * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        h *= inv_std[:, None, None]  # the normalized values, xhat
+        np.multiply(h, self.params["gamma"][:, None, None], out=y)
+        y += self.params["beta"][:, None, None]
+        _elu(y)
+        self._cache = (x, conv, h, inv_std, y)
         return y
 
     def backward(self, dy, need_dx=True):
         """Parameter gradients, and the input gradient unless ``need_dx`` is
         false (then ``None``: the model's first layer has no use for it)."""
-        x, xhat, inv_std, y = self._trained(self._cache)
+        x, conv, xhat, inv_std, y = self._trained(self._cache)
         # ELU': y > 0 exactly where its input is, and there 1; elsewhere it is
         # y + 1, which is at most 1: so min(y + 1, 1), NaN included.
         d = y + 1.0
@@ -290,7 +365,7 @@ class Conv2D(Layer):
         np.multiply(xhat, sum_dxhat_xhat, out=prod)
         d -= prod
         d *= inv_std[:, None, None] / n
-        return self._convolve_backward(x, d, need_dx)
+        return self._convolve_backward(x, conv, d, need_dx)
 
 
 def _block_sum2x2(x):
@@ -306,14 +381,22 @@ def _repeat2x2(x):
     return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
 
+def _avg_pool(x):
+    y = _block_sum2x2(x)
+    y *= 0.25
+    return y
+
+
 class AvgPool2x2(Layer):
-    def forward(self, x, train=False):
-        h, w = x.shape[2:]
+    zoom = 0.5
+
+    def plan(self, h, w):
         if h % 2 or w % 2:
             raise ShapeError(f"average pooling needs even spatial dims, got {h}x{w}")
-        y = _block_sum2x2(x)
-        y *= 0.25
-        return y
+        return _avg_pool
+
+    def forward(self, x, train=False, plan=None):
+        return (plan or self.plan(*x.shape[2:]))(x)
 
     def backward(self, dy):
         return _repeat2x2(dy * 0.25)
@@ -351,6 +434,28 @@ def _tap_grad(dk):
     return dw.sum(axis=0).reshape(o, c, 3, 3)
 
 
+class PhaseCorrelation(Correlation):
+    """A decoder stage's convolution of the 2x upsampled input, computed at
+    the input's resolution: ``kernel`` is the :func:`_phase_kernel` of the
+    3x3 weights, over the 2x2 taps' windows."""
+
+    @classmethod
+    def of(cls, w, h, wd):
+        return cls(_phase_kernel(w), 2, _taps(2, h, wd))
+
+    def __call__(self, x):
+        k = self.kernel
+        o = k.shape[0] // 4
+        n, _, h, w = x.shape
+        y = np.empty((n, o, 2 * h, 2 * w), dtype=np.result_type(x, k))
+        for items, cols in _column_tiles(x, 2, self.taps):
+            g = (k @ cols).reshape(-1, 2, 2, o, h + 1, w + 1)
+            for a in range(2):
+                for b in range(2):
+                    y[items, :, a::2, b::2] = g[:, a, b, :, a : a + h, b : b + w]
+        return y
+
+
 class UpsampleConv2D(Conv2D):
     """A decoder block: nearest-neighbor 2x upsampling, then the
     :class:`Conv2D` block, with its convolution computed at the input's
@@ -360,7 +465,8 @@ class UpsampleConv2D(Conv2D):
     window at ``(i + a, j + b)`` of the input zero-padded by 1, through
     taps that are sums of the convolution's taps. The four phases' 2x2
     kernels stack into the ``(4*o, 4*c)`` matrix of :func:`_phase_kernel`,
-    derived on every call. The forward pass runs one GEMM per item over its
+    derived once per :class:`PhaseCorrelation`, which a training forward
+    keeps for its backward pass. The forward pass runs one GEMM per item over its
     2x2 columns at the ``(h+1) x (w+1)`` windows and writes each phase's row
     block, shifted by its window offset, straight into its phase of the
     output. The backward pass places ``dy``'s phases at those offsets in an
@@ -376,21 +482,11 @@ class UpsampleConv2D(Conv2D):
     # convolution's, the second.
     slots = 4
     _w_slot = 1
+    zoom = 2
+    correlation = PhaseCorrelation
 
-    def _convolve(self, x):
-        k = _phase_kernel(self.params["w"])
-        o = k.shape[0] // 4
-        n, _, h, w = x.shape
-        y = np.empty((n, o, 2 * h, 2 * w), dtype=np.result_type(x, k))
-        for items, cols in _column_tiles(x, 2):
-            g = (k @ cols).reshape(-1, 2, 2, o, h + 1, w + 1)
-            for a in range(2):
-                for b in range(2):
-                    y[items, :, a::2, b::2] = g[:, a, b, :, a : a + h, b : b + w]
-        return y
-
-    def _convolve_backward(self, x, dy, need_dx):
-        k = _phase_kernel(self.params["w"])
+    def _convolve_backward(self, x, conv, dy, need_dx):
+        k = conv.kernel
         o = k.shape[0] // 4
         n, c, h, w = x.shape
         dmap = np.zeros((n, 2, 2, o, h + 1, w + 1), dtype=dy.dtype)
@@ -408,6 +504,28 @@ class UpsampleConv2D(Conv2D):
         dx += g[:, :, 1, 0, :-1, 1:]
         dx += g[:, :, 1, 1, :-1, :-1]
         return dx
+
+
+@dataclass(frozen=True)
+class HeadPlan:
+    """The head's 1x1 convolution, its ``(o, 1, 1)`` bias, then the sigmoid."""
+
+    conv: Correlation
+    bias: np.ndarray
+
+    def __call__(self, x):
+        z = self.conv(x)
+        z += self.bias
+        # Stable two-branch logistic: with e = exp(-|z|), 1 / (1 + e) where
+        # z >= 0 and e / (1 + e) elsewhere. -|z| is min(z, -z), which passes
+        # a NaN on with its sign, as exp(z) did in the negative branch.
+        e = np.negative(z)
+        np.minimum(z, e, out=e)
+        np.exp(e, out=e)
+        y = np.where(z >= 0, 1.0, e)
+        e += 1.0
+        y /= e
+        return y
 
 
 class Head(Layer):
@@ -435,19 +553,12 @@ class Head(Layer):
         self.params["b"] = np.zeros(params["b"])
         self._cache = None
 
-    def forward(self, x, train=False):
+    def plan(self, h, w) -> HeadPlan:
+        return HeadPlan(Correlation.of(self.params["w"], h, w), self.params["b"][:, None, None])
+
+    def forward(self, x, train=False, plan=None):
         _check_channels(x, self.c_in)
-        z = _conv_correlate(x, self.params["w"])
-        z += self.params["b"][:, None, None]
-        # Stable two-branch logistic: with e = exp(-|z|), 1 / (1 + e) where
-        # z >= 0 and e / (1 + e) elsewhere. -|z| is min(z, -z), which passes
-        # a NaN on with its sign, as exp(z) did in the negative branch.
-        e = np.negative(z)
-        np.minimum(z, e, out=e)
-        np.exp(e, out=e)
-        y = np.where(z >= 0, 1.0, e)
-        e += 1.0
-        y /= e
+        y = (plan or self.plan(*x.shape[2:]))(x)
         self._cache = (x, y) if train else None
         return y
 

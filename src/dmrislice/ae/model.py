@@ -7,6 +7,16 @@ batch normalization with the fixed constants of :mod:`.layers`, and ELU
 input (:class:`~.layers.UpsampleConv2D`), whose convolution runs at the
 input's resolution. The model has 21 layers for every config.
 
+A ``train=False`` pass runs each layer with its part of the model's
+inference plan: every layer's ``plan`` for its input size, built on first
+use and kept, since a loaded net never changes. Pool threads share it
+read-only; two threads that build it at once build equal plans, and either
+may be kept. Every method that changes the weights or buffers drops it: a
+``train=True`` pass (so ``loss_and_grads``), :meth:`Autoencoder.load_snapshot`
+and :meth:`Autoencoder.astype`. An optimizer steps the weights in place
+after ``loss_and_grads``, which has dropped the plan; inference run between
+the two would keep a plan of the weights before the step.
+
 The checkpoint names tensors by layer index as if each convolution, batch
 norm, ELU, upsampling and sigmoid were still a layer of its own: each layer
 spans ``slots`` indices, and a tensor's index is the layer's first index
@@ -106,6 +116,7 @@ class Autoencoder:
         encoder, decoder = _architecture(cfg, np.random.default_rng(cfg.seed))
         self.encoder = [cls(*args) for cls, args in encoder]
         self.decoder = [cls(*args) for cls, args in decoder]
+        self._plan = None
 
     # -- plumbing ----------------------------------------------------------
     def _layers(self):
@@ -134,6 +145,7 @@ class Autoencoder:
         params, buffers = snapshot
         for (_, current), new in zip(self.parameters() + self.named_buffers(), params + buffers):
             current[...] = new
+        self._plan = None
 
     @property
     def dtype(self) -> np.dtype:
@@ -158,6 +170,7 @@ class Autoencoder:
             for tensors in (layer.params, layer.buffers):
                 for name, arr in tensors.items():
                     tensors[name] = arr.astype(dtype, copy=False)
+        self._plan = None
         return self
 
     # -- computation -------------------------------------------------------
@@ -174,21 +187,42 @@ class Autoencoder:
                 f"got {x.shape[2]}x{x.shape[3]}"
             )
 
+    def _inference_plan(self):
+        """The encoder's and the decoder's plans, each a tuple of one callable
+        per layer; built here unless kept from an earlier call."""
+        plan = self._plan
+        if plan is None:
+            steps, size = [], self.cfg.input_size
+            for layer in self._layers():
+                steps.append(layer.plan(size, size))
+                size = int(size * layer.zoom)
+            cut = len(self.encoder)
+            plan = self._plan = (tuple(steps[:cut]), tuple(steps[cut:]))
+        return plan
+
+    def _run(self, part, x, train):
+        """The encoder (``part`` 0) or the decoder (1) on ``x``."""
+        layers = (self.encoder, self.decoder)[part]
+        if train:
+            self._plan = None  # batch norm moves its running statistics
+            plans = [None] * len(layers)
+        else:
+            plans = self._inference_plan()[part]
+        for layer, plan in zip(layers, plans):
+            x = layer.forward(x, train=train, plan=plan)
+        return x
+
     def encode(self, x, train=False):
         x = np.asarray(x, dtype=self.dtype)
         self._check_input(x)
-        for layer in self.encoder:
-            x = layer.forward(x, train=train)
-        return x
+        return self._run(0, x, train)
 
     def decode(self, z, train=False):
         z = np.asarray(z, dtype=self.dtype)
         m, side = self.cfg.latent_maps, self.cfg.latent_size
         if z.ndim != 4 or z.shape[1:] != (m, side, side):
             raise ShapeError(f"latent must be (B, {m}, {side}, {side}), got {z.shape}")
-        for layer in self.decoder:
-            z = layer.forward(z, train=train)
-        return z
+        return self._run(1, z, train)
 
     def forward(self, x, train=False):
         """The reconstruction of a batch; :meth:`encode` gives its latent code."""

@@ -22,7 +22,8 @@ the volume of each domain and of b0 (the DWI, its full-volume SH fit, which
 the SH bound reads too, and the b0 mean), the SH basis on the directions,
 and the latent code of every neighbor slice an autoencoder cell reads, one
 per (model, z), from which each ``ae`` cell decodes its slices, b0 included.
-The autoencoders are shared too: inference keeps no layer state, so every
+The autoencoders are shared too: inference keeps no layer state, and a
+model's inference plan, built on its first use, is only read after, so every
 pool thread runs the caller's models and none is cloned.
 """
 
@@ -42,10 +43,10 @@ import numpy as np
 from .blas import one_blas_thread
 from .dti import dti_scalars, fit_dti
 from .errors import DegenerateSample, EmptyMask, ModelMissing, ShapeError
-from .inference import decode_gap, encode_slice
+from .inference import check_sh_model, decode_gap, encode_slice
 from .interp import interp_missing_slices
 from .phantom import LABELS, PhantomData
-from .sh import fit_sh, project_sh_slice, sh_basis_matrix
+from .sh import fit_sh_slice, project_sh_slice, sh_basis_matrix
 from .stats import wilcoxon_signed_rank
 from .volume import GapSpec, SliceImage, Volume4D, b0_mean
 
@@ -172,8 +173,8 @@ class _Shared:
 def _shared_inputs(data: PhantomData, lmax: int) -> _Shared:
     b0 = b0_mean(data.b0)
     fa_gt, md_gt = dti_scalars(fit_dti(data.dwi, b0, data.gtab))
-    sh_coeffs = fit_sh(data.dwi, data.gtab, lmax=lmax).volume
     basis = sh_basis_matrix(data.gtab.bvecs, lmax)
+    sh_coeffs = data.dwi.with_data(fit_sh_slice(data.dwi.data, basis))
     span = float(np.ptp(data.dwi.data)) or 1.0
     return _Shared(span, fa_gt, md_gt, {"signal": data.dwi, "sh4": sh_coeffs, "b0": b0}, basis)
 
@@ -284,10 +285,12 @@ def run_experiment(
     """Run the full method x N x gap grid and assemble the report.
 
     ``models`` maps {'signal', 'sh4', 'b0'} to Autoencoder instances for the
-    ``ae`` methods of :data:`METHODS`. They are shared, not copied: every cell
-    reads the caller's instances, which inference never writes to (a
-    ``train=False`` forward keeps no layer state), and they must not be
-    trained or otherwise mutated while the grid runs. One thread pool of
+    ``ae`` methods of :data:`METHODS`; the sh4 net must read one channel per
+    SH coefficient of order ``lmax``, else a ``ShapeError``. They are shared,
+    not copied: every cell reads the caller's instances, which inference does
+    not change (a ``train=False`` forward keeps no layer state, and a model
+    builds its inference plan once), and they must not be trained or
+    otherwise mutated while the grid runs. One thread pool of
     ``max(1, threads or 1)`` workers first encodes each neighbor slice the
     autoencoder cells read, once per model, then runs the cells; report
     assembly is always in fixed order, so the worker count never changes the
@@ -316,6 +319,8 @@ def run_experiment(
         domain, estimator = METHODS[m]
         if estimator == "ae" and (models is None or not {domain, "b0"} <= models.keys()):
             raise ModelMissing(f"{m} needs {domain!r} and 'b0' models")
+        if estimator == "ae" and domain == "sh4":
+            check_sh_model(models[domain], lmax)
     if folds < 1 or folds > len(gaps):
         raise ShapeError(f"folds must lie in [1, {len(gaps)}], got {folds}")
     for n in n_values:

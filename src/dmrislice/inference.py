@@ -18,7 +18,7 @@ import numpy as np
 
 from .ae.model import Autoencoder
 from .errors import ShapeError
-from .sh import fit_sh, project_sh_slice, sh_basis_matrix
+from .sh import fit_sh_slice, n_coefficients, project_sh_slice, sh_basis_matrix
 from .volume import (
     GapSpec,
     GradientTable,
@@ -45,14 +45,35 @@ def blend_latents(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
     return b + alpha * (a - b)
 
 
+def _distinct_finite(ascending: np.ndarray) -> bool:
+    """Whether sorted values hold no tie (-0.0 and 0.0 tie), no NaN and no
+    infinity."""
+    return bool(np.isfinite(ascending[[0, -1]]).all() and (ascending[1:] > ascending[:-1]).all())
+
+
 def _match_channel(source: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Exact sorted-quantile CDF matching of one channel (no binning)."""
-    src_values, src_inverse, src_counts = np.unique(
-        source.ravel(), return_inverse=True, return_counts=True
-    )
-    ref_values, ref_counts = np.unique(reference.ravel(), return_counts=True)
-    src_quantiles = np.cumsum(src_counts) / source.size
-    ref_quantiles = np.cumsum(ref_counts) / reference.size
+    """Exact sorted-quantile CDF matching of one channel (no binning).
+
+    Each distinct source value maps to the reference's value at its
+    quantile, interpolated between the reference's quantiles. When source
+    and reference are the same size and each is finite and tie-free, every
+    quantile is ``(k + 1) / n`` on both sides, computed alike, and ``np.interp``
+    returns ``fp[j]`` exactly where ``x == xp[j]``: the source value of rank
+    k gets the reference value of rank k. That rank path is one argsort and
+    one sort, the same bytes as the ``np.unique`` path every other input takes.
+    """
+    src, ref = source.ravel(), reference.ravel()
+    if 0 < src.size == ref.size:
+        order = np.argsort(src)
+        ref_sorted = np.sort(ref)
+        if _distinct_finite(src[order]) and _distinct_finite(ref_sorted):
+            mapped = np.empty(src.size)
+            mapped[order] = ref_sorted
+            return mapped.reshape(source.shape)
+    src_values, src_inverse, src_counts = np.unique(src, return_inverse=True, return_counts=True)
+    ref_values, ref_counts = np.unique(ref, return_counts=True)
+    src_quantiles = np.cumsum(src_counts) / src.size
+    ref_quantiles = np.cumsum(ref_counts) / ref.size
     mapped = np.interp(src_quantiles, ref_quantiles, ref_values)
     return mapped[src_inverse].reshape(source.shape)
 
@@ -138,6 +159,18 @@ def infer_between_slices(
     return decode_gap(model, z_prev, z_next, prev_slice, next_slice, gap)
 
 
+def check_sh_model(model: Autoencoder, lmax: int) -> None:
+    """A ``ShapeError`` unless the SH net reads one channel per coefficient
+    of order ``lmax``: a 1-channel net would otherwise run once per
+    coefficient, as for the signal, and the result would read as SH."""
+    want = n_coefficients(lmax)
+    if model.cfg.input_channels != want:
+        raise ShapeError(
+            f"SH order {lmax} needs an SH net of {want} input channels, "
+            f"not {model.cfg.input_channels}"
+        )
+
+
 def infer_gap_signal(model: Autoencoder, v: Volume4D, gap: GapSpec) -> list[SliceImage]:
     """Infer the missing slices of a volume in the raw signal domain.
 
@@ -162,23 +195,24 @@ def infer_gap_sh(
 
     The two neighbor slices are SH-fit at order ``lmax`` with no
     regularization, as the sh4 nets are trained, the coefficient stacks
-    inferred with the SH model, which must read that order's coefficients,
-    and the histogram-matched outputs projected back onto the acquisition
-    directions. The b0 slices come from the 1-channel b0 model
+    inferred with the SH model, which must read that order's coefficients
+    (:func:`check_sh_model`), and the histogram-matched outputs projected
+    back onto the acquisition directions through the basis the fit used.
+    The b0 slices come from the 1-channel b0 model
     applied to the voxelwise mean of the b0 volumes at the two neighbors;
     both are returned so a tensor fit can run downstream.
     """
     if b0.dims[:3] != dwi.dims[:3]:
         raise ShapeError(f"b0 grid {b0.dims[:3]} does not match dwi {dwi.dims[:3]}")
     gap.validate_for(dwi.dims[2])
+    basis = sh_basis_matrix(g.bvecs, lmax)
+    check_sh_model(model_sh, lmax)
     z_prev, z_next = gap.neighbors
     # The two neighbor slices, z_prev and z_next, as one strided view.
     neighbors = np.s_[:, :, z_prev : z_next + 1 : z_next - z_prev]
 
-    sh = fit_sh(dwi.with_data(dwi.data[neighbors]), g, lmax=lmax)
-    inferred = infer_between_slices(model_sh, sh.volume.slice_at(0), sh.volume.slice_at(1), gap)
-
-    basis = sh_basis_matrix(g.bvecs, lmax)
+    sh = fit_sh_slice(dwi.data[neighbors], basis)
+    inferred = infer_between_slices(model_sh, SliceImage(sh[:, :, 0]), SliceImage(sh[:, :, 1]), gap)
     dwi_slices = [SliceImage(project_sh_slice(s.data, basis)) for s in inferred]
 
     b0_pair = b0_mean(b0.with_data(b0.data[neighbors]))

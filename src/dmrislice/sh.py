@@ -164,17 +164,24 @@ def fit_sh(
         check_grid(mask, dwi.dims, "mask")
     _check_lambda_reg(lambda_reg)
     basis = sh_basis_matrix(g.bvecs, lmax)
-    solver = _fit_matrix(basis, lambda_reg)
     ill = lambda_reg == 0 and basis.shape[0] <= basis.shape[1]
-
-    nx, ny, nz, nd = dwi.dims
-    coeffs = dwi.data.reshape(-1, nd) @ solver.T
-    coeffs = coeffs.reshape(nx, ny, nz, basis.shape[1])
+    coeffs = fit_sh_slice(dwi.data, basis, lambda_reg)
     if mask is not None:
         keep = mask.data[..., 0] > 0
         coeffs = np.where(keep[..., None], coeffs, 0.0)
     vol = Volume4D(coeffs, spacing=dwi.spacing, affine=dwi.affine)
     return ShCoeffVolume(vol, lmax=lmax, lambda_reg=lambda_reg, ill_conditioned=ill)
+
+
+def fit_sh_slice(signal: np.ndarray, basis: np.ndarray, lambda_reg: float = 0.0) -> np.ndarray:
+    """The least-squares fit of :func:`fit_sh` of a (W, H, D) signal slice,
+    or a (W, H, Z, D) slab, on the directions of a (D, R) basis ->
+    (W, H, R) or (W, H, Z, R); the inverse of :func:`project_sh_slice`."""
+    nd = signal.shape[-1]
+    if nd != basis.shape[0]:
+        raise ShapeError(f"slice has {nd} values per voxel, basis has {basis.shape[0]} directions")
+    coeffs = signal.reshape(-1, nd) @ _fit_matrix(basis, lambda_reg).T
+    return coeffs.reshape(signal.shape[:-1] + (basis.shape[1],))
 
 
 def project_sh(sh: ShCoeffVolume, directions) -> Volume4D:

@@ -245,6 +245,19 @@ def test_infer_reads_the_sh_order_from_the_sh4_net(study_dir, tmp_path, capsys):
     assert "no SH order has 3 coefficients" in err and err.count("\n") == 1
 
 
+def test_evaluate_with_a_one_channel_sh_net_exits_2(study_dir, tmp_path, capsys):
+    one = tmp_path / "one.ckpt"
+    save_checkpoint(Autoencoder(ModelConfig(latent_maps=2, input_size=16, base_width=1)), one)
+    out = tmp_path / "report"
+    assert dispatch(
+        ["evaluate", "--data", str(study_dir), "--methods", "ae-sh4", "--gaps", "3", "--n", "1",
+         "--sh-model", str(one), "--b0-model", str(one), "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err == "dmrislice: SH order 4 needs an SH net of 15 input channels, not 1\n"
+    assert not out.exists()
+
+
 def test_train_multiple_subjects_split(study_dir, tmp_path):
     # a second study acts as a second subject; the default split is by subject
     other = tmp_path / "study_b"

@@ -149,6 +149,13 @@ def _grid_models():
     }
 
 
+def test_a_one_channel_sh_net_is_refused(noisy_phantom):
+    # A 1-channel net would run once per SH coefficient and exit cleanly.
+    models = {**_grid_models(), "sh4": _grid_models()["b0"]}
+    with pytest.raises(ShapeError, match="^SH order 4 needs an SH net of 15 input channels, not 1$"):
+        run_experiment(noisy_phantom, methods=("ae-sh4",), gaps=(3,), n_values=(1,), models=models)
+
+
 def test_threaded_equals_serial(noisy_phantom):
     _check_threaded_equals_serial(noisy_phantom, _grid_models())
 
@@ -315,14 +322,14 @@ def test_fit_sh_runs_once_per_experiment(noisy_phantom, monkeypatch):
     """One full-volume SH fit feeds sh-linear, the ae-sh4 neighbors and the
     SH bound, whichever methods run."""
     fitted = []
-    fit_sh = evaluate.fit_sh
+    fit_sh_slice = evaluate.fit_sh_slice
 
-    def counting_fit_sh(dwi, *args, **kwargs):
-        fitted.append(dwi.dims)
-        return fit_sh(dwi, *args, **kwargs)
+    def counting_fit_sh_slice(signal, *args, **kwargs):
+        fitted.append(signal.shape)
+        return fit_sh_slice(signal, *args, **kwargs)
 
     for module in (evaluate, inference):
-        monkeypatch.setattr(module, "fit_sh", counting_fit_sh)
+        monkeypatch.setattr(module, "fit_sh_slice", counting_fit_sh_slice)
     for methods in (("sh-linear",), ("ae-sh4",), ("linear",)):
         fitted.clear()
         run_experiment(

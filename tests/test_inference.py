@@ -1,7 +1,10 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmrislice.ae import Autoencoder, ModelConfig, load_checkpoint, save_checkpoint
 from dmrislice.errors import BoundaryGap, ShapeError
@@ -350,3 +353,75 @@ def test_infer_gap_sh_15_direction_regime():
         sh_model, b0_model, data.dwi, data.b0, data.gtab, GapSpec(3, 1)
     )
     assert dwi_slices[0].data.shape == (16, 16, 15)
+
+
+def test_a_one_channel_sh_net_is_refused():
+    # A 1-channel net would run once per coefficient and read as the SH net.
+    data = make_phantom(PhantomSpec(dims=(16, 16, 8), n_directions=20, n_b0=2))
+    one = Autoencoder(MODEL16)
+    with pytest.raises(ShapeError, match="^SH order 4 needs an SH net of 15 input channels, not 1$"):
+        infer_gap_sh(one, one, data.dwi, data.b0, data.gtab, GapSpec(3, 1))
+
+
+def _unique_match(source, reference):
+    """The np.unique matching of one channel, which the rank path must equal."""
+    src_values, src_inverse, src_counts = np.unique(
+        source.ravel(), return_inverse=True, return_counts=True
+    )
+    ref_values, ref_counts = np.unique(reference.ravel(), return_counts=True)
+    src_quantiles = np.cumsum(src_counts) / source.size
+    ref_quantiles = np.cumsum(ref_counts) / reference.size
+    mapped = np.interp(src_quantiles, ref_quantiles, ref_values)
+    return mapped[src_inverse].reshape(source.shape)
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+SPECIAL = {"signed-zero": [-0.0, 0.0], "nan": [np.nan], "inf": [np.inf]}
+
+
+@st.composite
+def channels(draw, n, kinds):
+    """(kind, values) of one channel of ``n`` values: tie-free, with ties,
+    all equal, or tie-free apart from a -0.0/0.0 pair, a NaN or an infinity."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "distinct":
+        values = draw(st.lists(FINITE, min_size=n, max_size=n, unique=True))
+    elif kind == "ties":
+        pool = draw(st.lists(FINITE, min_size=1, max_size=n - 1, unique=True))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif kind == "equal":
+        values = [draw(FINITE)] * n
+    else:
+        special = SPECIAL[kind]
+        nonzero = FINITE.filter(lambda v: v != 0.0)
+        values = special + draw(
+            st.lists(nonzero, min_size=n - len(special), max_size=n - len(special), unique=True)
+        )
+    return kind, np.array(draw(st.permutations(values)), dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_histogram_match_rank_path_gives_the_unique_paths_bytes(data):
+    # Tie-free channels of one size, the rank path's inputs, in about one of
+    # four channels.
+    kinds = ["distinct"] * 4 + ["ties", "equal", *SPECIAL]
+    c = data.draw(st.integers(1, 3))
+    src_shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(2, 5)))
+    larger = (src_shape[0] + 1, src_shape[1])
+    ref_shape = data.draw(st.sampled_from([src_shape, src_shape, larger]))
+    src = [data.draw(channels(src_shape[0] * src_shape[1], kinds)) for _ in range(c)]
+    ref = [data.draw(channels(ref_shape[0] * ref_shape[1], kinds)) for _ in range(c)]
+    source = np.stack([v.reshape(src_shape) for _, v in src], axis=2)
+    reference = np.stack([v.reshape(ref_shape) for _, v in ref], axis=2)
+    want = np.empty_like(source)
+    for k in range(c):
+        want[:, :, k] = _unique_match(source[:, :, k], reference[:, :, k])
+    ranked = sum(
+        src_shape == ref_shape and a == b == "distinct" for (a, _), (b, _) in zip(src, ref)
+    )
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        got = histogram_match(SliceImage(source), SliceImage(reference)).data
+    assert got.tobytes() == want.tobytes()
+    # Each channel off the rank path runs np.unique on its source and reference.
+    assert unique.call_count == 2 * (c - ranked)

@@ -3,6 +3,7 @@ import os
 import struct
 import sys
 import tempfile
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -19,6 +20,8 @@ from dmrislice.ae import (
     load_checkpoint,
     save_checkpoint,
 )
+from dmrislice.ae import layers
+from dmrislice.ae.layers import UpsampleConv2D
 from dmrislice.ae.model import tensor_manifest
 from dmrislice.ae.optim import BETA1, BETA2, EPS
 from dmrislice.blas import _openblas, one_blas_thread
@@ -147,6 +150,81 @@ def test_two_threads_share_one_model():
     finally:
         sys.setswitchinterval(interval)
     assert results == [[True] * 20, [True] * 20]
+
+
+def _fresh_copy(model):
+    """A newly built model of ``model``'s config and dtype, loaded with its
+    tensors: one that has never run inference."""
+    fresh = Autoencoder(model.cfg).astype(model.dtype)
+    fresh.load_snapshot(model.state_snapshot())
+    return fresh
+
+
+def test_inference_after_each_weight_change_matches_a_fresh_model():
+    # Each change below comes after an inference call built the plan, which
+    # must not outlive the weights it was derived from.
+    model = Autoencoder(TINY)
+    rng = np.random.default_rng(15)
+    x = rng.uniform(0, 1, (2, 1, 16, 16))
+    z = rng.standard_normal((2, 2, 1, 1))
+    params = [arr for _, arr in model.parameters()]
+    opt = Adam(lr=1e-2)
+    start = model.state_snapshot()
+
+    def step():
+        _, grads = model.loss_and_grads(rng.uniform(0, 1, (4, 1, 16, 16)))
+        opt.step(params, grads)
+
+    changes = {"step": step, "load_snapshot": lambda: model.load_snapshot(start),
+               "astype": lambda: model.astype(np.float32)}
+    for name, change in changes.items():
+        model.decode(model.encode(x))  # builds the plan
+        change()
+        fresh = _fresh_copy(model)
+        assert np.array_equal(model.encode(x), fresh.encode(x)), name
+        assert np.array_equal(model.decode(z), fresh.decode(z)), name
+
+
+def test_repeated_decodes_derive_each_phase_kernel_once(monkeypatch):
+    derived = []
+    phase_kernel = layers._phase_kernel
+
+    def counting_phase_kernel(w):
+        derived.append(w.shape)
+        return phase_kernel(w)
+
+    monkeypatch.setattr(layers, "_phase_kernel", counting_phase_kernel)
+    model = Autoencoder(TINY)
+    z = np.random.default_rng(16).standard_normal((2, 2, 1, 1))
+    first = model.decode(z)
+    for _ in range(3):
+        assert np.array_equal(model.decode(z), first)
+    stages = [
+        layer.params["w"].shape for layer in model.decoder if isinstance(layer, UpsampleConv2D)
+    ]
+    assert derived == stages
+
+
+def test_two_threads_building_the_plan_at_once_give_the_serial_bytes():
+    cfg = ModelConfig(latent_maps=2, input_size=32, base_width=2, seed=6)
+    x = np.random.default_rng(17).uniform(0, 1, (2, 1, 32, 32))
+    serial = Autoencoder(cfg).forward(x)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(5):
+            model = Autoencoder(cfg)  # no plan yet: both threads build one
+            barrier = threading.Barrier(2)
+
+            def run(_):
+                barrier.wait(timeout=60)
+                return model.forward(x)
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(run, range(2), timeout=300))
+            assert all(np.array_equal(y, serial) for y in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_decoder_is_function_of_latent_only():
