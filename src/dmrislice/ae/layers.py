@@ -47,9 +47,9 @@ So the four phases are one GEMM per item of a ``(4*o, 4*c)`` kernel with the
 4x-size upsampled map is never built. Every input size takes this path.
 
 Inference runs through a plan: each layer's ``plan`` is an immutable
-callable holding what the layer's weights, buffers and input size fix,
-derived once: the GEMM kernel (a decoder stage's phase kernel), the
-batch-norm scale and shift, the tap windows. A layer's
+callable holding what the layer's weights and buffers fix, derived once:
+the GEMM kernel (a decoder stage's phase kernel) and the batch-norm scale
+and shift. A layer's
 ``forward(train=False)`` runs the plan it is given, or one built for the
 call; :class:`~dmrislice.ae.model.Autoencoder` keeps one plan per net, hands
 each layer its own, and drops it whenever it changes the weights. A
@@ -64,6 +64,7 @@ are the same to the bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +86,11 @@ def _window(t, pad, size, out):
     return slice(lo, hi), slice(lo + t - pad, hi + t - pad)
 
 
+@functools.cache
 def _taps(k, h, w):
     """Each tap ``(i, j)`` of a ``k x k`` correlation over an ``h x w`` input
-    zero-padded by ``k // 2``, with its :func:`_window` along each axis."""
+    zero-padded by ``k // 2``, with its :func:`_window` along each axis.
+    Cached: every training forward and backward pass asks for them."""
     pad = k // 2
     oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     return tuple(
@@ -97,12 +100,11 @@ def _taps(k, h, w):
     )
 
 
-def _column_tiles(x, k, taps=None):
+def _column_tiles(x, k):
     """Yields ``(batch slice, column block)`` over the unpadded input ``x``
     for the correlation of ``k x k`` taps with ``xp``, ``x`` zero-padded by
     ``k // 2``, at every window inside ``xp``: ``oh = h + 2*(k//2) - k + 1``
     rows of them, which is ``h`` for odd ``k`` and ``h + 1`` for ``k = 2``.
-    ``taps`` are the :func:`_taps` of ``x``'s size, derived here if not given.
 
     The block of a tile of n items is item-major, ``(n, c*k*k, oh*ow)``:
     row ``(c, i, j)`` of item ``m`` holds ``xp[m, c, i:i+oh, j:j+ow]``. Each
@@ -116,8 +118,7 @@ def _column_tiles(x, k, taps=None):
     per_item = c * k * k * oh * ow
     n_max = min(b, max(1, _TILE_BYTES // (per_item * x.itemsize)))
     buf = (np.zeros if pad else np.empty)(n_max * per_item, dtype=x.dtype)
-    if taps is None:
-        taps = _taps(k, h, w)
+    taps = _taps(k, h, w)
     for start in range(0, b, n_max):
         items = slice(start, min(start + n_max, b))
         n = items.stop - start
@@ -130,32 +131,29 @@ def _column_tiles(x, k, taps=None):
 @dataclass(frozen=True)
 class Correlation:
     """'Same'-size 2-D correlation, y[b,o] = sum_c x[b,c] * w[o,c] with ``x``
-    zero-padded by ``k // 2``, with what its weights and input size fix
-    derived once: the ``(o, c*k*k)`` GEMM kernel and the tap windows."""
+    zero-padded by ``k // 2``, with the ``(o, c*k*k)`` GEMM kernel of its
+    weights derived once."""
 
     kernel: np.ndarray
     k: int
-    taps: tuple
 
     @classmethod
-    def of(cls, w, h, wd):
-        """The correlation with the ``(o, c, k, k)`` weights ``w`` over
-        ``h x wd`` inputs."""
-        k = w.shape[2]
-        return cls(w.reshape(w.shape[0], -1), k, _taps(k, h, wd))
+    def of(cls, w):
+        """The correlation with the ``(o, c, k, k)`` weights ``w``."""
+        return cls(w.reshape(w.shape[0], -1), w.shape[2])
 
     def __call__(self, x):
         b, _, h, w = x.shape
         o = self.kernel.shape[0]
         y = np.empty((b, o, h, w), dtype=np.result_type(x, self.kernel))
-        for items, cols in _column_tiles(x, self.k, self.taps):
+        for items, cols in _column_tiles(x, self.k):
             np.matmul(self.kernel, cols, out=y.reshape(b, o, -1)[items])
         return y
 
 
 def _conv_correlate(x, w):
     """The :class:`Correlation` with the weights ``w`` applied to ``x``."""
-    return Correlation.of(w, *x.shape[2:])(x)
+    return Correlation.of(w)(x)
 
 
 def _conv_weight_grad(x, dy, k):
@@ -315,7 +313,7 @@ class Conv2D(Layer):
     def plan(self, h, w) -> BlockPlan:
         scale = self.params["gamma"] / np.sqrt(self.buffers["running_var"] + BN_EPS)
         shift = self.params["beta"] - self.buffers["running_mean"] * scale
-        conv = self.correlation.of(self.params["w"], h, w)
+        conv = self.correlation.of(self.params["w"])
         return BlockPlan(conv, scale[:, None, None], shift[:, None, None])
 
     def forward(self, x, train=False, plan=None):
@@ -323,7 +321,7 @@ class Conv2D(Layer):
         if not train:
             self._cache = None
             return (plan or self.plan(*x.shape[2:]))(x)
-        conv = self.correlation.of(self.params["w"], *x.shape[2:])
+        conv = self.correlation.of(self.params["w"])
         h = conv(x)
         mean = h.mean(axis=(0, 2, 3))
         # np.var's own steps: the squared deviations summed, over the count.
@@ -440,15 +438,15 @@ class PhaseCorrelation(Correlation):
     3x3 weights, over the 2x2 taps' windows."""
 
     @classmethod
-    def of(cls, w, h, wd):
-        return cls(_phase_kernel(w), 2, _taps(2, h, wd))
+    def of(cls, w):
+        return cls(_phase_kernel(w), 2)
 
     def __call__(self, x):
         k = self.kernel
         o = k.shape[0] // 4
         n, _, h, w = x.shape
         y = np.empty((n, o, 2 * h, 2 * w), dtype=np.result_type(x, k))
-        for items, cols in _column_tiles(x, 2, self.taps):
+        for items, cols in _column_tiles(x, 2):
             g = (k @ cols).reshape(-1, 2, 2, o, h + 1, w + 1)
             for a in range(2):
                 for b in range(2):
@@ -554,7 +552,7 @@ class Head(Layer):
         self._cache = None
 
     def plan(self, h, w) -> HeadPlan:
-        return HeadPlan(Correlation.of(self.params["w"], h, w), self.params["b"][:, None, None])
+        return HeadPlan(Correlation.of(self.params["w"]), self.params["b"][:, None, None])
 
     def forward(self, x, train=False, plan=None):
         _check_channels(x, self.c_in)

@@ -93,10 +93,12 @@ def fit_dti(
     design = design_matrix(bvals, bvecs)
     solver = np.linalg.pinv(design)
 
+    # The one full-size array: floored and logged in place.
     signal = np.concatenate([b0.data, dwi.data], axis=3)
-    signal = np.maximum(signal, SIGNAL_FLOOR)
+    np.maximum(signal, SIGNAL_FLOOR, out=signal)
+    np.log(signal, out=signal)
     nx, ny, nz, _ = signal.shape
-    beta = np.log(signal).reshape(-1, n_meas) @ solver.T
+    beta = signal.reshape(-1, n_meas) @ solver.T
     beta = beta.reshape(nx, ny, nz, 7)
 
     if mask is not None:

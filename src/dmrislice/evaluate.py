@@ -154,8 +154,10 @@ class EvalReport:
 
 
 def _normalized_mse(est: np.ndarray, gt: np.ndarray, span: float) -> float:
-    diff = (est - gt) / span
-    return float(np.mean(diff * diff))
+    diff = est - gt
+    diff /= span
+    diff *= diff
+    return float(np.mean(diff))
 
 
 @dataclass(frozen=True)

@@ -137,9 +137,12 @@ def read_nifti(path) -> Volume4D:
         # One casting copy from the x-fastest payload into the voxel-major layout.
         data = raw.reshape((nx, ny, nz, nv), order="F").astype(np.float64, order="C")
         if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
-            data = data * slope + inter
-    bad = ~np.isfinite(data)
-    if bad.any():
+            data *= slope
+            data += inter
+    # NaN propagates through min and max, and +-inf is an extreme, so two
+    # reductions check every value; the mask is built only to report one.
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        bad = ~np.isfinite(data)
         first = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         raise ShapeError(
             f"{path}: {np.count_nonzero(bad)} non-finite voxel values, the first at {first}"
@@ -168,17 +171,24 @@ def read_labels(path, dims) -> Volume4D:
     return labels
 
 
-def write_nifti(v: Volume4D, path) -> None:
+def write_nifti(v: Volume4D, path, *more: Volume4D) -> None:
     """Write a single-file NIfTI-1 volume with float32 data.
 
     Values are cast to float32; the round trip through :func:`read_nifti` is
     bit-exact whenever the data are float32-representable. A volume with a
     zero extent is refused, since the header cannot store it: the reader
-    takes a zero dimension as 1.
+    takes a zero dimension as 1. ``more`` are volumes on ``v``'s voxel grid
+    whose values follow ``v``'s along the volume axis, as if concatenated
+    with it; the header, spacing and affine are ``v``'s. The payload is cast
+    and written one volume at a time, the outermost axis of its x-fastest
+    order, so no full-size copy is made.
     """
     if 0 in v.dims:
         raise ShapeError(f"cannot write {path}: the volume has a zero extent, {v.dims}")
-    nx, ny, nz, nv = v.dims
+    for part in more:
+        check_grid(part, v.dims, f"cannot write {path}: a further volume")
+    nx, ny, nz = v.dims[:3]
+    nv = sum(part.n_volumes for part in (v, *more))
     header = bytearray(VOX_OFFSET)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
     struct.pack_into("<b", header, 39, 0)  # dim_info
@@ -195,10 +205,12 @@ def write_nifti(v: Volume4D, path) -> None:
     struct.pack_into("<12f", header, _OFF_SROW, *v.affine[:3, :].ravel())
     struct.pack_into("<4s", header, _OFF_MAGIC, MAGIC_SINGLE)
 
-    payload = v.data.astype("<f4").tobytes(order="F")
     try:
         with open(path, "wb") as fh:
-            fh.write(bytes(header))
-            fh.write(payload)
+            fh.write(header)
+            for part in (v, *more):
+                for i in range(part.n_volumes):
+                    # The transposed volume in C order is the volume x-fastest.
+                    fh.write(part.data[..., i].T.astype("<f4", order="C"))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

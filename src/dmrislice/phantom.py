@@ -140,18 +140,43 @@ def _tensor_field(labels, azimuth, zfrac):
     return d6
 
 
-def _apply_noise(signal, spec, rng):
+def _add_noise(signal, spec, rng):
+    """Adds the spec's noise to ``signal`` in place, one x-slab at a time.
+
+    Gaussian noise is ``signal + sigma * n`` and Rician noise
+    ``|signal + sigma * n + i sigma * m|``, with ``n`` and ``m`` successive
+    standard normal draws of ``signal``'s shape. x is the slowest axis of the
+    C-ordered ``signal``, so slab by slab the draws take the generator's
+    stream in the order of one full draw, and the values are those of the
+    formulas computed on whole arrays.
+    """
     if spec.noise == "none":
-        return signal
-    if spec.noise == "gaussian":
-        return signal + spec.noise_sigma * rng.standard_normal(signal.shape)
-    real = signal + spec.noise_sigma * rng.standard_normal(signal.shape)
-    imag = spec.noise_sigma * rng.standard_normal(signal.shape)
-    return np.sqrt(real * real + imag * imag)
+        return
+    draw = np.empty(signal.shape[1:])
+    for slab in signal:
+        rng.standard_normal(out=draw)
+        draw *= spec.noise_sigma
+        slab += draw
+    if spec.noise == "rician":
+        for slab in signal:
+            rng.standard_normal(out=draw)
+            draw *= spec.noise_sigma
+            draw *= draw
+            slab *= slab
+            slab += draw
+            np.sqrt(slab, out=slab)
+
+
+# The (3, 3) tensor of a 6-vector (xx, yy, zz, xy, xz, yz), row by row.
+_MATRIX_ENTRIES = [0, 3, 4, 3, 1, 5, 4, 5, 2]
 
 
 def make_phantom(spec: PhantomSpec) -> PhantomData:
-    """Simulate a phantom study, deterministic under spec.seed."""
+    """Simulate a phantom study, deterministic under spec.seed.
+
+    The DWI is the one full-size array made: each x-slab's ``g^T D g`` is
+    computed into it, and the signal and the noise are then formed in place.
+    """
     labels, azimuth, zfrac = _region_layout(spec.dims)
     d6 = _tensor_field(labels, azimuth, zfrac)
     s0 = np.zeros(spec.dims)
@@ -159,20 +184,18 @@ def make_phantom(spec: PhantomSpec) -> PhantomData:
         s0[labels == label] = value
 
     dirs = fibonacci_directions(spec.n_directions)
-    dmat = np.zeros(spec.dims + (3, 3))
-    dmat[..., 0, 0] = d6[..., 0]
-    dmat[..., 1, 1] = d6[..., 1]
-    dmat[..., 2, 2] = d6[..., 2]
-    dmat[..., 0, 1] = dmat[..., 1, 0] = d6[..., 3]
-    dmat[..., 0, 2] = dmat[..., 2, 0] = d6[..., 4]
-    dmat[..., 1, 2] = dmat[..., 2, 1] = d6[..., 5]
-    gdg = np.einsum("di,xyzij,dj->xyzd", dirs, dmat, dirs, optimize=True)
-    signal = s0[..., None] * np.exp(-spec.b_value * gdg)
+    signal = np.empty(spec.dims + (spec.n_directions,))
+    for slab, slab_d6 in zip(signal, d6):
+        dmat = slab_d6[..., _MATRIX_ENTRIES].reshape(slab_d6.shape[:2] + (3, 3))
+        np.einsum("di,yzij,dj->yzd", dirs, dmat, dirs, optimize=True, out=slab)
+    signal *= -spec.b_value
+    np.exp(signal, out=signal)
+    signal *= s0[..., None]
 
     rng = np.random.default_rng(spec.seed)
-    signal = _apply_noise(signal, spec, rng)
+    _add_noise(signal, spec, rng)
     b0_data = np.repeat(s0[..., None], spec.n_b0, axis=3)
-    b0_data = _apply_noise(b0_data, spec, rng)
+    _add_noise(b0_data, spec, rng)
 
     gtab = GradientTable(np.full(spec.n_directions, spec.b_value), dirs)
     dwi = Volume4D(signal)

@@ -30,11 +30,10 @@ from .volume import (
 
 def write_study(data: PhantomData, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    combined = np.concatenate([data.b0.data, data.dwi.data], axis=3)
     n_b0 = data.b0.n_volumes
     bvals = np.concatenate([np.zeros(n_b0), data.gtab.bvals])
     bvecs = np.vstack([np.zeros((n_b0, 3)), data.gtab.bvecs])
-    write_nifti(Volume4D(combined), os.path.join(out_dir, "dwi.nii"))
+    write_nifti(data.b0, os.path.join(out_dir, "dwi.nii"), data.dwi)
     write_gradient_table(
         GradientTable(bvals, bvecs),
         os.path.join(out_dir, "dwi.bval"),

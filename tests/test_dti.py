@@ -3,7 +3,7 @@ import pytest
 
 from dmrislice.dti import _eigvals_sym3, dti_scalars, fit_dti, TensorVolume
 from dmrislice.errors import Underdetermined
-from dmrislice.phantom import fibonacci_directions
+from dmrislice.phantom import PhantomSpec, fibonacci_directions, make_phantom
 from dmrislice.volume import GradientTable, Volume4D
 
 WM_EIG = np.array([1.7e-3, 0.3e-3, 0.3e-3])
@@ -191,3 +191,10 @@ def test_rotation_equivariance_of_fa_md():
     (fa_r, md_r), (fa_0, md_0) = dti_scalars(t_r), dti_scalars(t_0)
     assert np.abs(fa_r.data - fa_0.data).max() < 1e-8
     assert np.abs(md_r.data - md_0.data).max() < 1e-8
+
+
+def test_fit_dti_holds_one_full_size_array(traced_peak):
+    spec = PhantomSpec(dims=(32, 32, 8), n_directions=30, noise="rician", noise_sigma=0.02)
+    data = make_phantom(spec)
+    _, peak = traced_peak(fit_dti, data.dwi, data.b0, data.gtab)
+    assert peak <= 1.4 * (data.dwi.data.nbytes + data.b0.data.nbytes)

@@ -4,7 +4,6 @@ import struct
 import sys
 import tempfile
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import fields
@@ -571,19 +570,18 @@ def test_tensor_manifest_matches_the_built_model():
     assert tensor_manifest(cfg) == built
 
 
-def test_corrupt_config_is_rejected_before_the_model_is_built(tmp_path):
+def test_corrupt_config_is_rejected_before_the_model_is_built(tmp_path, traced_peak):
     # base_width 91 names a model of ~140M parameters; the manifest of the
     # base_width 1 tensors must be found wrong without allocating it.
     p = tmp_path / "x.ckpt"
     save_checkpoint(Autoencoder(TINY), p)
     rewrite_header(p, edit_config(base_width=91))
-    tracemalloc.start()
-    try:
+
+    def load():
         with pytest.raises(ParseError):
             load_checkpoint(p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(load)
     assert peak < 50e6
 
 

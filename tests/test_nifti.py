@@ -161,6 +161,21 @@ def test_roundtrip_bit_exact(tmp_path):
     assert np.allclose(back.spacing, v.spacing, atol=1e-6)
 
 
+def test_further_volumes_follow_the_first_on_its_grid(tmp_path):
+    rng = np.random.default_rng(1)
+    a = Volume4D(rng.standard_normal((5, 4, 3, 2)).astype(np.float32), spacing=(1.5, 1.5, 2.0))
+    b = Volume4D(rng.standard_normal((5, 4, 3, 3)).astype(np.float32))
+    p = tmp_path / "o.nii"
+    write_nifti(a, p, b)
+    back = read_nifti(p)
+    assert np.array_equal(back.data, np.concatenate([a.data, b.data], axis=3))
+    assert back.spacing == a.spacing
+    q = tmp_path / "q.nii"
+    with pytest.raises(ShapeError, match="further volume"):
+        write_nifti(a, q, Volume4D(np.zeros((5, 4, 2, 1))))
+    assert not q.exists()
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_roundtrip_property(seed):

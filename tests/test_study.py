@@ -24,3 +24,9 @@ def test_load_specific_shell(tmp_path):
     write_study(data, tmp_path)
     back = load_study(tmp_path, b_target=700.0)
     assert np.all(back.gtab.bvals == 700.0)
+
+
+def test_write_study_holds_no_full_size_copy(tmp_path, traced_peak):
+    data = make_phantom(PhantomSpec(dims=(32, 32, 8), n_directions=30))
+    _, peak = traced_peak(write_study, data, tmp_path)
+    assert peak <= 0.5 * data.dwi.data.nbytes
