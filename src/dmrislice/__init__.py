@@ -7,7 +7,7 @@ representation. Ships diffusion-tensor scalar maps and a phantom-driven
 evaluation harness.
 """
 
-from .dti import TensorVolume, dti_scalars, fit_dti
+from .dti import dti_scalars, fit_dti
 from .evaluate import EvalReport, mse_region, run_experiment
 from .inference import blend_latents, histogram_match, infer_gap_sh, infer_gap_signal
 from .interp import interp_missing_slices
@@ -66,7 +66,6 @@ __all__ = [
     "sh_roundtrip_error",
     "ShCoeffVolume",
     "SliceImage",
-    "TensorVolume",
     "Volume4D",
     "wilcoxon_signed_rank",
     "write_nifti",

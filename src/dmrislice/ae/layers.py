@@ -192,8 +192,6 @@ class Layer:
     # Checkpoint layer indices the layer spans: those of the one-operation
     # layers it replaced, so that checkpoint names stay as they were.
     slots = 1
-    # Output side length over input side length.
-    zoom = 1
 
     @staticmethod
     def tensor_shapes(*args) -> tuple[dict, dict]:
@@ -212,15 +210,15 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
 
-    def plan(self, h, w):
-        """The layer's inference on ``h x w`` inputs: an immutable callable
-        that holds what the layer's tensors and that size fix."""
+    def plan(self):
+        """The layer's inference: an immutable callable that holds what the
+        layer's tensors fix, for inputs of any size."""
         raise NotImplementedError
 
     def forward(self, x, train=False, plan=None):
         """The layer on ``x``. Inference runs ``plan``, the layer's
-        :meth:`plan` for ``x``'s size, which a model keeps; without one it
-        builds its own for the call."""
+        :meth:`plan`, which a model keeps; without one it builds its own for
+        the call."""
         raise NotImplementedError
 
     def backward(self, dy):
@@ -310,7 +308,7 @@ class Conv2D(Layer):
         self.grads["w"] = _conv_weight_grad(x, dy, self.ksize)
         return _conv_correlate(dy, _flip(self.params["w"])) if need_dx else None
 
-    def plan(self, h, w) -> BlockPlan:
+    def plan(self) -> BlockPlan:
         scale = self.params["gamma"] / np.sqrt(self.buffers["running_var"] + BN_EPS)
         shift = self.params["beta"] - self.buffers["running_mean"] * scale
         conv = self.correlation.of(self.params["w"])
@@ -320,7 +318,7 @@ class Conv2D(Layer):
         _check_channels(x, self.c_in)
         if not train:
             self._cache = None
-            return (plan or self.plan(*x.shape[2:]))(x)
+            return (plan or self.plan())(x)
         conv = self.correlation.of(self.params["w"])
         h = conv(x)
         mean = h.mean(axis=(0, 2, 3))
@@ -366,35 +364,30 @@ class Conv2D(Layer):
         return self._convolve_backward(x, conv, d, need_dx)
 
 
-def _block_sum2x2(x):
-    """Sum of each 2x2 block of the last two axes, in pairs along w and then
-    the two rows: the order NumPy's mean over both window axes uses."""
-    y = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
-    y += x[:, :, 1::2, ::2] + x[:, :, 1::2, 1::2]
-    return y
-
-
 def _repeat2x2(x):
     """Each value of the last two axes repeated into a 2x2 block."""
     return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
 
 def _avg_pool(x):
-    y = _block_sum2x2(x)
+    """Mean of each 2x2 block of the last two axes: summed in pairs along w
+    and then the two rows, the order NumPy's mean over both window axes
+    uses, then scaled by 1/4."""
+    h, w = x.shape[2:]
+    if h % 2 or w % 2:
+        raise ShapeError(f"average pooling needs even spatial dims, got {h}x{w}")
+    y = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
+    y += x[:, :, 1::2, ::2] + x[:, :, 1::2, 1::2]
     y *= 0.25
     return y
 
 
 class AvgPool2x2(Layer):
-    zoom = 0.5
-
-    def plan(self, h, w):
-        if h % 2 or w % 2:
-            raise ShapeError(f"average pooling needs even spatial dims, got {h}x{w}")
+    def plan(self):
         return _avg_pool
 
     def forward(self, x, train=False, plan=None):
-        return (plan or self.plan(*x.shape[2:]))(x)
+        return _avg_pool(x)
 
     def backward(self, dy):
         return _repeat2x2(dy * 0.25)
@@ -480,7 +473,6 @@ class UpsampleConv2D(Conv2D):
     # convolution's, the second.
     slots = 4
     _w_slot = 1
-    zoom = 2
     correlation = PhaseCorrelation
 
     def _convolve_backward(self, x, conv, dy, need_dx):
@@ -551,12 +543,12 @@ class Head(Layer):
         self.params["b"] = np.zeros(params["b"])
         self._cache = None
 
-    def plan(self, h, w) -> HeadPlan:
+    def plan(self) -> HeadPlan:
         return HeadPlan(Correlation.of(self.params["w"]), self.params["b"][:, None, None])
 
     def forward(self, x, train=False, plan=None):
         _check_channels(x, self.c_in)
-        y = (plan or self.plan(*x.shape[2:]))(x)
+        y = (plan or self.plan())(x)
         self._cache = (x, y) if train else None
         return y
 

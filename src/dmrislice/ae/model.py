@@ -8,10 +8,10 @@ input (:class:`~.layers.UpsampleConv2D`), whose convolution runs at the
 input's resolution. The model has 21 layers for every config.
 
 A ``train=False`` pass runs each layer with its part of the model's
-inference plan: every layer's ``plan`` for its input size, built on first
-use and kept, since a loaded net never changes. Pool threads share it
-read-only; two threads that build it at once build equal plans, and either
-may be kept. Every method that changes the weights or buffers drops it: a
+inference plan: every layer's ``plan``, one per net whatever the input size,
+built on first use and kept, since a loaded net never changes. Pool threads
+share it read-only; two threads that build it at once build equal plans, and
+either may be kept. Every method that changes the weights or buffers drops it: a
 ``train=True`` pass (so ``loss_and_grads``), :meth:`Autoencoder.load_snapshot`
 and :meth:`Autoencoder.astype`. An optimizer steps the weights in place
 after ``loss_and_grads``, which has dropped the plan; inference run between
@@ -192,12 +192,9 @@ class Autoencoder:
         per layer; built here unless kept from an earlier call."""
         plan = self._plan
         if plan is None:
-            steps, size = [], self.cfg.input_size
-            for layer in self._layers():
-                steps.append(layer.plan(size, size))
-                size = int(size * layer.zoom)
-            cut = len(self.encoder)
-            plan = self._plan = (tuple(steps[:cut]), tuple(steps[cut:]))
+            plan = self._plan = tuple(
+                tuple(layer.plan() for layer in part) for part in (self.encoder, self.decoder)
+            )
         return plan
 
     def _run(self, part, x, train):

@@ -164,10 +164,16 @@ def _split(dataset, cfg: TrainConfig, rng):
     return train_idx, val_idx
 
 
-def _eval_mse(model: Autoencoder, batch: np.ndarray) -> float:
-    y = model.forward(batch, train=False)
-    d = y - batch
-    return float(np.mean(d * d))
+def _eval_mse(model: Autoencoder, stack: np.ndarray, idx: np.ndarray, batch_size: int) -> float:
+    """Reconstruction MSE of the items ``idx`` of ``stack``, forwarded
+    ``batch_size`` at a time: a slice reconstructs the same in any batch, so
+    this is one forward's MSE over them all, to the bit."""
+    diff = np.empty((len(idx),) + stack.shape[1:])
+    for start in range(0, len(idx), batch_size):
+        batch = stack[idx[start : start + batch_size]]
+        np.subtract(model.forward(batch, train=False), batch, out=diff[start : start + batch_size])
+    diff *= diff
+    return float(np.mean(diff))
 
 
 def _open_log(path):
@@ -217,8 +223,7 @@ def train(
         )
 
     stack = np.stack([s.data for s in dataset])
-    train_idx = np.asarray(train_idx)
-    val_data = stack[val_idx]
+    train_idx, val_idx = np.asarray(train_idx), np.asarray(val_idx)
 
     model = Autoencoder(model_cfg).astype(np.float32)
     opt = Adam(lr=cfg.lr)
@@ -242,7 +247,7 @@ def train(
                 opt.step(params, grads)
                 epoch_losses.append(mse)
             train_mse = float(np.mean(epoch_losses))
-            val_mse = _eval_mse(model, val_data)
+            val_mse = _eval_mse(model, stack, val_idx, cfg.batch_size)
             history.append((epoch, train_mse, val_mse))
             log.writerow(history[-1])
             fh.flush()

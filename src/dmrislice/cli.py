@@ -171,7 +171,7 @@ def cmd_fit_dti(args):
     data = load_study(args.data, b_target=args.bvalue, shell_tol=args.shell_tol)
     tensors = fit_dti(data.dwi, data.b0, data.gtab, mask=_mask_arg(args, data.dwi))
     if args.out_tensor:
-        write_nifti(tensors.to_volume(), args.out_tensor)
+        write_nifti(tensors, args.out_tensor)
     if args.out_fa or args.out_md:
         fa, md = dti_scalars(tensors)
         if args.out_fa:
@@ -266,25 +266,25 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
+    if args.domain == "sh4" and not args.b0_model:
+        print("dmrislice: infer --domain sh4 needs --b0-model", file=sys.stderr)
+        return USAGE_ERROR
     data = load_study(args.data, b_target=args.bvalue, shell_tol=args.shell_tol)
     gap = GapSpec(gap_start=args.gap_start, n_missing=args.n)
     model = ae.load_checkpoint(args.model)
-    os.makedirs(args.out, exist_ok=True)
+    b0_model = ae.load_checkpoint(args.b0_model) if args.b0_model else None
 
     if args.domain == "signal":
         slices = infer_gap_signal(model, data.dwi, gap)
         b0_slices = None
-        if args.b0_model:
-            b0_model = ae.load_checkpoint(args.b0_model)
+        if b0_model is not None:
             b0_slices = infer_gap_signal(b0_model, b0_mean(data.b0), gap)
     else:
-        if not args.b0_model:
-            raise DmrisliceError("--domain sh4 requires --b0-model")
-        b0_model = ae.load_checkpoint(args.b0_model)
         # An sh4 net reads the coefficients of the order its channels count.
         lmax = lmax_for(model.cfg.input_channels)
         slices, b0_slices = infer_gap_sh(model, b0_model, data.dwi, data.b0, data.gtab, gap, lmax)
 
+    os.makedirs(args.out, exist_ok=True)
     _write_slices(slices, data.dwi, gap.gap_start, args.out)
     filled = replace_slices(data.dwi, gap.gap_start, slices)
     write_nifti(filled, os.path.join(args.out, "volume.nii"))

@@ -6,44 +6,14 @@ Tensors are stored as 6 values per voxel in lower-triangular order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import EmptyMask, ShapeError, Underdetermined
-from .volume import GradientTable, Volume4D, check_grid
+from .errors import ShapeError, Underdetermined
+from .volume import GradientTable, Volume4D, mask_voxels
 
 SIGNAL_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class TensorVolume:
-    """Per-voxel symmetric diffusion tensor plus estimated b0 signal."""
-
-    d6: np.ndarray  # (X, Y, Z, 6)
-    s0: np.ndarray  # (X, Y, Z)
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    affine: np.ndarray = None
-
-    def __post_init__(self):
-        d6 = np.asarray(self.d6, dtype=np.float64)
-        s0 = np.asarray(self.s0, dtype=np.float64)
-        if d6.ndim != 4 or d6.shape[3] != 6:
-            raise ShapeError(f"tensor array must be (X, Y, Z, 6), got {d6.shape}")
-        if s0.shape != d6.shape[:3]:
-            raise ShapeError(f"s0 shape {s0.shape} does not match {d6.shape[:3]}")
-        object.__setattr__(self, "d6", d6)
-        object.__setattr__(self, "s0", s0)
-        affine = np.eye(4) if self.affine is None else np.asarray(self.affine)
-        object.__setattr__(self, "affine", affine)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.d6.shape[:3]
-
-    def to_volume(self) -> Volume4D:
-        return Volume4D(self.d6, spacing=self.spacing, affine=self.affine)
 
 
 def design_matrix(bvals: np.ndarray, bvecs: np.ndarray) -> np.ndarray:
@@ -70,16 +40,17 @@ def fit_dti(
     b0: Volume4D,
     g: GradientTable,
     mask: Volume4D | None = None,
-) -> TensorVolume:
-    """Ordinary log-linear least-squares tensor fit.
+) -> Volume4D:
+    """Ordinary log-linear least-squares tensor fit: the ``(X, Y, Z, 6)``
+    tensor field on ``dwi``'s grid, zero outside ``mask`` where one is given.
 
     The b0 volume contributes its measurements as b=0 rows of the design
     matrix. Signals at or below zero are floored to 1e-6 before the log.
+    The fitted intercept, ln S0, is not returned.
     """
     if dwi.dims[:3] != b0.dims[:3]:
         raise ShapeError(f"dwi grid {dwi.dims[:3]} does not match b0 {b0.dims[:3]}")
-    if mask is not None:
-        check_grid(mask, dwi.dims, "mask")
+    keep = None if mask is None else mask_voxels(mask, dwi.dims)
     if len(g) != dwi.n_volumes:
         raise ShapeError(
             f"gradient table ({len(g)}) does not match volume count ({dwi.n_volumes})"
@@ -97,22 +68,11 @@ def fit_dti(
     signal = np.concatenate([b0.data, dwi.data], axis=3)
     np.maximum(signal, SIGNAL_FLOOR, out=signal)
     np.log(signal, out=signal)
-    nx, ny, nz, _ = signal.shape
     beta = signal.reshape(-1, n_meas) @ solver.T
-    beta = beta.reshape(nx, ny, nz, 7)
-
-    if mask is not None:
-        keep = mask.data[..., 0] > 0
-        if not np.any(keep):
-            raise EmptyMask("mask selects no voxels")
-        beta = np.where(keep[..., None], beta, 0.0)
-
-    return TensorVolume(
-        d6=beta[..., 1:7],
-        s0=np.exp(beta[..., 0]),
-        spacing=dwi.spacing,
-        affine=dwi.affine,
-    )
+    del signal
+    if keep is not None:
+        beta[~keep.reshape(-1)] = 0.0
+    return dwi.with_data(beta.reshape(dwi.dims[:3] + (7,))[..., 1:])
 
 
 def _minor(u, v):
@@ -179,17 +139,21 @@ def _eigvals_sym3(d6: np.ndarray) -> np.ndarray:
     return np.stack([lam1, lam2, lam3], axis=-1)
 
 
-def dti_scalars(t: TensorVolume) -> tuple[Volume4D, Volume4D]:
-    """Fractional anisotropy and mean diffusivity from one eigenvalue pass.
+def dti_scalars(t: Volume4D) -> tuple[Volume4D, Volume4D]:
+    """Fractional anisotropy and mean diffusivity of the tensor field ``t``
+    (6 values per voxel, as :func:`fit_dti` gives it) from one eigenvalue
+    pass, on ``t``'s grid.
 
     Eigenvalues are clamped to be non-negative.
     FA = sqrt(1/2) sqrt((l1-l2)^2 + (l2-l3)^2 + (l3-l1)^2) / sqrt(l1^2+l2^2+l3^2),
     defined as 0 where all eigenvalues vanish; MD is their mean.
     """
-    lam = np.maximum(_eigvals_sym3(t.d6), 0.0)
+    if t.n_volumes != 6:
+        raise ShapeError(f"a tensor field holds 6 values per voxel, got {t.n_volumes}")
+    lam = np.maximum(_eigvals_sym3(t.data), 0.0)
     l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
     num = np.sqrt(0.5) * np.sqrt((l1 - l2) ** 2 + (l2 - l3) ** 2 + (l3 - l1) ** 2)
     den = np.sqrt(l1 * l1 + l2 * l2 + l3 * l3)
     fa = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
     md = lam.mean(axis=-1)
-    return tuple(Volume4D(m, spacing=t.spacing, affine=t.affine) for m in (fa, md))
+    return t.with_data(fa), t.with_data(md)

@@ -86,12 +86,13 @@ def _results_cell(values: dict) -> dict:
 
 
 def mse_region(est: Volume4D, gt: Volume4D, mask: Volume4D, label: int) -> float:
-    """Mean squared difference over voxels carrying the given label."""
+    """Mean squared difference over voxels carrying the given label in the
+    integer label map ``mask`` (as ``read_labels`` and ``make_phantom`` give)."""
     if est.dims != gt.dims or est.dims[:3] != mask.dims[:3]:
         raise ShapeError(
             f"shape mismatch: est {est.dims}, gt {gt.dims}, mask {mask.dims}"
         )
-    sel = mask.labels_array() == label
+    sel = mask.data[..., 0] == label
     if not np.any(sel):
         raise EmptyMask(f"no voxels with label {label}")
     diff = est.data[sel] - gt.data[sel]
@@ -217,7 +218,7 @@ def _estimate(shared: _Shared, name: str, estimator: str, gap: GapSpec, models):
     )
 
 
-def _estimate_slices(data: PhantomData, shared: _Shared, method, gap: GapSpec, models):
+def _estimate_slices(shared: _Shared, method, gap: GapSpec, models):
     """Returns (dwi slice estimates, b0 slice estimates) for one cell: the
     method's estimator on its domain and on b0, both read from
     ``shared.inputs``. SH-domain estimates are projected onto the directions."""
@@ -241,7 +242,7 @@ def _gap_subvolume(vol: Volume4D, gap: GapSpec) -> Volume4D:
 def _evaluate_cell(data, shared: _Shared, method, gap, models):
     """The cell's score for each of SERIES, in that order, then its runtime."""
     start = time.perf_counter()
-    dwi_slices, b0_slices = _estimate_slices(data, shared, method, gap, models)
+    dwi_slices, b0_slices = _estimate_slices(shared, method, gap, models)
 
     gt_slices = _gap_slab(data.dwi, gap)
     est_stack = np.stack([s.data for s in dwi_slices], axis=2)

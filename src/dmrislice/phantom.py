@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dti import TensorVolume
 from .errors import ShapeError
 from .volume import B0_THRESHOLD, GradientTable, Volume4D
 
@@ -56,13 +55,15 @@ class PhantomSpec:
 
 @dataclass(frozen=True)
 class PhantomData:
-    """Everything the evaluation harness needs about one synthetic study."""
+    """Everything the evaluation harness needs about one study; a phantom's
+    also holds its ground-truth ``(X, Y, Z, 6)`` tensor field and S0 map."""
 
     dwi: Volume4D
     b0: Volume4D
     gtab: GradientTable
     labels: Volume4D
-    tensors: TensorVolume | None = None
+    tensors: Volume4D | None = None
+    s0: Volume4D | None = None
     spec: PhantomSpec | None = None
 
 
@@ -198,8 +199,7 @@ def make_phantom(spec: PhantomSpec) -> PhantomData:
     _add_noise(b0_data, spec, rng)
 
     gtab = GradientTable(np.full(spec.n_directions, spec.b_value), dirs)
-    dwi = Volume4D(signal)
-    b0 = Volume4D(b0_data)
-    labels_vol = Volume4D(labels)
-    tensors = TensorVolume(d6=d6, s0=s0)
-    return PhantomData(dwi=dwi, b0=b0, gtab=gtab, labels=labels_vol, tensors=tensors, spec=spec)
+    return PhantomData(
+        Volume4D(signal), Volume4D(b0_data), gtab, Volume4D(labels),
+        tensors=Volume4D(d6), s0=Volume4D(s0), spec=spec,
+    )

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMask, InvalidDirection, InvalidOrder, ParseError, ShapeError
+from .errors import InvalidDirection, InvalidOrder, ParseError, ShapeError
 from .nifti import read_nifti, write_nifti
-from .volume import GradientTable, Volume4D, check_grid, read_text_lines
+from .volume import GradientTable, Volume4D, mask_voxels, read_text_lines
 
 SUPPORTED_LMAX = (0, 2, 4, 6, 8)
 
@@ -155,20 +155,20 @@ def fit_sh(
     solved through a pseudo-inverse with singular values below 1e-10 of the
     largest truncated. With lambda_reg = 0 and no more directions than
     coefficients the fit is flagged ill-conditioned but still returned.
+    The coefficients are zero outside ``mask`` where one is given
+    (:func:`~dmrislice.volume.mask_voxels`).
     """
     if len(g) != dwi.n_volumes:
         raise ShapeError(
             f"gradient table ({len(g)}) does not match volume count ({dwi.n_volumes})"
         )
-    if mask is not None:
-        check_grid(mask, dwi.dims, "mask")
+    keep = None if mask is None else mask_voxels(mask, dwi.dims)
     _check_lambda_reg(lambda_reg)
     basis = sh_basis_matrix(g.bvecs, lmax)
     ill = lambda_reg == 0 and basis.shape[0] <= basis.shape[1]
     coeffs = fit_sh_slice(dwi.data, basis, lambda_reg)
-    if mask is not None:
-        keep = mask.data[..., 0] > 0
-        coeffs = np.where(keep[..., None], coeffs, 0.0)
+    if keep is not None:
+        coeffs[~keep] = 0.0
     vol = Volume4D(coeffs, spacing=dwi.spacing, affine=dwi.affine)
     return ShCoeffVolume(vol, lmax=lmax, lambda_reg=lambda_reg, ill_conditioned=ill)
 
@@ -214,15 +214,8 @@ def sh_roundtrip_error(
     reconstruction is mapped with the same affine transform, so the error is
     comparable across datasets regardless of raw intensity scale.
     """
-    if mask is not None:
-        check_grid(mask, dwi.dims, "mask")
-        keep = mask.data[..., 0] > 0
-        if not np.any(keep):
-            raise EmptyMask("mask selects no voxels")
-    else:
-        keep = np.ones(dwi.dims[:3], dtype=bool)
-
-    recon = project_sh(fit_sh(dwi, g, lmax=lmax, mask=mask), g.bvecs)
+    keep = np.ones(dwi.dims[:3], dtype=bool) if mask is None else mask_voxels(mask, dwi.dims)
+    recon = project_sh(fit_sh(dwi, g, lmax=lmax), g.bvecs)
     values = dwi.data[keep]
     lo = values.min()
     hi = values.max()

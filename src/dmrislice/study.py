@@ -41,8 +41,9 @@ def write_study(data: PhantomData, out_dir) -> None:
     )
     write_nifti(data.labels, os.path.join(out_dir, "labels.nii"))
     if data.tensors is not None:
-        write_nifti(Volume4D(data.tensors.d6), os.path.join(out_dir, "tensors.nii"))
-        write_nifti(Volume4D(data.tensors.s0), os.path.join(out_dir, "s0.nii"))
+        write_nifti(data.tensors, os.path.join(out_dir, "tensors.nii"))
+    if data.s0 is not None:
+        write_nifti(data.s0, os.path.join(out_dir, "s0.nii"))
     if data.spec is not None:
         with open(os.path.join(out_dir, "phantom.json"), "w") as fh:
             json.dump(asdict(data.spec), fh, indent=2, sort_keys=True)

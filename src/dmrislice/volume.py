@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BoundaryGap, EmptyShell, ParseError, ShapeError
+from .errors import BoundaryGap, EmptyMask, EmptyShell, ParseError, ShapeError
 
 # b-values at or below this (s/mm^2) are treated as unweighted (b0) images.
 B0_THRESHOLD = 50.0
@@ -67,10 +67,6 @@ class Volume4D:
 
     def with_data(self, data: np.ndarray) -> "Volume4D":
         return replace(self, data=data)
-
-    def labels_array(self) -> np.ndarray:
-        """Integer label map (X, Y, Z) of a label volume."""
-        return np.round(self.data[..., 0]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -251,6 +247,17 @@ def check_grid(labels: Volume4D, dims, what: str = "labels") -> None:
     ``labels`` lies on the ``(X, Y, Z)`` voxel grid ``dims`` of the data."""
     if labels.dims[:3] != tuple(dims[:3]):
         raise ShapeError(f"{what} on a {labels.dims[:3]} grid, the data on {tuple(dims[:3])}")
+
+
+def mask_voxels(mask: Volume4D, dims) -> np.ndarray:
+    """The ``(X, Y, Z)`` map of the voxels ``mask`` selects, its positive
+    ones; a ``ShapeError`` off the data's grid ``dims``, an ``EmptyMask``
+    when it selects none."""
+    check_grid(mask, dims, "mask")
+    keep = mask.data[..., 0] > 0
+    if not np.any(keep):
+        raise EmptyMask("mask selects no voxels")
+    return keep
 
 
 def replace_slices(v: Volume4D, z_start: int, slices: list[SliceImage]) -> Volume4D:

@@ -119,7 +119,7 @@ def test_criterion_03_dti_correctness():
     data = make_phantom(PhantomSpec(dims=(64, 64, 16), n_directions=88, seed=3))
     tensors = fit_dti(data.dwi, data.b0, data.gtab)
     fa, md = (m.data[..., 0] for m in dti_scalars(tensors))
-    lab = data.labels.labels_array()
+    lab = data.labels.data[..., 0]
     fa_err = np.abs(fa[lab == LABELS["wm"]] - WM_FA).max()
     md_err = np.abs(md[lab == LABELS["csf"]] - 3.0e-3).max()
 

@@ -531,6 +531,39 @@ def test_labels_on_another_grid_exit_2(study_dir, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit-sh", "fit-dti", "sh-bound"])
+def test_a_mask_selecting_no_voxel_exits_2(study_dir, tmp_path, capsys, command):
+    empty = tmp_path / "empty.nii"
+    write_nifti(Volume4D(np.zeros((16, 16, 8, 1))), empty)
+    out = tmp_path / "out"
+    argv = {
+        "fit-sh": ["fit-sh", "--dwi", str(study_dir / "dwi.nii"),
+                   "--bval", str(study_dir / "dwi.bval"), "--bvec", str(study_dir / "dwi.bvec"),
+                   "--mask", str(empty), "--out", str(out)],
+        "fit-dti": ["fit-dti", "--data", str(study_dir), "--mask", str(empty),
+                    "--out-fa", str(out)],
+        "sh-bound": ["sh-bound", "--data", str(study_dir), "--mask", str(empty),
+                     "--out", str(out)],
+    }[command]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == "dmrislice: mask selects no voxels\n"
+    assert not out.exists()
+
+
+def test_infer_checks_its_inputs_before_it_makes_its_output_directory(
+    study_dir, tiny_ckpt, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    infer = ["infer", "--data", str(study_dir), "--model", str(tiny_ckpt), "--gap-start", "3",
+             "--out", str(out)]
+    assert dispatch([*infer, "--domain", "sh4"]) == 1
+    assert capsys.readouterr().err == "dmrislice: infer --domain sh4 needs --b0-model\n"
+    assert not out.exists()
+    assert dispatch([*infer, "--b0-model", str(tmp_path / "missing.ckpt")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 # One perturbed file of a study: a labels.nii or a --mask on some (X, Y, Z)
 # grid, or a dwi.nii with some volume count against the 22 of dwi.bval.
 GRIDS = st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 10))

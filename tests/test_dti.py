@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dmrislice.dti import _eigvals_sym3, dti_scalars, fit_dti, TensorVolume
-from dmrislice.errors import Underdetermined
+from dmrislice.dti import _eigvals_sym3, dti_scalars, fit_dti
+from dmrislice.errors import ShapeError, Underdetermined
 from dmrislice.phantom import PhantomSpec, fibonacci_directions, make_phantom
 from dmrislice.volume import GradientTable, Volume4D
 
@@ -43,8 +43,8 @@ def test_fit_recovers_anisotropic_tensor():
     d6 = np.array([1.7e-3, 0.3e-3, 0.3e-3, 0.0, 0.0, 0.0])
     dwi, b0, g = _setup_fit(d6)
     t = fit_dti(dwi, b0, g)
-    assert np.abs(t.d6 - d6).max() < 1e-10
-    assert np.abs(t.s0 - 1.0).max() < 1e-10
+    assert t.dims == (2, 2, 1, 6)
+    assert np.abs(t.data - d6).max() < 1e-10
 
 
 def test_fit_isotropic():
@@ -52,8 +52,8 @@ def test_fit_isotropic():
     d6 = np.array([d, d, d, 0.0, 0.0, 0.0])
     dwi, b0, g = _setup_fit(d6)
     t = fit_dti(dwi, b0, g)
-    assert np.abs(t.d6[..., :3] - d).max() < 1e-10
-    assert np.abs(t.d6[..., 3:]).max() < 1e-10
+    assert np.abs(t.data[..., :3] - d).max() < 1e-10
+    assert np.abs(t.data[..., 3:]).max() < 1e-10
 
 
 def test_fit_handles_zero_signal_sample():
@@ -62,7 +62,7 @@ def test_fit_handles_zero_signal_sample():
     data = dwi.data.copy()
     data[0, 0, 0, 5] = 0.0  # floored to 1e-6 internally, no error
     t = fit_dti(Volume4D(data), b0, g)
-    assert np.isfinite(t.d6).all()
+    assert np.isfinite(t.data).all()
 
 
 def test_fit_underdetermined():
@@ -133,7 +133,7 @@ def test_eigvals_only_degenerate_limits():
 def _tensor_volume_from_eigs(lam):
     d6 = np.zeros((1, 1, 1, 6))
     d6[0, 0, 0, :3] = lam
-    return TensorVolume(d6=d6, s0=np.ones((1, 1, 1)))
+    return Volume4D(d6)
 
 
 def fa_of(lam):
@@ -165,8 +165,7 @@ def test_md_values():
 def test_fa_bounded_on_noisy_fits():
     rng = np.random.default_rng(2)
     d6 = rng.standard_normal((4, 4, 2, 6)) * 1e-3
-    t = TensorVolume(d6=d6, s0=np.ones((4, 4, 2)))
-    fa = dti_scalars(t)[0].data
+    fa = dti_scalars(Volume4D(d6))[0].data
     assert fa.min() >= 0.0 and fa.max() <= 1.0 + 1e-12
 
 
@@ -198,3 +197,26 @@ def test_fit_dti_holds_one_full_size_array(traced_peak):
     data = make_phantom(spec)
     _, peak = traced_peak(fit_dti, data.dwi, data.b0, data.gtab)
     assert peak <= 1.4 * (data.dwi.data.nbytes + data.b0.data.nbytes)
+
+
+def test_fit_is_a_tensor_field_on_the_dwi_grid_zero_outside_the_mask():
+    d6 = np.array([1.7e-3, 0.3e-3, 0.3e-3, 0.0, 0.0, 0.0])
+    dwi, b0, g = _setup_fit(d6)
+    affine = np.diag([2.0, 2.0, 3.0, 1.0])
+    dwi = Volume4D(dwi.data, spacing=(2.0, 2.0, 3.0), affine=affine)
+    mask = Volume4D(np.array([[1.0, 0.0], [0.0, 2.0]])[:, :, None])
+    t = fit_dti(dwi, b0, g, mask=mask)
+    assert t.dims == (2, 2, 1, 6) and t.data.flags.c_contiguous
+    assert t.spacing == (2.0, 2.0, 3.0) and np.array_equal(t.affine, affine)
+    assert np.array_equal(t.data[[0, 1], [1, 0]], np.zeros((2, 1, 6)))
+    assert np.array_equal(t.data[[0, 1], [0, 1]], fit_dti(dwi, b0, g).data[[0, 1], [0, 1]])
+    fa, md = dti_scalars(t)
+    for m in (fa, md):
+        assert m.dims == (2, 2, 1, 1) and m.spacing == t.spacing
+        assert np.array_equal(m.affine, affine)
+
+
+@pytest.mark.parametrize("values", [1, 5, 7])
+def test_scalars_need_six_values_per_voxel(values):
+    with pytest.raises(ShapeError, match=f"6 values per voxel, got {values}"):
+        dti_scalars(Volume4D(np.zeros((2, 2, 1, values))))

@@ -278,7 +278,7 @@ def _whole_volume_fa_md(data, method, gap_start, n):
     b0 = b0_mean(data.b0)
 
     def maps(dwi, b0):
-        lam = np.maximum(_eigvals_sym3(fit_dti(dwi, b0, data.gtab).d6), 0.0)
+        lam = np.maximum(_eigvals_sym3(fit_dti(dwi, b0, data.gtab).data), 0.0)
         l1, l2, l3 = np.moveaxis(lam, -1, 0)
         num = np.sqrt(0.5) * np.sqrt((l1 - l2) ** 2 + (l2 - l3) ** 2 + (l3 - l1) ** 2)
         den = np.sqrt(l1 * l1 + l2 * l2 + l3 * l3)
@@ -369,8 +369,8 @@ def test_ae_cells_estimate_what_single_gap_inference_infers(noisy_phantom, monke
     estimates = {}
     estimate_slices = evaluate._estimate_slices
 
-    def recording(data, shared, method, gap, models):
-        out = estimate_slices(data, shared, method, gap, models)
+    def recording(shared, method, gap, models):
+        out = estimate_slices(shared, method, gap, models)
         estimates[(method, gap)] = out
         return out
 

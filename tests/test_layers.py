@@ -204,6 +204,12 @@ def test_avgpool_within_one_ulp_of_the_mean():
     assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
+@pytest.mark.parametrize("train", [False, True])
+def test_avgpool_of_an_odd_side_is_a_shape_error(train):
+    with pytest.raises(ShapeError, match="even spatial dims, got 5x4"):
+        AvgPool2x2().forward(np.zeros((1, 1, 5, 4)), train=train)
+
+
 # -- the tiled im2col kernel against the whole-batch einsum formula ----------
 
 

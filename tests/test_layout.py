@@ -49,8 +49,7 @@ def test_fits_and_b0_mean_ignore_the_input_layout(phantom):
         outputs.append(
             [
                 fit_sh(dwi, phantom.gtab, lmax=4).volume.data,
-                tensors.d6,
-                tensors.s0,
+                tensors.data,
                 b0_mean(b0).data,
             ]
         )

@@ -25,7 +25,7 @@ def test_directions_unit_and_spread():
 
 def test_phantom_has_all_regions_on_every_slice():
     data = make_phantom(PhantomSpec())
-    lab = data.labels.labels_array()
+    lab = data.labels.data[..., 0]
     for z in range(lab.shape[2]):
         present = set(np.unique(lab[:, :, z]))
         assert {LABELS["csf"], LABELS["cgm"], LABELS["wm"], LABELS["cc"]} <= present
@@ -44,7 +44,7 @@ def test_noiseless_fit_recovers_wm_fa():
     data = make_phantom(PhantomSpec())
     t = fit_dti(data.dwi, data.b0, data.gtab)
     fa = dti_scalars(t)[0].data[..., 0]
-    wm = data.labels.labels_array() == LABELS["wm"]
+    wm = data.labels.data[..., 0] == LABELS["wm"]
     assert np.abs(fa[wm] - WM_FA).max() < 1e-6
 
 
@@ -52,14 +52,14 @@ def test_noiseless_fit_recovers_csf_md():
     data = make_phantom(PhantomSpec())
     t = fit_dti(data.dwi, data.b0, data.gtab)
     md = dti_scalars(t)[1].data[..., 0]
-    csf = data.labels.labels_array() == LABELS["csf"]
+    csf = data.labels.data[..., 0] == LABELS["csf"]
     assert np.abs(md[csf] - 3.0e-3).max() < 1e-10
 
 
 def test_cc_band_left_right_axis():
     data = make_phantom(PhantomSpec())
-    cc = data.labels.labels_array() == LABELS["cc"]
-    d6 = data.tensors.d6[cc]
+    cc = data.labels.data[..., 0] == LABELS["cc"]
+    d6 = data.tensors.data[cc]
     assert np.allclose(d6[:, 0], 1.7e-3)
     assert np.allclose(d6[:, 1], 0.3e-3)
     assert np.allclose(d6[:, 3:], 0.0)
@@ -94,7 +94,7 @@ def _reference_dwi_and_b0(data):
     """The phantom's DWI and b0 arrays by the whole-array formulas: one
     full-volume einsum for g^T D g, then the signal and the noise out of
     place, from the phantom's ground-truth tensors and S0."""
-    spec, d6, s0 = data.spec, data.tensors.d6, data.tensors.s0
+    spec, d6, s0 = data.spec, data.tensors.data, data.s0.data[..., 0]
     dirs = fibonacci_directions(spec.n_directions)
     dmat = np.zeros(spec.dims + (3, 3))
     dmat[..., 0, 0] = d6[..., 0]

@@ -1,4 +1,5 @@
 import numpy as np
+from dmrislice.nifti import read_nifti
 from dmrislice.phantom import PhantomSpec, make_phantom
 from dmrislice.study import load_study, write_study
 
@@ -14,7 +15,9 @@ def test_study_roundtrip(tmp_path):
     assert back.b0.n_volumes == 3
     assert len(back.gtab) == 12
     assert np.allclose(back.dwi.data, data.dwi.data, atol=1e-6)
-    assert np.array_equal(back.labels.labels_array(), data.labels.labels_array())
+    assert np.array_equal(back.labels.data, data.labels.data)
+    for name, vol in (("tensors.nii", data.tensors), ("s0.nii", data.s0)):
+        assert np.array_equal(read_nifti(tmp_path / name).data, vol.data.astype(np.float32))
     for vol in (back.dwi, back.b0, back.labels):
         assert vol.data.flags.c_contiguous
 

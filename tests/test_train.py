@@ -6,6 +6,7 @@ import pytest
 
 import dmrislice.blas as blas
 from dmrislice.ae import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint, train
+from dmrislice.ae.model import Autoencoder
 from dmrislice.ae.train import (
     averaged_dwi_slices,
     slices_per_volume,
@@ -125,11 +126,11 @@ def test_training_log_keeps_the_rows_of_a_killed_run(phantom16, tmp_path, monkey
     real_eval = train_module._eval_mse
     calls = []
 
-    def eval_then_die(model, batch):
+    def eval_then_die(*args):
         calls.append(1)
         if len(calls) == 3:  # epoch 2
             raise RuntimeError("killed")
-        return real_eval(model, batch)
+        return real_eval(*args)
 
     monkeypatch.setattr(train_module, "_eval_mse", eval_then_die)
     log = tmp_path / "log.csv"
@@ -139,6 +140,32 @@ def test_training_log_keeps_the_rows_of_a_killed_run(phantom16, tmp_path, monkey
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "train_mse", "val_mse"]
     assert len(rows) == 1 + 2
+
+
+def test_validation_runs_in_batches_and_gives_the_whole_split_mse(phantom16, monkeypatch):
+    train_module = sys.modules["dmrislice.ae.train"]
+    real_eval, real_forward = train_module._eval_mse, Autoencoder.forward
+    sizes, pairs = [], []
+
+    def forward(self, x, train=False):
+        if not train:
+            sizes.append(len(x))
+        return real_forward(self, x, train=train)
+
+    def eval_both(model, stack, idx, batch_size):
+        got = real_eval(model, stack, idx, batch_size)
+        whole = stack[idx]  # the whole split in one forward
+        d = real_forward(model, whole) - whole
+        pairs.append((got, float(np.mean(d * d))))
+        return got
+
+    monkeypatch.setattr(Autoencoder, "forward", forward)
+    monkeypatch.setattr(train_module, "_eval_mse", eval_both)
+    cfg = quick_cfg(batch_size=4, val_fraction=0.5)  # 6 held-out items: batches of 4 and 2
+    ckpt = train(small_dataset(phantom16), cfg, TINY_MODEL)
+    assert sizes == [4, 2] * cfg.epochs
+    assert [val for _, _, val in ckpt.history] == [got for got, _ in pairs]
+    assert all(got == whole for got, whole in pairs)
 
 
 def test_subject_split_avoids_leakage(phantom16):

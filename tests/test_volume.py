@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutation
-from dmrislice.errors import DmrisliceError, EmptyShell, ParseError, ShapeError
+from dmrislice.errors import DmrisliceError, EmptyMask, EmptyShell, ParseError, ShapeError
 from dmrislice import ae
 from dmrislice.dti import fit_dti
 from dmrislice.nifti import read_labels, write_nifti
@@ -18,6 +18,7 @@ from dmrislice.volume import (
     SliceImage,
     Volume4D,
     b0_mean,
+    mask_voxels,
     normalize_slice,
     read_gradient_table,
     replace_slices,
@@ -95,7 +96,7 @@ def test_labels_must_be_nonnegative_integers(tmp_path):
         with pytest.raises(ShapeError):
             read_labels(path, (2, 2, 2))
     write_nifti(Volume4D(np.full((2, 2, 2, 1), 3.0)), path)
-    assert read_labels(path, (2, 2, 2)).labels_array().max() == 3
+    assert read_labels(path, (2, 2, 2)).data.max() == 3
 
 
 def test_labels_must_lie_on_the_data_grid(tmp_path):
@@ -121,6 +122,18 @@ def test_a_mask_on_another_grid_is_a_shape_error_naming_both_grids(call, grid):
     with pytest.raises(ShapeError, match=rf"mask on a \({grid[0]}, {grid[1]}, {grid[2]}\) grid, "
                        r"the data on \(16, 16, 8\)"):
         call(data, Volume4D(np.ones(grid)))
+
+
+@pytest.mark.parametrize("name", ["fit_sh", "fit_dti"])
+def test_a_mask_selecting_no_voxel_is_an_empty_mask(name):
+    data = make_phantom(PhantomSpec(dims=(16, 16, 8), n_directions=8, n_b0=1))
+    with pytest.raises(EmptyMask, match="^mask selects no voxels$"):
+        MASKED_CALLS[name](data, Volume4D(np.zeros((16, 16, 8))))
+
+
+def test_mask_voxels_are_the_positive_ones():
+    mask = Volume4D(np.array([[0.0, 1.0], [3.0, 0.0]])[:, :, None])
+    assert np.array_equal(mask_voxels(mask, (2, 2, 1, 9)), [[[False], [True]], [[True], [False]]])
 
 
 def test_gradient_table_renormalization_guard():
