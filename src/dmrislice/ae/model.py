@@ -35,6 +35,10 @@ from .layers import AvgPool2x2, Conv2D, Head, UpsampleConv2D
 
 N_POOLINGS = 4
 
+# Activation bytes a train=False encode or decode may hold at once: it runs
+# its items in chunks of as many as fit, by :func:`_chunk_items`.
+_INFERENCE_BUDGET = 64 << 20
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -57,6 +61,16 @@ class ModelConfig:
     @property
     def latent_size(self) -> int:
         return self.input_size // (2**N_POOLINGS)
+
+
+def _chunk_items(cfg: ModelConfig) -> int:
+    """Items per chunk of a ``train=False`` pass of the model built from
+    ``cfg``: the budget over an item's bytes where the pass holds the most,
+    at full resolution in float64: the second encoder block's input and
+    output (2w maps), or the head's input, its output and the sigmoid's
+    temporaries (w + 3c maps); at least one."""
+    maps = max(2 * cfg.base_width, cfg.base_width + 3 * cfg.input_channels)
+    return max(1, _INFERENCE_BUDGET // (8 * maps * cfg.input_size**2))
 
 
 def _architecture(cfg: ModelConfig, rng):
@@ -209,17 +223,33 @@ class Autoencoder:
             x = layer.forward(x, train=train, plan=plan)
         return x
 
+    def _pass(self, part, x, train):
+        """The encoder (``part`` 0) or the decoder (1) on the checked batch
+        ``x``. A ``train=False`` pass runs it in chunks of
+        :func:`_chunk_items` items, which give the batch's output bit for
+        bit: an item's output does not depend on its batch-mates."""
+        step = len(x) if train else _chunk_items(self.cfg)
+        if len(x) <= step:
+            return self._run(part, np.asarray(x, dtype=self.dtype), train)
+        out = None
+        for i in range(0, len(x), step):
+            y = self._run(part, np.asarray(x[i : i + step], dtype=self.dtype), train)
+            if out is None:
+                out = np.empty((len(x),) + y.shape[1:], y.dtype)
+            out[i : i + len(y)] = y
+        return out
+
     def encode(self, x, train=False):
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x)
         self._check_input(x)
-        return self._run(0, x, train)
+        return self._pass(0, x, train)
 
     def decode(self, z, train=False):
-        z = np.asarray(z, dtype=self.dtype)
+        z = np.asarray(z)
         m, side = self.cfg.latent_maps, self.cfg.latent_size
         if z.ndim != 4 or z.shape[1:] != (m, side, side):
             raise ShapeError(f"latent must be (B, {m}, {side}, {side}), got {z.shape}")
-        return self._run(1, z, train)
+        return self._pass(1, z, train)
 
     def forward(self, x, train=False):
         """The reconstruction of a batch; :meth:`encode` gives its latent code."""

@@ -24,7 +24,7 @@ from .evaluate import ALL_METHODS, default_gaps, run_experiment
 from .inference import infer_gap_sh, infer_gap_signal
 from .interp import KINDS, interp_missing_slices
 from .dti import dti_scalars, fit_dti
-from .nifti import read_labels, read_nifti, write_nifti
+from .nifti import read_labels, read_nifti, read_volumes, write_nifti
 from .phantom import PhantomSpec, make_phantom
 from .sh import fit_sh, lmax_for, project_sh, read_sh, sh_roundtrip_error, write_sh
 from .study import load_study, write_study
@@ -36,7 +36,7 @@ from .volume import (
     read_gradient_table,
     read_text_lines,
     replace_slices,
-    select_diffusion_shell,
+    shell_window,
 )
 
 USAGE_ERROR = 1
@@ -141,9 +141,11 @@ def _write_slices(slices, vol: Volume4D, gap_start: int, out_dir, prefix="slice"
 # -- subcommand implementations ---------------------------------------------
 
 def cmd_fit_sh(args):
-    vol, gtab = read_nifti(args.dwi), read_gradient_table(args.bval, args.bvec)
-    shell_vol, shell = select_diffusion_shell(vol, gtab, args.bvalue, tol=args.shell_tol)
-    sh = fit_sh(shell_vol, shell, lmax=args.lmax, lambda_reg=args.reg, mask=_mask_arg(args, vol))
+    keep, shell = shell_window(
+        read_gradient_table(args.bval, args.bvec), args.bvalue, tol=args.shell_tol
+    )
+    (dwi,) = read_volumes(args.dwi, keep)
+    sh = fit_sh(dwi, shell, lmax=args.lmax, lambda_reg=args.reg, mask=_mask_arg(args, dwi))
     write_sh(sh, args.out)
     if args.verbose:
         print(f"wrote {sh.n_coefficients}-coefficient SH volume to {args.out}")

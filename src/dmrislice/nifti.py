@@ -5,7 +5,10 @@ Supports little-endian, uncompressed files with scalar datatypes
 prescribes, for reading and writing alike. In memory, data come back as the
 C-contiguous float64 (x, y, z, v) array a :class:`~dmrislice.volume.Volume4D`
 stores, v fastest, with scl_slope/scl_inter applied when the slope is
-nonzero. Non-finite voxel values are rejected on reading, and
+nonzero. Every read goes through :func:`read_volumes`, which decodes the
+payload once through a bounded buffer into one array per selection of
+volumes, so a caller that keeps some of the volumes never holds all of
+them. Non-finite voxel values are rejected on reading, and
 :func:`read_labels` also rejects label maps that are not non-negative
 integers or do not lie on the data's voxel grid. The writer always emits
 float32 with vox_offset 352.
@@ -13,7 +16,10 @@ float32 with vox_offset 352.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +54,10 @@ _OFF_QUATERN = 256
 _OFF_SROW = 280
 _OFF_MAGIC = 344
 
+# The reader decodes a block of about this many bytes of float64 values at a
+# time; its one buffer holds the block's raw bytes.
+_TILE_BYTES = 1 << 20
+
 
 def _quaternion_affine(header: bytes, spacing) -> np.ndarray:
     b, c, d, ox, oy, oz = struct.unpack_from("<6f", header, _OFF_QUATERN)
@@ -70,94 +80,188 @@ def _quaternion_affine(header: bytes, spacing) -> np.ndarray:
 
 def read_nifti(path) -> Volume4D:
     """Read an uncompressed single-file NIfTI-1 volume."""
+    (volume,) = read_volumes(path, None)
+    return volume
+
+
+def read_volumes(path, *keep) -> tuple[Volume4D, ...]:
+    """The volumes of a single-file NIfTI-1 file that each of ``keep``
+    selects, in file order: a boolean mask with one value per volume of the
+    file, as the file's gradient table has, or None for every volume. The
+    masks must be disjoint.
+
+    The header is parsed from the file's first bytes and checked against the
+    file's size before any array is made. The payload is then read once,
+    through one buffer of about ``_TILE_BYTES``: a block of rows of one
+    slice of every volume at a time, cast and scaled straight into the
+    results and checked for non-finite values. The volumes that no mask
+    selects are checked too, and no array of the whole file is made.
+    """
     try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            header = _parse_header(fh.read(HEADER_SIZE), os.fstat(fh.fileno()).st_size, path)
+            nv = header.dims[3]
+            masks = [np.ones(nv, bool) if m is None else np.asarray(m, bool) for m in keep]
+            for mask in masks:
+                if mask.shape != (nv,):
+                    raise ParseError(
+                        f"{path}: gradient table ({mask.size}) does not match the volumes ({nv})"
+                    )
+            outs = [np.empty(header.dims[:3] + (int(np.count_nonzero(m)),)) for m in masks]
+            _decode(fh, path, header, masks, outs)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    return tuple(Volume4D(data=out, spacing=header.spacing, affine=header.affine) for out in outs)
 
-    if len(buf) < HEADER_SIZE:
-        raise ParseError(f"{path}: file shorter than a NIfTI-1 header", offset=len(buf))
-    sizeof_hdr = struct.unpack_from("<i", buf, 0)[0]
+
+@dataclass(frozen=True)
+class _Header:
+    """What :func:`read_volumes` reads of a checked header."""
+
+    dims: tuple[int, int, int, int]
+    dtype: np.dtype
+    vox_offset: int
+    scaling: tuple[float, float] | None  # (scl_slope, scl_inter), None when it changes nothing
+    spacing: tuple[float, float, float]
+    affine: np.ndarray
+
+
+def _parse_header(head: bytes, size: int, path) -> _Header:
+    """The header of a file of ``size`` bytes that starts with ``head``."""
+    if len(head) < HEADER_SIZE:
+        raise ParseError(f"{path}: file shorter than a NIfTI-1 header", offset=len(head))
+    sizeof_hdr = struct.unpack_from("<i", head, 0)[0]
     if sizeof_hdr != HEADER_SIZE:
         raise ParseError(
             f"{path}: sizeof_hdr is {sizeof_hdr}, expected {HEADER_SIZE} "
             "(not a little-endian NIfTI-1 file)",
             offset=0,
         )
-    magic = struct.unpack_from("<4s", buf, _OFF_MAGIC)[0]
+    magic = struct.unpack_from("<4s", head, _OFF_MAGIC)[0]
     if magic == MAGIC_PAIR:
         raise UnsupportedFormat(f"{path}: two-file NIfTI (.hdr/.img) is not supported")
     if magic != MAGIC_SINGLE:
         raise ParseError(f"{path}: bad magic {magic!r}", offset=_OFF_MAGIC)
 
-    dim = struct.unpack_from("<8h", buf, _OFF_DIM)
+    dim = struct.unpack_from("<8h", head, _OFF_DIM)
     ndim = dim[0]
     if not 1 <= ndim <= 7:
         raise ParseError(f"{path}: dim[0]={ndim} outside [1, 7]", offset=_OFF_DIM)
     extents = [max(1, dim[i]) if i <= ndim else 1 for i in range(1, 8)]
     if any(e > 1 for e in extents[4:]):
         raise UnsupportedFormat(f"{path}: more than 4 non-trivial dimensions")
-    nx, ny, nz, nv = extents[:4]
+    dims = tuple(extents[:4])
 
-    datatype = struct.unpack_from("<h", buf, _OFF_DATATYPE)[0]
+    datatype = struct.unpack_from("<h", head, _OFF_DATATYPE)[0]
     if datatype not in _DTYPES:
         raise UnsupportedFormat(f"{path}: datatype code {datatype} not supported")
     dtype = _DTYPES[datatype]
-    bitpix = struct.unpack_from("<h", buf, _OFF_BITPIX)[0]
+    bitpix = struct.unpack_from("<h", head, _OFF_BITPIX)[0]
     if bitpix != dtype.itemsize * 8:
         raise ParseError(
             f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}",
             offset=_OFF_BITPIX,
         )
 
-    pixdim = struct.unpack_from("<8f", buf, _OFF_PIXDIM)
+    pixdim = struct.unpack_from("<8f", head, _OFF_PIXDIM)
     spacing = tuple(float(p) if p > 0 else 1.0 for p in pixdim[1:4])
 
-    vox_offset = struct.unpack_from("<f", buf, _OFF_VOX_OFFSET)[0]
-    if not vox_offset >= HEADER_SIZE or vox_offset > len(buf):
+    # The data section of a single file starts after the header and its
+    # 4-byte extension flag, at a whole byte.
+    vox_offset = struct.unpack_from("<f", head, _OFF_VOX_OFFSET)[0]
+    if not VOX_OFFSET <= vox_offset <= size:
         raise ParseError(
-            f"{path}: vox_offset {vox_offset} lies outside the data section",
+            f"{path}: vox_offset {vox_offset} lies outside the data section "
+            f"[{VOX_OFFSET}, {size}]",
             offset=_OFF_VOX_OFFSET,
         )
-    vox_offset = int(round(vox_offset))
-    count = nx * ny * nz * nv
-    needed = vox_offset + count * dtype.itemsize
-    if len(buf) < needed:
+    if vox_offset != int(vox_offset):
         raise ParseError(
-            f"{path}: data section truncated ({len(buf)} bytes, need {needed})",
-            offset=len(buf),
+            f"{path}: vox_offset {vox_offset} is not a whole number of bytes",
+            offset=_OFF_VOX_OFFSET,
+        )
+    vox_offset = int(vox_offset)
+    needed = vox_offset + math.prod(dims) * dtype.itemsize
+    if size < needed:
+        raise ParseError(
+            f"{path}: data section truncated ({size} bytes, need {needed})", offset=size
         )
 
-    raw = np.frombuffer(buf, dtype=dtype, count=count, offset=vox_offset)
-    slope, inter = struct.unpack_from("<2f", buf, _OFF_SCL_SLOPE)
-    # A signaling NaN in the payload, or a scaling that makes inf or NaN,
-    # raises floating-point flags; the non-finite check below reports them.
-    with np.errstate(invalid="ignore", over="ignore"):
-        # One casting copy from the x-fastest payload into the voxel-major layout.
-        data = raw.reshape((nx, ny, nz, nv), order="F").astype(np.float64, order="C")
-        if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
-            data *= slope
-            data += inter
-    # NaN propagates through min and max, and +-inf is an extreme, so two
-    # reductions check every value; the mask is built only to report one.
-    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        bad = ~np.isfinite(data)
-        first = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        raise ShapeError(
-            f"{path}: {np.count_nonzero(bad)} non-finite voxel values, the first at {first}"
-        )
+    slope, inter = struct.unpack_from("<2f", head, _OFF_SCL_SLOPE)
+    scaling = None if slope == 0.0 or (slope == 1.0 and inter == 0.0) else (slope, inter)
 
-    sform_code = struct.unpack_from("<h", buf, _OFF_SFORM_CODE)[0]
-    qform_code = struct.unpack_from("<h", buf, _OFF_QFORM_CODE)[0]
+    sform_code = struct.unpack_from("<h", head, _OFF_SFORM_CODE)[0]
+    qform_code = struct.unpack_from("<h", head, _OFF_QFORM_CODE)[0]
     if sform_code > 0:
-        rows = struct.unpack_from("<12f", buf, _OFF_SROW)
+        rows = struct.unpack_from("<12f", head, _OFF_SROW)
         affine = np.vstack([np.array(rows).reshape(3, 4), [0, 0, 0, 1]])
     elif qform_code > 0:
-        affine = _quaternion_affine(buf, spacing)
+        affine = _quaternion_affine(head, spacing)
     else:
         affine = np.diag([spacing[0], spacing[1], spacing[2], 1.0])
-    return Volume4D(data=data, spacing=spacing, affine=affine)
+    return _Header(dims, dtype, vox_offset, scaling, spacing, affine)
+
+
+def _decode(fh, path, header: _Header, masks, outs) -> None:
+    """Fills each of ``outs`` with the volumes its mask selects, one block of
+    rows of a slice of every volume at a time.
+
+    A block's volumes are read into the buffer grouped by result, the
+    volumes of no result last, so each result takes one run of the buffer's
+    rows; they are cast and scaled straight into the result, and those of
+    no result into a block-sized scratch array. A non-finite value is a
+    ``ShapeError`` that names their count and the first, in the file's
+    (x, y, z, v) order, once every block is read.
+    """
+    nx, ny, nz, nv = header.dims
+    itemsize = header.dtype.itemsize
+    unkept = np.ones(nv, bool)
+    for mask in masks:
+        unkept &= ~mask
+    order = np.concatenate([np.flatnonzero(m) for m in (*masks, unkept)])
+    rows = min(ny, max(1, _TILE_BYTES // (nv * nx * 8)))
+    raw = np.empty(nv * rows * nx, header.dtype)
+    scratch = np.empty((nx, rows, int(np.count_nonzero(unkept))))
+    volume_starts = [header.vox_offset + v * nz * ny * nx * itemsize for v in order.tolist()]
+    n_bad, first_bad = 0, None
+    for z in range(nz):
+        for y0 in range(0, ny, rows):
+            r = min(rows, ny - y0)
+            block = raw[: nv * r * nx]
+            view = memoryview(block).cast("B")
+            size = r * nx * itemsize
+            for i, volume_start in enumerate(volume_starts):
+                fh.seek(volume_start + (z * ny + y0) * nx * itemsize)
+                if fh.readinto(view[i * size : (i + 1) * size]) != size:
+                    raise ParseError(f"{path}: data section truncated while reading")
+            block = block.reshape(nv, r, nx).transpose(2, 1, 0)
+            start = 0
+            for dest in [out[:, y0 : y0 + r, z, :] for out in outs] + [scratch[:, :r, :]]:
+                stop = start + dest.shape[2]
+                if stop == start:
+                    continue
+                # A signaling NaN in the payload, or a scaling that makes inf
+                # or NaN, raises floating-point flags; the check reports them.
+                with np.errstate(invalid="ignore", over="ignore"):
+                    np.copyto(dest, block[..., start:stop])
+                    if header.scaling is not None:
+                        dest *= header.scaling[0]
+                        dest += header.scaling[1]
+                    # Any non-finite value makes the sum non-finite, so one
+                    # reduction screens the block; the mask is built only to
+                    # report them (a sum that overflows builds it for none).
+                    total = dest.sum()
+                if not np.isfinite(total):
+                    x, y, j = np.nonzero(~np.isfinite(dest))
+                    if x.size:
+                        n_bad += x.size
+                        v = order[start + j]
+                        first = np.lexsort((v, y, x))[0]
+                        here = (int(x[first]), y0 + int(y[first]), z, int(v[first]))
+                        first_bad = here if first_bad is None else min(first_bad, here)
+                start = stop
+    if n_bad:
+        raise ShapeError(f"{path}: {n_bad} non-finite voxel values, the first at {first_bad}")
 
 
 def read_labels(path, dims) -> Volume4D:

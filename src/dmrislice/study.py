@@ -15,15 +15,15 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import EmptyShell, ParseError
-from .nifti import read_labels, read_nifti, write_nifti
+from .errors import EmptyShell
+from .nifti import read_labels, read_volumes, write_nifti
 from .phantom import PhantomData
 from .volume import (
     B0_THRESHOLD,
     GradientTable,
     Volume4D,
     read_gradient_table,
-    select_diffusion_shell,
+    shell_window,
     write_gradient_table,
 )
 
@@ -54,30 +54,22 @@ def load_study(path, b_target: float | None = None, shell_tol: float = 50.0) -> 
     """Load a study directory back into memory.
 
     ``b_target`` selects the diffusion shell; by default the largest b-value
-    present is used. Without a labels file every voxel is tagged with label 1
-    so mask-based slice filtering keeps everything.
+    present is used. The gradient table is read first, so ``dwi.nii`` is
+    read once into the b0 volumes and the shell's; the volumes of other
+    shells are checked but not kept. Without a labels file every voxel is
+    tagged with label 1 so mask-based slice filtering keeps everything.
     """
-    dwi_path = os.path.join(path, "dwi.nii")
-    combined = read_nifti(dwi_path)
     gtab = read_gradient_table(
         os.path.join(path, "dwi.bval"), os.path.join(path, "dwi.bvec")
     )
-    if len(gtab) != combined.n_volumes:
-        raise ParseError(
-            f"{path}: gradient table ({len(gtab)}) does not match dwi volumes "
-            f"({combined.n_volumes})"
-        )
-
-    b0_idx = gtab.b0_mask
-    if not np.any(b0_idx):
+    if not np.any(gtab.b0_mask):
         raise EmptyShell(f"{path}: no b0 volumes (b <= {B0_THRESHOLD})")
-    b0 = combined.with_data(np.compress(b0_idx, combined.data, axis=3))
-
-    dwi, shell = select_diffusion_shell(combined, gtab, b_target, tol=shell_tol)
+    keep, shell = shell_window(gtab, b_target, shell_tol)
+    b0, dwi = read_volumes(os.path.join(path, "dwi.nii"), gtab.b0_mask, keep)
 
     labels_path = os.path.join(path, "labels.nii")
     if os.path.exists(labels_path):
-        labels = read_labels(labels_path, combined.dims[:3])
+        labels = read_labels(labels_path, dwi.dims[:3])
     else:
-        labels = Volume4D(np.ones(combined.dims[:3]))
+        labels = Volume4D(np.ones(dwi.dims[:3]))
     return PhantomData(dwi=dwi, b0=b0, gtab=shell, labels=labels)

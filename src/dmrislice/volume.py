@@ -140,38 +140,41 @@ def normalize_slice(s: SliceImage) -> SliceImage:
     return SliceImage(np.moveaxis(planes, 0, 2))
 
 
-def select_shell(
-    v: Volume4D, g: GradientTable, b_target: float, tol: float = 50.0
-) -> tuple[Volume4D, GradientTable]:
-    """Keep exactly the volumes with \\|b - b_target\\| <= tol, order preserved."""
+def shell_window(
+    g: GradientTable, b_target: float | None = None, tol: float = 50.0, diffusion: bool = True
+) -> tuple[np.ndarray, GradientTable]:
+    """The mask of the volumes with \\|b - b_target\\| <= tol, and their
+    gradient table, order preserved; ``b_target`` is by default the largest
+    b-value present. A negative ``tol`` is a ``ShapeError`` and an empty
+    window an ``EmptyShell``. A ``diffusion`` shell's volumes are fitted as
+    diffusion-weighted measurements, so a window of one that reaches a b0
+    volume (b <= ``B0_THRESHOLD``) is a ``ShapeError``."""
     if tol < 0:
         raise ShapeError("shell tolerance must be non-negative")
-    if len(g) != v.n_volumes:
-        raise ShapeError(
-            f"gradient table ({len(g)}) does not match volume count ({v.n_volumes})"
-        )
-    keep = np.abs(g.bvals - b_target) <= tol
-    if not np.any(keep):
-        raise EmptyShell(f"no volumes with b within {tol} of {b_target}")
-    sub = v.with_data(np.compress(keep, v.data, axis=3))
-    return sub, GradientTable(g.bvals[keep], g.bvecs[keep])
-
-
-def select_diffusion_shell(
-    v: Volume4D, g: GradientTable, b_target: float | None = None, tol: float = 50.0
-) -> tuple[Volume4D, GradientTable]:
-    """The diffusion-weighted shell of :func:`select_shell` at ``b_target``
-    (by default the largest b-value present). A window that reaches a b0
-    volume (b <= ``B0_THRESHOLD``) is a ``ShapeError``: the shell's volumes
-    are fitted as diffusion-weighted measurements."""
     if b_target is None:
         b_target = float(g.bvals.max())
-    if np.any(g.b0_mask & (np.abs(g.bvals - b_target) <= tol)):
+    keep = np.abs(g.bvals - b_target) <= tol
+    if diffusion and np.any(keep & g.b0_mask):
         raise ShapeError(
             f"shell tolerance {tol} around b = {b_target} reaches the b0 volumes "
             f"(b <= {B0_THRESHOLD})"
         )
-    return select_shell(v, g, b_target, tol)
+    if not np.any(keep):
+        raise EmptyShell(f"no volumes with b within {tol} of {b_target}")
+    return keep, GradientTable(g.bvals[keep], g.bvecs[keep])
+
+
+def select_shell(
+    v: Volume4D, g: GradientTable, b_target: float, tol: float = 50.0
+) -> tuple[Volume4D, GradientTable]:
+    """The volumes of ``v`` in the :func:`shell_window` at ``b_target``,
+    which may be the b0 volumes, and their gradient table."""
+    if len(g) != v.n_volumes:
+        raise ShapeError(
+            f"gradient table ({len(g)}) does not match volume count ({v.n_volumes})"
+        )
+    keep, shell = shell_window(g, b_target, tol, diffusion=False)
+    return v.with_data(np.compress(keep, v.data, axis=3)), shell
 
 
 def read_text_lines(path) -> list[str]:

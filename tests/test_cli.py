@@ -18,10 +18,10 @@ from dmrislice.ae import Autoencoder, ModelConfig, TrainConfig, load_checkpoint,
 from dmrislice.ae.train import _split
 from dmrislice.cli import _build_dataset, build_parser, dispatch, parse_config_file
 from dmrislice.errors import DmrisliceError, ParseError, ShapeError
-from dmrislice.nifti import read_nifti, write_nifti
-from dmrislice.sh import ShCoeffVolume, read_sh, write_sh
+from dmrislice.nifti import read_labels, read_nifti, write_nifti
+from dmrislice.sh import ShCoeffVolume, fit_sh, read_sh, write_sh
 from dmrislice.study import load_study
-from dmrislice.volume import Volume4D
+from dmrislice.volume import Volume4D, read_gradient_table, select_shell
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,25 @@ def test_fit_sh_emits_15_channels(study_dir, tmp_path):
     sh = read_sh(out)
     assert sh.volume.n_volumes == 15
     assert json.loads((tmp_path / "sh.json").read_text())["basis"] == "modified_real_symmetric"
+
+
+def test_a_masked_fit_sh_writes_the_bytes_of_the_whole_file_path(study_dir, tmp_path):
+    # fit-sh reads only the shell's volumes; the coefficients are those of
+    # the shell selected from the whole file's volume.
+    out = tmp_path / "sh.nii"
+    code = dispatch(
+        ["fit-sh", "--dwi", str(study_dir / "dwi.nii"), "--bval", str(study_dir / "dwi.bval"),
+         "--bvec", str(study_dir / "dwi.bvec"), "--mask", str(study_dir / "labels.nii"),
+         "--out", str(out)]
+    )
+    assert code == 0
+    combined = read_nifti(study_dir / "dwi.nii")
+    gtab = read_gradient_table(study_dir / "dwi.bval", study_dir / "dwi.bvec")
+    shell_vol, shell = select_shell(combined, gtab, 1000.0)
+    mask = read_labels(study_dir / "labels.nii", combined.dims)
+    write_sh(fit_sh(shell_vol, shell, mask=mask), tmp_path / "whole.nii")
+    assert out.read_bytes() == (tmp_path / "whole.nii").read_bytes()
+    assert (tmp_path / "sh.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 
 def test_project_sh_roundtrip(study_dir, tmp_path):

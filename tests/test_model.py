@@ -19,9 +19,9 @@ from dmrislice.ae import (
     load_checkpoint,
     save_checkpoint,
 )
-from dmrislice.ae import layers
+from dmrislice.ae import layers, model as ae_model
 from dmrislice.ae.layers import UpsampleConv2D
-from dmrislice.ae.model import tensor_manifest
+from dmrislice.ae.model import _chunk_items, tensor_manifest
 from dmrislice.ae.optim import BETA1, BETA2, EPS
 from dmrislice.blas import _openblas, one_blas_thread
 from dmrislice.errors import DmrisliceError, ParseError, ShapeError
@@ -727,3 +727,40 @@ def test_a_batch_encodes_and_decodes_bit_for_bit_as_its_items_one_at_a_time(
         for n in BATCH_SHAPES[name][1]:
             assert np.array_equal(model.encode(x[:n]), encoded[:n])
             assert np.array_equal(model.decode(z[:n]), decoded[:n])
+
+
+# The benchmark's nets at their largest inference calls: the signal net's
+# 88-item encodes and 176-item decodes, the b0 net's and the SH net's 1-2
+# items. Chunking them would cost time for no memory that matters.
+BENCH_CALLS = {
+    "signal": (ModelConfig(input_channels=1, latent_maps=8, input_size=64, base_width=4), 176),
+    "b0": (ModelConfig(input_channels=1, latent_maps=8, input_size=64, base_width=4), 2),
+    "sh4": (ModelConfig(input_channels=15, latent_maps=8, input_size=64, base_width=16), 2),
+}
+
+
+@pytest.mark.parametrize("name", BENCH_CALLS)
+def test_the_benchmark_nets_infer_in_one_chunk(name):
+    cfg, items = BENCH_CALLS[name]
+    assert _chunk_items(cfg) >= items
+
+
+@pytest.mark.parametrize("part", ["encode", "decode"])
+def test_chunked_inference_holds_one_chunk_and_gives_the_batch_bytes(
+    monkeypatch, traced_peak, part
+):
+    cfg = ModelConfig(input_channels=1, latent_maps=8, input_size=32, base_width=4)
+    model = Autoencoder(cfg).astype(np.float32)
+    x = np.random.default_rng(5).uniform(0, 1, (64, 1, 32, 32))
+    if part == "decode":
+        x = model.encode(x)
+    run = getattr(model, part)
+    whole = run(x)
+    budget = 8 * ae_model._INFERENCE_BUDGET // _chunk_items(cfg)
+    monkeypatch.setattr(ae_model, "_INFERENCE_BUDGET", budget)
+    assert _chunk_items(cfg) == 8
+    _, chunk_peak = traced_peak(run, x[:8])
+    out, peak = traced_peak(run, x)
+    assert out.tobytes() == whole.tobytes()
+    # Beyond one chunk, a chunked pass holds only the batch's output.
+    assert peak <= 1.2 * chunk_peak + (out.nbytes if part == "decode" else 0)

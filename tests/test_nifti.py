@@ -99,6 +99,15 @@ def test_non_finite_voxels_rejected(tmp_path, bad):
         read_nifti(p)
 
 
+def test_finite_values_whose_sum_overflows_are_read(tmp_path):
+    # The reader screens for non-finite values by a sum, which overflows here.
+    p = tmp_path / "t.nii"
+    values = np.full((3, 2, 2, 2), 1e308)
+    values[1, 0, 1, 0] = -1e308
+    synth_nifti(p, (3, 2, 2, 2), 64, "<f8", values)
+    assert np.array_equal(read_nifti(p).data, values)
+
+
 @pytest.mark.parametrize(
     "scaling, message",
     [
@@ -255,3 +264,29 @@ def test_nifti_fuzz_reads_or_raises_dmrislice_error(variant):
             read_nifti(p)
         except DmrisliceError:
             pass
+
+
+def _with_vox_offset(path, vox_offset):
+    values = np.arange(1, 9, dtype=np.float32).reshape(2, 2, 2, 1)
+    synth_nifti(path, (2, 2, 2, 1), 16, "<f4", values)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 108, vox_offset)
+    path.write_bytes(bytes(raw))
+
+
+def test_a_vox_offset_inside_the_header_is_refused(tmp_path):
+    # Read from 348, the payload would start with the 4 extension bytes and
+    # every value would move by one voxel.
+    p = tmp_path / "t.nii"
+    _with_vox_offset(p, float(HEADER_SIZE))
+    with pytest.raises(ParseError, match=r"vox_offset 348.0 lies outside the data section") as err:
+        read_nifti(p)
+    assert err.value.offset == 108
+
+
+def test_a_fractional_vox_offset_is_refused(tmp_path):
+    p = tmp_path / "t.nii"
+    _with_vox_offset(p, VOX_OFFSET + 0.5)
+    with pytest.raises(ParseError, match=r"vox_offset 352.5 is not a whole number") as err:
+        read_nifti(p)
+    assert err.value.offset == 108

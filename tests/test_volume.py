@@ -22,8 +22,8 @@ from dmrislice.volume import (
     normalize_slice,
     read_gradient_table,
     replace_slices,
-    select_diffusion_shell,
     select_shell,
+    shell_window,
 )
 
 
@@ -226,14 +226,24 @@ def test_a_diffusion_shell_never_reaches_the_b0_volumes():
         np.array([0.0, 40.0, 1000.0, 1000.0]),
         np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1.0]]),
     )
-    shell, gt = select_diffusion_shell(v, g, tol=959.0)
+    keep, gt = shell_window(g, tol=959.0)
+    assert np.array_equal(keep, [False, False, True, True])
     assert np.array_equal(gt.bvals, [1000.0, 1000.0])
-    assert np.array_equal(shell.data, v.data[..., 2:])
+    assert np.array_equal(gt.bvecs, g.bvecs[2:])
     for b_target, tol in [(None, 960.0), (None, np.inf), (1000.0, 1000.0), (0.0, 50.0)]:
         with pytest.raises(ShapeError, match=f"^shell tolerance {tol} around b = "):
-            select_diffusion_shell(v, g, b_target, tol)
+            shell_window(g, b_target, tol)
     # Picking the b0 volumes on purpose stays a plain shell selection.
     assert select_shell(v, g, 0.0)[0].n_volumes == 2
+
+
+@pytest.mark.parametrize("diffusion", [True, False])
+def test_the_shell_window_checks_its_tolerance_and_its_volumes(diffusion):
+    g = GradientTable(np.array([0.0, 1000.0]), np.array([[0, 0, 0], [1, 0, 0.0]]))
+    with pytest.raises(ShapeError, match="non-negative"):
+        shell_window(g, 1000.0, -1.0, diffusion=diffusion)
+    with pytest.raises(EmptyShell, match="within 50.0 of 2600.0"):
+        shell_window(g, 2600.0, diffusion=diffusion)
 
 
 def test_read_gradient_table(tmp_path):
