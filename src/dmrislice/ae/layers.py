@@ -46,15 +46,18 @@ So the four phases are one GEMM per item of a ``(4*o, 4*c)`` kernel with the
 ``4(h+1)(w+1) / 9hw`` of the multiply-adds of nine-tap phases, and the
 4x-size upsampled map is never built. Every input size takes this path.
 
-Inference runs through a plan: each layer's ``plan`` is an immutable
-callable holding what the layer's weights and buffers fix, derived once:
-the GEMM kernel (a decoder stage's phase kernel) and the batch-norm scale
-and shift. A layer's
-``forward(train=False)`` runs the plan it is given, or one built for the
+Each convolution kind is one class that owns its forward and its backward:
+:class:`Correlation` and, for a decoder stage, :class:`PhaseCorrelation`.
+Inference runs through a plan: each layer's ``plan`` is plain data holding
+what the layer's weights and buffers fix, derived once: a block's
+``(conv, scale, shift)``, its convolution (a decoder stage's holds the phase
+kernel) and the batch-norm scale and shift, and the head's ``(conv, bias)``;
+pooling fixes nothing, and its plan is ``None``. A layer's
+``forward(train=False)`` applies the plan it is given, or one built for the
 call; :class:`~dmrislice.ae.model.Autoencoder` keeps one plan per net, hands
 each layer its own, and drops it whenever it changes the weights. A
 training forward derives its convolution the same way and keeps it for the
-backward pass.
+backward pass, which calls that convolution's ``backward``.
 
 No layer writes its input or its incoming gradient. Batch normalization and
 ELU run in place on the convolution's output, and the sigmoid on arrays the
@@ -128,6 +131,12 @@ def _column_tiles(x, k):
         yield items, cols.reshape(n, c * k * k, oh * ow)
 
 
+def _flip(w):
+    """The kernel whose correlation with ``dy`` is the input gradient of the
+    correlation with ``w``: spatially flipped, channels transposed."""
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+
 @dataclass(frozen=True)
 class Correlation:
     """'Same'-size 2-D correlation, y[b,o] = sum_c x[b,c] * w[o,c] with ``x``
@@ -150,10 +159,15 @@ class Correlation:
             np.matmul(self.kernel, cols, out=y.reshape(b, o, -1)[items])
         return y
 
-
-def _conv_correlate(x, w):
-    """The :class:`Correlation` with the weights ``w`` applied to ``x``."""
-    return Correlation.of(w)(x)
+    def backward(self, x, dy, need_dx=True):
+        """Gradients ``(dw, dx)`` of the weights and of the input ``x`` from
+        the output gradient ``dy``; ``dx`` is ``None`` unless ``need_dx``."""
+        k = self.k
+        dw = _conv_weight_grad(x, dy, k)
+        if not need_dx:
+            return dw, None
+        w = self.kernel.reshape(self.kernel.shape[0], -1, k, k)
+        return dw, Correlation.of(_flip(w))(dy)
 
 
 def _conv_weight_grad(x, dy, k):
@@ -178,12 +192,6 @@ def _he_uniform(rng, shape):
 def _check_channels(x, c_in):
     if x.shape[1] != c_in:
         raise ShapeError(f"conv expects {c_in} channels, got {x.shape[1]}")
-
-
-def _flip(w):
-    """The kernel whose correlation with ``dy`` is the input gradient of the
-    correlation with ``w``: spatially flipped, channels transposed."""
-    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
 class Layer:
@@ -211,12 +219,13 @@ class Layer:
         self.buffers: dict[str, np.ndarray] = {}
 
     def plan(self):
-        """The layer's inference: an immutable callable that holds what the
-        layer's tensors fix, for inputs of any size."""
-        raise NotImplementedError
+        """What the layer's tensors fix for inference, for inputs of any
+        size, as data that :meth:`forward` applies; ``None`` when they fix
+        nothing."""
+        return None
 
     def forward(self, x, train=False, plan=None):
-        """The layer on ``x``. Inference runs ``plan``, the layer's
+        """The layer on ``x``. Inference applies ``plan``, the layer's
         :meth:`plan`, which a model keeps; without one it builds its own for
         the call."""
         raise NotImplementedError
@@ -240,21 +249,18 @@ def _elu(y):
     return y
 
 
-@dataclass(frozen=True)
-class BlockPlan:
-    """A block's inference: its convolution, then batch normalization as the
-    per-channel affine map of the running statistics, ``(c, 1, 1)`` scale
-    and shift, then ELU, the last two in place on the convolution's output."""
-
-    conv: Correlation
-    scale: np.ndarray
-    shift: np.ndarray
-
-    def __call__(self, x):
-        y = self.conv(x)
-        y *= self.scale
-        y += self.shift
-        return _elu(y)
+def _sigmoid(z):
+    """Stable two-branch logistic: with e = exp(-|z|), 1 / (1 + e) where
+    z >= 0 and e / (1 + e) elsewhere, in new arrays. -|z| is min(z, -z),
+    which passes a NaN on with its sign, as exp(z) did in the negative
+    branch."""
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    y = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    y /= e
+    return y
 
 
 class Conv2D(Layer):
@@ -304,21 +310,24 @@ class Conv2D(Layer):
     # The convolution's kind: a decoder stage's differs.
     correlation = Correlation
 
-    def _convolve_backward(self, x, conv, dy, need_dx):
-        self.grads["w"] = _conv_weight_grad(x, dy, self.ksize)
-        return _conv_correlate(dy, _flip(self.params["w"])) if need_dx else None
-
-    def plan(self) -> BlockPlan:
+    def plan(self):
+        """``(conv, scale, shift)``: the convolution, and batch normalization
+        as the per-channel affine map of the running statistics, ``(c, 1, 1)``
+        scale and shift."""
         scale = self.params["gamma"] / np.sqrt(self.buffers["running_var"] + BN_EPS)
         shift = self.params["beta"] - self.buffers["running_mean"] * scale
         conv = self.correlation.of(self.params["w"])
-        return BlockPlan(conv, scale[:, None, None], shift[:, None, None])
+        return conv, scale[:, None, None], shift[:, None, None]
 
     def forward(self, x, train=False, plan=None):
         _check_channels(x, self.c_in)
         if not train:
             self._cache = None
-            return (plan or self.plan())(x)
+            conv, scale, shift = plan or self.plan()
+            y = conv(x)
+            y *= scale
+            y += shift
+            return _elu(y)
         conv = self.correlation.of(self.params["w"])
         h = conv(x)
         mean = h.mean(axis=(0, 2, 3))
@@ -361,7 +370,8 @@ class Conv2D(Layer):
         np.multiply(xhat, sum_dxhat_xhat, out=prod)
         d -= prod
         d *= inv_std[:, None, None] / n
-        return self._convolve_backward(x, conv, d, need_dx)
+        self.grads["w"], dx = conv.backward(x, d, need_dx)
+        return dx
 
 
 def _repeat2x2(x):
@@ -383,9 +393,6 @@ def _avg_pool(x):
 
 
 class AvgPool2x2(Layer):
-    def plan(self):
-        return _avg_pool
-
     def forward(self, x, train=False, plan=None):
         return _avg_pool(x)
 
@@ -446,6 +453,31 @@ class PhaseCorrelation(Correlation):
                     y[items, :, a::2, b::2] = g[:, a, b, :, a : a + h, b : b + w]
         return y
 
+    def backward(self, x, dy, need_dx=True):
+        """``dy``'s phases placed at their window offsets in an
+        ``(n, 4*o, h+1, w+1)`` map: the weight gradient is the 2x2 kernel's
+        (:func:`_conv_weight_grad` of the map) folded back onto the nine taps
+        (:func:`_tap_grad`), and the input gradient the col2im of
+        ``kernel.T @ map``, four shifted adds."""
+        k = self.kernel
+        o = k.shape[0] // 4
+        n, c, h, w = x.shape
+        dmap = np.zeros((n, 2, 2, o, h + 1, w + 1), dtype=dy.dtype)
+        for a in range(2):
+            for b in range(2):
+                dmap[:, a, b, :, a : a + h, b : b + w] = dy[:, :, a::2, b::2]
+        dmap = dmap.reshape(n, 4 * o, -1)
+        dw = _tap_grad(_conv_weight_grad(x, dmap, 2).reshape(k.shape))
+        if not need_dx:
+            return dw, None
+        # Window (p, q)'s tap (d, e) read the padded input at (p + d, q + e),
+        # so input (i, j), padded (i + 1, j + 1), gets window (i+1-d, j+1-e)'s.
+        g = (k.T @ dmap).reshape(n, c, 2, 2, h + 1, w + 1)
+        dx = np.add(g[:, :, 0, 0, 1:, 1:], g[:, :, 0, 1, 1:, :-1])
+        dx += g[:, :, 1, 0, :-1, 1:]
+        dx += g[:, :, 1, 1, :-1, :-1]
+        return dw, dx
+
 
 class UpsampleConv2D(Conv2D):
     """A decoder block: nearest-neighbor 2x upsampling, then the
@@ -460,12 +492,9 @@ class UpsampleConv2D(Conv2D):
     keeps for its backward pass. The forward pass runs one GEMM per item over its
     2x2 columns at the ``(h+1) x (w+1)`` windows and writes each phase's row
     block, shifted by its window offset, straight into its phase of the
-    output. The backward pass places ``dy``'s phases at those offsets in an
-    ``(n, 4*o, h+1, w+1)`` map: the weight gradient is the 2x2 kernel's
-    (:func:`_conv_weight_grad` of the map) folded back onto the nine taps
-    (:func:`_tap_grad`), and the input gradient the col2im of
-    ``kernel.T @ map``, four shifted adds. The upsampled map is never built.
-    Batch normalization and ELU are :class:`Conv2D`'s.
+    output; :meth:`PhaseCorrelation.backward` reverses that placement. The
+    upsampled map is never built. Batch normalization and ELU are
+    :class:`Conv2D`'s.
     """
 
     # Checkpoint layer indices the block spans: those of the upsampling, the
@@ -474,48 +503,6 @@ class UpsampleConv2D(Conv2D):
     slots = 4
     _w_slot = 1
     correlation = PhaseCorrelation
-
-    def _convolve_backward(self, x, conv, dy, need_dx):
-        k = conv.kernel
-        o = k.shape[0] // 4
-        n, c, h, w = x.shape
-        dmap = np.zeros((n, 2, 2, o, h + 1, w + 1), dtype=dy.dtype)
-        for a in range(2):
-            for b in range(2):
-                dmap[:, a, b, :, a : a + h, b : b + w] = dy[:, :, a::2, b::2]
-        dmap = dmap.reshape(n, 4 * o, -1)
-        self.grads["w"] = _tap_grad(_conv_weight_grad(x, dmap, 2).reshape(k.shape))
-        if not need_dx:
-            return None
-        # Window (p, q)'s tap (d, e) read the padded input at (p + d, q + e),
-        # so input (i, j), padded (i + 1, j + 1), gets window (i+1-d, j+1-e)'s.
-        g = (k.T @ dmap).reshape(n, c, 2, 2, h + 1, w + 1)
-        dx = np.add(g[:, :, 0, 0, 1:, 1:], g[:, :, 0, 1, 1:, :-1])
-        dx += g[:, :, 1, 0, :-1, 1:]
-        dx += g[:, :, 1, 1, :-1, :-1]
-        return dx
-
-
-@dataclass(frozen=True)
-class HeadPlan:
-    """The head's 1x1 convolution, its ``(o, 1, 1)`` bias, then the sigmoid."""
-
-    conv: Correlation
-    bias: np.ndarray
-
-    def __call__(self, x):
-        z = self.conv(x)
-        z += self.bias
-        # Stable two-branch logistic: with e = exp(-|z|), 1 / (1 + e) where
-        # z >= 0 and e / (1 + e) elsewhere. -|z| is min(z, -z), which passes
-        # a NaN on with its sign, as exp(z) did in the negative branch.
-        e = np.negative(z)
-        np.minimum(z, e, out=e)
-        np.exp(e, out=e)
-        y = np.where(z >= 0, 1.0, e)
-        e += 1.0
-        y /= e
-        return y
 
 
 class Head(Layer):
@@ -543,18 +530,22 @@ class Head(Layer):
         self.params["b"] = np.zeros(params["b"])
         self._cache = None
 
-    def plan(self) -> HeadPlan:
-        return HeadPlan(Correlation.of(self.params["w"]), self.params["b"][:, None, None])
+    def plan(self):
+        """``(conv, bias)``: the 1x1 convolution and its ``(o, 1, 1)`` bias."""
+        return Correlation.of(self.params["w"]), self.params["b"][:, None, None]
 
     def forward(self, x, train=False, plan=None):
         _check_channels(x, self.c_in)
-        y = (plan or self.plan())(x)
-        self._cache = (x, y) if train else None
+        conv, bias = plan or self.plan()
+        z = conv(x)
+        z += bias
+        y = _sigmoid(z)
+        self._cache = (x, conv, y) if train else None
         return y
 
     def backward(self, dy):
-        x, y = self._trained(self._cache)
+        x, conv, y = self._trained(self._cache)
         dz = dy * y * (1.0 - y)
-        self.grads["w"] = _conv_weight_grad(x, dz, 1)
+        self.grads["w"], dx = conv.backward(x, dz)
         self.grads["b"] = dz.sum(axis=(0, 2, 3))
-        return _conv_correlate(dz, _flip(self.params["w"])).astype(x.dtype, copy=False)
+        return dx.astype(x.dtype, copy=False)

@@ -8,8 +8,9 @@ input (:class:`~.layers.UpsampleConv2D`), whose convolution runs at the
 input's resolution. The model has 21 layers for every config.
 
 A ``train=False`` pass runs each layer with its part of the model's
-inference plan: every layer's ``plan``, one per net whatever the input size,
-built on first use and kept, since a loaded net never changes. Pool threads
+inference plan: every layer's ``plan``, the plain data that its ``forward``
+applies (``None`` for pooling), one per net whatever the input size, built
+on first use and kept, since a loaded net never changes. Pool threads
 share it read-only; two threads that build it at once build equal plans, and
 either may be kept. Every method that changes the weights or buffers drops it: a
 ``train=True`` pass (so ``loss_and_grads``), :meth:`Autoencoder.load_snapshot`
@@ -202,8 +203,8 @@ class Autoencoder:
             )
 
     def _inference_plan(self):
-        """The encoder's and the decoder's plans, each a tuple of one callable
-        per layer; built here unless kept from an earlier call."""
+        """The encoder's and the decoder's plans, each a tuple of one layer
+        plan per layer; built here unless kept from an earlier call."""
         plan = self._plan
         if plan is None:
             plan = self._plan = tuple(

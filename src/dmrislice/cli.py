@@ -20,7 +20,7 @@ import sys
 from . import ae
 from .ae.model import N_POOLINGS
 from .errors import DmrisliceError, EmptyShell, ParseError
-from .evaluate import ALL_METHODS, default_gaps, run_experiment
+from .evaluate import ALL_METHODS, DEFAULT_METHODS, run_experiment
 from .inference import infer_gap_sh, infer_gap_signal
 from .interp import KINDS, interp_missing_slices
 from .dti import dti_scalars, fit_dti
@@ -61,9 +61,11 @@ def parse_config_file(path) -> dict[str, str]:
 
     Each value is kept as text, for its option to type. A value in single or
     double quotes is the text between them and may hold a ``#``; a bare value
-    ends at the first ``#``. An unterminated quote is a ParseError.
+    ends at the first ``#``. An unterminated quote is a ParseError, and so is
+    a key given twice (``gap-start`` and ``gap_start`` are one key), as in
+    TOML.
     """
-    options = {}
+    options, lines = {}, {}
     for lineno, line in enumerate(read_text_lines(path), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -82,7 +84,9 @@ def parse_config_file(path) -> dict[str, str]:
             value = raw.split("#", 1)[0].strip()
             if not value:
                 raise ParseError(f"{path} line {lineno}: empty value")
-        options[key] = value
+        if key in lines:
+            raise ParseError(f"{path} lines {lines[key]} and {lineno}: key {key!r} given twice")
+        options[key], lines[key] = value, lineno
     return options
 
 
@@ -326,12 +330,11 @@ def cmd_evaluate(args):
     models = {kind: ae.load_checkpoint(path) for kind, path in paths.items() if path}
 
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    gaps = args.gaps or default_gaps(data.dwi.dims[2])
     threads = args.threads if args.threads is not None else usable_cpus()
     report = run_experiment(
         data,
         methods=methods,
-        gaps=gaps,
+        gaps=args.gaps,
         n_values=args.n,
         models=models or None,
         lmax=args.lmax,
@@ -464,7 +467,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="run the slice-removal evaluation harness")
     p.add_argument("--data", required=True, help="study directory")
-    p.add_argument("--methods", default="linear,cubic,bspline5,sh-linear",
+    p.add_argument("--methods", default=",".join(DEFAULT_METHODS),
                    help=f"comma list from {ALL_METHODS}")
     p.add_argument("--gaps", type=_int_list, default=None,
                    help="comma list of gap z-indices")

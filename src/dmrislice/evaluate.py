@@ -62,6 +62,8 @@ METHODS = {
     "ae-sh4": ("sh4", "ae"),
 }
 ALL_METHODS = tuple(METHODS)
+# The grid's methods unless a caller names others: those that need no model.
+DEFAULT_METHODS = tuple(m for m, (_, estimator) in METHODS.items() if estimator != "ae")
 
 REGION_LABELS = {"wm": LABELS["wm"], "cgm": LABELS["cgm"], "cc": LABELS["cc"]}
 
@@ -277,8 +279,8 @@ def _sh_bound_for_gap(data: PhantomData, shared: _Shared, gap: GapSpec) -> float
 
 def run_experiment(
     data: PhantomData,
-    methods=("linear", "cubic", "bspline5", "sh-linear"),
-    gaps=(3, 5, 7, 9, 11),
+    methods=DEFAULT_METHODS,
+    gaps=None,
     n_values=(1, 2),
     models=None,
     lmax: int = 4,
@@ -303,13 +305,14 @@ def run_experiment(
     count is restored afterwards. A method's ``timing`` is the sum of its
     cells' run times, each covering the cell's estimates (its b0 slices
     included), tensor fit and scores but not the shared per-experiment work.
+    ``gaps`` defaults to :func:`default_gaps` of the study's slice count.
     ``methods``, ``gaps`` and ``n_values`` must be non-empty and free of
     repeats, and every gap must keep a neighbor slice on both sides. ``folds``
     > 1 adds a per-fold breakdown (gap positions split round-robin), the
     desk-scale stand-in for subject-level cross-validation.
     """
     methods = list(methods)
-    gaps = [int(z) for z in gaps]
+    gaps = default_gaps(data.dwi.dims[2]) if gaps is None else [int(z) for z in gaps]
     n_values = [int(n) for n in n_values]
     for axis, values in (("methods", methods), ("gaps", gaps), ("n_values", n_values)):
         if not values:

@@ -25,6 +25,8 @@ from .nifti import read_nifti, write_nifti
 from .volume import GradientTable, Volume4D, mask_voxels, read_text_lines
 
 SUPPORTED_LMAX = (0, 2, 4, 6, 8)
+# The basis name that SH sidecars record.
+_BASIS = "modified_real_symmetric"
 
 
 def n_coefficients(lmax: int) -> int:
@@ -229,7 +231,7 @@ def write_sh(sh: ShCoeffVolume, path) -> None:
     write_nifti(sh.volume, path)
     sidecar = {
         "lmax": sh.lmax,
-        "basis": "modified_real_symmetric",
+        "basis": _BASIS,
         "lambda_reg": sh.lambda_reg,
         "ill_conditioned": sh.ill_conditioned,
     }
@@ -241,15 +243,35 @@ def write_sh(sh: ShCoeffVolume, path) -> None:
 def read_sh(path) -> ShCoeffVolume:
     """Load a coefficient NIfTI written by :func:`write_sh`.
 
-    An unreadable or malformed JSON sidecar is a ParseError.
+    The JSON sidecar must be an object with an integer ``lmax``; the
+    optional ``lambda_reg`` is a number, ``ill_conditioned`` a boolean and
+    ``basis`` this module's. An unreadable sidecar, or one that breaks these
+    rules, is a ParseError; a negative or non-finite ``lambda_reg`` is a
+    ShapeError.
     """
     sidecar_path = _sidecar_path(path)
     try:
         sidecar = json.loads("".join(read_text_lines(sidecar_path)))
-        lmax = int(sidecar["lmax"])
-        lambda_reg = float(sidecar.get("lambda_reg", 0.0))
-        ill_conditioned = bool(sidecar.get("ill_conditioned", False))
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"malformed SH sidecar {sidecar_path}: {exc!r}") from exc
+    if not isinstance(sidecar, dict) or "lmax" not in sidecar:
+        raise ParseError(f"malformed SH sidecar {sidecar_path}: needs an object with an lmax")
+    lmax = sidecar["lmax"]
+    lambda_reg = sidecar.get("lambda_reg", 0.0)
+    ill_conditioned = sidecar.get("ill_conditioned", False)
+    basis = sidecar.get("basis", _BASIS)
+    # Each key at its JSON type; a JSON true or false is not a number here.
+    for key, value, ok in (
+        ("lmax", lmax, type(lmax) is int),
+        ("lambda_reg", lambda_reg, type(lambda_reg) in (int, float)),
+        ("ill_conditioned", ill_conditioned, type(ill_conditioned) is bool),
+        ("basis", basis, basis == _BASIS),
+    ):
+        if not ok:
+            raise ParseError(f"malformed SH sidecar {sidecar_path}: {key} is {value!r}")
+    try:
+        lambda_reg = float(lambda_reg)
+    except OverflowError as exc:
         raise ParseError(f"malformed SH sidecar {sidecar_path}: {exc!r}") from exc
     vol = read_nifti(path)
     return ShCoeffVolume(

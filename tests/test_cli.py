@@ -17,7 +17,9 @@ import mutation
 from dmrislice.ae import Autoencoder, ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
 from dmrislice.ae.train import _split
 from dmrislice.cli import _build_dataset, build_parser, dispatch, parse_config_file
+from dmrislice.dti import dti_scalars, fit_dti
 from dmrislice.errors import DmrisliceError, ParseError, ShapeError
+from dmrislice.evaluate import DEFAULT_METHODS, run_experiment
 from dmrislice.nifti import read_labels, read_nifti, write_nifti
 from dmrislice.sh import ShCoeffVolume, fit_sh, read_sh, write_sh
 from dmrislice.study import load_study
@@ -82,6 +84,24 @@ def test_a_masked_fit_sh_writes_the_bytes_of_the_whole_file_path(study_dir, tmp_
     assert (tmp_path / "sh.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 
+def test_a_regularized_fit_sh_writes_the_bytes_of_the_library_fit(study_dir, tmp_path):
+    out = tmp_path / "sh.nii"
+    code = dispatch(
+        ["fit-sh", "--dwi", str(study_dir / "dwi.nii"), "--bval", str(study_dir / "dwi.bval"),
+         "--bvec", str(study_dir / "dwi.bvec"), "--reg", "0.01", "--out", str(out)]
+    )
+    assert code == 0
+    data = load_study(study_dir)
+    sh = fit_sh(data.dwi, data.gtab, lambda_reg=0.01)
+    assert sh.lambda_reg == 0.01
+    write_sh(sh, tmp_path / "lib.nii")
+    assert out.read_bytes() == (tmp_path / "lib.nii").read_bytes()
+    assert (tmp_path / "sh.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+    # The penalty moves the coefficients: the regularized branch ran.
+    write_sh(fit_sh(data.dwi, data.gtab), tmp_path / "plain.nii")
+    assert out.read_bytes() != (tmp_path / "plain.nii").read_bytes()
+
+
 def test_project_sh_roundtrip(study_dir, tmp_path):
     sh_path = tmp_path / "sh.nii"
     dispatch(
@@ -135,6 +155,23 @@ def test_fit_dti_outputs(study_dir, tmp_path):
     assert fa.dims == (16, 16, 8, 1)
     assert float(fa.data.max()) <= 1.0
     assert read_nifti(tmp_path / "dt.nii").dims == (16, 16, 8, 6)
+
+
+def test_a_masked_fit_dti_writes_the_fa_of_the_library_fit(study_dir, tmp_path):
+    out = tmp_path / "fa.nii"
+    mask_path = study_dir / "labels.nii"
+    code = dispatch(
+        ["fit-dti", "--data", str(study_dir), "--mask", str(mask_path), "--out-fa", str(out)]
+    )
+    assert code == 0
+    data = load_study(study_dir)
+    mask = read_labels(mask_path, data.dwi.dims[:3])
+    fa, _ = dti_scalars(fit_dti(data.dwi, data.b0, data.gtab, mask=mask))
+    write_nifti(fa, tmp_path / "lib.nii")
+    assert out.read_bytes() == (tmp_path / "lib.nii").read_bytes()
+    # Voxels outside the mask are zeroed, and the mask leaves some out.
+    outside = mask.data[..., 0] == 0
+    assert outside.any() and not read_nifti(out).data[outside].any()
 
 
 def test_interp_writes_slices_and_volume(study_dir, tmp_path):
@@ -335,6 +372,21 @@ def test_evaluate_report(study_dir, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert set(report["results"]["1"]) == {"linear", "cubic"}
     assert (out / "report.csv").exists()
+
+
+def test_evaluate_folds_block_is_the_library_one(study_dir, tmp_path):
+    out = tmp_path / "report"
+    code = dispatch(
+        ["evaluate", "--data", str(study_dir), "--methods", "linear,cubic",
+         "--gaps", "2,3,4", "--n", "1", "--folds", "2", "--out", str(out)]
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    lib = run_experiment(load_study(study_dir), methods=("linear", "cubic"), gaps=(2, 3, 4),
+                         n_values=(1,), folds=2)
+    assert report["folds"] == json.loads(lib.to_json())["folds"]
+    folds = report["folds"]["1"]
+    assert (folds["fold0"]["gaps"], folds["fold1"]["gaps"]) == ([2, 4], [3])
 
 
 def test_sh_bound_prints_value(study_dir, tmp_path, capsys):
@@ -744,6 +796,15 @@ BAD_SIDECARS = {
     "not-an-object": b"[1]",
     "not-utf8": b'{"lmax": 4, "basis": "\xff"}',
     "missing": None,
+    "lmax-fractional": b'{"lmax": 4.7}',
+    "lmax-bool": b'{"lmax": true}',
+    "lambda-reg-string": b'{"lmax": 4, "lambda_reg": "0.5"}',
+    "lambda-reg-bool": b'{"lmax": 4, "lambda_reg": false}',
+    "lambda-reg-huge": b'{"lmax": 4, "lambda_reg": 1' + b"0" * 400 + b"}",
+    "ill-conditioned-string": b'{"lmax": 4, "ill_conditioned": "false"}',
+    "ill-conditioned-number": b'{"lmax": 4, "ill_conditioned": 0}',
+    "other-basis": b'{"lmax": 4, "basis": "tournier07"}',
+    "basis-not-a-string": b'{"lmax": 4, "basis": null}',
 }
 
 
@@ -1053,6 +1114,9 @@ def test_int_list_options_parse_their_values():
     assert parser.parse_args(["phantom", "--out", "s"]).dims == [64, 64, 16]
     args = parser.parse_args(["evaluate", "--data", "s", "--out", "r", "--gaps", "2, 4,6"])
     assert (args.gaps, args.n) == ([2, 4, 6], [1, 2])
+    assert parser.parse_args(["evaluate", "--data", "s", "--out", "r"]).methods == ",".join(
+        DEFAULT_METHODS
+    )
     args = parser.parse_args(["train", "--data", "s", "--net", "b0", "--sweep-m", "2,4",
                               "--out", "m.ckpt"])
     assert args.sweep_m == [2, 4]
@@ -1168,6 +1232,19 @@ def test_config_parse_error_names_its_line(tmp_path, text, line):
         parse_config_file(cfg)
     assert f"{cfg} line {line}: " in str(err.value)
     assert err.value.offset is None and "offset" not in str(err.value)
+
+
+def test_config_key_given_twice_exits_2_naming_both_lines(study_dir, tmp_path, capsys):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text("gap-start = 3\n# note\ngap_start = 5\n")
+    with pytest.raises(ParseError, match=r"lines 1 and 3: key 'gap_start' given twice"):
+        parse_config_file(cfg)
+    out = tmp_path / "r"
+    assert dispatch(["infer", "--data", str(study_dir), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dmrislice: config error: ") and "lines 1 and 3" in err
+    assert not out.exists()
 
 
 def test_config_without_a_path_is_a_usage_error(capsys):

@@ -204,6 +204,15 @@ def _check_threaded_equals_serial(noisy_phantom, models):
     return threaded
 
 
+def test_run_experiment_defaults_to_the_gaps_of_the_study(noisy_phantom):
+    z = noisy_phantom.dwi.dims[2]
+    assert z == 12  # too few slices for the gap starts 3..11 of larger studies
+    report = run_experiment(noisy_phantom, methods=("linear",))
+    assert report.config["gaps"] == evaluate.default_gaps(z)
+    report = run_experiment(noisy_phantom, gaps=(4,), n_values=(1,))
+    assert report.config["methods"] == list(evaluate.DEFAULT_METHODS)
+
+
 def test_report_files(noisy_phantom, tmp_path):
     report = run_experiment(noisy_phantom, methods=("linear",), gaps=(3, 5), n_values=(1,))
     report.write(tmp_path)

@@ -6,13 +6,11 @@ from dmrislice.ae.layers import (
     BN_MOMENTUM,
     AvgPool2x2,
     Conv2D,
+    Correlation,
     Head,
     Layer,
     UpsampleConv2D,
     _column_tiles,
-    _conv_correlate,
-    _conv_weight_grad,
-    _flip,
 )
 from dmrislice.errors import ShapeError
 from gradcheck import check_layer_gradients
@@ -262,9 +260,9 @@ def test_conv_matches_einsum_formula(case):
     w = rng.standard_normal((c_out, c_in, k, k))
     x = rng.standard_normal((batch, c_in, size, size))
     dy = rng.standard_normal((batch, c_out, size, size))
-    y = _conv_correlate(x, w)
-    dx = _conv_correlate(dy, _flip(w))
-    dw = _conv_weight_grad(x, dy, k)
+    conv = Correlation.of(w)
+    y = conv(x)
+    dw, dx = conv.backward(x, dy)
     want_y, want_dx, want_dw = einsum_conv(w, x, dy)
     assert_close(y, want_y)
     assert_close(dx, want_dx)
