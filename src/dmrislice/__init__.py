@@ -31,7 +31,6 @@ from .volume import (
     normalize_slice,
     read_gradient_table,
     replace_slices,
-    select_shell,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +60,6 @@ __all__ = [
     "read_sh",
     "replace_slices",
     "run_experiment",
-    "select_shell",
     "sh_basis_matrix",
     "sh_roundtrip_error",
     "ShCoeffVolume",

@@ -7,16 +7,16 @@ batch normalization with the fixed constants of :mod:`.layers`, and ELU
 input (:class:`~.layers.UpsampleConv2D`), whose convolution runs at the
 input's resolution. The model has 21 layers for every config.
 
-A ``train=False`` pass runs each layer with its part of the model's
-inference plan: every layer's ``plan``, the plain data that its ``forward``
-applies (``None`` for pooling), one per net whatever the input size, built
-on first use and kept, since a loaded net never changes. Pool threads
-share it read-only; two threads that build it at once build equal plans, and
-either may be kept. Every method that changes the weights or buffers drops it: a
-``train=True`` pass (so ``loss_and_grads``), :meth:`Autoencoder.load_snapshot`
-and :meth:`Autoencoder.astype`. An optimizer steps the weights in place
-after ``loss_and_grads``, which has dropped the plan; inference run between
-the two would keep a plan of the weights before the step.
+``encode``, ``decode`` and ``forward`` are forward-only. They run each
+layer with its part of the model's inference plan: every layer's ``plan``,
+the plain data its ``forward`` applies (``None`` for pooling), one per net
+whatever the input size, built on first use and kept. Pool threads share it
+read-only; two threads that build it at once build equal plans, and either
+may be kept. :meth:`Autoencoder.loss_and_grads` runs the training pass. It,
+:meth:`Autoencoder.load_snapshot` and :meth:`Autoencoder.astype` change the
+weights or buffers, and each drops the plan. An optimizer steps the weights
+in place after ``loss_and_grads``, which has dropped the plan; inference run
+between the two would keep a plan of the weights before the step.
 
 The checkpoint names tensors by layer index as if each convolution, batch
 norm, ELU, upsampling and sigmoid were still a layer of its own: each layer
@@ -36,8 +36,8 @@ from .layers import AvgPool2x2, Conv2D, Head, UpsampleConv2D
 
 N_POOLINGS = 4
 
-# Activation bytes a train=False encode or decode may hold at once: it runs
-# its items in chunks of as many as fit, by :func:`_chunk_items`.
+# Activation bytes an encode or decode may hold at once: it runs its items
+# in chunks of as many as fit, by :func:`_chunk_items`.
 _INFERENCE_BUDGET = 64 << 20
 
 
@@ -65,7 +65,7 @@ class ModelConfig:
 
 
 def _chunk_items(cfg: ModelConfig) -> int:
-    """Items per chunk of a ``train=False`` pass of the model built from
+    """Items per chunk of an encode or decode of the model built from
     ``cfg``: the budget over an item's bytes where the pass holds the most,
     at full resolution in float64: the second encoder block's input and
     output (2w maps), or the head's input, its output and the sigmoid's
@@ -212,54 +212,50 @@ class Autoencoder:
             )
         return plan
 
-    def _run(self, part, x, train):
+    def _run(self, part, x):
         """The encoder (``part`` 0) or the decoder (1) on ``x``."""
         layers = (self.encoder, self.decoder)[part]
-        if train:
-            self._plan = None  # batch norm moves its running statistics
-            plans = [None] * len(layers)
-        else:
-            plans = self._inference_plan()[part]
-        for layer, plan in zip(layers, plans):
-            x = layer.forward(x, train=train, plan=plan)
+        for layer, plan in zip(layers, self._inference_plan()[part]):
+            x = layer.forward(x, plan=plan)
         return x
 
-    def _pass(self, part, x, train):
+    def _pass(self, part, x):
         """The encoder (``part`` 0) or the decoder (1) on the checked batch
-        ``x``. A ``train=False`` pass runs it in chunks of
-        :func:`_chunk_items` items, which give the batch's output bit for
-        bit: an item's output does not depend on its batch-mates."""
-        step = len(x) if train else _chunk_items(self.cfg)
+        ``x``, in chunks of :func:`_chunk_items` items, which give the
+        batch's output bit for bit: an item's output does not depend on its
+        batch-mates."""
+        step = _chunk_items(self.cfg)
         if len(x) <= step:
-            return self._run(part, np.asarray(x, dtype=self.dtype), train)
+            return self._run(part, np.asarray(x, dtype=self.dtype))
         out = None
         for i in range(0, len(x), step):
-            y = self._run(part, np.asarray(x[i : i + step], dtype=self.dtype), train)
+            y = self._run(part, np.asarray(x[i : i + step], dtype=self.dtype))
             if out is None:
                 out = np.empty((len(x),) + y.shape[1:], y.dtype)
             out[i : i + len(y)] = y
         return out
 
-    def encode(self, x, train=False):
+    def encode(self, x):
         x = np.asarray(x)
         self._check_input(x)
-        return self._pass(0, x, train)
+        return self._pass(0, x)
 
-    def decode(self, z, train=False):
+    def decode(self, z):
         z = np.asarray(z)
         m, side = self.cfg.latent_maps, self.cfg.latent_size
         if z.ndim != 4 or z.shape[1:] != (m, side, side):
             raise ShapeError(f"latent must be (B, {m}, {side}, {side}), got {z.shape}")
-        return self._pass(1, z, train)
+        return self._pass(1, z)
 
-    def forward(self, x, train=False):
+    def forward(self, x):
         """The reconstruction of a batch; :meth:`encode` gives its latent code."""
-        return self.decode(self.encode(x, train=train), train=train)
+        return self.decode(self.encode(x))
 
     def loss_and_grads(self, batch):
         """Mean-squared reconstruction error and gradients for all parameters.
 
-        Runs in train mode (batch statistics); gradients are averaged over
+        Runs the training pass: each layer in train mode (batch statistics,
+        activations kept for the backward pass); gradients are averaged over
         every output value, matching the loss reduction. The loss and the
         head's backward pass run in float64, as its forward pass does; the
         head returns its input gradient in the body's dtype, so a float32
@@ -268,7 +264,11 @@ class Autoencoder:
         x = np.asarray(batch, dtype=np.float64)
         if x.size == 0:
             raise ShapeError("empty batch")
-        y = self.forward(x, train=True)
+        self._check_input(x)
+        self._plan = None  # batch norm moves its running statistics
+        y = np.asarray(x, dtype=self.dtype)
+        for layer in self._layers():
+            y = layer.forward(y, train=True)
         diff = y - x
         mse = float(np.mean(diff * diff))
         grad = 2.0 * diff / diff.size

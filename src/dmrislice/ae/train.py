@@ -171,7 +171,7 @@ def _eval_mse(model: Autoencoder, stack: np.ndarray, idx: np.ndarray, batch_size
     diff = np.empty((len(idx),) + stack.shape[1:])
     for start in range(0, len(idx), batch_size):
         batch = stack[idx[start : start + batch_size]]
-        np.subtract(model.forward(batch, train=False), batch, out=diff[start : start + batch_size])
+        np.subtract(model.forward(batch), batch, out=diff[start : start + batch_size])
     diff *= diff
     return float(np.mean(diff))
 

@@ -210,14 +210,8 @@ def _estimate(shared: _Shared, name: str, estimator: str, gap: GapSpec, models):
     if estimator != "ae":
         return interp_missing_slices(volume, gap, estimator)
     z_prev, z_next = gap.neighbors
-    return decode_gap(
-        models[name],
-        shared.latents[(name, z_prev)],
-        shared.latents[(name, z_next)],
-        volume.slice_at(z_prev),
-        volume.slice_at(z_next),
-        gap,
-    )
+    codes = shared.latents[(name, z_prev)], shared.latents[(name, z_next)]
+    return decode_gap(models[name], volume.slice_at(z_prev), volume.slice_at(z_next), gap, codes)
 
 
 def _estimate_slices(shared: _Shared, method, gap: GapSpec, models):
@@ -293,8 +287,8 @@ def run_experiment(
     ``ae`` methods of :data:`METHODS`; the sh4 net must read one channel per
     SH coefficient of order ``lmax``, else a ``ShapeError``. They are shared,
     not copied: every cell reads the caller's instances, which inference does
-    not change (a ``train=False`` forward keeps no layer state, and a model
-    builds its inference plan once), and they must not be trained or
+    not change (an encode or decode keeps no layer state, and a model builds
+    its inference plan once), and they must not be trained or
     otherwise mutated while the grid runs. One thread pool of
     ``max(1, threads or 1)`` workers first encodes each neighbor slice the
     autoencoder cells read, once per model, then runs the cells; report
@@ -307,7 +301,9 @@ def run_experiment(
     included), tensor fit and scores but not the shared per-experiment work.
     ``gaps`` defaults to :func:`default_gaps` of the study's slice count.
     ``methods``, ``gaps`` and ``n_values`` must be non-empty and free of
-    repeats, and every gap must keep a neighbor slice on both sides. ``folds``
+    repeats, every gap must keep a neighbor slice on both sides, and every
+    region of :data:`REGION_LABELS` must have voxels in every gap's slab, else
+    an ``EmptyMask`` before any fit or encode runs. ``folds``
     > 1 adds a per-fold breakdown (gap positions split round-robin), the
     desk-scale stand-in for subject-level cross-validation.
     """
@@ -331,7 +327,15 @@ def run_experiment(
         raise ShapeError(f"folds must lie in [1, {len(gaps)}], got {folds}")
     for n in n_values:
         for g in gaps:
-            GapSpec(gap_start=g, n_missing=n).validate_for(data.dwi.dims[2])
+            gap = GapSpec(gap_start=g, n_missing=n)
+            gap.validate_for(data.dwi.dims[2])
+            labels = _gap_slab(data.labels, gap)[..., 0]
+            for region, label in REGION_LABELS.items():
+                if not np.any(labels == label):
+                    raise EmptyMask(
+                        f"no voxels of region {region!r} (label {label}) in the gap "
+                        f"of N = {n} at z = {g}"
+                    )
 
     shared = _shared_inputs(data, lmax)
 

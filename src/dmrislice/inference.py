@@ -7,9 +7,8 @@ computed once and reused. :func:`decode_gap` blends two neighbors' codes with
 gap-position weights (equal for N=1; {2/3, 1/3} and {1/3, 2/3} for N=2,
 nearer neighbor heavier), decodes all N blends in one batch and maps each
 decoded slice back to input intensities by histogram matching against the
-same weighted average of the two unnormalized neighbor slices.
-:func:`infer_between_slices` is the two halves for one gap, with both
-neighbors encoded in one call.
+same weighted average of the two unnormalized neighbor slices. It takes the
+codes a caller already has, or encodes both neighbors in one call.
 """
 
 from __future__ import annotations
@@ -111,16 +110,21 @@ def encode_slice(model: Autoencoder, s: SliceImage) -> np.ndarray:
 
 def decode_gap(
     model: Autoencoder,
-    z_prev: np.ndarray,
-    z_next: np.ndarray,
     prev_slice: SliceImage,
     next_slice: SliceImage,
     gap: GapSpec,
+    codes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SliceImage]:
-    """Decode blends of the two neighbors' codes from :func:`encode_slice`,
-    one image per missing slice, histogram-matched to the neighbors."""
+    """Decode blends of the two neighbors' codes, one image per missing
+    slice, histogram-matched to the neighbors. ``codes`` are the neighbors'
+    :func:`encode_slice` codes, (previous, next), if the caller has them;
+    else both neighbors are encoded in one call, which gives the same codes."""
     if prev_slice.data.shape != next_slice.data.shape:
         raise ShapeError("adjacent slices must share a shape")
+    if codes is None:
+        items = [_model_items(model, s) for s in (prev_slice, next_slice)]
+        codes = np.split(model.encode(np.concatenate(items)), 2)
+    z_prev, z_next = codes
     size = model.cfg.input_size
     src, dst = crop_windows(prev_slice.data.shape[:2], size)
     blended = [blend_latents(z_prev, z_next, w_prev) for w_prev, _ in gap.weights]
@@ -139,24 +143,6 @@ def decode_gap(
         out[src] = matched.data
         outputs.append(SliceImage(out))
     return outputs
-
-
-def infer_between_slices(
-    model: Autoencoder,
-    prev_slice: SliceImage,
-    next_slice: SliceImage,
-    gap: GapSpec,
-) -> list[SliceImage]:
-    """Decode blended latents of the two neighbors, one image per missing slice.
-
-    Both neighbors are encoded in one call; an item's code does not depend on
-    its batch-mates, so each equals its :func:`encode_slice` code.
-    """
-    if prev_slice.data.shape != next_slice.data.shape:
-        raise ShapeError("adjacent slices must share a shape")
-    items = [_model_items(model, s) for s in (prev_slice, next_slice)]
-    z_prev, z_next = np.split(model.encode(np.concatenate(items)), 2)
-    return decode_gap(model, z_prev, z_next, prev_slice, next_slice, gap)
 
 
 def check_sh_model(model: Autoencoder, lmax: int) -> None:
@@ -179,7 +165,7 @@ def infer_gap_signal(model: Autoencoder, v: Volume4D, gap: GapSpec) -> list[Slic
     """
     gap.validate_for(v.dims[2])
     z_prev, z_next = gap.neighbors
-    return infer_between_slices(model, v.slice_at(z_prev), v.slice_at(z_next), gap)
+    return decode_gap(model, v.slice_at(z_prev), v.slice_at(z_next), gap)
 
 
 def infer_gap_sh(
@@ -212,9 +198,9 @@ def infer_gap_sh(
     neighbors = np.s_[:, :, z_prev : z_next + 1 : z_next - z_prev]
 
     sh = fit_sh_slice(dwi.data[neighbors], basis)
-    inferred = infer_between_slices(model_sh, SliceImage(sh[:, :, 0]), SliceImage(sh[:, :, 1]), gap)
+    inferred = decode_gap(model_sh, SliceImage(sh[:, :, 0]), SliceImage(sh[:, :, 1]), gap)
     dwi_slices = [SliceImage(project_sh_slice(s.data, basis)) for s in inferred]
 
     b0_pair = b0_mean(b0.with_data(b0.data[neighbors]))
-    b0_slices = infer_between_slices(model_b0, b0_pair.slice_at(0), b0_pair.slice_at(1), gap)
+    b0_slices = decode_gap(model_b0, b0_pair.slice_at(0), b0_pair.slice_at(1), gap)
     return dwi_slices, b0_slices

@@ -280,8 +280,9 @@ def write_nifti(v: Volume4D, path, *more: Volume4D) -> None:
 
     Values are cast to float32; the round trip through :func:`read_nifti` is
     bit-exact whenever the data are float32-representable. A volume with a
-    zero extent is refused, since the header cannot store it: the reader
-    takes a zero dimension as 1. ``more`` are volumes on ``v``'s voxel grid
+    zero extent, or one above 32767, is refused before the file is opened,
+    since the header cannot store it: the reader takes a zero dimension as
+    1, and each extent is an int16. ``more`` are volumes on ``v``'s voxel grid
     whose values follow ``v``'s along the volume axis, as if concatenated
     with it; the header, spacing and affine are ``v``'s. The payload is cast
     and written one volume at a time, the outermost axis of its x-fastest
@@ -293,6 +294,11 @@ def write_nifti(v: Volume4D, path, *more: Volume4D) -> None:
         check_grid(part, v.dims, f"cannot write {path}: a further volume")
     nx, ny, nz = v.dims[:3]
     nv = sum(part.n_volumes for part in (v, *more))
+    if max(nx, ny, nz, nv) > 32767:
+        raise ShapeError(
+            f"cannot write {path}: NIfTI-1 stores each extent as an int16, at most 32767, "
+            f"got {(nx, ny, nz, nv)}"
+        )
     header = bytearray(VOX_OFFSET)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
     struct.pack_into("<b", header, 39, 0)  # dim_info

@@ -43,6 +43,11 @@ def lmax_for(n: int) -> int:
     raise InvalidOrder(f"no SH order has {n} coefficients; orders {SUPPORTED_LMAX} have {counts}")
 
 
+def _check_order(lmax: int) -> None:
+    if lmax not in SUPPORTED_LMAX:
+        raise InvalidOrder(f"lmax must be one of {SUPPORTED_LMAX}, got {lmax}")
+
+
 def order_index(lmax: int) -> list[tuple[int, int]]:
     """(l, m) pairs in basis order: l ascending (even only), m from -l to l."""
     return [(l, m) for l in range(0, lmax + 1, 2) for m in range(-l, l + 1)]
@@ -70,8 +75,7 @@ def sh_basis_matrix(directions, lmax: int) -> np.ndarray:
     Raises InvalidOrder for odd or out-of-range lmax, InvalidDirection when a
     direction deviates from unit norm by more than 1e-6.
     """
-    if lmax not in SUPPORTED_LMAX:
-        raise InvalidOrder(f"lmax must be one of {SUPPORTED_LMAX}, got {lmax}")
+    _check_order(lmax)
     dirs = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ShapeError(f"directions must be (D, 3), got {dirs.shape}")
@@ -118,6 +122,7 @@ class ShCoeffVolume:
     ill_conditioned: bool = False
 
     def __post_init__(self):
+        _check_order(self.lmax)
         if self.volume.n_volumes != n_coefficients(self.lmax):
             raise ShapeError(
                 f"coefficient count {self.volume.n_volumes} inconsistent with "
@@ -243,11 +248,13 @@ def write_sh(sh: ShCoeffVolume, path) -> None:
 def read_sh(path) -> ShCoeffVolume:
     """Load a coefficient NIfTI written by :func:`write_sh`.
 
-    The JSON sidecar must be an object with an integer ``lmax``; the
-    optional ``lambda_reg`` is a number, ``ill_conditioned`` a boolean and
-    ``basis`` this module's. An unreadable sidecar, or one that breaks these
-    rules, is a ParseError; a negative or non-finite ``lambda_reg`` is a
-    ShapeError.
+    The JSON sidecar must be an object with an integer ``lmax`` in
+    ``SUPPORTED_LMAX``; the optional ``lambda_reg`` is a number,
+    ``ill_conditioned`` a boolean and ``basis`` this module's. An unreadable
+    sidecar, or one that breaks these rules, is a ParseError naming it, and
+    a NIfTI whose volume count is not the order's coefficient count a
+    ParseError naming both files; a negative or non-finite ``lambda_reg`` is
+    a ShapeError.
     """
     sidecar_path = _sidecar_path(path)
     try:
@@ -262,7 +269,7 @@ def read_sh(path) -> ShCoeffVolume:
     basis = sidecar.get("basis", _BASIS)
     # Each key at its JSON type; a JSON true or false is not a number here.
     for key, value, ok in (
-        ("lmax", lmax, type(lmax) is int),
+        ("lmax", lmax, type(lmax) is int and lmax in SUPPORTED_LMAX),
         ("lambda_reg", lambda_reg, type(lambda_reg) in (int, float)),
         ("ill_conditioned", ill_conditioned, type(ill_conditioned) is bool),
         ("basis", basis, basis == _BASIS),
@@ -274,6 +281,11 @@ def read_sh(path) -> ShCoeffVolume:
     except OverflowError as exc:
         raise ParseError(f"malformed SH sidecar {sidecar_path}: {exc!r}") from exc
     vol = read_nifti(path)
+    if vol.n_volumes != n_coefficients(lmax):
+        raise ParseError(
+            f"{path} holds {vol.n_volumes} volumes, not the {n_coefficients(lmax)} "
+            f"coefficients of lmax {lmax} in {sidecar_path}"
+        )
     return ShCoeffVolume(
         vol, lmax=lmax, lambda_reg=lambda_reg, ill_conditioned=ill_conditioned
     )

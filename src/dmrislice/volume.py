@@ -6,9 +6,11 @@ frozen after construction and safe to share across threads.
 Facts several stages share are owned here: the memory layout of a volume
 (:class:`Volume4D` always holds C-contiguous data, so each voxel's V values
 sit together, as the per-voxel SH and tensor fits and the slice reads want
-them), the gap geometry, its two neighbor slices and their weights
-(:class:`GapSpec`), the crop/pad onto the model grid (:func:`crop_windows`,
-:func:`center_crop_pad`) and the b0 mean of the tensor fits (:func:`b0_mean`).
+them), the shell window of a gradient table and its checks
+(:func:`shell_window`, whose mask a caller applies to its volumes), the gap
+geometry, its two neighbor slices and their weights (:class:`GapSpec`), the
+crop/pad onto the model grid (:func:`crop_windows`, :func:`center_crop_pad`)
+and the b0 mean of the tensor fits (:func:`b0_mean`).
 """
 
 from __future__ import annotations
@@ -141,20 +143,20 @@ def normalize_slice(s: SliceImage) -> SliceImage:
 
 
 def shell_window(
-    g: GradientTable, b_target: float | None = None, tol: float = 50.0, diffusion: bool = True
+    g: GradientTable, b_target: float | None = None, tol: float = 50.0
 ) -> tuple[np.ndarray, GradientTable]:
     """The mask of the volumes with \\|b - b_target\\| <= tol, and their
     gradient table, order preserved; ``b_target`` is by default the largest
     b-value present. A negative ``tol`` is a ``ShapeError`` and an empty
-    window an ``EmptyShell``. A ``diffusion`` shell's volumes are fitted as
-    diffusion-weighted measurements, so a window of one that reaches a b0
-    volume (b <= ``B0_THRESHOLD``) is a ``ShapeError``."""
+    window an ``EmptyShell``. A shell's volumes are fitted as
+    diffusion-weighted measurements, so a window that reaches a b0 volume
+    (b <= ``B0_THRESHOLD``) is a ``ShapeError``."""
     if tol < 0:
         raise ShapeError("shell tolerance must be non-negative")
     if b_target is None:
         b_target = float(g.bvals.max())
     keep = np.abs(g.bvals - b_target) <= tol
-    if diffusion and np.any(keep & g.b0_mask):
+    if np.any(keep & g.b0_mask):
         raise ShapeError(
             f"shell tolerance {tol} around b = {b_target} reaches the b0 volumes "
             f"(b <= {B0_THRESHOLD})"
@@ -162,19 +164,6 @@ def shell_window(
     if not np.any(keep):
         raise EmptyShell(f"no volumes with b within {tol} of {b_target}")
     return keep, GradientTable(g.bvals[keep], g.bvecs[keep])
-
-
-def select_shell(
-    v: Volume4D, g: GradientTable, b_target: float, tol: float = 50.0
-) -> tuple[Volume4D, GradientTable]:
-    """The volumes of ``v`` in the :func:`shell_window` at ``b_target``,
-    which may be the b0 volumes, and their gradient table."""
-    if len(g) != v.n_volumes:
-        raise ShapeError(
-            f"gradient table ({len(g)}) does not match volume count ({v.n_volumes})"
-        )
-    keep, shell = shell_window(g, b_target, tol, diffusion=False)
-    return v.with_data(np.compress(keep, v.data, axis=3)), shell
 
 
 def read_text_lines(path) -> list[str]:

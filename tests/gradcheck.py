@@ -81,12 +81,22 @@ def check_layer_gradients(layer, x, train=True, input_stride=1):
         assert_grad_close(fd, flat_dx[i], f"{type(layer).__name__}.input[{i}]")
 
 
+def train_forward(model, x):
+    """The model's training pass on ``x``, as ``loss_and_grads`` runs it:
+    every layer in train mode, which moves batch norm's running statistics,
+    so the model's inference plan is dropped."""
+    model._plan = None
+    for layer in model.encoder + model.decoder:
+        x = layer.forward(x, train=True)
+    return x
+
+
 def check_model_gradients(model, x, n_per_tensor=8, seed=1234):
     """Seeded component sample over every parameter tensor of a model."""
     rng = np.random.default_rng(seed)
 
     def loss():
-        y = model.forward(x, train=True)
+        y = train_forward(model, x)
         d = y - x
         return float(np.mean(d * d))
 

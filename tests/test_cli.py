@@ -23,7 +23,7 @@ from dmrislice.evaluate import DEFAULT_METHODS, run_experiment
 from dmrislice.nifti import read_labels, read_nifti, write_nifti
 from dmrislice.sh import ShCoeffVolume, fit_sh, read_sh, write_sh
 from dmrislice.study import load_study
-from dmrislice.volume import Volume4D, read_gradient_table, select_shell
+from dmrislice.volume import Volume4D, read_gradient_table, shell_window
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,8 @@ def test_a_masked_fit_sh_writes_the_bytes_of_the_whole_file_path(study_dir, tmp_
     assert code == 0
     combined = read_nifti(study_dir / "dwi.nii")
     gtab = read_gradient_table(study_dir / "dwi.bval", study_dir / "dwi.bvec")
-    shell_vol, shell = select_shell(combined, gtab, 1000.0)
+    keep, shell = shell_window(gtab, 1000.0)
+    shell_vol = combined.with_data(np.compress(keep, combined.data, axis=3))
     mask = read_labels(study_dir / "labels.nii", combined.dims)
     write_sh(fit_sh(shell_vol, shell, mask=mask), tmp_path / "whole.nii")
     assert out.read_bytes() == (tmp_path / "whole.nii").read_bytes()
@@ -545,6 +546,19 @@ def test_counts_below_one_exit_2(study_dir, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_a_phantom_of_more_volumes_than_nifti_stores_exits_2(tmp_path, capsys):
+    # 4 b0 volumes and 40000 directions: NIfTI-1 stores at most 32767.
+    out = tmp_path / "out"
+    assert dispatch(["phantom", "--dims", "4,4,4", "--directions", "40000",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"dmrislice: cannot write {out / 'dwi.nii'}: NIfTI-1 stores each extent as an int16, "
+        "at most 32767, got (4, 4, 4, 40004)\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command", ["fit-sh", "fit-dti", "sh-bound", "train", "evaluate", "infer"]
 )
@@ -805,6 +819,8 @@ BAD_SIDECARS = {
     "ill-conditioned-number": b'{"lmax": 4, "ill_conditioned": 0}',
     "other-basis": b'{"lmax": 4, "basis": "tournier07"}',
     "basis-not-a-string": b'{"lmax": 4, "basis": null}',
+    "lmax-unsupported": b'{"lmax": 3}',
+    "lmax-of-another-count": b'{"lmax": 6}',
 }
 
 
@@ -829,6 +845,21 @@ def test_malformed_sh_sidecar_exits_2(study_dir, tmp_path, capsys, sidecar):
     err = capsys.readouterr().err
     assert err.startswith("dmrislice: ") and "sh.json" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "proj.nii").exists()
+
+
+def test_an_unsupported_order_is_refused_even_where_the_count_fits(study_dir, tmp_path, capsys):
+    # Order 3 has n_coefficients(3) = 10 coefficients, the count of the file.
+    sh_path = tmp_path / "sh.nii"
+    write_nifti(Volume4D(np.zeros((2, 2, 2, 10))), sh_path)
+    (tmp_path / "sh.json").write_bytes(b'{"lmax": 3}')
+    code = dispatch(
+        ["project-sh", "--sh", str(sh_path), "--bval", str(study_dir / "dwi.bval"),
+         "--bvec", str(study_dir / "dwi.bvec"), "--out", str(tmp_path / "proj.nii")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"dmrislice: malformed SH sidecar {tmp_path / 'sh.json'}: lmax is 3\n"
     assert not (tmp_path / "proj.nii").exists()
 
 

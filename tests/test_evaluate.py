@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,9 +183,9 @@ def _check_threaded_equals_serial(noisy_phantom, models):
     )
     encoded = []  # names of the passed-in models, per encode call
     for name, model in models.items():
-        def encode(x, train=False, name=name, inner=model.encode):
+        def encode(x, name=name, inner=model.encode):
             encoded.append(name)
-            return inner(x, train=train)
+            return inner(x)
 
         model.encode = encode
     before = {name: layer_state(model) for name, model in models.items()}
@@ -352,9 +353,9 @@ def test_each_model_encodes_each_neighbor_slice_once(noisy_phantom):
     models = _grid_models()
     encoded = {name: [] for name in models}
     for name, model in models.items():
-        def encode(x, train=False, calls=encoded[name], inner=model.encode):
+        def encode(x, calls=encoded[name], inner=model.encode):
             calls.append(np.array(x))
-            return inner(x, train=train)
+            return inner(x)
 
         model.encode = encode
     gaps, n_values = (3, 5, 7), (1, 2)
@@ -428,6 +429,31 @@ def test_missing_models_raise_before_any_encode(noisy_phantom):
         with pytest.raises(ModelMissing, match=f"{method} needs"):
             run_experiment(noisy_phantom, methods=(method,), gaps=(3,), n_values=(1,),
                            models=models)
+
+
+def test_labels_without_a_scored_region_raise_before_any_fit_or_encode(noisy_phantom,
+                                                                      monkeypatch):
+    models = _grid_models()
+    for model in models.values():
+        model.encode = None  # any encode would fail with a TypeError
+    monkeypatch.setattr(evaluate, "fit_dti", None)  # and so would any tensor fit
+    kw = dict(methods=("linear", "ae-signal"), n_values=(1, 2), models=models)
+    # As load_study labels a study without labels.nii: every voxel 1.
+    ones = replace(noisy_phantom, labels=labels_volume(noisy_phantom.dwi.dims[:3]))
+    want = (rf"^no voxels of region 'wm' \(label {REGION_LABELS['wm']}\) "
+            r"in the gap of N = 1 at z = 3$")
+    with pytest.raises(EmptyMask, match=want):
+        run_experiment(ones, gaps=(3, 5), **kw)
+    # One slab without the corpus callosum: the error names its gap and N.
+    labels = noisy_phantom.labels.data.copy()
+    cc = labels[:, :, 6] == REGION_LABELS["cc"]
+    assert cc.any()
+    labels[:, :, 6][cc] = REGION_LABELS["wm"]
+    holed = replace(noisy_phantom, labels=Volume4D(labels))
+    want = (rf"^no voxels of region 'cc' \(label {REGION_LABELS['cc']}\) "
+            r"in the gap of N = 1 at z = 6$")
+    with pytest.raises(EmptyMask, match=want):
+        run_experiment(holed, gaps=(3, 6), **kw)
 
 
 @pytest.mark.parametrize("n", [6, 25])

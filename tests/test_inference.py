@@ -11,8 +11,8 @@ from dmrislice.errors import BoundaryGap, ShapeError
 from dmrislice.inference import (
     GapSpec,
     blend_latents,
+    decode_gap,
     histogram_match,
-    infer_between_slices,
     infer_gap_sh,
     infer_gap_signal,
 )
@@ -138,7 +138,7 @@ def test_infer_identical_neighbors_fixed_point(model16):
     rng = np.random.default_rng(7)
     x = SliceImage(rng.random((16, 16, 1)))
     gap = GapSpec(2, 1)
-    out = infer_between_slices(model16, x, x, gap)
+    out = decode_gap(model16, x, x, gap)
     assert len(out) == 1
     # reference is x itself; histogram matching maps into x's value set
     assert out[0].data.min() >= x.data.min() - 1e-12
@@ -147,7 +147,7 @@ def test_infer_identical_neighbors_fixed_point(model16):
 
 def test_infer_zero_neighbors_zero_output(model16):
     zero = SliceImage(np.zeros((16, 16, 1)))
-    out = infer_between_slices(model16, zero, zero, GapSpec(2, 1))
+    out = decode_gap(model16, zero, zero, GapSpec(2, 1))
     assert np.all(out[0].data == 0.0)
 
 
@@ -157,7 +157,7 @@ def test_infer_output_range_inside_reference(model16):
     b = SliceImage(rng.random((16, 16, 1)) * 3.0 + 1.0)
     for n in (1, 2):
         gap = GapSpec(2, n)
-        outs = infer_between_slices(model16, a, b, gap)
+        outs = decode_gap(model16, a, b, gap)
         assert len(outs) == n
         for (w_prev, w_next), out in zip(gap.weights, outs):
             ref = w_prev * a.data + w_next * b.data
@@ -171,8 +171,8 @@ def test_infer_swap_symmetry(model16):
     a = SliceImage(rng.random((16, 16, 1)))
     b = SliceImage(rng.random((16, 16, 1)))
     gap = GapSpec(2, 2)
-    fwd = infer_between_slices(model16, a, b, gap)
-    rev = infer_between_slices(model16, b, a, gap)
+    fwd = decode_gap(model16, a, b, gap)
+    rev = decode_gap(model16, b, a, gap)
     assert np.abs(fwd[0].data - rev[1].data).max() < 1e-6
     assert np.abs(fwd[1].data - rev[0].data).max() < 1e-6
 
@@ -196,9 +196,7 @@ def test_float64_head_keeps_saturated_outputs_distinct(tmp_path):
     a = SliceImage(rng.random((16, 16, 2)))
     b = SliceImage(rng.random((16, 16, 2)) + 0.5)
     gap = GapSpec(2, 2)
-    for out, out_wide in zip(
-        infer_between_slices(loaded, a, b, gap), infer_between_slices(wide, a, b, gap)
-    ):
+    for out, out_wide in zip(decode_gap(loaded, a, b, gap), decode_gap(wide, a, b, gap)):
         assert np.linalg.norm(out.data - out_wide.data) <= 1e-5 * np.linalg.norm(out_wide.data)
 
 
@@ -263,13 +261,13 @@ def test_one_encode_and_one_decode_match_per_call_inference(case):
 
     calls = []
     for name in ("encode", "decode"):
-        def call(x, train=False, name=name, inner=getattr(model, name)):
-            out = inner(x, train=train)
+        def call(x, name=name, inner=getattr(model, name)):
+            out = inner(x)
             calls.append((name, len(x), out))
             return out
 
         setattr(model, name, call)
-    got = infer_between_slices(model, prev_slice, next_slice, gap)
+    got = decode_gap(model, prev_slice, next_slice, gap)
 
     # Both neighbors encoded at once, then all N blends decoded at once; a
     # slice encodes the same alone or in a batch.

@@ -26,7 +26,7 @@ from dmrislice.ae.optim import BETA1, BETA2, EPS
 from dmrislice.blas import _openblas, one_blas_thread
 from dmrislice.errors import DmrisliceError, ParseError, ShapeError
 import mutation
-from gradcheck import check_model_gradients
+from gradcheck import check_model_gradients, train_forward
 from layer_state import assert_state_unchanged, layer_state
 
 TINY = ModelConfig(input_channels=1, latent_maps=2, input_size=16, base_width=1, seed=3)
@@ -110,8 +110,8 @@ def test_same_seed_same_parameters():
 def test_encode_decode_equals_forward():
     model = Autoencoder(TINY)
     x = np.random.default_rng(3).uniform(0, 1, (2, 1, 16, 16))
-    y = model.forward(x, train=False)
-    y2 = model.decode(model.encode(x, train=False), train=False)
+    y = model.forward(x)
+    y2 = model.decode(model.encode(x))
     assert np.array_equal(y, y2)
 
 
@@ -120,11 +120,11 @@ def test_inference_writes_no_layer_state():
     rng = np.random.default_rng(13)
     model.loss_and_grads(rng.uniform(0, 1, (4, 1, 16, 16)))  # running stats, grads
     x = rng.uniform(0, 1, (3, 1, 16, 16))
-    model.forward(x, train=False)  # drops the activations training cached
+    model.forward(x)  # drops the activations training cached
     before = layer_state(model)
-    z = model.encode(x, train=False)
-    model.decode(z, train=False)
-    model.forward(x, train=False)
+    z = model.encode(x)
+    model.decode(z)
+    model.forward(x)
     assert_state_unchanged(model, before)
 
 
@@ -134,7 +134,7 @@ def test_two_threads_share_one_model():
     inputs = [rng.uniform(0, 1, (3, 1, 32, 32)), rng.uniform(0, 1, (5, 1, 32, 32))]
 
     def run(x):
-        return model.decode(model.encode(x, train=False), train=False)
+        return model.decode(model.encode(x))
 
     serial = [run(x) for x in inputs]
 
@@ -250,6 +250,10 @@ def test_shape_errors():
         model.encode(np.zeros((1, 1, 32, 32)))  # wrong spatial size
     with pytest.raises(ShapeError):
         model.decode(np.zeros((1, 3, 1, 1)))  # wrong latent maps
+    with pytest.raises(ShapeError, match="model expects 1 channels, got 2"):
+        model.loss_and_grads(np.zeros((2, 2, 16, 16)))
+    with pytest.raises(ShapeError, match="model expects 16x16 slices, got 32x32"):
+        model.loss_and_grads(np.zeros((2, 1, 32, 32)))
 
 
 @pytest.mark.parametrize("side", [3, 2, 0])
@@ -279,7 +283,7 @@ def test_first_layer_input_gradient_skipped_with_identical_parameter_gradients()
     mse, grads = model.loss_and_grads(x)
     # The full backward, down to the gradient w.r.t. the batch.
     full = Autoencoder(TINY)
-    y = full.forward(x, train=True)
+    y = train_forward(full, x)
     diff = y - x
     assert float(np.mean(diff * diff)) == mse
     grad = 2.0 * diff / diff.size
@@ -364,7 +368,7 @@ def test_adam_moment_decay():
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model = Autoencoder(TINY)
     # make running stats non-trivial
-    model.forward(np.random.default_rng(9).uniform(0, 1, (2, 1, 16, 16)), train=True)
+    train_forward(model, np.random.default_rng(9).uniform(0, 1, (2, 1, 16, 16)))
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
     save_checkpoint(model, p1)
@@ -381,7 +385,7 @@ def _saved_checkpoint(tmp_path):
     """A TINY checkpoint with non-trivial running statistics, and the float64
     model it was saved from."""
     model = Autoencoder(TINY)
-    model.forward(np.random.default_rng(9).uniform(0, 1, (2, 1, 16, 16)), train=True)
+    train_forward(model, np.random.default_rng(9).uniform(0, 1, (2, 1, 16, 16)))
     p = tmp_path / "m.ckpt"
     save_checkpoint(model, p)
     return p, model
@@ -671,9 +675,9 @@ def test_wrong_channel_checkpoint_raises_at_use(tmp_path):
 def test_eval_forward_bit_identical():
     model = Autoencoder(TINY)
     x = np.random.default_rng(11).uniform(0, 1, (1, 1, 16, 16))
-    model.forward(np.random.default_rng(12).uniform(0, 1, (4, 1, 16, 16)), train=True)
-    y1 = model.forward(x, train=False)
-    y2 = model.forward(x, train=False)
+    train_forward(model, np.random.default_rng(12).uniform(0, 1, (4, 1, 16, 16)))
+    y1 = model.forward(x)
+    y2 = model.forward(x)
     assert np.array_equal(y1, y2)
 
 

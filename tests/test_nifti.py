@@ -158,6 +158,20 @@ def test_a_volume_with_a_zero_extent_is_not_written(tmp_path, shape):
     assert not p.exists()
 
 
+def test_a_volume_with_an_extent_above_the_int16_range_is_not_written(tmp_path):
+    p = tmp_path / "o.nii"
+    write_nifti(Volume4D(np.zeros((1, 1, 1, 32767))), p)
+    assert read_nifti(p).dims == (1, 1, 1, 32767)
+    p.unlink()
+    with pytest.raises(ShapeError, match=r"at most 32767, got \(1, 1, 1, 32768\)$"):
+        write_nifti(Volume4D(np.zeros((1, 1, 1, 32768))), p)
+    assert not p.exists()
+    # The extent counts the further volumes too.
+    with pytest.raises(ShapeError, match=r"got \(1, 1, 1, 32768\)$"):
+        write_nifti(Volume4D(np.zeros((1, 1, 1, 1))), p, Volume4D(np.zeros((1, 1, 1, 32767))))
+    assert not p.exists()
+
+
 def test_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.standard_normal((5, 4, 3, 2)).astype(np.float32).astype(np.float64)

@@ -10,6 +10,7 @@ from dmrislice.errors import EmptyMask, InvalidDirection, InvalidOrder
 from dmrislice.phantom import fibonacci_directions
 from dmrislice.sh import (
     SUPPORTED_LMAX,
+    ShCoeffVolume,
     fit_sh,
     lmax_for,
     n_coefficients,
@@ -94,6 +95,12 @@ def test_basis_rejects_bad_inputs():
         sh_basis_matrix(dirs, 10)
     with pytest.raises(InvalidDirection):
         sh_basis_matrix(np.array([[0.0, 0.0, 2.0]]), 4)
+
+
+def test_a_coefficient_volume_refuses_an_unsupported_order():
+    # n_coefficients(3) = 10, so the count alone would let order 3 through.
+    with pytest.raises(InvalidOrder, match=r"^lmax must be one of \(0, 2, 4, 6, 8\), got 3$"):
+        ShCoeffVolume(Volume4D(np.zeros((2, 2, 1, 10))), lmax=3)
 
 
 def test_basis_gram_near_identity():

@@ -12,7 +12,7 @@ from dmrislice.volume import (
     GradientTable,
     Volume4D,
     read_gradient_table,
-    select_shell,
+    shell_window,
     write_gradient_table,
 )
 
@@ -64,8 +64,8 @@ def _whole_file(path, b_target):
     combined = read_nifti(path / "dwi.nii")
     gtab = read_gradient_table(path / "dwi.bval", path / "dwi.bvec")
     b0 = np.compress(gtab.b0_mask, combined.data, axis=3)
-    dwi, shell = select_shell(combined, gtab, b_target)
-    return b0, dwi.data, shell
+    keep, shell = shell_window(gtab, b_target)
+    return b0, np.compress(keep, combined.data, axis=3), shell
 
 
 def _write_table(path, bvals):

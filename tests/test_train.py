@@ -147,10 +147,9 @@ def test_validation_runs_in_batches_and_gives_the_whole_split_mse(phantom16, mon
     real_eval, real_forward = train_module._eval_mse, Autoencoder.forward
     sizes, pairs = [], []
 
-    def forward(self, x, train=False):
-        if not train:
-            sizes.append(len(x))
-        return real_forward(self, x, train=train)
+    def forward(self, x):
+        sizes.append(len(x))
+        return real_forward(self, x)
 
     def eval_both(model, stack, idx, batch_size):
         got = real_eval(model, stack, idx, batch_size)

@@ -22,7 +22,6 @@ from dmrislice.volume import (
     normalize_slice,
     read_gradient_table,
     replace_slices,
-    select_shell,
     shell_window,
 )
 
@@ -184,44 +183,31 @@ def test_normalize_roundtrip_property(values):
     assert np.all(np.abs(normalized.data - expected) <= 1e-6)
 
 
-def test_select_shell_keeps_matching_volumes():
-    data = np.arange(2 * 2 * 2 * 4, dtype=float).reshape(2, 2, 2, 4)
-    v = Volume4D(data)
+def test_shell_window_keeps_matching_volumes():
     g = GradientTable(
         np.array([0.0, 400.0, 1000.0, 1000.0]),
         np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]]),
     )
-    shell, gt = select_shell(v, g, 1000.0, tol=50.0)
-    assert shell.n_volumes == 2
+    keep, gt = shell_window(g, 1000.0, tol=50.0)
+    assert np.array_equal(keep, [False, False, True, True])
     assert np.all(gt.bvals == 1000.0)
-    assert np.array_equal(shell.data, data[..., 2:])
-
-    b0, gt0 = select_shell(v, g, 0.0, tol=50.0)
-    assert b0.n_volumes == 1
-    assert shell.data.flags.c_contiguous and b0.data.flags.c_contiguous
+    assert np.array_equal(gt.bvecs, g.bvecs[2:])
 
 
-def test_select_shell_empty():
-    v = Volume4D(np.zeros((2, 2, 2, 2)))
-    g = GradientTable(np.array([0.0, 1000.0]), np.array([[0, 0, 0], [1, 0, 0.0]]))
-    with pytest.raises(EmptyShell):
-        select_shell(v, g, 2600.0, tol=50.0)
-
-
-def test_select_shell_idempotent():
-    v = Volume4D(np.random.default_rng(0).random((2, 2, 2, 5)))
+def test_shell_window_is_idempotent():
     bvals = np.array([0.0, 1000.0, 990.0, 2600.0, 1010.0])
     bvecs = np.tile(np.array([[1.0, 0, 0]]), (5, 1))
     bvecs[0] = 0
     g = GradientTable(bvals, bvecs)
-    v1, g1 = select_shell(v, g, 1000.0)
-    v2, g2 = select_shell(v1, g1, 1000.0)
-    assert np.array_equal(v1.data, v2.data)
+    keep1, g1 = shell_window(g, 1000.0)
+    keep2, g2 = shell_window(g1, 1000.0)
+    assert np.array_equal(keep1, [False, True, True, False, True])
+    assert keep2.all()
     assert np.array_equal(g1.bvals, g2.bvals)
+    assert np.array_equal(g1.bvecs, g2.bvecs)
 
 
 def test_a_diffusion_shell_never_reaches_the_b0_volumes():
-    v = Volume4D(np.arange(2 * 2 * 2 * 4, dtype=float).reshape(2, 2, 2, 4))
     g = GradientTable(
         np.array([0.0, 40.0, 1000.0, 1000.0]),
         np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1.0]]),
@@ -233,17 +219,14 @@ def test_a_diffusion_shell_never_reaches_the_b0_volumes():
     for b_target, tol in [(None, 960.0), (None, np.inf), (1000.0, 1000.0), (0.0, 50.0)]:
         with pytest.raises(ShapeError, match=f"^shell tolerance {tol} around b = "):
             shell_window(g, b_target, tol)
-    # Picking the b0 volumes on purpose stays a plain shell selection.
-    assert select_shell(v, g, 0.0)[0].n_volumes == 2
 
 
-@pytest.mark.parametrize("diffusion", [True, False])
-def test_the_shell_window_checks_its_tolerance_and_its_volumes(diffusion):
+def test_the_shell_window_checks_its_tolerance_and_its_volumes():
     g = GradientTable(np.array([0.0, 1000.0]), np.array([[0, 0, 0], [1, 0, 0.0]]))
     with pytest.raises(ShapeError, match="non-negative"):
-        shell_window(g, 1000.0, -1.0, diffusion=diffusion)
+        shell_window(g, 1000.0, -1.0)
     with pytest.raises(EmptyShell, match="within 50.0 of 2600.0"):
-        shell_window(g, 2600.0, diffusion=diffusion)
+        shell_window(g, 2600.0)
 
 
 def test_read_gradient_table(tmp_path):
