@@ -30,7 +30,6 @@ from .volume import (
     Volume4D,
     normalize_slice,
     read_gradient_table,
-    replace_slices,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +57,6 @@ __all__ = [
     "read_labels",
     "read_nifti",
     "read_sh",
-    "replace_slices",
     "run_experiment",
     "sh_basis_matrix",
     "sh_roundtrip_error",

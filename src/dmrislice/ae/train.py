@@ -17,7 +17,7 @@ import numpy as np
 
 from ..blas import one_blas_thread
 from ..errors import DmrisliceError, InsufficientData, IoError, ShapeError
-from ..volume import SliceImage, Volume4D, center_crop_pad, check_grid, normalize_slice
+from ..volume import Volume4D, center_crop_pad, check_grid, normalize_slice
 from .model import Autoencoder, ModelConfig
 from .optim import Adam
 
@@ -79,7 +79,7 @@ def stacked_slices(
             plane = mask.data[:, :, z, 0]
             if np.count_nonzero(plane) / plane.size < MIN_MASK_FRACTION:
                 continue
-        normalized = normalize_slice(SliceImage(vol.data[:, :, z, :])).data
+        normalized = normalize_slice(vol.data[:, :, z, :])
         samples.append(SliceSample(data=normalized.transpose(2, 0, 1), subject=subject))
     return samples
 

@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import ae
 from .ae.model import N_POOLINGS
 from .errors import DmrisliceError, EmptyShell, ParseError
@@ -35,7 +37,6 @@ from .volume import (
     b0_mean,
     read_gradient_table,
     read_text_lines,
-    replace_slices,
     shell_window,
 )
 
@@ -131,15 +132,19 @@ def _mask_arg(args, vol: Volume4D):
     return None
 
 
-def _write_slices(slices, vol: Volume4D, gap_start: int, out_dir, prefix="slice"):
-    """Writes each gap slice as a one-slice volume in ``vol``'s space: the
-    input spacing, and the affine's origin moved by z times its third column,
-    so the file lines up with slice z of ``vol``."""
-    for z, s in enumerate(slices, start=gap_start):
+def _write_gap(slices, vol: Volume4D, gap: GapSpec, out_dir, prefix="slice") -> Volume4D:
+    """``vol`` with its gap slab filled by the estimated ``slices``. Each
+    slice z of the slab is written as ``{prefix}_{z:03d}.nii``, a one-slice
+    volume in ``vol``'s space: the input spacing, and the affine's origin
+    moved by z times its third column, so the file lines up with slice z."""
+    filled = vol.data.copy()
+    filled[:, :, gap.slab] = np.stack([s.data for s in slices], axis=2)
+    for z in range(vol.dims[2])[gap.slab]:
         affine = vol.affine.copy()
         affine[:3, 3] += z * affine[:3, 2]
-        out = Volume4D(s.data[:, :, None, :], spacing=vol.spacing, affine=affine)
+        out = Volume4D(filled[:, :, z : z + 1], spacing=vol.spacing, affine=affine)
         write_nifti(out, os.path.join(out_dir, f"{prefix}_{z:03d}.nii"))
+    return vol.with_data(filled)
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -192,9 +197,7 @@ def cmd_interp(args):
     gap = GapSpec(gap_start=args.gap_start, n_missing=args.n)
     slices = interp_missing_slices(vol, gap, args.method)
     os.makedirs(args.out, exist_ok=True)
-    _write_slices(slices, vol, args.gap_start, args.out)
-    filled = replace_slices(vol, args.gap_start, slices)
-    write_nifti(filled, os.path.join(args.out, "volume.nii"))
+    write_nifti(_write_gap(slices, vol, gap, args.out), os.path.join(args.out, "volume.nii"))
     return 0
 
 
@@ -280,22 +283,19 @@ def cmd_infer(args):
     model = ae.load_checkpoint(args.model)
     b0_model = ae.load_checkpoint(args.b0_model) if args.b0_model else None
 
+    b0 = b0_mean(data.b0)
     if args.domain == "signal":
         slices = infer_gap_signal(model, data.dwi, gap)
-        b0_slices = None
-        if b0_model is not None:
-            b0_slices = infer_gap_signal(b0_model, b0_mean(data.b0), gap)
+        b0_slices = None if b0_model is None else infer_gap_signal(b0_model, b0, gap)
     else:
         # An sh4 net reads the coefficients of the order its channels count.
         lmax = lmax_for(model.cfg.input_channels)
         slices, b0_slices = infer_gap_sh(model, b0_model, data.dwi, data.b0, data.gtab, gap, lmax)
 
     os.makedirs(args.out, exist_ok=True)
-    _write_slices(slices, data.dwi, gap.gap_start, args.out)
-    filled = replace_slices(data.dwi, gap.gap_start, slices)
-    write_nifti(filled, os.path.join(args.out, "volume.nii"))
+    write_nifti(_write_gap(slices, data.dwi, gap, args.out), os.path.join(args.out, "volume.nii"))
     if b0_slices is not None:
-        _write_slices(b0_slices, data.b0, gap.gap_start, args.out, prefix="b0_slice")
+        _write_gap(b0_slices, b0, gap, args.out, prefix="b0_slice")
     return 0
 
 

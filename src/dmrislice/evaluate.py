@@ -48,7 +48,7 @@ from .interp import interp_missing_slices
 from .phantom import LABELS, PhantomData
 from .sh import fit_sh_slice, project_sh_slice, sh_basis_matrix
 from .stats import wilcoxon_signed_rank
-from .volume import GapSpec, SliceImage, Volume4D, b0_mean
+from .volume import GapSpec, Volume4D, b0_mean
 
 # Each method as (domain, estimator): the volume whose gap slices it
 # estimates, the DWI or its SH coefficients, and an interpolation kind or
@@ -198,57 +198,45 @@ def _with_latents(shared: _Shared, pool, methods, gaps, n_values, models):
     neighbors = sorted({z for n in n_values for g in gaps for z in GapSpec(g, n).neighbors})
     keys = [(name, z) for name in names for z in neighbors]
     codes = pool.map(
-        lambda key: encode_slice(models[key[0]], shared.inputs[key[0]].slice_at(key[1])), keys
+        lambda key: encode_slice(models[key[0]], shared.inputs[key[0]].data[:, :, key[1]]), keys
     )
     return replace(shared, latents=dict(zip(keys, codes)))
 
 
 def _estimate(shared: _Shared, name: str, estimator: str, gap: GapSpec, models):
-    """The gap's slices of ``shared.inputs[name]`` by one estimator: an
-    interpolation kind, or the ``name`` model decoding its neighbors' codes."""
+    """The gap's slices of ``shared.inputs[name]`` by one estimator, as a
+    (W, H, N, C) stack: an interpolation kind, or the ``name`` model decoding
+    its neighbors' codes."""
     volume = shared.inputs[name]
-    if estimator != "ae":
-        return interp_missing_slices(volume, gap, estimator)
-    z_prev, z_next = gap.neighbors
-    codes = shared.latents[(name, z_prev)], shared.latents[(name, z_next)]
-    return decode_gap(models[name], volume.slice_at(z_prev), volume.slice_at(z_next), gap, codes)
-
-
-def _estimate_slices(shared: _Shared, method, gap: GapSpec, models):
-    """Returns (dwi slice estimates, b0 slice estimates) for one cell: the
-    method's estimator on its domain and on b0, both read from
-    ``shared.inputs``. SH-domain estimates are projected onto the directions."""
-    domain, estimator = METHODS[method]
-    slices = _estimate(shared, domain, estimator, gap, models)
-    b0_slices = _estimate(shared, "b0", estimator, gap, models)
-    if domain == "sh4":
-        slices = [SliceImage(project_sh_slice(s.data, shared.sh_basis)) for s in slices]
-    return slices, b0_slices
-
-
-def _gap_slab(vol: Volume4D, gap: GapSpec) -> np.ndarray:
-    """A view of the gap's slices of ``vol``."""
-    return vol.data[:, :, gap.gap_start : gap.gap_start + gap.n_missing, :]
-
-
-def _gap_subvolume(vol: Volume4D, gap: GapSpec) -> Volume4D:
-    return vol.with_data(_gap_slab(vol, gap))
+    if estimator == "ae":
+        z_prev, z_next = gap.neighbors
+        codes = shared.latents[(name, z_prev)], shared.latents[(name, z_next)]
+        neighbors = volume.data[:, :, z_prev], volume.data[:, :, z_next]
+        slices = decode_gap(models[name], *neighbors, gap, codes)
+    else:
+        slices = interp_missing_slices(volume, gap, estimator)
+    if name == "sh4":  # onto the acquisition directions
+        return np.stack([project_sh_slice(s.data, shared.sh_basis) for s in slices], axis=2)
+    return np.stack([s.data for s in slices], axis=2)
 
 
 def _evaluate_cell(data, shared: _Shared, method, gap, models):
-    """The cell's score for each of SERIES, in that order, then its runtime."""
+    """The cell's score for each of SERIES, in that order, then its runtime:
+    the method's estimator runs on its domain and on b0, both read from
+    ``shared.inputs``."""
     start = time.perf_counter()
-    dwi_slices, b0_slices = _estimate_slices(shared, method, gap, models)
+    domain, estimator = METHODS[method]
+    est_stack = _estimate(shared, domain, estimator, gap, models)
+    signal_mse = _normalized_mse(est_stack, data.dwi.data[:, :, gap.slab], shared.span)
 
-    gt_slices = _gap_slab(data.dwi, gap)
-    est_stack = np.stack([s.data for s in dwi_slices], axis=2)
-    signal_mse = _normalized_mse(est_stack, gt_slices, shared.span)
-
-    b0_stack = np.stack([s.data for s in b0_slices], axis=2)
+    b0_stack = _estimate(shared, "b0", estimator, gap, models)
     fa_est, md_est = dti_scalars(fit_dti(Volume4D(est_stack), Volume4D(b0_stack), data.gtab))
     est = {"fa": fa_est, "md": md_est}
-    gt = {"fa": _gap_subvolume(shared.fa_gt, gap), "md": _gap_subvolume(shared.md_gt, gap)}
-    labels_gap = _gap_subvolume(data.labels, gap)
+    gt = {
+        "fa": Volume4D(shared.fa_gt.data[:, :, gap.slab]),
+        "md": Volume4D(shared.md_gt.data[:, :, gap.slab]),
+    }
+    labels_gap = Volume4D(data.labels.data[:, :, gap.slab])
     scores = tuple(
         signal_mse
         if region == "all"
@@ -267,8 +255,8 @@ def default_gaps(z_dim: int) -> list[int]:
 
 def _sh_bound_for_gap(data: PhantomData, shared: _Shared, gap: GapSpec) -> float:
     """The SH fit-project error of the gap's ground-truth slices."""
-    recon = project_sh_slice(_gap_slab(shared.inputs["sh4"], gap), shared.sh_basis)
-    return _normalized_mse(recon, _gap_slab(data.dwi, gap), shared.span)
+    recon = project_sh_slice(shared.inputs["sh4"].data[:, :, gap.slab], shared.sh_basis)
+    return _normalized_mse(recon, data.dwi.data[:, :, gap.slab], shared.span)
 
 
 def run_experiment(
@@ -329,7 +317,7 @@ def run_experiment(
         for g in gaps:
             gap = GapSpec(gap_start=g, n_missing=n)
             gap.validate_for(data.dwi.dims[2])
-            labels = _gap_slab(data.labels, gap)[..., 0]
+            labels = data.labels.data[:, :, gap.slab, 0]
             for region, label in REGION_LABELS.items():
                 if not np.any(labels == label):
                     raise EmptyMask(

@@ -77,70 +77,69 @@ def _match_channel(source: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return mapped[src_inverse].reshape(source.shape)
 
 
-def histogram_match(source: SliceImage, reference: SliceImage) -> SliceImage:
-    """Map source intensities so their distribution matches the reference,
-    channel by channel."""
-    if source.channels != reference.channels:
+def histogram_match(source: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Map the intensities of a (W, H, C) source slice so their distribution
+    matches the (W', H', C) reference's, channel by channel."""
+    if source.shape[2] != reference.shape[2]:
         raise ShapeError(
-            f"channel mismatch: source {source.channels}, reference {reference.channels}"
+            f"channel mismatch: source {source.shape[2]}, reference {reference.shape[2]}"
         )
-    out = np.empty_like(source.data)
-    for c in range(source.channels):
-        out[:, :, c] = _match_channel(source.data[:, :, c], reference.data[:, :, c])
-    return SliceImage(out)
+    out = np.empty(source.shape)
+    for c in range(source.shape[2]):
+        out[:, :, c] = _match_channel(source[:, :, c], reference[:, :, c])
+    return out
 
 
-def _model_items(model: Autoencoder, s: SliceImage) -> np.ndarray:
-    """One slice as the model's input items: each channel min-max
+def _model_items(model: Autoencoder, s: np.ndarray) -> np.ndarray:
+    """One (W, H, C) slice as the model's input items: each channel min-max
     normalized, the slice center-cropped or padded onto the model grid, as
     one item of all its channels, or one item per channel for a 1-channel
     model. Either way the items, read in order, hold the slice's channels in
     order, which :func:`decode_gap` relies on to undo the layout."""
     c, size = model.cfg.input_channels, model.cfg.input_size
-    if c not in (1, s.channels):
-        raise ShapeError(f"model expects {c} channels, slice has {s.channels}")
-    chw = normalize_slice(s).data.transpose(2, 0, 1)
+    if c not in (1, s.shape[2]):
+        raise ShapeError(f"model expects {c} channels, slice has {s.shape[2]}")
+    chw = normalize_slice(s).transpose(2, 0, 1)
     return center_crop_pad(chw, size).reshape(-1, c, size, size)
 
 
-def encode_slice(model: Autoencoder, s: SliceImage) -> np.ndarray:
+def encode_slice(model: Autoencoder, s: np.ndarray) -> np.ndarray:
     """The latent code of one slice, encoded on its own (:func:`_model_items`)."""
     return model.encode(_model_items(model, s))
 
 
 def decode_gap(
     model: Autoencoder,
-    prev_slice: SliceImage,
-    next_slice: SliceImage,
+    prev_slice: np.ndarray,
+    next_slice: np.ndarray,
     gap: GapSpec,
     codes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SliceImage]:
-    """Decode blends of the two neighbors' codes, one image per missing
-    slice, histogram-matched to the neighbors. ``codes`` are the neighbors'
-    :func:`encode_slice` codes, (previous, next), if the caller has them;
-    else both neighbors are encoded in one call, which gives the same codes."""
-    if prev_slice.data.shape != next_slice.data.shape:
+    """Decode blends of the codes of the two (W, H, C) neighbor slices, one
+    image per missing slice, histogram-matched to the neighbors. ``codes`` are
+    the neighbors' :func:`encode_slice` codes, (previous, next), if the caller
+    has them; else both neighbors are encoded in one call, which gives the
+    same codes."""
+    if prev_slice.shape != next_slice.shape:
         raise ShapeError("adjacent slices must share a shape")
     if codes is None:
         items = [_model_items(model, s) for s in (prev_slice, next_slice)]
         codes = np.split(model.encode(np.concatenate(items)), 2)
     z_prev, z_next = codes
     size = model.cfg.input_size
-    src, dst = crop_windows(prev_slice.data.shape[:2], size)
+    src, dst = crop_windows(prev_slice.shape[:2], size)
     blended = [blend_latents(z_prev, z_next, w_prev) for w_prev, _ in gap.weights]
     decoded = np.split(model.decode(np.concatenate(blended)), len(blended))
 
     outputs = []
     for (w_prev, w_next), batch in zip(gap.weights, decoded):
-        raw = batch.reshape(prev_slice.channels, size, size).transpose(1, 2, 0)
-        reference = w_prev * prev_slice.data + w_next * next_slice.data
+        raw = batch.reshape(prev_slice.shape[2], size, size).transpose(1, 2, 0)
+        out = w_prev * prev_slice + w_next * next_slice
         # Histogram-match over the model's real field of view (padding and
-        # crop borders excluded); anything outside the crop falls back to the
+        # crop borders excluded); anything outside the crop keeps the
         # reference, the weighted neighbor average. The crop windows cover
         # (W, H), the leading axes of these (W, H, C) arrays.
-        matched = histogram_match(SliceImage(raw[dst]), SliceImage(reference[src]))
-        out = reference.copy()
-        out[src] = matched.data
+        out[src] = histogram_match(raw[dst], out[src])
         outputs.append(SliceImage(out))
     return outputs
 
@@ -165,7 +164,7 @@ def infer_gap_signal(model: Autoencoder, v: Volume4D, gap: GapSpec) -> list[Slic
     """
     gap.validate_for(v.dims[2])
     z_prev, z_next = gap.neighbors
-    return decode_gap(model, v.slice_at(z_prev), v.slice_at(z_next), gap)
+    return decode_gap(model, v.data[:, :, z_prev], v.data[:, :, z_next], gap)
 
 
 def infer_gap_sh(
@@ -198,9 +197,9 @@ def infer_gap_sh(
     neighbors = np.s_[:, :, z_prev : z_next + 1 : z_next - z_prev]
 
     sh = fit_sh_slice(dwi.data[neighbors], basis)
-    inferred = decode_gap(model_sh, SliceImage(sh[:, :, 0]), SliceImage(sh[:, :, 1]), gap)
+    inferred = decode_gap(model_sh, sh[:, :, 0], sh[:, :, 1], gap)
     dwi_slices = [SliceImage(project_sh_slice(s.data, basis)) for s in inferred]
 
-    b0_pair = b0_mean(b0.with_data(b0.data[neighbors]))
-    b0_slices = decode_gap(model_b0, b0_pair.slice_at(0), b0_pair.slice_at(1), gap)
+    b0_pair = b0_mean(b0.with_data(b0.data[neighbors])).data
+    b0_slices = decode_gap(model_b0, b0_pair[:, :, 0], b0_pair[:, :, 1], gap)
     return dwi_slices, b0_slices

@@ -8,10 +8,11 @@ stores, v fastest, with scl_slope/scl_inter applied when the slope is
 nonzero. Every read goes through :func:`read_volumes`, which decodes the
 payload once through a bounded buffer into one array per selection of
 volumes, so a caller that keeps some of the volumes never holds all of
-them. Non-finite voxel values are rejected on reading, and
-:func:`read_labels` also rejects label maps that are not non-negative
-integers or do not lie on the data's voxel grid. The writer always emits
-float32 with vox_offset 352.
+them. Non-finite voxel values are rejected on reading, and so is a
+non-finite spacing (``pixdim[1..3]``) or affine (``srow_*``, or
+``quatern_*`` and ``qoffset_*``); :func:`read_labels` also rejects label
+maps that are not non-negative integers or do not lie on the data's voxel
+grid. The writer always emits float32 with vox_offset 352.
 """
 
 from __future__ import annotations
@@ -54,13 +55,28 @@ _OFF_QUATERN = 256
 _OFF_SROW = 280
 _OFF_MAGIC = 344
 
+# The float32 header fields of the voxel geometry, as named in error messages.
+_PIXDIM_FIELDS = ("pixdim[1]", "pixdim[2]", "pixdim[3]")
+_QUATERN_FIELDS = ("quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z")
+_SROW_FIELDS = tuple(f"srow_{axis}[{k}]" for axis in "xyz" for k in range(4))
+
 # The reader decodes a block of about this many bytes of float64 values at a
 # time; its one buffer holds the block's raw bytes.
 _TILE_BYTES = 1 << 20
 
 
-def _quaternion_affine(header: bytes, spacing) -> np.ndarray:
-    b, c, d, ox, oy, oz = struct.unpack_from("<6f", header, _OFF_QUATERN)
+def _finite_fields(head: bytes, path, offset: int, names) -> tuple[float, ...]:
+    """The float32 header fields ``names`` that follow each other from
+    ``offset``; a non-finite one is a ParseError naming it and its offset."""
+    values = struct.unpack_from(f"<{len(names)}f", head, offset)
+    for k, (name, value) in enumerate(zip(names, values)):
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: header field {name} is {value}", offset=offset + 4 * k)
+    return values
+
+
+def _quaternion_affine(header: bytes, path, spacing) -> np.ndarray:
+    b, c, d, ox, oy, oz = _finite_fields(header, path, _OFF_QUATERN, _QUATERN_FIELDS)
     qfac = struct.unpack_from("<f", header, _OFF_PIXDIM)[0]
     qfac = -1.0 if qfac < 0 else 1.0
     a2 = 1.0 - (b * b + c * c + d * d)
@@ -163,8 +179,8 @@ def _parse_header(head: bytes, size: int, path) -> _Header:
             offset=_OFF_BITPIX,
         )
 
-    pixdim = struct.unpack_from("<8f", head, _OFF_PIXDIM)
-    spacing = tuple(float(p) if p > 0 else 1.0 for p in pixdim[1:4])
+    pixdim = _finite_fields(head, path, _OFF_PIXDIM + 4, _PIXDIM_FIELDS)
+    spacing = tuple(p if p > 0 else 1.0 for p in pixdim)
 
     # The data section of a single file starts after the header and its
     # 4-byte extension flag, at a whole byte.
@@ -193,10 +209,10 @@ def _parse_header(head: bytes, size: int, path) -> _Header:
     sform_code = struct.unpack_from("<h", head, _OFF_SFORM_CODE)[0]
     qform_code = struct.unpack_from("<h", head, _OFF_QFORM_CODE)[0]
     if sform_code > 0:
-        rows = struct.unpack_from("<12f", head, _OFF_SROW)
+        rows = _finite_fields(head, path, _OFF_SROW, _SROW_FIELDS)
         affine = np.vstack([np.array(rows).reshape(3, 4), [0, 0, 0, 1]])
     elif qform_code > 0:
-        affine = _quaternion_affine(head, spacing)
+        affine = _quaternion_affine(head, path, spacing)
     else:
         affine = np.diag([spacing[0], spacing[1], spacing[2], 1.0])
     return _Header(dims, dtype, vox_offset, scaling, spacing, affine)
@@ -275,30 +291,37 @@ def read_labels(path, dims) -> Volume4D:
     return labels
 
 
+def nifti_extents(path, v: Volume4D, *more: Volume4D) -> tuple[int, int, int, int]:
+    """The (X, Y, Z, V) extents of the file :func:`write_nifti` makes of
+    ``v`` and ``more``; a ShapeError naming ``path`` where they do not lie
+    on one voxel grid or the header cannot store them: the reader takes a
+    zero dimension as 1, and each extent is an int16."""
+    if 0 in v.dims:
+        raise ShapeError(f"cannot write {path}: the volume has a zero extent, {v.dims}")
+    for part in more:
+        check_grid(part, v.dims, f"cannot write {path}: a further volume")
+    extents = v.dims[:3] + (sum(part.n_volumes for part in (v, *more)),)
+    if max(extents) > 32767:
+        raise ShapeError(
+            f"cannot write {path}: NIfTI-1 stores each extent as an int16, at most 32767, "
+            f"got {extents}"
+        )
+    return extents
+
+
 def write_nifti(v: Volume4D, path, *more: Volume4D) -> None:
     """Write a single-file NIfTI-1 volume with float32 data.
 
     Values are cast to float32; the round trip through :func:`read_nifti` is
-    bit-exact whenever the data are float32-representable. A volume with a
-    zero extent, or one above 32767, is refused before the file is opened,
-    since the header cannot store it: the reader takes a zero dimension as
-    1, and each extent is an int16. ``more`` are volumes on ``v``'s voxel grid
+    bit-exact whenever the data are float32-representable. Extents the
+    header cannot store are refused before the file is opened
+    (:func:`nifti_extents`). ``more`` are volumes on ``v``'s voxel grid
     whose values follow ``v``'s along the volume axis, as if concatenated
     with it; the header, spacing and affine are ``v``'s. The payload is cast
     and written one volume at a time, the outermost axis of its x-fastest
     order, so no full-size copy is made.
     """
-    if 0 in v.dims:
-        raise ShapeError(f"cannot write {path}: the volume has a zero extent, {v.dims}")
-    for part in more:
-        check_grid(part, v.dims, f"cannot write {path}: a further volume")
-    nx, ny, nz = v.dims[:3]
-    nv = sum(part.n_volumes for part in (v, *more))
-    if max(nx, ny, nz, nv) > 32767:
-        raise ShapeError(
-            f"cannot write {path}: NIfTI-1 stores each extent as an int16, at most 32767, "
-            f"got {(nx, ny, nz, nv)}"
-        )
+    nx, ny, nz, nv = nifti_extents(path, v, *more)
     header = bytearray(VOX_OFFSET)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
     struct.pack_into("<b", header, 39, 0)  # dim_info

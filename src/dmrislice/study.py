@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import EmptyShell
-from .nifti import read_labels, read_volumes, write_nifti
+from .nifti import nifti_extents, read_labels, read_volumes, write_nifti
 from .phantom import PhantomData
 from .volume import (
     B0_THRESHOLD,
@@ -29,11 +29,15 @@ from .volume import (
 
 
 def write_study(data: PhantomData, out_dir) -> None:
+    """Writes ``data`` as a study directory. A DWI the NIfTI header cannot
+    store is refused before the directory is made."""
+    dwi_path = os.path.join(out_dir, "dwi.nii")
+    nifti_extents(dwi_path, data.b0, data.dwi)
     os.makedirs(out_dir, exist_ok=True)
     n_b0 = data.b0.n_volumes
     bvals = np.concatenate([np.zeros(n_b0), data.gtab.bvals])
     bvecs = np.vstack([np.zeros((n_b0, 3)), data.gtab.bvecs])
-    write_nifti(data.b0, os.path.join(out_dir, "dwi.nii"), data.dwi)
+    write_nifti(data.b0, dwi_path, data.dwi)
     write_gradient_table(
         GradientTable(bvals, bvecs),
         os.path.join(out_dir, "dwi.bval"),

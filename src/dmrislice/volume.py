@@ -8,9 +8,10 @@ Facts several stages share are owned here: the memory layout of a volume
 sit together, as the per-voxel SH and tensor fits and the slice reads want
 them), the shell window of a gradient table and its checks
 (:func:`shell_window`, whose mask a caller applies to its volumes), the gap
-geometry, its two neighbor slices and their weights (:class:`GapSpec`), the
-crop/pad onto the model grid (:func:`crop_windows`, :func:`center_crop_pad`)
-and the b0 mean of the tensor fits (:func:`b0_mean`).
+geometry, its slab, its two neighbor slices and their weights
+(:class:`GapSpec`), the crop/pad onto the model grid (:func:`crop_windows`,
+:func:`center_crop_pad`) and the b0 mean of the tensor fits (:func:`b0_mean`).
+A slice is a plain (W, H, C) array, such as the view ``v.data[:, :, z]``.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ class Volume4D:
             raise ShapeError(f"expected 3D or 4D data, got ndim={data.ndim}")
         object.__setattr__(self, "data", np.ascontiguousarray(data))
         spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ShapeError(f"spacing must be 3 positive reals, got {self.spacing}")
+        if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
+            raise ShapeError(f"spacing must be 3 positive finite reals, got {self.spacing}")
         object.__setattr__(self, "spacing", spacing)
         affine = np.asarray(self.affine, dtype=np.float64)
         if affine.shape != (4, 4):
             raise ShapeError(f"affine must be 4x4, got {affine.shape}")
+        if not np.all(np.isfinite(affine)):
+            raise ShapeError("affine must be finite")
         object.__setattr__(self, "affine", affine)
 
     @property
@@ -60,12 +63,6 @@ class Volume4D:
     @property
     def n_volumes(self) -> int:
         return self.data.shape[3]
-
-    def slice_at(self, z: int) -> "SliceImage":
-        """Extract the in-plane slice at index z as a (X, Y, V) image."""
-        if not 0 <= z < self.data.shape[2]:
-            raise ShapeError(f"slice index {z} outside [0, {self.data.shape[2]})")
-        return SliceImage(self.data[:, :, z, :].copy())
 
     def with_data(self, data: np.ndarray) -> "Volume4D":
         return replace(self, data=data)
@@ -106,32 +103,21 @@ class GradientTable:
 
 @dataclass(frozen=True)
 class SliceImage:
-    """A single in-plane slice of shape (width, height, channels)."""
+    """One estimated slice of a gap, as a gap estimator returns it: a
+    (width, height, channels) array."""
 
     data: np.ndarray
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim == 2:
-            data = data[..., None]
-        if data.ndim != 3:
-            raise ShapeError(f"slice data must be 2D or 3D, got ndim={data.ndim}")
-        object.__setattr__(self, "data", data)
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
-def normalize_slice(s: SliceImage) -> SliceImage:
-    """Min-max rescale each channel to [0, 1]; a constant channel maps to all
-    zeros.
+def normalize_slice(s: np.ndarray) -> np.ndarray:
+    """Min-max rescale each channel of a (W, H, C) slice to [0, 1]; a
+    constant channel maps to all zeros.
 
     The result is a (W, H, C) view of contiguous channel planes, the layout
     the per-channel reductions want and the (C, W, H) model input is.
     """
-    planes = np.moveaxis(s.data, 2, 0).copy()
-    for plane in planes.reshape(s.channels, -1):
+    planes = np.moveaxis(s, 2, 0).copy()
+    for plane in planes.reshape(s.shape[2], -1):
         lo = plane.min()
         span = plane.max() - lo
         if span > 0:
@@ -139,7 +125,7 @@ def normalize_slice(s: SliceImage) -> SliceImage:
             plane /= span
         else:
             plane[:] = 0.0
-    return SliceImage(np.moveaxis(planes, 0, 2))
+    return np.moveaxis(planes, 0, 2)
 
 
 def shell_window(
@@ -252,23 +238,9 @@ def mask_voxels(mask: Volume4D, dims) -> np.ndarray:
     return keep
 
 
-def replace_slices(v: Volume4D, z_start: int, slices: list[SliceImage]) -> Volume4D:
-    """Return a copy of ``v`` with slices z_start.. replaced in order."""
-    data = v.data.copy()
-    for k, s in enumerate(slices):
-        z = z_start + k
-        if not 0 <= z < data.shape[2]:
-            raise ShapeError(f"replacement slice index {z} out of range")
-        if s.data.shape != data[:, :, z, :].shape:
-            raise ShapeError(
-                f"slice shape {s.data.shape} does not match volume {data[:, :, z, :].shape}"
-            )
-        data[:, :, z, :] = s.data
-    return v.with_data(data)
-
-
 def b0_mean(b0: Volume4D) -> Volume4D:
-    """Voxelwise mean of the b0 volumes, as a single-volume DWI.
+    """Voxelwise mean of the b0 volumes, as a single-volume DWI in their
+    space.
 
     Summed volume by volume, ``((b0_0 + b0_1) + ...) / n``: one fixed order
     for any volume count, where ``mean`` over the contiguous v axis would
@@ -278,7 +250,7 @@ def b0_mean(b0: Volume4D) -> Volume4D:
     total = data[..., :1].copy()
     for k in range(1, data.shape[3]):
         total += data[..., k : k + 1]
-    return Volume4D(total / data.shape[3])
+    return b0.with_data(total / data.shape[3])
 
 
 @dataclass(frozen=True)
@@ -303,6 +275,11 @@ class GapSpec:
         """
         n = self.n_missing
         return [((n - k) / (n + 1), (k + 1) / (n + 1)) for k in range(n)]
+
+    @property
+    def slab(self) -> slice:
+        """The z range of the missing slices, to index a volume's third axis."""
+        return slice(self.gap_start, self.gap_start + self.n_missing)
 
     @property
     def neighbors(self) -> tuple[int, int]:

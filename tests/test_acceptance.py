@@ -13,7 +13,6 @@ from scipy.stats import rankdata
 from dmrislice import (
     GapSpec,
     GradientTable,
-    SliceImage,
     Volume4D,
     blend_latents,
     dti_scalars,
@@ -250,10 +249,10 @@ def test_criterion_07_latent_blending_contracts():
     blend = blend_latents(ones, zeros, 2 / 3)
     thirds_ok = np.allclose(blend, 2 / 3, atol=1e-15)
 
-    src = SliceImage(rng.random((8, 8, 1)))
-    const_ref = SliceImage(np.full((8, 8, 1), 3.25))
+    src = rng.random((8, 8, 1))
+    const_ref = np.full((8, 8, 1), 3.25)
     matched = histogram_match(src, const_ref)
-    const_ok = np.all(matched.data == 3.25)
+    const_ok = np.all(matched == 3.25)
 
     weights = GapSpec(3, 2).weights
     weights_ok = weights == [(2 / 3, 1 / 3), (1 / 3, 2 / 3)]

@@ -3,6 +3,7 @@ import os
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -232,6 +233,31 @@ def test_slice_files_line_up_with_their_volume(study_dir, tmp_path):
         out, [(3, "slice_003.nii"), (4, "slice_004.nii"),
               (3, "b0_slice_003.nii"), (4, "b0_slice_004.nii")]
     )
+
+
+@pytest.mark.parametrize("command", ["interp", "infer"])
+def test_volume_is_the_input_with_the_gap_filled_by_the_slice_files(
+    study_dir, tiny_ckpt, tmp_path, command
+):
+    # Gap of N = 2 at z = 3: volume.nii holds the input at z 0-2 and 5-7, and
+    # slice_003.nii and slice_004.nii at z 3 and 4, byte for byte.
+    out = tmp_path / "out"
+    if command == "interp":
+        argv = ["interp", "--input", str(study_dir / "dwi.nii")]
+        original = read_nifti(study_dir / "dwi.nii").data
+    else:
+        argv = ["infer", "--data", str(study_dir), "--model", str(tiny_ckpt), "--domain", "signal"]
+        original = load_study(study_dir).dwi.data
+    assert dispatch([*argv, "--gap-start", "3", "--n", "2", "--out", str(out)]) == 0
+    filled = read_nifti(out / "volume.nii").data
+    assert filled.shape == original.shape
+    outside = [0, 1, 2, 5, 6, 7]
+    assert filled[:, :, outside].tobytes() == original[:, :, outside].tobytes()
+    for z in (3, 4):
+        s = read_nifti(out / f"slice_{z:03d}.nii").data
+        assert s.shape == filled[:, :, z : z + 1].shape
+        assert s.tobytes() == filled[:, :, z : z + 1].tobytes()
+        assert not np.array_equal(s[:, :, 0], original[:, :, z])
 
 
 def test_train_and_infer_signal(study_dir, tmp_path):
@@ -556,7 +582,7 @@ def test_a_phantom_of_more_volumes_than_nifti_stores_exits_2(tmp_path, capsys):
         f"dmrislice: cannot write {out / 'dwi.nii'}: NIfTI-1 stores each extent as an int16, "
         "at most 32767, got (4, 4, 4, 40004)\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -729,6 +755,32 @@ def test_non_finite_input_exits_2(tmp_path):
         ["interp", "--input", str(path), "--gap-start", "2", "--out", str(tmp_path / "out")]
     )
     assert code == 2
+
+
+# (field, offset, value, qform_code, sform_code) of a header whose spacing or
+# affine is not finite.
+NON_FINITE_GEOMETRY = {
+    "pixdim1-inf": ("pixdim[1]", 80, np.inf, 0, 2),
+    "srow_x0-nan": ("srow_x[0]", 280, np.nan, 0, 2),
+    "qoffset_z-nan": ("qoffset_z", 276, np.nan, 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_GEOMETRY.values(), ids=NON_FINITE_GEOMETRY.keys())
+def test_non_finite_header_geometry_exits_2(tmp_path, capsys, case):
+    field, offset, value, qform_code, sform_code = case
+    path = tmp_path / "v.nii"
+    write_nifti(Volume4D(np.ones((4, 4, 5, 1))), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, offset, value)
+    struct.pack_into("<2h", raw, 252, qform_code, sform_code)
+    path.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    assert dispatch(["interp", "--input", str(path), "--gap-start", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"dmrislice: {path}: header field {field} is {value} (at offset {offset})\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

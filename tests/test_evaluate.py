@@ -14,7 +14,7 @@ from dmrislice.evaluate import REGION_LABELS, mse_region, run_experiment
 from dmrislice.inference import infer_gap_sh, infer_gap_signal
 from dmrislice.interp import interp_missing_slices
 from dmrislice.phantom import PhantomSpec, make_phantom
-from dmrislice.volume import GapSpec, Volume4D, b0_mean, replace_slices
+from dmrislice.volume import GapSpec, Volume4D, b0_mean
 from layer_state import assert_state_unchanged, layer_state
 
 
@@ -296,8 +296,12 @@ def _whole_volume_fa_md(data, method, gap_start, n):
         return {"fa_mse": fa, "md_mse": lam.mean(axis=-1)}
 
     def filled(vol):
-        slices = interp_missing_slices(vol, GapSpec(gap_start, n), method)
-        return replace_slices(vol, gap_start, slices)
+        gap = GapSpec(gap_start, n)
+        data = vol.data.copy()
+        data[:, :, gap.slab] = np.stack(
+            [s.data for s in interp_missing_slices(vol, gap, method)], axis=2
+        )
+        return vol.with_data(data)
 
     gt = maps(data.dwi, b0)
     est = maps(filled(data.dwi), filled(b0))
@@ -376,30 +380,33 @@ def test_each_model_encodes_each_neighbor_slice_once(noisy_phantom):
 
 def test_ae_cells_estimate_what_single_gap_inference_infers(noisy_phantom, monkeypatch):
     models, data = _grid_models(), noisy_phantom
-    estimates = {}
-    estimate_slices = evaluate._estimate_slices
+    estimates = []
+    estimate = evaluate._estimate
 
-    def recording(shared, method, gap, models):
-        out = estimate_slices(shared, method, gap, models)
-        estimates[(method, gap)] = out
+    def recording(shared, name, estimator, gap, models):
+        out = estimate(shared, name, estimator, gap, models)
+        estimates.append((name, gap, out))
         return out
 
-    monkeypatch.setattr(evaluate, "_estimate_slices", recording)
+    monkeypatch.setattr(evaluate, "_estimate", recording)
     run_experiment(
         data, methods=("ae-signal", "ae-sh4"), gaps=(3, 5, 7), n_values=(1, 2),
         models=models, threads=2,
     )
-    assert len(estimates) == 12
-    for (method, gap), (dwi_slices, b0_slices) in estimates.items():
-        if method == "ae-signal":
-            want_dwi = infer_gap_signal(models["signal"], data.dwi, gap)
-            want_b0 = infer_gap_signal(models["b0"], b0_mean(data.b0), gap)
+    # Each of the 12 cells estimates its domain's slices and the b0 slices.
+    assert sorted(name for name, _, _ in estimates) == ["b0"] * 12 + ["sh4"] * 6 + ["signal"] * 6
+    for name, gap, got in estimates:
+        if name == "signal":
+            wants = [infer_gap_signal(models["signal"], data.dwi, gap)]
         else:
-            want_dwi, want_b0 = infer_gap_sh(
+            sh_dwi, sh_b0 = infer_gap_sh(
                 models["sh4"], models["b0"], data.dwi, data.b0, data.gtab, gap
             )
-        for got, want in zip(dwi_slices + b0_slices, want_dwi + want_b0, strict=True):
-            assert np.array_equal(got.data, want.data), (method, gap)
+            wants = [sh_dwi]
+            if name == "b0":
+                wants = [sh_b0, infer_gap_signal(models["b0"], b0_mean(data.b0), gap)]
+        for want in wants:
+            assert np.array_equal(got, np.stack([s.data for s in want], axis=2)), (name, gap)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from dmrislice.inference import (
     infer_gap_signal,
 )
 from dmrislice.phantom import PhantomSpec, make_phantom
-from dmrislice.volume import SliceImage, Volume4D, center_crop_pad, crop_windows, normalize_slice
+from dmrislice.volume import Volume4D, center_crop_pad, crop_windows, normalize_slice
 
 MODEL16 = ModelConfig(input_channels=1, latent_maps=2, input_size=16, base_width=1, seed=0)
 
@@ -40,6 +40,12 @@ def test_gap_validation():
     with pytest.raises(BoundaryGap):
         GapSpec(4, 1).validate_for(5)
     assert GapSpec(3, 2).neighbors == (2, 5)
+    z = np.arange(9)
+    assert GapSpec(3, 2).slab == slice(3, 5)
+    for gap in (GapSpec(1, 1), GapSpec(3, 2), GapSpec(4, 1)):
+        # The slab is the slices strictly between the two neighbors.
+        z_prev, z_next = gap.neighbors
+        assert z[gap.slab].tolist() == list(range(z_prev + 1, z_next))
     for gap in (GapSpec(1, 1), GapSpec(3, 2), GapSpec(4, 1)):
         z_next = gap.neighbors[1]
         for z in range(2, 9):
@@ -79,37 +85,37 @@ def test_blend_shape_mismatch():
 def test_histogram_match_identity():
     rng = np.random.default_rng(2)
     src = rng.random((8, 8, 1))
-    out = histogram_match(SliceImage(src), SliceImage(src.copy()))
-    assert np.allclose(out.data, src, atol=1e-12)
+    out = histogram_match(src, src.copy())
+    assert np.allclose(out, src, atol=1e-12)
 
 
 def test_histogram_match_constant_reference():
     rng = np.random.default_rng(3)
-    src = SliceImage(rng.random((6, 6, 1)))
-    ref = SliceImage(np.full((6, 6, 1), 4.2))
+    src = rng.random((6, 6, 1))
+    ref = np.full((6, 6, 1), 4.2)
     out = histogram_match(src, ref)
-    assert np.all(out.data == 4.2)
+    assert np.all(out == 4.2)
 
 
 def test_histogram_match_affine_reference():
     rng = np.random.default_rng(4)
     src = rng.random((10, 10, 1))
     ref = 2.0 * src + 1.0
-    out = histogram_match(SliceImage(src), SliceImage(ref))
-    assert np.abs(out.data - ref).max() < 1e-8
+    out = histogram_match(src, ref)
+    assert np.abs(out - ref).max() < 1e-8
 
 
 def test_histogram_match_rank_preserving():
     rng = np.random.default_rng(5)
     src = rng.random((12, 12, 1))
     ref = rng.standard_normal((12, 12, 1)) * 3 + 10
-    out = histogram_match(SliceImage(src), SliceImage(ref))
+    out = histogram_match(src, ref)
     s = src.ravel()
-    o = out.data.ravel()
+    o = out.ravel()
     order = np.argsort(s)
     assert np.all(np.diff(o[order]) >= -1e-12)
-    assert out.data.min() >= ref.min() - 1e-12
-    assert out.data.max() <= ref.max() + 1e-12
+    assert out.min() >= ref.min() - 1e-12
+    assert out.max() <= ref.max() + 1e-12
 
 
 def test_crop_pad_roundtrip():
@@ -136,31 +142,31 @@ def model16():
 
 def test_infer_identical_neighbors_fixed_point(model16):
     rng = np.random.default_rng(7)
-    x = SliceImage(rng.random((16, 16, 1)))
+    x = rng.random((16, 16, 1))
     gap = GapSpec(2, 1)
     out = decode_gap(model16, x, x, gap)
     assert len(out) == 1
     # reference is x itself; histogram matching maps into x's value set
-    assert out[0].data.min() >= x.data.min() - 1e-12
-    assert out[0].data.max() <= x.data.max() + 1e-12
+    assert out[0].data.min() >= x.min() - 1e-12
+    assert out[0].data.max() <= x.max() + 1e-12
 
 
 def test_infer_zero_neighbors_zero_output(model16):
-    zero = SliceImage(np.zeros((16, 16, 1)))
+    zero = np.zeros((16, 16, 1))
     out = decode_gap(model16, zero, zero, GapSpec(2, 1))
     assert np.all(out[0].data == 0.0)
 
 
 def test_infer_output_range_inside_reference(model16):
     rng = np.random.default_rng(8)
-    a = SliceImage(rng.random((16, 16, 1)) * 3.0)
-    b = SliceImage(rng.random((16, 16, 1)) * 3.0 + 1.0)
+    a = rng.random((16, 16, 1)) * 3.0
+    b = rng.random((16, 16, 1)) * 3.0 + 1.0
     for n in (1, 2):
         gap = GapSpec(2, n)
         outs = decode_gap(model16, a, b, gap)
         assert len(outs) == n
         for (w_prev, w_next), out in zip(gap.weights, outs):
-            ref = w_prev * a.data + w_next * b.data
+            ref = w_prev * a + w_next * b
             assert out.data.min() >= ref.min() - 1e-9
             assert out.data.max() <= ref.max() + 1e-9
 
@@ -168,8 +174,8 @@ def test_infer_output_range_inside_reference(model16):
 def test_infer_swap_symmetry(model16):
     # Swapping the neighbor slices mirrors the outputs for N=2.
     rng = np.random.default_rng(9)
-    a = SliceImage(rng.random((16, 16, 1)))
-    b = SliceImage(rng.random((16, 16, 1)))
+    a = rng.random((16, 16, 1))
+    b = rng.random((16, 16, 1))
     gap = GapSpec(2, 2)
     fwd = decode_gap(model16, a, b, gap)
     rev = decode_gap(model16, b, a, gap)
@@ -193,8 +199,8 @@ def test_float64_head_keeps_saturated_outputs_distinct(tmp_path):
     for item, item_wide in zip(y, y_wide):
         for c, c_wide in zip(item, item_wide):
             assert len(np.unique(c)) == len(np.unique(c_wide))
-    a = SliceImage(rng.random((16, 16, 2)))
-    b = SliceImage(rng.random((16, 16, 2)) + 0.5)
+    a = rng.random((16, 16, 2))
+    b = rng.random((16, 16, 2)) + 0.5
     gap = GapSpec(2, 2)
     for out, out_wide in zip(decode_gap(loaded, a, b, gap), decode_gap(wide, a, b, gap)):
         assert np.linalg.norm(out.data - out_wide.data) <= 1e-5 * np.linalg.norm(out_wide.data)
@@ -203,9 +209,12 @@ def test_float64_head_keeps_saturated_outputs_distinct(tmp_path):
 def test_infer_gap_signal_volume(model16):
     rng = np.random.default_rng(10)
     vol = Volume4D(rng.random((16, 16, 6, 3)))
+    before = vol.data.copy()
     outs = infer_gap_signal(model16, vol, GapSpec(2, 2))
     assert len(outs) == 2
     assert outs[0].data.shape == (16, 16, 3)
+    # The neighbors are read as views of the volume, which stays as it was.
+    assert np.array_equal(vol.data, before)
     with pytest.raises(BoundaryGap):
         infer_gap_signal(model16, vol, GapSpec(4, 2))
 
@@ -213,10 +222,10 @@ def test_infer_gap_signal_volume(model16):
 def per_call_inference(model, prev_slice, next_slice, gap):
     """The per-neighbour encode and per-slice decode reference: returns the
     decoded batches and the histogram-matched slices."""
-    one_item = model.cfg.input_channels == prev_slice.channels
+    one_item = model.cfg.input_channels == prev_slice.shape[2]
     latents = []
     for s in (prev_slice, next_slice):
-        chw = normalize_slice(s).data.transpose(2, 0, 1)
+        chw = normalize_slice(s).transpose(2, 0, 1)
         cropped = center_crop_pad(chw, model.cfg.input_size)
         src, dst = crop_windows(chw.shape[1:], model.cfg.input_size)
         latents.append(model.encode(cropped[None] if one_item else cropped[:, None]))
@@ -225,9 +234,9 @@ def per_call_inference(model, prev_slice, next_slice, gap):
         batch = model.decode(blend_latents(latents[0], latents[1], w_prev))
         decoded.append(batch)
         raw = np.moveaxis(batch[0] if one_item else batch[:, 0], 0, -1)
-        reference = w_prev * prev_slice.data + w_next * next_slice.data
+        reference = w_prev * prev_slice + w_next * next_slice
         out = reference.copy()
-        out[src] = histogram_match(SliceImage(raw[dst]), SliceImage(reference[src])).data
+        out[src] = histogram_match(raw[dst], reference[src])
         slices.append(out)
     return decoded, slices
 
@@ -250,11 +259,11 @@ def test_one_encode_and_one_decode_match_per_call_inference(case):
         ModelConfig(input_channels=model_c, latent_maps=2, input_size=16, base_width=1, seed=4)
     )
     rng = np.random.default_rng(15)
-    prev_slice, next_slice = (SliceImage(rng.random((18, 14, slice_c)) * 2.0) for _ in range(2))
+    prev_slice, next_slice = (rng.random((18, 14, slice_c)) * 2.0 for _ in range(2))
     gap = GapSpec(2, n)
     truth = [
-        w_prev * prev_slice.data + w_next * next_slice.data
-        + 0.1 * rng.standard_normal(prev_slice.data.shape)
+        w_prev * prev_slice + w_next * next_slice
+        + 0.1 * rng.standard_normal(prev_slice.shape)
         for w_prev, w_next in gap.weights
     ]
     want_decoded, want_slices = per_call_inference(model, prev_slice, next_slice, gap)
@@ -419,7 +428,7 @@ def test_histogram_match_rank_path_gives_the_unique_paths_bytes(data):
         src_shape == ref_shape and a == b == "distinct" for (a, _), (b, _) in zip(src, ref)
     )
     with mock.patch.object(np, "unique", wraps=np.unique) as unique:
-        got = histogram_match(SliceImage(source), SliceImage(reference)).data
+        got = histogram_match(source, reference)
     assert got.tobytes() == want.tobytes()
     # Each channel off the rank path runs np.unique on its source and reference.
     assert unique.call_count == 2 * (c - ranked)

@@ -304,3 +304,49 @@ def test_a_fractional_vox_offset_is_refused(tmp_path):
     with pytest.raises(ParseError, match=r"vox_offset 352.5 is not a whole number") as err:
         read_nifti(p)
     assert err.value.offset == 108
+
+
+def _with_header_float(path, offset, value, qform_code=0, sform_code=2):
+    """A small volume written to ``path``, then the float32 header field at
+    ``offset`` set to ``value`` and the qform and sform codes to those given."""
+    write_nifti(Volume4D(np.ones((2, 2, 5, 1))), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, offset, value)
+    struct.pack_into("<2h", raw, 252, qform_code, sform_code)
+    path.write_bytes(bytes(raw))
+
+
+# Header geometry fields that no voxel grid has, as (field, offset, value,
+# qform_code, sform_code): the spacing, and the affine from the sform rows or
+# from the quaternion, whichever the codes select.
+NON_FINITE_GEOMETRY = {
+    "pixdim1-inf": ("pixdim[1]", 80, np.inf, 0, 2),
+    "pixdim3-nan": ("pixdim[3]", 88, np.nan, 0, 2),
+    "srow_x0-nan": ("srow_x[0]", 280, np.nan, 0, 2),
+    "srow_z3-inf": ("srow_z[3]", 324, -np.inf, 0, 2),
+    "quatern_c-nan": ("quatern_c", 260, np.nan, 1, 0),
+    "qoffset_y-inf": ("qoffset_y", 272, np.inf, 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_GEOMETRY.values(), ids=NON_FINITE_GEOMETRY.keys())
+def test_non_finite_header_geometry_is_refused(tmp_path, case):
+    field, offset, value, qform_code, sform_code = case
+    p = tmp_path / "t.nii"
+    _with_header_float(p, offset, value, qform_code, sform_code)
+    with pytest.raises(ParseError) as err:
+        read_nifti(p)
+    assert str(err.value) == f"{p}: header field {field} is {value} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+def test_finite_quaternion_geometry_is_read(tmp_path):
+    # The same fields as above, finite, with an unused non-finite sform row.
+    p = tmp_path / "t.nii"
+    _with_header_float(p, 272, 4.5, qform_code=1, sform_code=0)
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<f", raw, 280, np.nan)
+    p.write_bytes(bytes(raw))
+    v = read_nifti(p)
+    assert v.spacing == (1.0, 1.0, 1.0)
+    assert np.array_equal(v.affine[:3, 3], [0.0, 4.5, 0.0])

@@ -15,13 +15,11 @@ from dmrislice.phantom import PhantomSpec, make_phantom
 from dmrislice.sh import fit_sh, sh_roundtrip_error
 from dmrislice.volume import (
     GradientTable,
-    SliceImage,
     Volume4D,
     b0_mean,
     mask_voxels,
     normalize_slice,
     read_gradient_table,
-    replace_slices,
     shell_window,
 )
 
@@ -88,6 +86,16 @@ def test_volume_rejects_bad_spacing():
         Volume4D(np.zeros((2, 2, 2, 1)), spacing=(1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_volume_rejects_non_finite_geometry(bad):
+    with pytest.raises(ShapeError, match="finite"):
+        Volume4D(np.zeros((2, 2, 2, 1)), spacing=(bad, 1.0, 1.0))
+    affine = np.eye(4)
+    affine[1, 3] = bad
+    with pytest.raises(ShapeError, match="finite"):
+        Volume4D(np.zeros((2, 2, 2, 1)), affine=affine)
+
+
 def test_labels_must_be_nonnegative_integers(tmp_path):
     path = tmp_path / "labels.nii"
     for bad in (0.5, -1.0):
@@ -143,15 +151,13 @@ def test_gradient_table_renormalization_guard():
 
 
 def test_normalize_basic():
-    s = SliceImage(np.array([[2.0], [4.0], [6.0]])[:, :, None].reshape(3, 1, 1))
-    out = normalize_slice(s)
-    assert np.allclose(out.data.ravel(), [0.0, 0.5, 1.0])
+    out = normalize_slice(np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1))
+    assert np.allclose(out.ravel(), [0.0, 0.5, 1.0])
 
 
 def test_normalize_constant_channel():
-    s = SliceImage(np.full((2, 1, 1), 5.0))
-    out = normalize_slice(s)
-    assert np.all(out.data == 0.0)
+    out = normalize_slice(np.full((2, 1, 1), 5.0))
+    assert np.all(out == 0.0)
 
 
 def test_normalize_matches_the_per_channel_formula_bit_for_bit():
@@ -165,7 +171,7 @@ def test_normalize_matches_the_per_channel_formula_bit_for_bit():
             lo, hi = s[:, :, c].min(), s[:, :, c].max()
             if hi - lo > 0:
                 want[:, :, c] = (s[:, :, c] - lo) / (hi - lo)
-        assert np.array_equal(normalize_slice(SliceImage(s)).data, want), name
+        assert np.array_equal(normalize_slice(s), want), name
         assert np.array_equal(s, before), name
 
 
@@ -175,12 +181,11 @@ def test_normalize_matches_the_per_channel_formula_bit_for_bit():
 )
 def test_normalize_roundtrip_property(values):
     arr = np.array(values).reshape(-1, 1, 1)
-    s = SliceImage(arr)
-    normalized = normalize_slice(s)
-    assert normalized.data.min() >= 0.0 and normalized.data.max() <= 1.0
+    normalized = normalize_slice(arr)
+    assert normalized.min() >= 0.0 and normalized.max() <= 1.0
     span = arr.max() - arr.min()
     expected = (arr - arr.min()) / span if span > 0 else np.zeros_like(arr)
-    assert np.all(np.abs(normalized.data - expected) <= 1e-6)
+    assert np.all(np.abs(normalized - expected) <= 1e-6)
 
 
 def test_shell_window_keeps_matching_volumes():
@@ -301,12 +306,3 @@ def test_gradient_table_fuzz_reads_or_raises_dmrislice_error(target):
         except DmrisliceError:
             return
         assert np.all(np.isfinite(g.bvals)) and np.all(np.isfinite(g.bvecs))
-
-
-def test_replace_slices():
-    v = Volume4D(np.zeros((2, 2, 4, 1)))
-    s = SliceImage(np.ones((2, 2, 1)))
-    out = replace_slices(v, 1, [s, s])
-    assert np.all(out.data[:, :, 1:3, :] == 1.0)
-    assert np.all(out.data[:, :, 0, :] == 0.0)
-    assert np.all(v.data == 0.0)  # original untouched
