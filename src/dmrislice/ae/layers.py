@@ -14,11 +14,14 @@ whose output NumPy promotes to float64 (see
 :meth:`~dmrislice.ae.model.Autoencoder.astype`). Each layer
 owns its parameters and, after a backward call, the matching gradients. Only
 a ``train=True`` forward records state: the activations its backward pass
-needs and, in batch normalization, the running statistics. A ``train=False``
-forward reads the parameters and buffers and writes nothing but the return
-value (it drops whatever an earlier training forward cached), so one model
-can serve inference on several threads at once, and ``backward`` after it
-raises a ``ShapeError``.
+needs and, in batch normalization, the running statistics. The activations
+live until that backward has read them: each ``backward`` drops its layer's
+cache as it starts, so a model holds no activations between training steps,
+and a second ``backward`` without a new training forward raises a
+``ShapeError``. A ``train=False`` forward reads the parameters and buffers
+and writes nothing but the return value (it drops whatever an earlier
+training forward cached), so one model can serve inference on several
+threads at once, and ``backward`` after it raises a ``ShapeError`` too.
 
 Convolutions are im2col GEMMs over tiles of the batch. Each tile's column
 block is item-major, ``(n, c*k*k, oh*ow)``: per item, rows ordered like
@@ -233,8 +236,11 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
-    def _trained(self, cache):
-        """The cache of the last forward, which must have run in train mode."""
+    def _take_cache(self):
+        """The cache of the last forward, which must have run in train mode;
+        the layer lets go of it, so the activations live only as long as
+        the backward pass that reads them."""
+        cache, self._cache = self._cache, None
         if cache is None:
             raise ShapeError(f"{type(self).__name__}.backward needs a train=True forward")
         return cache
@@ -349,7 +355,7 @@ class Conv2D(Layer):
     def backward(self, dy, need_dx=True):
         """Parameter gradients, and the input gradient unless ``need_dx`` is
         false (then ``None``: the model's first layer has no use for it)."""
-        x, conv, xhat, inv_std, y = self._trained(self._cache)
+        x, conv, xhat, inv_std, y = self._take_cache()
         # ELU': y > 0 exactly where its input is, and there 1; elsewhere it is
         # y + 1, which is at most 1: so min(y + 1, 1), NaN included.
         d = y + 1.0
@@ -370,6 +376,7 @@ class Conv2D(Layer):
         np.multiply(xhat, sum_dxhat_xhat, out=prod)
         d -= prod
         d *= inv_std[:, None, None] / n
+        del xhat, y, prod  # the convolution's backward reads only x and d
         self.grads["w"], dx = conv.backward(x, d, need_dx)
         return dx
 
@@ -472,10 +479,13 @@ class PhaseCorrelation(Correlation):
             return dw, None
         # Window (p, q)'s tap (d, e) read the padded input at (p + d, q + e),
         # so input (i, j), padded (i + 1, j + 1), gets window (i+1-d, j+1-e)'s.
-        g = (k.T @ dmap).reshape(n, c, 2, 2, h + 1, w + 1)
-        dx = np.add(g[:, :, 0, 0, 1:, 1:], g[:, :, 0, 1, 1:, :-1])
-        dx += g[:, :, 1, 0, :-1, 1:]
-        dx += g[:, :, 1, 1, :-1, :-1]
+        # One item's map at a time: the GEMM a stacked matmul runs per item.
+        dx = np.empty((n, c, h, w), dtype=np.result_type(k, dmap))
+        for item, d in zip(dx, dmap):
+            g = (k.T @ d).reshape(c, 2, 2, h + 1, w + 1)
+            np.add(g[:, 0, 0, 1:, 1:], g[:, 0, 1, 1:, :-1], out=item)
+            item += g[:, 1, 0, :-1, 1:]
+            item += g[:, 1, 1, :-1, :-1]
         return dw, dx
 
 
@@ -544,8 +554,9 @@ class Head(Layer):
         return y
 
     def backward(self, dy):
-        x, conv, y = self._trained(self._cache)
-        dz = dy * y * (1.0 - y)
+        x, conv, y = self._take_cache()
+        dz = dy * y
+        dz *= 1.0 - y  # (dy * y) * (1 - y), in two arrays
         self.grads["w"], dx = conv.backward(x, dz)
         self.grads["b"] = dz.sum(axis=(0, 2, 3))
         return dx.astype(x.dtype, copy=False)

@@ -255,7 +255,8 @@ class Autoencoder:
         """Mean-squared reconstruction error and gradients for all parameters.
 
         Runs the training pass: each layer in train mode (batch statistics,
-        activations kept for the backward pass); gradients are averaged over
+        activations kept until its backward pass has read them, so nothing
+        but the gradients outlives the call); gradients are averaged over
         every output value, matching the loss reduction. The loss and the
         head's backward pass run in float64, as its forward pass does; the
         head returns its input gradient in the body's dtype, so a float32
@@ -270,8 +271,12 @@ class Autoencoder:
         for layer in self._layers():
             y = layer.forward(y, train=True)
         diff = y - x
-        mse = float(np.mean(diff * diff))
-        grad = 2.0 * diff / diff.size
+        # diff * diff, then 2 * diff / size, in one buffer: the loss gradient.
+        grad = np.multiply(diff, diff)
+        mse = float(np.mean(grad))
+        np.multiply(2.0, diff, out=grad)
+        grad /= diff.size
+        del diff, y
         first, *rest = self._layers()
         for layer in reversed(rest):
             grad = layer.backward(grad)

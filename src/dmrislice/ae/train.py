@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -164,13 +165,18 @@ def _split(dataset, cfg: TrainConfig, rng):
     return train_idx, val_idx
 
 
-def _eval_mse(model: Autoencoder, stack: np.ndarray, idx: np.ndarray, batch_size: int) -> float:
-    """Reconstruction MSE of the items ``idx`` of ``stack``, forwarded
+def _batch(dataset: list[SliceSample], idx) -> np.ndarray:
+    """The samples ``idx`` of ``dataset``, stacked in that order."""
+    return np.stack([dataset[i].data for i in idx])
+
+
+def _eval_mse(model: Autoencoder, dataset: list[SliceSample], idx, batch_size: int) -> float:
+    """Reconstruction MSE of the samples ``idx`` of ``dataset``, forwarded
     ``batch_size`` at a time: a slice reconstructs the same in any batch, so
     this is one forward's MSE over them all, to the bit."""
-    diff = np.empty((len(idx),) + stack.shape[1:])
+    diff = np.empty((len(idx),) + dataset[0].data.shape)
     for start in range(0, len(idx), batch_size):
-        batch = stack[idx[start : start + batch_size]]
+        batch = _batch(dataset, idx[start : start + batch_size])
         np.subtract(model.forward(batch), batch, out=diff[start : start + batch_size])
     diff *= diff
     return float(np.mean(diff))
@@ -191,8 +197,13 @@ def train(
     cfg: TrainConfig,
     model_cfg: ModelConfig,
     log_path=None,
+    on_epoch=None,
 ) -> Checkpoint:
     """Train an autoencoder, returning the checkpoint with minimal val loss.
+
+    ``on_epoch``, when given, is called as each epoch ends, after its log row
+    is written, with the epoch, its train and validation MSE, and the
+    seconds the epoch took.
 
     Deterministic under (cfg.seed, model_cfg.seed): the split, the batch
     order, and the initialization are all driven by seeded generators. The
@@ -222,9 +233,6 @@ def train(
             f"{len(train_idx)} training slices cannot fill a batch of {cfg.batch_size}"
         )
 
-    stack = np.stack([s.data for s in dataset])
-    train_idx, val_idx = np.asarray(train_idx), np.asarray(val_idx)
-
     model = Autoencoder(model_cfg).astype(np.float32)
     opt = Adam(lr=cfg.lr)
     params = [arr for _, arr in model.parameters()]
@@ -239,18 +247,21 @@ def train(
         log = csv.writer(fh)
         log.writerow(["epoch", "train_mse", "val_mse"])
         for epoch in range(cfg.epochs):
+            started = time.perf_counter()
             order = rng.permutation(len(train_idx))
             epoch_losses = []
             for b in range(n_batches):
-                batch = stack[train_idx[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]]
-                mse, grads = model.loss_and_grads(batch)
+                picked = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                mse, grads = model.loss_and_grads(_batch(dataset, (train_idx[i] for i in picked)))
                 opt.step(params, grads)
                 epoch_losses.append(mse)
             train_mse = float(np.mean(epoch_losses))
-            val_mse = _eval_mse(model, stack, val_idx, cfg.batch_size)
+            val_mse = _eval_mse(model, dataset, val_idx, cfg.batch_size)
             history.append((epoch, train_mse, val_mse))
             log.writerow(history[-1])
             fh.flush()
+            if on_epoch is not None:
+                on_epoch(*history[-1], time.perf_counter() - started)
             if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
                 raise DmrisliceError(
                     f"training diverged at epoch {epoch}: train_mse {train_mse}, "

@@ -228,6 +228,11 @@ def _build_dataset(args):
     return datasets
 
 
+def _print_epoch(epoch, train_mse, val_mse, seconds):
+    print(f"epoch {epoch}: train_mse={train_mse:.6g} val_mse={val_mse:.6g} ({seconds:.1f} s)",
+          flush=True)
+
+
 def cmd_train(args):
     if args.sweep_m and args.log:
         print("dmrislice: --log is not written by a --sweep-m run; drop one of the two",
@@ -265,7 +270,10 @@ def cmd_train(args):
             for m, val in sorted(sweep.items()):
                 print(f"M={m}: val_mse={val:.6g}")
     else:
-        ckpt = ae.train(dataset, train_cfg, model_cfg, log_path=args.log)
+        ckpt = ae.train(
+            dataset, train_cfg, model_cfg, log_path=args.log,
+            on_epoch=_print_epoch if args.verbose else None,
+        )
     ae.save_checkpoint(ckpt.model, args.out)
     if args.verbose:
         print(

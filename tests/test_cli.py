@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -1054,6 +1055,37 @@ def test_train_sweep_keeps_the_best_latent_width(study_dir, tmp_path, capsys):
     assert [int(m) for m, _ in lines] == [2, 4]
     val_mse = {int(m): float(v) for m, v in lines}
     assert val_mse[load_checkpoint(ckpt).cfg.latent_maps] == min(val_mse.values())
+
+
+def test_train_verbose_prints_each_epoch_as_it_ends(study_dir, tmp_path, capsys, monkeypatch):
+    # What each training step had seen printed before it ran: epoch k's line
+    # must be out before epoch k + 1's first step.
+    real = Autoencoder.loss_and_grads
+    seen = []
+
+    def loss_and_grads(self, x):
+        seen.append(capsys.readouterr().out)
+        return real(self, x)
+
+    monkeypatch.setattr(Autoencoder, "loss_and_grads", loss_and_grads)
+    log, ckpt = tmp_path / "log.csv", tmp_path / "m.ckpt"
+    assert dispatch([*TRAIN, "--data", str(study_dir), "--epochs", "3", "--verbose",
+                     "--log", str(log), "--out", str(ckpt)]) == 0
+    rest = capsys.readouterr().out
+    steps = len(seen) // 3
+    assert len(seen) == 3 * steps
+    printed = ""
+    for k, out in enumerate(seen):
+        printed += out
+        assert printed.count("\n") == k // steps, k
+    printed += rest
+    lines = printed.splitlines()
+    epoch_line = re.compile(r"^epoch (\d): train_mse=(\S+) val_mse=(\S+) \(\d+\.\d s\)$")
+    got = [epoch_line.match(line).groups() for line in lines[:3]]
+    with open(log) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert got == [(e, f"{float(t):.6g}", f"{float(v):.6g}") for e, t, v in rows]
+    assert len(lines) == 4 and lines[3].startswith("best epoch ")
 
 
 @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])

@@ -9,6 +9,7 @@ from dmrislice.ae.layers import (
     Correlation,
     Head,
     Layer,
+    PhaseCorrelation,
     UpsampleConv2D,
     _column_tiles,
 )
@@ -103,6 +104,16 @@ def test_backward_after_an_inference_forward_raises(x, name):
     layer.forward(x, train=True)
     layer.forward(x, train=False)
     with pytest.raises(ShapeError, match="needs a train=True forward"):
+        layer.backward(dy)
+
+
+@pytest.mark.parametrize("name", caching_layers())
+def test_backward_lets_go_of_the_training_cache(x, name):
+    layer = caching_layers()[name]
+    dy = np.ones_like(layer.forward(x, train=True))
+    layer.backward(dy)
+    assert layer._cache is None
+    with pytest.raises(ShapeError, match=f"^{name}.backward needs a train=True forward$"):
         layer.backward(dy)
 
 
@@ -374,6 +385,27 @@ def test_float32_stage_matches_the_float64_conv_of_the_upsampled_map(stage, batc
     assert all(a.dtype == np.float32 for a in got)
     for g, wnt in zip(got, want):
         assert np.abs(g - wnt).max() <= 1e-5 * np.abs(wnt).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stage_input_gradient_is_the_stacked_gemm_col2im_bit_for_bit(dtype):
+    # The backward runs k.T @ map one item at a time; one stacked matmul over
+    # the items runs the same GEMM per item, so the bytes are the same.
+    rng = np.random.default_rng(31)
+    n, c, o, h, w = 3, 4, 5, 6, 7
+    conv = PhaseCorrelation.of(rng.standard_normal((o, c, 3, 3)).astype(dtype))
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    dy = rng.standard_normal((n, o, 2 * h, 2 * w)).astype(dtype)
+    _, dx = conv.backward(x, dy)
+    dmap = np.zeros((n, 2, 2, o, h + 1, w + 1), dtype)
+    for a in range(2):
+        for b in range(2):
+            dmap[:, a, b, :, a : a + h, b : b + w] = dy[:, :, a::2, b::2]
+    g = (conv.kernel.T @ dmap.reshape(n, 4 * o, -1)).reshape(n, c, 2, 2, h + 1, w + 1)
+    want = g[:, :, 0, 0, 1:, 1:] + g[:, :, 0, 1, 1:, :-1]
+    want += g[:, :, 1, 0, :-1, 1:]
+    want += g[:, :, 1, 1, :-1, :-1]
+    assert dx.dtype == want.dtype and dx.tobytes() == want.tobytes()
 
 
 def test_no_stage_call_builds_the_upsampled_map(monkeypatch):

@@ -303,6 +303,48 @@ def test_loss_and_grads_leaves_the_batch_unchanged():
     assert np.array_equal(x, before)
 
 
+def test_no_layer_holds_a_training_cache_after_loss_and_grads():
+    model = Autoencoder(TINY)
+    x = np.random.default_rng(16).uniform(0, 1, (3, 1, 16, 16))
+    model.loss_and_grads(x)
+    layers = model.encoder + model.decoder
+    assert [getattr(layer, "_cache", None) for layer in layers] == [None] * len(layers)
+    # So a second backward, without a training forward first, is refused.
+    for layer in layers:
+        if hasattr(layer, "_cache"):
+            with pytest.raises(ShapeError, match="backward needs a train=True forward$"):
+                layer.backward(np.ones((3, layer.c_in, 1, 1)))
+
+
+def _cached_bytes(model):
+    """Bytes of the distinct arrays that the layers' training caches hold."""
+    bases = {}
+    for layer in model.encoder + model.decoder:
+        for a in getattr(layer, "_cache", None) or ():
+            if isinstance(a, np.ndarray):
+                base = a if a.base is None else a.base
+                bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
+def test_a_training_step_peaks_below_a_multiple_of_its_cached_activations(traced_peak):
+    # The cached activations of a training forward are what the backward
+    # pass must read; beyond them a step holds the gradients, one block's
+    # backward temporaries and the im2col column tiles. It peaks near 1.9x
+    # here; keeping every block's cache through the whole backward pass
+    # peaks near 2.9x.
+    cfg = ModelConfig(input_channels=1, latent_maps=8, input_size=32, base_width=4)
+    x = np.random.default_rng(17).uniform(0, 1, (8, 1, 32, 32))
+    counted = Autoencoder(cfg).astype(np.float32)
+    train_forward(counted, x.astype(np.float32))
+    cached = _cached_bytes(counted)
+    model = Autoencoder(cfg).astype(np.float32)
+    model.loss_and_grads(x)  # derive the per-process tap windows first
+    model = Autoencoder(cfg).astype(np.float32)
+    _, peak = traced_peak(model.loss_and_grads, x)
+    assert peak < 2.5 * cached
+
+
 def test_composed_gradients_tiny_model():
     model = Autoencoder(TINY)
     x = np.random.default_rng(7).uniform(0.05, 0.95, (2, 1, 16, 16))

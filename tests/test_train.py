@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 import dmrislice.blas as blas
+from dmrislice.blas import one_blas_thread
 from dmrislice.ae import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint, train
 from dmrislice.ae.model import Autoencoder
+from dmrislice.ae.optim import Adam
 from dmrislice.ae.train import (
+    SliceSample,
+    _split,
     averaged_dwi_slices,
     slices_per_volume,
     stacked_slices,
@@ -151,9 +155,9 @@ def test_validation_runs_in_batches_and_gives_the_whole_split_mse(phantom16, mon
         sizes.append(len(x))
         return real_forward(self, x)
 
-    def eval_both(model, stack, idx, batch_size):
-        got = real_eval(model, stack, idx, batch_size)
-        whole = stack[idx]  # the whole split in one forward
+    def eval_both(model, dataset, idx, batch_size):
+        got = real_eval(model, dataset, idx, batch_size)
+        whole = np.stack([dataset[i].data for i in idx])  # the whole split in one forward
         d = real_forward(model, whole) - whole
         pairs.append((got, float(np.mean(d * d))))
         return got
@@ -165,6 +169,66 @@ def test_validation_runs_in_batches_and_gives_the_whole_split_mse(phantom16, mon
     assert sizes == [4, 2] * cfg.epochs
     assert [val for _, _, val in ckpt.history] == [got for got, _ in pairs]
     assert all(got == whole for got, whole in pairs)
+
+
+def _stacking_train(dataset, cfg, model_cfg):
+    """The training loop as it ran when ``train`` stacked its whole dataset
+    up front and indexed its batches out of that copy."""
+    rng = np.random.default_rng(cfg.seed)
+    train_idx, val_idx = _split(dataset, cfg, rng)
+    stack = np.stack([s.data for s in dataset])
+    train_idx, val_idx = np.asarray(train_idx), np.asarray(val_idx)
+    model = Autoencoder(model_cfg).astype(np.float32)
+    opt = Adam(lr=cfg.lr)
+    params = [arr for _, arr in model.parameters()]
+    history, best = [], None
+    n_batches = len(train_idx) // cfg.batch_size
+    with one_blas_thread():
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(train_idx))
+            losses = []
+            for b in range(n_batches):
+                batch = stack[train_idx[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]]
+                mse, grads = model.loss_and_grads(batch)
+                opt.step(params, grads)
+                losses.append(mse)
+            diff = np.empty((len(val_idx),) + stack.shape[1:])
+            for start in range(0, len(val_idx), cfg.batch_size):
+                batch = stack[val_idx[start : start + cfg.batch_size]]
+                np.subtract(model.forward(batch), batch, out=diff[start : start + cfg.batch_size])
+            diff *= diff
+            history.append((epoch, float(np.mean(losses)), float(np.mean(diff))))
+            if best is None or history[-1][2] < best[0]:
+                best = (history[-1][2], model.state_snapshot())
+    model.load_snapshot(best[1])
+    return history, model
+
+
+def test_batches_gathered_from_the_samples_train_as_the_stacked_dataset(phantom16):
+    ds = stacked_slices(fit_sh(phantom16.dwi, phantom16.gtab, lmax=2).volume,
+                        mask=phantom16.labels)
+    model_cfg = ModelConfig(input_channels=6, latent_maps=4, input_size=16, base_width=2)
+    cfg = quick_cfg(epochs=2, val_fraction=0.25)
+    ckpt = train(ds, cfg, model_cfg)
+    history, model = _stacking_train(ds, cfg, model_cfg)
+    assert ckpt.history == history
+    for (name, got), (_, want) in zip(_tensors(ckpt.model), _tensors(model)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_training_never_copies_the_dataset(phantom16, traced_peak):
+    # 60 and 480 slices, each its own array, in batches of eight. A step of
+    # this net holds the same few hundred KB at either size; what grows with
+    # the dataset is validation's float64 difference of a tenth of it. A
+    # stacked copy of the dataset would grow with all of it.
+    base = small_dataset(phantom16)
+    cfg = quick_cfg(epochs=1, batch_size=8, val_fraction=0.1)
+    sizes, peaks = [], []
+    for n in (60, 480):
+        ds = [SliceSample(data=base[i % len(base)].data.copy()) for i in range(n)]
+        sizes.append(sum(s.data.nbytes for s in ds))
+        peaks.append(traced_peak(train, ds, cfg, TINY_MODEL)[1])
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 2
 
 
 def test_subject_split_avoids_leakage(phantom16):
