@@ -11,7 +11,6 @@ from .train import (
     fit_to_size,
     slices_per_volume,
     stacked_slices,
-    sweep_latent_size,
     train,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "SliceSample",
     "slices_per_volume",
     "stacked_slices",
-    "sweep_latent_size",
     "train",
     "TrainConfig",
 ]

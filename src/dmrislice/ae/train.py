@@ -12,7 +12,8 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .model import Autoencoder, ModelConfig
 from .optim import Adam
 
 
+SPLITS = ("subject", "slice")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-5
@@ -30,7 +34,7 @@ class TrainConfig:
     epochs: int = 200
     val_fraction: float = 0.15
     seed: int = 0
-    split_by: str = "subject"  # subject | slice
+    split_by: str = "subject"  # one of SPLITS
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -39,7 +43,7 @@ class TrainConfig:
             raise ShapeError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0 < self.val_fraction < 1:
             raise ShapeError("val_fraction must lie in (0, 1)")
-        if self.split_by not in ("subject", "slice"):
+        if self.split_by not in SPLITS:
             raise ShapeError(f"unknown split_by {self.split_by!r}")
         if self.seed < 0:
             raise ShapeError(f"seed must be non-negative, got {self.seed}")
@@ -141,20 +145,20 @@ def fit_to_size(samples: list[SliceSample], size: int) -> list[SliceSample]:
 
 def _split(dataset, cfg: TrainConfig, rng):
     n = len(dataset)
-    subjects = sorted({s.subject for s in dataset})
+    counts = Counter(s.subject for s in dataset)
+    subjects = sorted(counts)
     if cfg.split_by == "subject" and len(subjects) >= 2:
-        order = list(rng.permutation(len(subjects)))
+        # Whole subjects in seeded order until they hold the validation share;
+        # the last in that order always trains.
+        order = rng.permutation(len(subjects))
         target = cfg.val_fraction * n
         val_subjects = set()
         count = 0
-        for idx in order:
-            if count >= target and val_subjects:
+        for idx in order[:-1]:
+            if count >= target:
                 break
-            if len(val_subjects) == len(subjects) - 1:
-                break
-            name = subjects[idx]
-            val_subjects.add(name)
-            count += sum(1 for s in dataset if s.subject == name)
+            val_subjects.add(subjects[idx])
+            count += counts[subjects[idx]]
         val_idx = [i for i, s in enumerate(dataset) if s.subject in val_subjects]
         train_idx = [i for i, s in enumerate(dataset) if s.subject not in val_subjects]
     else:
@@ -274,22 +278,3 @@ def train(
     model.load_snapshot(best[1])
     return Checkpoint(model=model, history=history, best_epoch=best_epoch)
 
-
-def sweep_latent_size(
-    dataset,
-    cfg: TrainConfig,
-    model_cfg: ModelConfig,
-    m_values=(16, 32, 64, 128),
-) -> tuple[Checkpoint, dict[int, float]]:
-    """Train once per candidate latent width, keep the best validation loss."""
-    if not m_values:
-        raise ShapeError("m_values must hold at least one latent width")
-    configs = [replace(model_cfg, latent_maps=m) for m in m_values]  # each M checked up front
-    results = {}
-    best_ckpt = None
-    for m_cfg in configs:
-        ckpt = train(dataset, cfg, m_cfg)
-        results[m_cfg.latent_maps] = ckpt.best_val_mse
-        if best_ckpt is None or ckpt.best_val_mse < best_ckpt.best_val_mse:
-            best_ckpt = ckpt
-    return best_ckpt, results

@@ -13,6 +13,7 @@ that cannot be written).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -21,17 +22,20 @@ import numpy as np
 
 from . import ae
 from .ae.model import N_POOLINGS
-from .errors import DmrisliceError, EmptyShell, ParseError
+from .ae.train import SPLITS
+from .errors import DmrisliceError, EmptyShell, IoError, ParseError
 from .evaluate import ALL_METHODS, DEFAULT_METHODS, run_experiment
 from .inference import infer_gap_sh, infer_gap_signal
 from .interp import KINDS, interp_missing_slices
 from .dti import dti_scalars, fit_dti
 from .nifti import read_labels, read_nifti, read_volumes, write_nifti
-from .phantom import PhantomSpec, make_phantom
-from .sh import fit_sh, lmax_for, project_sh, read_sh, sh_roundtrip_error, write_sh
+from .phantom import NOISE_MODELS, PhantomSpec, make_phantom
+from .sh import DEFAULT_LMAX, fit_sh, lmax_for, project_sh, read_sh, sh_roundtrip_error, write_sh
 from .study import load_study, write_study
 from .volume import (
     B0_THRESHOLD,
+    GAP_WIDTHS,
+    SHELL_TOL,
     GapSpec,
     Volume4D,
     b0_mean,
@@ -238,6 +242,9 @@ def cmd_train(args):
         print("dmrislice: --log is not written by a --sweep-m run; drop one of the two",
               file=sys.stderr)
         return USAGE_ERROR
+    for path in filter(None, (args.out, args.log)):  # before any study is read
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise IoError(f"cannot write {path}: no directory {os.path.dirname(path)}")
     dataset = _build_dataset(args)
     if not dataset:
         raise DmrisliceError("no training slices after mask filtering")
@@ -246,14 +253,11 @@ def cmd_train(args):
     # The largest in-plane side of any study, up to the model's grid step.
     side, step = max(max(s.data.shape[1:]) for s in dataset), 2**N_POOLINGS
     input_size = args.input_size or -(-side // step) * step
-    model_cfg = ae.ModelConfig(
-        input_channels=channels,
-        latent_maps=args.m,
-        input_size=input_size,
-        base_width=args.base_width,
-        seed=args.seed,
-    )
-    dataset = ae.fit_to_size(dataset, input_size)  # once the config has checked the size
+    # One config per latent width, every width checked before anything trains.
+    model_cfgs = [ae.ModelConfig(input_channels=channels, latent_maps=m, input_size=input_size,
+                                 base_width=args.base_width, seed=args.seed)
+                  for m in args.sweep_m or [args.m]]
+    dataset = ae.fit_to_size(dataset, input_size)  # once the configs have checked the size
     train_cfg = ae.TrainConfig(
         lr=args.lr,
         batch_size=args.batch,
@@ -262,18 +266,16 @@ def cmd_train(args):
         seed=args.seed,
         split_by=args.split_by,
     )
-    if args.sweep_m:
-        ckpt, sweep = ae.sweep_latent_size(
-            dataset, train_cfg, model_cfg, m_values=args.sweep_m
-        )
-        if args.verbose:
-            for m, val in sorted(sweep.items()):
-                print(f"M={m}: val_mse={val:.6g}")
-    else:
-        ckpt = ae.train(
+    ckpt = None
+    for model_cfg in model_cfgs:
+        run = ae.train(
             dataset, train_cfg, model_cfg, log_path=args.log,
             on_epoch=_print_epoch if args.verbose else None,
         )
+        if args.sweep_m and args.verbose:
+            print(f"M={model_cfg.latent_maps}: val_mse={run.best_val_mse:.6g}", flush=True)
+        if ckpt is None or run.best_val_mse < ckpt.best_val_mse:
+            ckpt = run
     ae.save_checkpoint(ckpt.model, args.out)
     if args.verbose:
         print(
@@ -333,6 +335,8 @@ def usable_cpus() -> int:
 
 
 def cmd_evaluate(args):
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise IoError(f"cannot write the report to {args.out}: not a directory")
     data = load_study(args.data, b_target=args.bvalue, shell_tol=args.shell_tol)
     paths = {"signal": args.signal_model, "sh4": args.sh_model, "b0": args.b0_model}
     models = {kind: ae.load_checkpoint(path) for kind, path in paths.items() if path}
@@ -370,12 +374,13 @@ def cmd_sh_bound(args):
 # -- parser wiring ------------------------------------------------------------
 
 def _add_common(p, *shared):
-    """Adds --config, and those of the shared options seed, shell_tol and
-    verbose that the subcommand reads."""
+    """Adds --config, and those of the shared options seed, shell (--bvalue
+    and --shell-tol) and verbose that the subcommand reads."""
     if "seed" in shared:
         p.add_argument("--seed", type=int, default=0, help="random seed")
-    if "shell_tol" in shared:
-        p.add_argument("--shell-tol", dest="shell_tol", type=float, default=50.0,
+    if "shell" in shared:
+        p.add_argument("--bvalue", type=float, default=None, help="shell b-value (default max)")
+        p.add_argument("--shell-tol", dest="shell_tol", type=float, default=SHELL_TOL,
                        help="b-value tolerance for shell selection (s/mm^2)")
     if "verbose" in shared:
         p.add_argument("--verbose", action="store_true", help="chatty output")
@@ -391,12 +396,11 @@ def build_parser() -> _Parser:
     p.add_argument("--dwi", required=True)
     p.add_argument("--bval", required=True)
     p.add_argument("--bvec", required=True)
-    p.add_argument("--lmax", type=int, default=4)
+    p.add_argument("--lmax", type=int, default=DEFAULT_LMAX)
     p.add_argument("--reg", type=float, default=0.0, help="Laplace-Beltrami weight")
-    p.add_argument("--bvalue", type=float, default=None, help="shell b-value (default max)")
     p.add_argument("--mask", default=None)
     p.add_argument("--out", required=True)
-    _add_common(p, "shell_tol", "verbose")
+    _add_common(p, "shell", "verbose")
     p.set_defaults(func=cmd_fit_sh)
 
     p = sub.add_parser("project-sh", help="project SH coefficients onto directions")
@@ -409,18 +413,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit-dti", help="fit tensors and write FA/MD maps")
     p.add_argument("--data", required=True, help="study directory")
-    p.add_argument("--bvalue", type=float, default=None)
     p.add_argument("--mask", default=None)
     p.add_argument("--out-fa", default=None)
     p.add_argument("--out-md", default=None)
     p.add_argument("--out-tensor", default=None)
-    _add_common(p, "shell_tol")
+    _add_common(p, "shell")
     p.set_defaults(func=cmd_fit_dti)
 
     p = sub.add_parser("interp", help="classical interpolation of missing slices")
     p.add_argument("--input", required=True, help="4D NIfTI volume")
     p.add_argument("--gap-start", type=int, required=True)
-    p.add_argument("--n", type=int, choices=(1, 2), default=1)
+    p.add_argument("--n", type=int, choices=GAP_WIDTHS, default=1)
     p.add_argument("--method", choices=KINDS, default="linear")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
@@ -429,25 +432,25 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train an autoencoder on study data")
     p.add_argument("--data", nargs="+", required=True, help="study directories")
     p.add_argument("--net", choices=("b0", "avg-b1000", "sh4"), required=True)
-    p.add_argument("--avg-n", dest="avg_n", type=int, default=15,
+    avg = inspect.signature(ae.averaged_dwi_slices).parameters
+    p.add_argument("--avg-n", dest="avg_n", type=int, default=avg["n_average"].default,
                    help="volumes averaged per avg-b1000 sample")
-    p.add_argument("--avg-samples", type=int, default=10,
+    p.add_argument("--avg-samples", type=int, default=avg["n_samples"].default,
                    help="random averages drawn per study")
-    p.add_argument("--lmax", type=int, default=4)
-    p.add_argument("--bvalue", type=float, default=None)
-    p.add_argument("--m", type=int, default=32, help="latent feature maps")
+    p.add_argument("--lmax", type=int, default=DEFAULT_LMAX)
+    p.add_argument("--m", type=int, default=ae.ModelConfig.latent_maps, help="latent feature maps")
     p.add_argument("--sweep-m", type=_int_list, default=None,
                    help="comma list of M values to sweep")
-    p.add_argument("--base-width", type=int, default=32)
+    p.add_argument("--base-width", type=int, default=ae.ModelConfig.base_width)
     p.add_argument("--input-size", type=int, default=0, help="0 = use slice size")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=5e-5)
-    p.add_argument("--val-fraction", type=float, default=0.15)
-    p.add_argument("--split-by", choices=("subject", "slice"), default="subject")
+    p.add_argument("--epochs", type=int, default=ae.TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=ae.TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=ae.TrainConfig.lr)
+    p.add_argument("--val-fraction", type=float, default=ae.TrainConfig.val_fraction)
+    p.add_argument("--split-by", choices=SPLITS, default=ae.TrainConfig.split_by)
     p.add_argument("--log", default=None, help="training-log CSV path (not with --sweep-m)")
     p.add_argument("--out", required=True, help="checkpoint path")
-    _add_common(p, "seed", "shell_tol", "verbose")
+    _add_common(p, "seed", "shell", "verbose")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="infer missing slices with a trained model")
@@ -456,19 +459,18 @@ def build_parser() -> _Parser:
     p.add_argument("--b0-model", dest="b0_model", default=None, help="b0 checkpoint")
     p.add_argument("--domain", choices=("signal", "sh4"), default="signal")
     p.add_argument("--gap-start", type=int, required=True)
-    p.add_argument("--n", type=int, choices=(1, 2), default=1)
-    p.add_argument("--bvalue", type=float, default=None)
+    p.add_argument("--n", type=int, choices=GAP_WIDTHS, default=1)
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p, "shell_tol")
+    _add_common(p, "shell")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("phantom", help="generate a synthetic phantom study")
-    p.add_argument("--dims", type=_int_list, default="64,64,16")
-    p.add_argument("--directions", type=int, default=88)
-    p.add_argument("--b0", type=int, default=4)
-    p.add_argument("--bvalue", type=float, default=1000.0)
-    p.add_argument("--noise", choices=("none", "gaussian", "rician"), default="none")
-    p.add_argument("--sigma", type=float, default=0.0)
+    p.add_argument("--dims", type=_int_list, default=list(PhantomSpec.dims))
+    p.add_argument("--directions", type=int, default=PhantomSpec.n_directions)
+    p.add_argument("--b0", type=int, default=PhantomSpec.n_b0)
+    p.add_argument("--bvalue", type=float, default=PhantomSpec.b_value)
+    p.add_argument("--noise", choices=NOISE_MODELS, default=PhantomSpec.noise)
+    p.add_argument("--sigma", type=float, default=PhantomSpec.noise_sigma)
     p.add_argument("--out", required=True)
     _add_common(p, "seed", "verbose")
     p.set_defaults(func=cmd_phantom)
@@ -479,26 +481,24 @@ def build_parser() -> _Parser:
                    help=f"comma list from {ALL_METHODS}")
     p.add_argument("--gaps", type=_int_list, default=None,
                    help="comma list of gap z-indices")
-    p.add_argument("--n", type=_int_list, default="1,2", help="comma list of gap widths")
+    p.add_argument("--n", type=_int_list, default=list(GAP_WIDTHS), help="comma list of gap widths")
     p.add_argument("--folds", type=int, default=1,
                    help="per-fold breakdown over gap positions (default single split)")
-    p.add_argument("--lmax", type=int, default=4)
-    p.add_argument("--bvalue", type=float, default=None)
+    p.add_argument("--lmax", type=int, default=DEFAULT_LMAX)
     p.add_argument("--signal-model", default=None)
     p.add_argument("--sh-model", default=None)
     p.add_argument("--b0-model", dest="b0_model", default=None)
     p.add_argument("--threads", type=int, default=None, help="worker thread cap")
     p.add_argument("--out", required=True, help="report directory")
-    _add_common(p, "shell_tol", "verbose")
+    _add_common(p, "shell", "verbose")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sh-bound", help="SH fit-project round-trip error")
     p.add_argument("--data", required=True, help="study directory")
-    p.add_argument("--lmax", type=int, default=4)
-    p.add_argument("--bvalue", type=float, default=None)
+    p.add_argument("--lmax", type=int, default=DEFAULT_LMAX)
     p.add_argument("--mask", default=None)
     p.add_argument("--out", default=None, help="optional JSON output")
-    _add_common(p, "shell_tol")
+    _add_common(p, "shell")
     p.set_defaults(func=cmd_sh_bound)
 
     return parser

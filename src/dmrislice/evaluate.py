@@ -46,9 +46,9 @@ from .errors import DegenerateSample, EmptyMask, ModelMissing, ShapeError
 from .inference import check_sh_model, decode_gap, encode_slice
 from .interp import interp_missing_slices
 from .phantom import LABELS, PhantomData
-from .sh import fit_sh_slice, project_sh_slice, sh_basis_matrix
+from .sh import DEFAULT_LMAX, fit_sh_slice, project_sh_slice, sh_basis_matrix
 from .stats import wilcoxon_signed_rank
-from .volume import GapSpec, Volume4D, b0_mean
+from .volume import GAP_WIDTHS, GapSpec, Volume4D, b0_mean
 
 # Each method as (domain, estimator): the volume whose gap slices it
 # estimates, the DWI or its SH coefficients, and an interpolation kind or
@@ -263,9 +263,9 @@ def run_experiment(
     data: PhantomData,
     methods=DEFAULT_METHODS,
     gaps=None,
-    n_values=(1, 2),
+    n_values=GAP_WIDTHS,
     models=None,
-    lmax: int = 4,
+    lmax: int = DEFAULT_LMAX,
     threads: int | None = None,
     folds: int = 1,
 ) -> EvalReport:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ae.model import Autoencoder
 from .errors import ShapeError
-from .sh import fit_sh_slice, n_coefficients, project_sh_slice, sh_basis_matrix
+from .sh import DEFAULT_LMAX, fit_sh_slice, n_coefficients, project_sh_slice, sh_basis_matrix
 from .volume import (
     GapSpec,
     GradientTable,
@@ -174,7 +174,7 @@ def infer_gap_sh(
     b0: Volume4D,
     g: GradientTable,
     gap: GapSpec,
-    lmax: int = 4,
+    lmax: int = DEFAULT_LMAX,
 ) -> tuple[list[SliceImage], list[SliceImage]]:
     """SH-domain gap inference plus matching b0 slices.
 

@@ -59,9 +59,7 @@ def kernel_eval(method, t: float) -> np.ndarray:
 
 
 def _mirror_index(idx: int, n: int) -> int:
-    """Whole-sample symmetric reflection of an index into [0, n)."""
-    if n == 1:
-        return 0
+    """Whole-sample symmetric reflection of an index into [0, n), n >= 2."""
     period = 2 * n - 2
     idx = abs(idx) % period
     return period - idx if idx >= n else idx

@@ -25,6 +25,8 @@ WM_EIGENVALUES = (1.7e-3, 0.3e-3, 0.3e-3)  # mm^2/s, anisotropic
 
 S0_BY_LABEL = {0: 0.0, 1: 1.0, 2: 0.8, 3: 0.7, 4: 0.75}
 
+NOISE_MODELS = ("none", "gaussian", "rician")
+
 
 @dataclass(frozen=True)
 class PhantomSpec:
@@ -32,7 +34,7 @@ class PhantomSpec:
     b_value: float = 1000.0
     n_directions: int = 88
     n_b0: int = 4
-    noise: str = "none"  # none | gaussian | rician
+    noise: str = "none"  # one of NOISE_MODELS
     noise_sigma: float = 0.0
     seed: int = 0
 
@@ -43,7 +45,7 @@ class PhantomSpec:
             raise ShapeError(f"a phantom needs at least one b0 volume, got {self.n_b0}")
         if not B0_THRESHOLD < self.b_value < math.inf:
             raise ShapeError(f"b_value must lie in ({B0_THRESHOLD}, inf), got {self.b_value}")
-        if self.noise not in ("none", "gaussian", "rician"):
+        if self.noise not in NOISE_MODELS:
             raise ShapeError(f"unknown noise model {self.noise!r}")
         if not math.isfinite(self.noise_sigma):
             raise ShapeError(f"noise_sigma must be finite, got {self.noise_sigma}")

@@ -25,6 +25,8 @@ from .nifti import read_nifti, write_nifti
 from .volume import GradientTable, Volume4D, mask_voxels, read_text_lines
 
 SUPPORTED_LMAX = (0, 2, 4, 6, 8)
+# The SH order of the paper's sh4 nets, and of every fit that takes no order.
+DEFAULT_LMAX = 4
 # The basis name that SH sidecars record.
 _BASIS = "modified_real_symmetric"
 
@@ -152,7 +154,7 @@ def _fit_matrix(b: np.ndarray, lambda_reg: float) -> np.ndarray:
 def fit_sh(
     dwi: Volume4D,
     g: GradientTable,
-    lmax: int = 4,
+    lmax: int = DEFAULT_LMAX,
     lambda_reg: float = 0.0,
     mask: Volume4D | None = None,
 ) -> ShCoeffVolume:
@@ -212,7 +214,7 @@ def project_sh_slice(coeff_slice: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def sh_roundtrip_error(
     dwi: Volume4D,
     g: GradientTable,
-    lmax: int = 4,
+    lmax: int = DEFAULT_LMAX,
     mask: Volume4D | None = None,
 ) -> float:
     """Mean squared fit-then-project error on [0, 1]-normalized intensities.

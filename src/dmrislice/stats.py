@@ -42,9 +42,8 @@ def _approx_two_sided_p(ranks: np.ndarray, w: float) -> float:
     var = n * (n + 1) * (2 * n + 1) / 24.0
     # Tie correction: subtract sum(t^3 - t)/48 over groups of tied |d|.
     _, tie_counts = np.unique(ranks, return_counts=True)
+    # Positive for n >= 1: with every |d| tied it is still n(n+1)(3n+3)/48.
     var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
-    if var <= 0:
-        raise DegenerateSample("all differences tied; variance is zero")
     dev = w - mean
     correction = 0.5 * np.sign(dev)
     z = (dev - correction) / math.sqrt(var)

@@ -20,6 +20,7 @@ from .nifti import nifti_extents, read_labels, read_volumes, write_nifti
 from .phantom import PhantomData
 from .volume import (
     B0_THRESHOLD,
+    SHELL_TOL,
     GradientTable,
     Volume4D,
     read_gradient_table,
@@ -54,7 +55,7 @@ def write_study(data: PhantomData, out_dir) -> None:
             fh.write("\n")
 
 
-def load_study(path, b_target: float | None = None, shell_tol: float = 50.0) -> PhantomData:
+def load_study(path, b_target: float | None = None, shell_tol: float = SHELL_TOL) -> PhantomData:
     """Load a study directory back into memory.
 
     ``b_target`` selects the diffusion shell; by default the largest b-value

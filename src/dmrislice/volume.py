@@ -24,6 +24,10 @@ from .errors import BoundaryGap, EmptyMask, EmptyShell, ParseError, ShapeError
 
 # b-values at or below this (s/mm^2) are treated as unweighted (b0) images.
 B0_THRESHOLD = 50.0
+# Default half-width (s/mm^2) of the b-value window that selects a shell.
+SHELL_TOL = 50.0
+# The gap widths N a GapSpec accepts, in increasing order.
+GAP_WIDTHS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def normalize_slice(s: np.ndarray) -> np.ndarray:
 
 
 def shell_window(
-    g: GradientTable, b_target: float | None = None, tol: float = 50.0
+    g: GradientTable, b_target: float | None = None, tol: float = SHELL_TOL
 ) -> tuple[np.ndarray, GradientTable]:
     """The mask of the volumes with \\|b - b_target\\| <= tol, and their
     gradient table, order preserved; ``b_target`` is by default the largest
@@ -261,8 +265,9 @@ class GapSpec:
     n_missing: int
 
     def __post_init__(self):
-        if self.n_missing not in (1, 2):
-            raise ShapeError(f"n_missing must be 1 or 2, got {self.n_missing}")
+        if self.n_missing not in GAP_WIDTHS:
+            widths = " or ".join(map(str, GAP_WIDTHS))
+            raise ShapeError(f"n_missing must be {widths}, got {self.n_missing}")
         if self.gap_start < 1:
             raise BoundaryGap("gap must leave a neighbor slice below it")
 

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import re
@@ -16,16 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutation
+import dmrislice.cli as cli
 from dmrislice.ae import Autoencoder, ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
-from dmrislice.ae.train import _split
+from dmrislice.ae.train import _split, averaged_dwi_slices
 from dmrislice.cli import _build_dataset, build_parser, dispatch, parse_config_file
 from dmrislice.dti import dti_scalars, fit_dti
 from dmrislice.errors import DmrisliceError, ParseError, ShapeError
 from dmrislice.evaluate import DEFAULT_METHODS, run_experiment
+from dmrislice.inference import infer_gap_sh
 from dmrislice.nifti import read_labels, read_nifti, write_nifti
-from dmrislice.sh import ShCoeffVolume, fit_sh, read_sh, write_sh
+from dmrislice.phantom import PhantomSpec
+from dmrislice.sh import ShCoeffVolume, fit_sh, read_sh, sh_roundtrip_error, write_sh
 from dmrislice.study import load_study
-from dmrislice.volume import Volume4D, read_gradient_table, shell_window
+from dmrislice.volume import GapSpec, Volume4D, read_gradient_table, shell_window
 
 
 @pytest.fixture(scope="module")
@@ -784,6 +788,54 @@ def test_non_finite_header_geometry_exits_2(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# (dim, datatype, bitpix) of a header the reader refuses, and its message.
+MALFORMED_HEADERS = {
+    "dim0-0": ((0, 4, 4, 5, 1, 1, 1, 1), 16, 32, "dim[0]=0 outside [1, 7] (at offset 40)"),
+    "dim0-8": ((8, 4, 4, 5, 1, 1, 1, 1), 16, 32, "dim[0]=8 outside [1, 7] (at offset 40)"),
+    "fifth-dim": ((5, 4, 4, 5, 1, 2, 1, 1), 16, 32, "more than 4 non-trivial dimensions"),
+    "bitpix": ((4, 4, 4, 5, 1, 1, 1, 1), 16, 64,
+               "bitpix 64 inconsistent with datatype 16 (at offset 72)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_malformed_nifti_header_exits_2(tmp_path, capsys, case):
+    dim, datatype, bitpix, message = case
+    path = tmp_path / "v.nii"
+    write_nifti(Volume4D(np.ones((4, 4, 5, 1))), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<8h", raw, 40, *dim)
+    struct.pack_into("<2h", raw, 70, datatype, bitpix)
+    path.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    assert dispatch(["interp", "--input", str(path), "--gap-start", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"dmrislice: {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_study_without_b0_volumes_exits_2(study_dir, tmp_path, capsys):
+    study = tmp_path / "study"
+    shutil.copytree(study_dir, study)
+    # The b0 volumes become b = 1000 along x.
+    bvals = np.loadtxt(study / "dwi.bval")
+    bvecs = np.loadtxt(study / "dwi.bvec")
+    bvecs[0, bvals == 0] = 1.0
+    np.savetxt(study / "dwi.bval", np.full((1, bvals.size), 1000.0))
+    np.savetxt(study / "dwi.bvec", bvecs)
+    assert dispatch(["sh-bound", "--data", str(study)]) == 2
+    assert capsys.readouterr().err == f"dmrislice: {study}: no b0 volumes (b <= 50.0)\n"
+
+
+def test_train_on_labels_that_are_all_background_exits_2(study_dir, tmp_path, capsys):
+    study = tmp_path / "study"
+    shutil.copytree(study_dir, study)
+    write_nifti(Volume4D(np.zeros((16, 16, 8, 1))), study / "labels.nii")
+    out = tmp_path / "m.ckpt"
+    assert dispatch([*TRAIN, "--data", str(study), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "dmrislice: no training slices after mask filtering\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "bval,bvec",
     [
@@ -816,6 +868,17 @@ def test_corrupt_config_file_exits_2(study_dir, tmp_path, text):
         ["evaluate", "--data", str(study_dir), "--config", str(cfg), "--out", str(tmp_path / "r")]
     )
     assert code == 2
+
+
+def test_a_quoted_empty_list_in_a_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text('data = ""\n')
+    out = tmp_path / "m.ckpt"
+    assert dispatch(["train", "--net", "b0", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "dmrislice: config error: config key 'data': expected at least one value\n"
+    )
+    assert not out.exists()
 
 
 def test_threads_only_on_evaluate(study_dir, tmp_path):
@@ -1009,6 +1072,100 @@ def test_unwritable_output_exits_2(study_dir, tmp_path, capsys, command):
     assert err.startswith("dmrislice: ") and err.count("\n") == 1
 
 
+def _no_study_read(*args, **kwargs):
+    raise AssertionError("read a study before checking the outputs")
+
+
+@pytest.mark.parametrize("option", ["--out", "--log"])
+def test_train_refuses_an_output_in_a_missing_directory_before_reading(
+    study_dir, tmp_path, capsys, monkeypatch, option
+):
+    monkeypatch.setattr(cli, "load_study", _no_study_read)
+    paths = {"--out": tmp_path / "m.ckpt", "--log": tmp_path / "log.csv"}
+    paths[option] = tmp_path / "missing" / paths[option].name
+    argv = [*TRAIN, "--data", str(study_dir)]
+    assert dispatch(argv + [arg for pair in paths.items() for arg in map(str, pair)]) == 2
+    missing = paths[option]
+    assert capsys.readouterr().err == (
+        f"dmrislice: cannot write {missing}: no directory {missing.parent}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evaluate_refuses_an_output_that_is_a_file_before_reading(
+    study_dir, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "load_study", _no_study_read)
+    out = tmp_path / "report"
+    out.write_text("a regular file\n")
+    assert dispatch(["evaluate", "--data", str(study_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"dmrislice: cannot write the report to {out}: not a directory\n"
+    )
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "a regular file\n"
+
+
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_cli_defaults_and_choices_are_the_library_ones():
+    """Each option default and choice list the CLI shares with the library
+    is the library's own."""
+    lmax, tol = _default(fit_sh, "lmax"), _default(shell_window, "tol")
+    widths = _default(run_experiment, "n_values")
+    assert {_default(f, "lmax") for f in (sh_roundtrip_error, run_experiment, infer_gap_sh)} \
+        == {lmax}
+    assert _default(load_study, "shell_tol") == tol
+    train, model, spec = TrainConfig(), ModelConfig(), PhantomSpec()
+    owners = {
+        ("train", "lr"): train.lr,
+        ("train", "batch"): train.batch_size,
+        ("train", "epochs"): train.epochs,
+        ("train", "val_fraction"): train.val_fraction,
+        ("train", "split_by"): train.split_by,
+        ("train", "m"): model.latent_maps,
+        ("train", "base_width"): model.base_width,
+        ("train", "avg_n"): _default(averaged_dwi_slices, "n_average"),
+        ("train", "avg_samples"): _default(averaged_dwi_slices, "n_samples"),
+        ("phantom", "dims"): list(spec.dims),
+        ("phantom", "directions"): spec.n_directions,
+        ("phantom", "b0"): spec.n_b0,
+        ("phantom", "bvalue"): spec.b_value,
+        ("phantom", "noise"): spec.noise,
+        ("phantom", "sigma"): spec.noise_sigma,
+        ("evaluate", "n"): list(widths),
+        **{(name, "lmax"): lmax for name in ("fit-sh", "train", "evaluate", "sh-bound")},
+        **{(name, "shell_tol"): tol
+           for name in ("fit-sh", "fit-dti", "train", "infer", "evaluate", "sh-bound")},
+    }
+    minimal = {"train": ["--data", "s", "--net", "b0", "--out", "m"], "phantom": ["--out", "s"],
+               "evaluate": ["--data", "s", "--out", "r"], "sh-bound": ["--data", "s"],
+               "fit-sh": ["--dwi", "d", "--bval", "b", "--bvec", "v", "--out", "o"],
+               "fit-dti": ["--data", "s"],
+               "infer": ["--data", "s", "--model", "m", "--gap-start", "2", "--out", "o"]}
+    parser = build_parser()
+    args = {name: vars(parser.parse_args([name, *argv])) for name, argv in minimal.items()}
+    for (name, dest), value in owners.items():
+        assert args[name][dest] == value, (name, dest)
+
+    options = {name: sub.options for name, sub in parser.subcommands.items()}
+    for split_by in options["train"]["split_by"].choices:
+        TrainConfig(split_by=split_by)
+    with pytest.raises(ShapeError):
+        TrainConfig(split_by="voxel")
+    for noise in options["phantom"]["noise"].choices:
+        PhantomSpec(noise=noise, noise_sigma=0.1)
+    with pytest.raises(ShapeError):
+        PhantomSpec(noise="poisson", noise_sigma=0.1)
+    assert options["interp"]["n"].choices == options["infer"]["n"].choices == tuple(widths)
+    for n in widths:
+        GapSpec(gap_start=1, n_missing=n)
+    for n in (0, max(widths) + 1):
+        with pytest.raises(ShapeError):
+            GapSpec(gap_start=1, n_missing=n)
+
+
 # The shared options each subcommand declares: exactly those it reads.
 SHARED_OPTIONS = {
     "fit-sh": {"shell_tol", "verbose"},
@@ -1043,7 +1200,15 @@ def test_shared_options_only_where_read(tmp_path):
                      "--config", str(cfg)]) == 1
 
 
-def test_train_sweep_keeps_the_best_latent_width(study_dir, tmp_path, capsys):
+def test_train_sweep_keeps_the_best_latent_width(study_dir, tmp_path, capsys, monkeypatch):
+    # What each width's run had seen printed before it started.
+    real, seen = cli.ae.train, []
+
+    def train(*args, **kwargs):
+        seen.append(capsys.readouterr().out)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.ae, "train", train)
     ckpt = tmp_path / "sweep.ckpt"
     code = dispatch(
         ["train", "--data", str(study_dir), "--net", "b0", "--sweep-m", "2,4",
@@ -1051,7 +1216,8 @@ def test_train_sweep_keeps_the_best_latent_width(study_dir, tmp_path, capsys):
          "--split-by", "slice", "--verbose", "--out", str(ckpt)]
     )
     assert code == 0
-    lines = re.findall(r"^M=(\d+): val_mse=(\S+)$", capsys.readouterr().out, re.M)
+    assert seen[0] == "" and re.search(r"^M=2: ", seen[1], re.M)
+    lines = re.findall(r"^M=(\d+): val_mse=(\S+)$", "".join(seen) + capsys.readouterr().out, re.M)
     assert [int(m) for m, _ in lines] == [2, 4]
     val_mse = {int(m): float(v) for m, v in lines}
     assert val_mse[load_checkpoint(ckpt).cfg.latent_maps] == min(val_mse.values())

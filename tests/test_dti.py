@@ -65,6 +65,15 @@ def test_fit_handles_zero_signal_sample():
     assert np.isfinite(t.data).all()
 
 
+def test_fit_refuses_a_b0_grid_or_gradient_table_other_than_the_dwi():
+    dwi, b0, g = _setup_fit(np.array([1.0e-3, 1.0e-3, 1.0e-3, 0.0, 0.0, 0.0]), n_dirs=10)
+    with pytest.raises(ShapeError, match=r"dwi grid \(2, 2, 1\) does not match b0 \(2, 3, 1\)"):
+        fit_dti(dwi, Volume4D(np.ones((2, 3, 1, 1))), g)
+    short = GradientTable(g.bvals[:9], g.bvecs[:9])
+    with pytest.raises(ShapeError, match=r"gradient table \(9\) does not match volume count \(10\)"):
+        fit_dti(dwi, b0, short)
+
+
 def test_fit_underdetermined():
     d6 = np.array([1.0e-3, 1.0e-3, 1.0e-3, 0.0, 0.0, 0.0])
     dwi, b0, g = _setup_fit(d6, n_dirs=5)

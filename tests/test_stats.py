@@ -44,6 +44,14 @@ def test_too_few_nonzero():
         wilcoxon_signed_rank(x, np.zeros(6))
 
 
+def test_all_differences_tied_above_the_exact_limit():
+    # The largest tie correction still leaves the normal approximation a
+    # positive variance, n(n+1)(3n+3)/48.
+    w, p = wilcoxon_signed_rank(np.ones(25), np.zeros(25))
+    assert w == 325.0
+    assert p == pytest.approx(6.208518738318092e-07, rel=1e-12)
+
+
 def test_swap_symmetry():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(10)

@@ -15,7 +15,6 @@ from dmrislice.ae.train import (
     averaged_dwi_slices,
     slices_per_volume,
     stacked_slices,
-    sweep_latent_size,
 )
 from dmrislice.errors import DmrisliceError, InsufficientData, ShapeError
 from dmrislice.phantom import PhantomSpec, make_phantom
@@ -248,6 +247,42 @@ def test_subject_split_avoids_leakage(phantom16):
     assert val_idx
 
 
+def test_subject_split_keeps_one_subject_for_training():
+    # At val_fraction 0.9 the share is never reached: all but the last
+    # subject in the seeded order validate.
+    x = np.zeros((1, 2, 2))
+    dataset = [SliceSample(data=x, subject=name) for name in "abcabc"]
+    for seed in range(3):
+        train_idx, val_idx = _split(dataset, quick_cfg(split_by="subject", val_fraction=0.9),
+                                    np.random.default_rng(seed))
+        assert len({dataset[i].subject for i in val_idx}) == 2
+        assert len({dataset[i].subject for i in train_idx}) == 1
+        assert sorted(train_idx + val_idx) == list(range(6))
+
+
+# Validation indices of a 14-slice dataset of subjects a to d (3, 5, 2 and 4
+# slices) per (seed, val_fraction), pinned so that the split keeps its draws.
+SUBJECT_SPLITS = {
+    (0, 0.15): [0, 2, 3, 7, 9],
+    (0, 0.5): [0, 1, 2, 3, 5, 7, 8, 9, 11, 12],
+    (1, 0.15): [0, 3, 9],
+    (1, 0.5): [0, 1, 3, 5, 8, 9, 11, 12],
+    (2, 0.5): [0, 2, 3, 4, 6, 7, 9, 10, 13],
+    (3, 0.5): [1, 2, 4, 5, 6, 7, 8, 10, 11, 12, 13],
+    (4, 0.15): [4, 6, 10, 13],
+}
+
+
+@pytest.mark.parametrize("seed, val_fraction", SUBJECT_SPLITS)
+def test_subject_split_draws_are_pinned(seed, val_fraction):
+    x = np.zeros((1, 2, 2))
+    dataset = [SliceSample(data=x, subject=name) for name in "abcadbdcbadbbd"]
+    cfg = quick_cfg(split_by="subject", val_fraction=val_fraction, seed=seed)
+    train_idx, val_idx = _split(dataset, cfg, np.random.default_rng(seed))
+    assert [int(i) for i in val_idx] == SUBJECT_SPLITS[seed, val_fraction]
+    assert train_idx == [i for i in range(len(dataset)) if i not in val_idx]
+
+
 def test_mask_fraction_filter(phantom16):
     # an all-background mask drops every slice
     empty_mask = Volume4D(np.zeros(phantom16.b0.dims[:3] + (1,)))
@@ -351,24 +386,3 @@ def test_fit_to_size_crop_and_pad(phantom16):
     cropped = fit_to_size(padded, 16)
     assert np.array_equal(cropped[0].data, ds[0].data)
 
-
-def test_sweep_latent_size(phantom16):
-    ds = small_dataset(phantom16)
-    best, results = sweep_latent_size(ds, quick_cfg(epochs=2), TINY_MODEL, m_values=(2, 4))
-    assert set(results) == {2, 4}
-    assert best.best_val_mse == min(results.values())
-
-
-def test_sweep_latent_size_refuses_an_empty_sweep(phantom16):
-    with pytest.raises(ShapeError, match="at least one latent width"):
-        sweep_latent_size(small_dataset(phantom16), quick_cfg(epochs=1), TINY_MODEL, m_values=())
-
-
-def test_sweep_latent_size_checks_every_width_before_training(phantom16, monkeypatch):
-    def train(*args, **kw):
-        raise AssertionError("trained before every latent width was checked")
-
-    # sys.modules: the package's `train` attribute is the function, not this module.
-    monkeypatch.setattr(sys.modules["dmrislice.ae.train"], "train", train)
-    with pytest.raises(ShapeError, match="channel counts must be positive"):
-        sweep_latent_size(small_dataset(phantom16), quick_cfg(), TINY_MODEL, m_values=[2, 4, 0])
